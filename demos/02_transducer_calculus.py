@@ -22,7 +22,7 @@ for q, rep in reports.items():
 print("orientation:", orient.value)
 
 rep = signature_report(g)
-print(f"\nsignature: level={rep.sync_level} per-word m={rep.per_word_m}")
+print(f"\nsignature: level={rep.sync_level} per-word m={tuple(rep.per_word_m)}")
 print(f"sig = {rep.sig}, reduced = {rep.rsig} (mod 3)")
 
 print("\nmembership over r roots (ordered):")

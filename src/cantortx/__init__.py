@@ -95,6 +95,7 @@ from .machines import (
 from .group import (
     GroupElement,
     OrderResult,
+    ProductLeftGroup,
     ZeroFixing,
     canonical_core,
     element_order,

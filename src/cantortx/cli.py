@@ -46,6 +46,7 @@ from .machines import (
 )
 from .group import (
     GroupElement,
+    ProductLeftGroup,
     canonical_core,
     element_order,
     group_product,
@@ -63,6 +64,7 @@ DOMAIN_ERRORS = (
     StateExplosion,
     RealizeError,
     NotOrderable,
+    ProductLeftGroup,
     textio.ParseError,
     KeyError,
 )
@@ -312,12 +314,12 @@ def cmd_partition(args, started):
 
 
 def cmd_verify(args, started):
-    results = verify.run_suite(args.suite, jobs=args.jobs)
+    results = verify.run_suite(args.suite)
     if args.json:
         _emit(args, "verify", [args.suite],
               [{"name": n, "ok": ok, "detail": d, "seconds": round(s, 3)}
                for n, ok, d, s in results],
-              {"jobs": args.jobs}, started)
+              {}, started)
     else:
         for name, ok, detail, secs in results:
             print(f"{'PASS' if ok else 'FAIL'}  {name:24s} {secs:8.2f}s  {detail}")
@@ -422,7 +424,6 @@ def build_parser():
 
     p = add("verify", cmd_verify, help="run the reproducibility suite")
     p.add_argument("--suite", default="paper", choices=sorted(verify.SUITES))
-    p.add_argument("--jobs", type=int, default=1)
 
     p = add("edges", cmd_edges, help="plain-text edge list dump")
     p.add_argument("file")

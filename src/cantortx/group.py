@@ -121,6 +121,10 @@ def identity_element(n):
     return GroupElement.from_machine(identity_transducer(n))
 
 
+class ProductLeftGroup(RuntimeError):
+    """A product's canonical machine failed validation as a core element."""
+
+
 def group_product(g, h):
     """g then h: root the product machine at a pair of states, minimize the
     rooted behaviour, and take the core.  The result is independent of the
@@ -133,7 +137,7 @@ def group_product(g, h):
     result = GroupElement.from_machine(M, validate=False)
     fail = validation_failure(result.machine)
     if fail is not None:
-        raise RuntimeError(f"product left the group, inputs were invalid: {fail}")
+        raise ProductLeftGroup(f"product left the group, inputs were invalid: {fail}")
     return result
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 
 from .words import (
     ClopenSet,
@@ -58,21 +59,43 @@ def m_of_state(T, q, max_iter=32):
     return len(image(T, q, max_iter).cones)
 
 
-def is_injective_state(T, q, max_iter=32):
+def _branches_disjoint(T, img, p):
+    """Are the images of the n branches at state p pairwise disjoint?"""
+    pieces = [img[T.dest(p, i)].shift(T.output(p, i)) for i in range(T.n)]
+    return all(a.disjoint(b) for a, b in combinations(pieces, 2))
+
+
+def is_injective_state(T, q, max_iter=32, img=None):
     """True iff h_q is injective: at every state reachable from q the images
-    of distinct branches are pairwise disjoint."""
-    img = images(T, max_iter)
-    for p in reachable(T, [q]):
-        pieces = [img[T.dest(p, i)].shift(T.output(p, i)) for i in range(T.n)]
-        for a in range(T.n):
-            for b in range(a + 1, T.n):
-                if not pieces[a].disjoint(pieces[b]):
-                    return False
-    return True
+    of distinct branches are pairwise disjoint.  `img` is images(T) when the
+    caller already has it."""
+    if img is None:
+        img = images(T, max_iter)
+    return all(_branches_disjoint(T, img, p) for p in reachable(T, [q]))
+
+
+def non_injective_states(T, img):
+    """The states q, in state order, with h_q not injective, given
+    img = images(T): each state's branches are checked once, then one
+    reverse-reachability sweep adds every state that reaches a state whose
+    branch images overlap."""
+    preds = {q: [] for q in T.states}
+    for p in T.states:
+        for i in range(T.n):
+            preds[T.dest(p, i)].append(p)
+    stack = [p for p in T.states if not _branches_disjoint(T, img, p)]
+    bad = set(stack)
+    while stack:
+        for p in preds[stack.pop()]:
+            if p not in bad:
+                bad.add(p)
+                stack.append(p)
+    return [q for q in T.states if q in bad]
 
 
 def is_homeomorphism_state(T, q, max_iter=32):
-    return is_injective_state(T, q, max_iter) and image(T, q, max_iter).is_whole()
+    img = images(T, max_iter)
+    return img[q].is_whole() and is_injective_state(T, q, img=img)
 
 
 class Orientation(Enum):
@@ -91,11 +114,16 @@ def orientation(T, max_iter=32):
     respects the endpoint identifications of the circle quotient; that is a
     theorem about these machines, so no separate check exists for it."""
     try:
-        for q in T.states:
-            if not is_injective_state(T, q, max_iter):
-                return Orientation.NEITHER
+        img = images(T, max_iter)
     except NotClopenImage:
         return Orientation.NEITHER
+    if non_injective_states(T, img):
+        return Orientation.NEITHER
+    return _boundary_orientation(T)
+
+
+def _boundary_orientation(T):
+    """orientation() of T once every state is known to be injective."""
     n = T.n
     preserving = True
     reversing = True
@@ -128,19 +156,36 @@ class StateReport:
 def analyze(T, max_iter=32):
     """One StateReport per state plus the machine orientation."""
     img = images(T, max_iter)
-    reports = {}
-    for q in T.states:
-        inj = is_injective_state(T, q, max_iter)
-        reports[q] = StateReport(
+    bad = set(non_injective_states(T, img))
+    reports = {
+        q: StateReport(
             image=img[q],
             m=len(img[q].cones),
-            injective=inj,
-            homeomorphism=inj and img[q].is_whole(),
+            injective=q not in bad,
+            homeomorphism=q not in bad and img[q].is_whole(),
         )
-    return reports, orientation(T, max_iter)
+        for q in T.states
+    }
+    return reports, Orientation.NEITHER if bad else _boundary_orientation(T)
 
 
 # --- images over the r-rooted space ---------------------------------------
+
+
+def _rooted_branch(A, img, q, sym):
+    """The image of state q's branch on symbol sym, given the images img."""
+    w, p = A.step(q, sym)
+    root, tail = split_rooted(w)
+    target = img[p]
+    if root is None:
+        if isinstance(target, RootedClopen):
+            # pending output, pending successor: the structure rules make
+            # the tail empty here, so the branch image is the target's
+            return target
+        return target.shift(tail)
+    parts = [empty_clopen(A.n)] * A.r
+    parts[root] = target.shift(tail)
+    return RootedClopen(A.n, A.r, parts)
 
 
 def images_initial(A, max_iter=32):
@@ -151,25 +196,10 @@ def images_initial(A, max_iter=32):
     for q in A.states:
         img[q] = whole_space(n) if A.region[q] is DONE else whole_rooted(n, r)
 
-    def branch(q, sym):
-        w, p = A.step(q, sym)
-        root, tail = split_rooted(w)
-        target = img[p]
-        if root is None:
-            if isinstance(target, RootedClopen):
-                # pending output, pending successor: shift each part? tail is
-                # empty here by the structure rules, so this is just target
-                return target
-            return target.shift(tail)
-        part = target.shift(tail)
-        parts = [empty_clopen(n)] * r
-        parts[root] = part
-        return RootedClopen(n, r, parts)
-
     for _ in range(max_iter):
         new = {}
         for q in A.states:
-            pieces = [branch(q, sym) for sym in A.symbols_at(q)]
+            pieces = [_rooted_branch(A, img, q, sym) for sym in A.symbols_at(q)]
             acc = pieces[0]
             for piece in pieces[1:]:
                 acc = acc.union(piece)
@@ -180,33 +210,19 @@ def images_initial(A, max_iter=32):
     raise NotClopenImage(f"images did not stabilize within {max_iter} iterations")
 
 
-def is_injective_initial(A, max_iter=32):
-    img = images_initial(A, max_iter)
-
-    def piece(q, sym):
-        w, p = A.step(q, sym)
-        root, tail = split_rooted(w)
-        target = img[p]
-        if root is None:
-            if isinstance(target, RootedClopen):
-                return target
-            return target.shift(tail)
-        parts = [empty_clopen(A.n)] * A.r
-        parts[root] = target.shift(tail)
-        return RootedClopen(A.n, A.r, parts)
-
-    for q in A.states:
-        syms = A.symbols_at(q)
-        pieces = [piece(q, sym) for sym in syms]
-        for a in range(len(syms)):
-            for b in range(a + 1, len(syms)):
-                if not pieces[a].disjoint(pieces[b]):
-                    return False
-    return True
+def is_injective_initial(A, max_iter=32, img=None):
+    """True iff at every state the images of distinct branches are pairwise
+    disjoint.  `img` is images_initial(A) when the caller already has it."""
+    if img is None:
+        img = images_initial(A, max_iter)
+    return all(
+        a.disjoint(b)
+        for q in A.states
+        for a, b in combinations([_rooted_branch(A, img, q, s) for s in A.symbols_at(q)], 2)
+    )
 
 
 def is_homeomorphism_initial(A, max_iter=32):
     """True iff the induced map of C_{n,r} is a homeomorphism."""
-    if not is_injective_initial(A, max_iter):
-        return False
-    return images_initial(A, max_iter)[A.root].is_whole()
+    img = images_initial(A, max_iter)
+    return is_injective_initial(A, img=img) and img[A.root].is_whole()

@@ -515,7 +515,8 @@ def realize(T, r, ordered=True, max_prefix_depth=3, max_size=None):
 
     img = images(T)
     for q in T.states:
-        if img[q].is_whole() and is_homeo_quick(T, q, img):
+        # membership validated T, so every state is injective
+        if img[q].is_whole():
             raw = state_wrapper(T, q, r)
             if not ordered or _check_circle_map(raw, [(a, EMPTY) for a in range(r)]):
                 out = minimize_initial(raw)
@@ -538,12 +539,6 @@ def realize(T, r, ordered=True, max_prefix_depth=3, max_size=None):
         _verify_realization(out, T, ordered)
         return out
     raise RealizeError("; ".join(errors) or "no combination assembled")
-
-
-def is_homeo_quick(T, q, img):
-    from .images import is_injective_state
-
-    return img[q].is_whole() and is_injective_state(T, q)
 
 
 def _verify_realization(A, T, ordered):

@@ -1,32 +1,35 @@
 """Signatures and membership.
 
 For a synchronizing machine whose states all have clopen images, the
-signature is the sum of the image-antichain sizes of the states forced by the
-words of the minimal synchronizing length, in lexicographic order; its
-residue mod n-1 (kept in 1..n-1) is a multiplicative invariant.  Membership of
-a core element over r roots is the congruence r*(sig - 1) = 0 mod n-1 on top
-of the structural validation."""
+signature is the sum of the image-antichain sizes m_q of the states forced by
+the words of the minimal synchronizing length k.  It is computed without
+enumerating the n^k words: one pass counts the words that force each state,
+and the signature is the sum over forced states of word count times m_q.
+The per-word values, in lexicographic word order, are a lazy sequence of
+length n^k.  The signature's residue mod n-1 (kept in 1..n-1) is a
+multiplicative invariant.  Membership of a core element over r roots is the
+congruence r*(sig - 1) = 0 mod n-1 on top of the structural validation."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import product as cartesian
+from operator import index as as_index
 
 from .words import EMPTY, InvalidInput
 from .transducer import Transducer
 from .synchronize import (
     NotSynchronizing,
     core,
-    forced_state,
     is_synchronizing,
-    minimal_sync_level,
+    subset_counts,
 )
 from .images import (
     Orientation,
     NotClopenImage,
     images,
-    is_injective_state,
+    non_injective_states,
     orientation,
 )
 from .invert import is_bisynchronizing_core
@@ -37,10 +40,62 @@ def residue(value, n):
     return (value - 1) % (n - 1) + 1
 
 
+class PerWordM(Sequence):
+    """m of the state forced by each word of length `level`, in lexicographic
+    word order.  Read-only and lazy: it holds the subset rows of
+    synchronize.subset_counts and walks them per word, storing nothing per
+    word, so its length n^level may be far beyond memory.  Compares equal to a tuple or list of the same values."""
+
+    __slots__ = ("n", "level", "_rows", "_root", "_m")
+
+    def __init__(self, n, level, rows, root, m):
+        self.n = n
+        self.level = level
+        self._rows = rows  # subset -> its n one-letter successors
+        self._root = root  # the full state set
+        self._m = m  # forced singleton subset -> m of its state
+
+    def __len__(self):
+        return self.n**self.level
+
+    def __getitem__(self, i):
+        size = self.n**self.level
+        i = as_index(i)
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError("per-word m index out of range")
+        S = self._root
+        for place in range(self.level - 1, -1, -1):
+            S = self._rows[S][i // self.n**place % self.n]
+        return self._m[S]
+
+    def __iter__(self):
+        rows, m, k = self._rows, self._m, self.level
+        stack = [iter((self._root,))]  # a subset popped at height h is at depth h-1
+        while stack:
+            S = next(stack[-1], None)
+            if S is None:
+                stack.pop()
+            elif len(stack) > k:
+                yield m[S]
+            else:
+                stack.append(iter(rows[S]))
+
+    def __eq__(self, other):
+        if not isinstance(other, (PerWordM, tuple, list)):
+            return NotImplemented
+        size = self.n**self.level
+        return size == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self):
+        return f"<PerWordM n={self.n} level={self.level}>"
+
+
 @dataclass
 class SignatureReport:
     sync_level: int
-    per_word_m: tuple
+    per_word_m: PerWordM
     sig: int
     rsig: int
 
@@ -51,15 +106,15 @@ def signature_report(T):
     if not is_synchronizing(T):
         raise NotSynchronizing("signature needs a synchronizing machine")
     img = images(T)
-    for q in T.states:
-        if not is_injective_state(T, q):
-            raise InvalidInput(f"state {q!r} is not injective")
-    k = minimal_sync_level(T)
-    per = []
-    for word in cartesian(range(T.n), repeat=k):
-        per.append(len(img[forced_state(T, word)].cones))
-    sig = sum(per)
-    return SignatureReport(k, tuple(per), sig, residue(sig, T.n))
+    bad = non_injective_states(T, img)
+    if bad:
+        raise InvalidInput(f"state {bad[0]!r} is not injective")
+    k, counts, rows = subset_counts(T)
+    m = {q: len(img[q].cones) for q in counts}
+    sig = sum(count * m[q] for q, count in counts.items())
+    leaves = {frozenset((q,)): v for q, v in m.items()}
+    per = PerWordM(T.n, k, rows, frozenset(T.states), leaves)
+    return SignatureReport(k, per, sig, residue(sig, T.n))
 
 
 def reduced_signature(T):
@@ -79,9 +134,9 @@ def validation_failure(T):
         img = images(T)
     except NotClopenImage:
         return "some state image is not clopen within the iteration bound"
-    for q in T.states:
-        if not is_injective_state(T, q):
-            return f"state {q!r} is not injective"
+    bad = non_injective_states(T, img)
+    if bad:
+        return f"state {bad[0]!r} is not injective"
     if not is_bisynchronizing_core(T):
         return "the inverse is not synchronizing"
     return None

@@ -71,24 +71,38 @@ def is_synchronizing(T):
     return len(collapse_fixpoint(T).rows) == 1
 
 
-def minimal_sync_level(T):
-    """Least k such that every length-k word forces the end state.
+def subset_counts(T):
+    """One pass over the subset images of the full state set: push a count of
+    words per subset through the letters until every subset is one state.
 
-    Computed by iterating the family of subset images of the full state set
-    under single letters; the machine must be synchronizing."""
+    Returns (level, counts, rows): the minimal sync level; for each forced
+    state the number of words of that length that force it; and the
+    one-letter successors of every subset met before that level, enough to
+    replay the walk of any word.  The machine must be synchronizing."""
     if not is_synchronizing(T):
         raise NotSynchronizing("machine is not synchronizing")
     A = automaton_of(T)
-    family = {frozenset(A.states)}
-    k = 0
+    rows = {}
+    family = {frozenset(A.states): 1}
+    level = 0
     while any(len(S) > 1 for S in family):
-        family = {
-            frozenset(A.rows[q][i] for q in S)
-            for S in family
-            for i in range(A.n)
-        }
-        k += 1
-    return k
+        nxt = {}
+        for S, count in family.items():
+            row = rows.get(S)
+            if row is None:
+                row = rows[S] = tuple(
+                    frozenset(A.rows[q][i] for q in S) for i in range(A.n)
+                )
+            for C in row:
+                nxt[C] = nxt.get(C, 0) + count
+        family = nxt
+        level += 1
+    return level, {next(iter(S)): count for S, count in family.items()}, rows
+
+
+def minimal_sync_level(T):
+    """Least k such that every length-k word forces the end state."""
+    return subset_counts(T)[0]
 
 
 def forced_state(T, word):
@@ -104,17 +118,7 @@ def forced_state(T, word):
 
 def core_states(T):
     """States forced by words of the minimal synchronizing length."""
-    if not is_synchronizing(T):
-        raise NotSynchronizing("machine is not synchronizing")
-    A = automaton_of(T)
-    family = {frozenset(A.states)}
-    while any(len(S) > 1 for S in family):
-        family = {
-            frozenset(A.rows[q][i] for q in S)
-            for S in family
-            for i in range(A.n)
-        }
-    return {next(iter(S)) for S in family}
+    return set(subset_counts(T)[1])
 
 
 def core(T):

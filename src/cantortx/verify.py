@@ -6,7 +6,6 @@ The pytest acceptance module asserts the same facts with frozen values."""
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product as cartesian
 
 from .words import rotation_class_of
@@ -319,23 +318,19 @@ SUITES = {
 }
 
 
-def run_suite(suite="paper", jobs=1):
+def run_suite(suite="paper"):
     """Run the named suite; returns [(name, ok, detail, seconds)]."""
     names = SUITES.get(suite)
     if names is None:
         raise KeyError(f"unknown suite {suite!r}")
-    chosen = [(name, fn) for name, fn in CHECKS if name in names]
-
-    def run_one(item):
-        name, fn = item
+    results = []
+    for name, fn in CHECKS:
+        if name not in names:
+            continue
         start = time.perf_counter()
         try:
             ok, detail = fn()
         except Exception as exc:  # a crash is a failure with the reason attached
             ok, detail = False, f"{type(exc).__name__}: {exc}"
-        return name, ok, detail, time.perf_counter() - start
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_one, chosen))
-    return [run_one(item) for item in chosen]
+        results.append((name, ok, detail, time.perf_counter() - start))
+    return results

@@ -123,10 +123,6 @@ class TestPipelines:
         code, out, _ = run(capsys, "verify", "--suite", "F-relations")
         assert code == 0 and "PASS" in out and "F-relations" in out
 
-    def test_verify_jobs_flag(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "F-relations", "--jobs", "2")
-        assert code == 0
-
 
 class TestErrors:
     def test_domain_error_exits_one(self, tmp_path, capsys):
@@ -144,6 +140,13 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["member"])  # missing --r and file
         assert exc.value.code == 2
+
+    def test_product_leaving_the_group_exits_one(self, tmp_path, capsys):
+        # T:3^32 is not recognised as clopen within the image iteration bound
+        path = write_example(tmp_path, capsys, "T:3")
+        code, out, err = run(capsys, "order", "--bound", "40", path)
+        assert code == 1 and out == ""
+        assert err.startswith("error: product left the group")
 
     def test_member_bad_root_count(self, tmp_path, capsys):
         path = write_example(tmp_path, capsys, "g4")

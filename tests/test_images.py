@@ -15,8 +15,10 @@ from cantortx.images import (
     is_homeomorphism_state,
     is_injective_state,
     m_of_state,
+    non_injective_states,
     orientation,
 )
+from cantortx.signature import validation_failure
 from cantortx.machines import (
     identity_transducer,
     letter_complement,
@@ -86,6 +88,18 @@ class TestImage:
                     )
 
 
+def reaches_overlap_machine():
+    # synchronizing core with whole images; at "b" the branch images (the
+    # whole space and the cone 1) overlap, and "a" reaches "b" on letter 1
+    return Transducer(
+        2,
+        {
+            "a": {0: ((0,), "a"), 1: ((1,), "b")},
+            "b": {0: ((), "a"), 1: ((1,), "b")},
+        },
+    )
+
+
 class TestStatePredicates:
     def test_m_values(self):
         g = machine_g4()
@@ -97,6 +111,24 @@ class TestStatePredicates:
         assert is_injective_state(machine_g4(), "a")
         assert not is_injective_state(folding_machine(), "q")
         assert is_injective_state(machine_T(3), "b")
+
+    def test_one_pass_matches_per_state_checks(self):
+        machines = [machine_g4(), folding_machine(), reaches_overlap_machine(),
+                    oplus(2, swap_transducer(), 4), oplus(3, cycle_transducer(3), 6)]
+        machines += [make(n) for make in (machine_T, machine_U) for n in (3, 4, 5)]
+        for M in machines:
+            img = images(M)
+            expect = [q for q in M.states if not is_injective_state(M, q)]
+            assert non_injective_states(M, img) == expect
+            assert expect == [q for q in M.states if not is_injective_state(M, q, img=img)]
+        assert non_injective_states(folding_machine(), images(folding_machine())) == ["q"]
+
+    def test_failure_names_the_first_state_reaching_an_overlap(self):
+        # "a" has disjoint branches itself but reaches "b", whose do overlap
+        M = reaches_overlap_machine()
+        assert non_injective_states(M, images(M)) == ["a", "b"]
+        assert validation_failure(M) == "state 'a' is not injective"
+        assert orientation(M) is Orientation.NEITHER
 
     def test_non_clopen_image_is_an_error(self):
         from cantortx.images import NotClopenImage

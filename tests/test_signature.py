@@ -1,11 +1,14 @@
 import math
+import random
 from itertools import product as cartesian
 
 import pytest
 
 from cantortx.words import InvalidInput
-from cantortx.synchronize import NotSynchronizing
+from cantortx.images import images
+from cantortx.synchronize import NotSynchronizing, forced_state, minimal_sync_level
 from cantortx.signature import (
+    PerWordM,
     divisors_generate_units,
     inverse_reduced_signature,
     member_over_roots,
@@ -73,6 +76,94 @@ class TestSignature:
         assert residue(6, 4) == 3
         assert residue(7, 4) == 1
         assert residue(1, 2) == 1  # n=2 edge case: the single residue
+
+
+def reference_signature(T):
+    """(sync level, sig, rsig, per-word m) by enumerating every word of the
+    sync level and reading the m of the state it forces."""
+    k = minimal_sync_level(T)
+    img = images(T)
+    per = tuple(
+        len(img[forced_state(T, word)].cones) for word in cartesian(range(T.n), repeat=k)
+    )
+    return k, sum(per), residue(sum(per), T.n), per
+
+
+def powers(g, top):
+    acc = g
+    for _ in range(top):
+        yield acc
+        acc = group_product(acc, g)
+
+
+def counted_cases():
+    yield machine_g4()
+    yield identity_transducer(3)
+    yield oplus(2, swap_transducer(), 4)
+    yield oplus(2, swap_transducer(), 6)
+    yield oplus(3, cycle_transducer(3), 6)
+    for n in (3, 4, 5):
+        for make in (machine_T, machine_U):
+            for p in powers(GroupElement.from_machine(make(n)), 12):
+                if n ** minimal_sync_level(p.machine) > 10**4:
+                    break
+                yield p.machine
+    rng = random.Random(11)
+    gens = [GroupElement.from_machine(make(4)) for make in (machine_T, machine_U)]
+    gens += [invert_element(g) for g in gens]
+    for _ in range(6):
+        acc = rng.choice(gens)
+        for _ in range(rng.randrange(1, 4)):
+            acc = group_product(acc, rng.choice(gens))
+        yield acc.machine
+
+
+class TestCountedSignature:
+    def test_matches_word_enumeration(self):
+        seen = 0
+        for M in counted_cases():
+            rep = signature_report(M)
+            k, sig, rsig, per = reference_signature(M)
+            assert (rep.sync_level, rep.sig, rep.rsig) == (k, sig, rsig)
+            assert tuple(rep.per_word_m) == per
+            seen += 1
+        assert seen > 20
+
+    def test_level_zero_has_one_word(self):
+        for M in (identity_transducer(2), identity_transducer(5)):
+            rep = signature_report(M)
+            assert rep.sync_level == 0 and len(rep.per_word_m) == 1
+            assert rep.per_word_m == (1,)
+
+    def test_lazy_sequence(self):
+        t3 = GroupElement.from_machine(machine_T(3))
+        M = group_product(group_product(t3, t3), t3).machine
+        rep = signature_report(M)
+        per, ref = rep.per_word_m, reference_signature(M)[3]
+        assert isinstance(per, PerWordM) and per.level == rep.sync_level >= 3
+        assert len(per) == len(ref) == 3**per.level
+        assert [per[i] for i in range(len(ref))] == list(ref)
+        assert [per[-i] for i in range(1, len(ref) + 1)] == list(reversed(ref))
+        for bad in (len(ref), -len(ref) - 1):
+            with pytest.raises(IndexError):
+                per[bad]
+        assert per == ref and ref == per and per == list(ref) and list(ref) == per
+        assert per != ref[:-1] and per != ref[:-1] + (ref[-1] + 1,)
+        assert per != set(ref)
+        assert sum(per) == rep.sig
+
+    def test_deep_sync_level_without_enumeration(self):
+        # 12 alternating factors of T:5 and U:5: sync level 14, so 5^14 words
+        t5, u5 = (GroupElement.from_machine(make(5)) for make in (machine_T, machine_U))
+        factors = [t5 if i % 2 == 0 else u5 for i in range(12)]
+        acc = factors[0]
+        for f in factors[1:]:
+            acc = group_product(acc, f)
+        rep = signature_report(acc.machine)
+        assert rep.sync_level == 14
+        assert len(rep.per_word_m) == 5**14
+        assert rep.rsig == residue(math.prod(f.rsig for f in factors), 5)
+        assert rep.per_word_m[0] >= 1 and rep.per_word_m[-1] >= 1
 
 
 class TestInverseSignature:
