@@ -93,6 +93,7 @@ from .machines import (
     viable_combinations,
 )
 from .group import (
+    CoreInvariantError,
     GroupElement,
     OrderResult,
     ProductLeftGroup,

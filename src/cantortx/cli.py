@@ -45,6 +45,7 @@ from .machines import (
     realize,
 )
 from .group import (
+    CoreInvariantError,
     GroupElement,
     ProductLeftGroup,
     canonical_core,
@@ -65,6 +66,7 @@ DOMAIN_ERRORS = (
     RealizeError,
     NotOrderable,
     ProductLeftGroup,
+    CoreInvariantError,
     textio.ParseError,
     KeyError,
 )

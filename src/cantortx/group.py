@@ -20,7 +20,7 @@ from .transducer import (
 from .synchronize import core
 from .images import Orientation, orientation
 from .invert import inverse_closure
-from .signature import signature_report, validation_failure
+from .signature import signature_report, validate_core, validation_failure
 
 
 def canonical_core(T):
@@ -142,11 +142,14 @@ def group_product(g, h):
 
 
 def invert_element(g, root=None):
-    """The inverse element, via the inverse closure rooted at any state."""
-    fail = validation_failure(g.machine)
+    """The inverse element, via the inverse closure rooted at any state;
+    validation's closure, rooted at the first state, is reused."""
+    M = g.machine
+    fail, img, closure = validate_core(M)
     if fail is not None:
         raise InvalidInput(f"not a valid core element: {fail}")
-    closure = inverse_closure(g.machine, root)
+    if root is not None and root != M.states[0]:
+        closure = inverse_closure(M, root, img=img)
     return GroupElement.from_machine(closure)
 
 
@@ -192,12 +195,17 @@ def element_order(g, bound, state_cap=512):
     return OrderResult(False, None, tuple(growth))
 
 
+class CoreInvariantError(RuntimeError):
+    """A machine used as a core element broke a property that every valid
+    core element has, so it was not a valid core element."""
+
+
 def loop_state(T, w):
     """The unique state q with the w-cycle q -> q; uniqueness holds for valid
     core elements, and failure signals an invalid input."""
     hits = [q for q in T.states if evaluate(T, q, w)[1] == q]
     if len(hits) != 1:
-        raise RuntimeError(
+        raise CoreInvariantError(
             f"expected exactly one loop state for {w}, found {len(hits)}"
         )
     return hits[0]
@@ -210,7 +218,7 @@ def rotation_action(g, c):
     q = loop_state(g.machine, w)
     out, _ = evaluate(g.machine, q, w)
     if not out:
-        raise RuntimeError("loop output is empty; machine is degenerate")
+        raise CoreInvariantError("loop output is empty; machine is degenerate")
     return rotation_class_of(out)
 
 
@@ -270,4 +278,4 @@ def zero_fixing_check(g):
         return ZeroFixing.FIXES_BOTH
     if a == hi and b == lo:
         return ZeroFixing.SWAPS
-    raise RuntimeError("boundary classes moved to interior classes")
+    raise CoreInvariantError("boundary classes moved to interior classes")

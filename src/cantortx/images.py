@@ -4,7 +4,9 @@ injectivity, homeomorphism states, and lexicographic orientation.
 Images are computed as the stabilizing limit of the decreasing approximants
 A_0(q) = whole space, A_{m+1}(q) = union over letters of out(i,q).A_m(dest);
 on stabilization the fixpoint equation holds exactly, and for a productive
-machine the fixpoint is exactly the image."""
+machine the fixpoint is exactly the image.  The approximants are computed in
+rounds, and a round recomputes only the states with a successor whose
+approximant changed in the round before; `max_iter` bounds the rounds."""
 
 from __future__ import annotations
 
@@ -32,20 +34,32 @@ class NotClopenImage(RuntimeError):
 
 
 def images(T, max_iter=32):
-    """Exact clopen image of every state of a plain transducer."""
+    """Exact clopen image of every state of a plain transducer.
+
+    Each round computes new approximants from the previous round's.  Round 1
+    recomputes every state; a later round recomputes only the predecessors
+    of the states that changed in the round before, because every other
+    state would compute its previous value again.  So the rounds that
+    `max_iter` bounds are as many as with every state recomputed."""
     check_productive(T)
-    img = {q: whole_space(T.n) for q in T.states}
+    n = T.n
+    preds = {q: set() for q in T.states}
+    for p in T.states:
+        for i in range(n):
+            preds[T.dest(p, i)].add(p)
+    img = {q: whole_space(n) for q in T.states}
+    todo = T.states
     for _ in range(max_iter):
         new = {
-            q: union_all(
-                T.n,
-                [img[T.dest(q, i)].shift(T.output(q, i)) for i in range(T.n)],
-            )
-            for q in T.states
+            q: union_all(n, [img[T.dest(q, i)].shift(T.output(q, i)) for i in range(n)])
+            for q in todo
         }
-        if new == img:
+        changed = [q for q, a in new.items() if a != img[q]]
+        if not changed:
             return img
-        img = new
+        for q in changed:
+            img[q] = new[q]
+        todo = {p for q in changed for p in preds[q]}
     raise NotClopenImage(f"images did not stabilize within {max_iter} iterations")
 
 

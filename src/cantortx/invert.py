@@ -59,14 +59,16 @@ def preimage_gcp(T, q, v, max_nodes=200000):
     return best
 
 
-def inverse_closure(T, root=None, cap=10000):
+def inverse_closure(T, root=None, cap=10000, img=None):
     """The inverse behaviours of a core machine as a total transducer.
 
     Seeded from the image antichain of `root`: for each maximal image cone a,
     the state (a - forward output on (a)L_root, forward state on (a)L_root);
     then closed forward under the inverse transition rule.  The closure
-    contains the full core of the inverse whenever T is synchronizing."""
-    img = images(T)
+    contains the full core of the inverse whenever T is synchronizing.
+    `img` is images(T) when the caller already has it."""
+    if img is None:
+        img = images(T)
     if root is None:
         root = T.states[0]
     seeds = []
@@ -94,11 +96,12 @@ def inverse_closure(T, root=None, cap=10000):
     return Transducer(T.n, table)
 
 
-def is_bisynchronizing_core(T, root=None, cap=10000):
-    """A core machine together with its inverse closure must both collapse."""
+def is_bisynchronizing_core(T, root=None, cap=10000, img=None):
+    """A core machine together with its inverse closure must both collapse.
+    `img` is images(T) when the caller already has it."""
     if not is_synchronizing(T):
         return False
-    return is_synchronizing(inverse_closure(T, root, cap))
+    return is_synchronizing(inverse_closure(T, root, cap, img))
 
 
 # --- inverses over the r-rooted space ---------------------------------------

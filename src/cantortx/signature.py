@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import index as as_index
 
-from .words import EMPTY, InvalidInput
+from .words import InvalidInput
 from .transducer import Transducer
 from .synchronize import (
     NotSynchronizing,
@@ -32,7 +32,7 @@ from .images import (
     non_injective_states,
     orientation,
 )
-from .invert import is_bisynchronizing_core
+from .invert import inverse_closure
 
 
 def residue(value, n):
@@ -124,22 +124,30 @@ def reduced_signature(T):
 def validation_failure(T):
     """None when T is a valid core element (core, bi-synchronizing, every
     state injective with clopen image); otherwise the reason."""
+    return validate_core(T)[0]
+
+
+def validate_core(T):
+    """(reason, img, closure): the reason is validation_failure(T); img is
+    images(T) and closure is inverse_closure(T) once validation has built
+    them, else None, so a caller can reuse them."""
     if not isinstance(T, Transducer):
-        return "not a plain transducer"
+        return "not a plain transducer", None, None
     if not is_synchronizing(T):
-        return "not synchronizing"
+        return "not synchronizing", None, None
     if set(core(T).states) != set(T.states):
-        return "not core: some states are not forced by long words"
+        return "not core: some states are not forced by long words", None, None
     try:
         img = images(T)
     except NotClopenImage:
-        return "some state image is not clopen within the iteration bound"
+        return "some state image is not clopen within the iteration bound", None, None
     bad = non_injective_states(T, img)
     if bad:
-        return f"state {bad[0]!r} is not injective"
-    if not is_bisynchronizing_core(T):
-        return "the inverse is not synchronizing"
-    return None
+        return f"state {bad[0]!r} is not injective", img, None
+    closure = inverse_closure(T, img=img)
+    if not is_synchronizing(closure):
+        return "the inverse is not synchronizing", img, closure
+    return None, img, closure
 
 
 def member_over_roots(T, r):
@@ -167,11 +175,10 @@ def inverse_reduced_signature(T):
     """Reduced signature of the inverse, computed directly on T: pick a state
     q and an image cone v, take j with every length-j output from q at least
     |v| long, and count the length-j inputs whose output starts with v."""
-    fail = validation_failure(T)
+    fail, img, _ = validate_core(T)
     if fail is not None:
         raise InvalidInput(f"not a valid core element: {fail}")
     q = T.states[0]
-    img = images(T)
     if img[q].is_empty():
         raise InvalidInput("state has empty image")
     v = min(img[q].cones)
@@ -195,22 +202,21 @@ def _depth_with_min_output(T, q, need, cap=4096):
 
 
 def _count_outputs_with_prefix(T, q, depth, v):
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
-    def count(p, d, t):
-        if d == 0:
-            return 1 if t == EMPTY else 0
-        total = 0
-        for i in range(T.n):
-            w, p2 = T.step(p, i)
-            k = min(len(w), len(t))
-            if w[:k] != t[:k]:
-                continue
-            total += count(p2, d - 1, t[len(w):])
-        return total
-
-    return count(q, depth, tuple(v))
+    """The number of inputs of length `depth` from q whose output starts
+    with v: a count of input words per (state, rest of v still to match) is
+    pushed through one letter per step."""
+    layer = {(q, tuple(v)): 1}
+    for _ in range(depth):
+        nxt = {}
+        for (p, t), words in layer.items():
+            for i in range(T.n):
+                w, p2 = T.step(p, i)
+                k = min(len(w), len(t))
+                if w[:k] == t[:k]:
+                    key = (p2, t[k:])
+                    nxt[key] = nxt.get(key, 0) + words
+        layer = nxt
+    return sum(words for (_, t), words in layer.items() if not t)
 
 
 # --- the class partition and the units lattice ------------------------------

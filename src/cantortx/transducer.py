@@ -92,10 +92,6 @@ class Transducer:
                 yield q, i, self._out[(q, i)], self._dest[(q, i)]
 
 
-def make_transducer(n, table):
-    return Transducer(n, table)
-
-
 def evaluate(T, q, w):
     """Run the word w from state q: (accumulated output, end state)."""
     check_letters(T.n, w)

@@ -13,7 +13,9 @@ from cantortx.machines import (
     oplus,
     swap_transducer,
 )
+from cantortx.transducer import Transducer
 from cantortx.group import (
+    CoreInvariantError,
     GroupElement,
     ZeroFixing,
     canonical_core,
@@ -25,6 +27,7 @@ from cantortx.group import (
     identity_element,
     invert_element,
     is_identity,
+    loop_state,
     orbit_lengths,
     rotation_action,
     verify_relation,
@@ -192,3 +195,21 @@ class TestZeroFixing:
         M = GroupElement.from_machine(oplus(2, swap_transducer(), 4))
         with pytest.raises(InvalidInput):
             zero_fixing_check(M)
+
+
+class TestCoreInvariantError:
+    def test_no_unique_loop_state(self):
+        # two separate identity states: every word loops at both
+        T = Transducer(2, {q: {0: ((0,), q), 1: ((1,), q)} for q in ("a", "b")})
+        with pytest.raises(CoreInvariantError, match="exactly one loop state for \\(0,\\), found 2"):
+            loop_state(T, (0,))
+        with pytest.raises(CoreInvariantError):
+            rotation_action(GroupElement(T), rotation_class_of((0, 1)))
+
+    def test_named_domain_error(self):
+        import cantortx
+        from cantortx.cli import DOMAIN_ERRORS
+
+        assert issubclass(CoreInvariantError, RuntimeError)
+        assert CoreInvariantError in DOMAIN_ERRORS
+        assert cantortx.CoreInvariantError is CoreInvariantError

@@ -6,6 +6,7 @@ import pytest
 from cantortx.words import EMPTY, EvPeriodicWord, canonicalize_clopen, whole_space, union_all
 from cantortx.transducer import Transducer, evaluate
 from cantortx.images import (
+    NotClopenImage,
     Orientation,
     analyze,
     image,
@@ -30,6 +31,7 @@ from cantortx.machines import (
     cycle_transducer,
     state_wrapper,
 )
+from cantortx.group import GroupElement, group_product, invert_element
 
 
 def constant_machine():
@@ -203,3 +205,72 @@ class TestInitialImages:
         assert is_homeomorphism_initial(state_wrapper(machine_T(3), "a", 1))
         assert not is_homeomorphism_initial(state_wrapper(machine_g4(), "a", 1))
         assert is_homeomorphism_initial(state_wrapper(identity_transducer(2), "0", 3))
+
+
+# --- the round-based image fixpoint -----------------------------------------
+
+
+def reference_images(T, max_iter=32):
+    """The image fixpoint recomputing every state in every round."""
+    img = {q: whole_space(T.n) for q in T.states}
+    for _ in range(max_iter):
+        new = {
+            q: union_all(T.n, [img[T.dest(q, i)].shift(T.output(q, i)) for i in range(T.n)])
+            for q in T.states
+        }
+        if new == img:
+            return img
+        img = new
+    raise NotClopenImage("reference images did not stabilize")
+
+
+def power_machines(make, n, top):
+    """Canonical machines of make(n)^1..make(n)^top."""
+    g = GroupElement.from_machine(make(n))
+    acc = g
+    for _ in range(top):
+        yield acc.machine
+        acc = group_product(acc, g)
+
+
+def fixpoint_cases():
+    yield machine_g4()
+    yield oplus(2, swap_transducer(), 4)
+    yield oplus(2, swap_transducer(), 6)
+    yield oplus(3, cycle_transducer(3), 6)
+    yield folding_machine()
+    yield reaches_overlap_machine()
+    for n, top in ((3, 12), (4, 10), (5, 8)):
+        for make in (machine_T, machine_U):
+            yield from power_machines(make, n, top)
+    rng = random.Random(17)
+    gens = [GroupElement.from_machine(make(4)) for make in (machine_T, machine_U)]
+    gens += [invert_element(g) for g in gens]
+    for _ in range(6):
+        acc = rng.choice(gens)
+        for _ in range(rng.randrange(1, 5)):
+            acc = group_product(acc, rng.choice(gens))
+        yield acc.machine
+
+
+class TestImageFixpoint:
+    def test_matches_full_recompute(self):
+        for M in fixpoint_cases():
+            got = images(M)
+            want = reference_images(M)
+            assert list(got) == list(M.states)
+            assert list(got.items()) == list(want.items())
+
+    @pytest.mark.parametrize("make,n", [(machine_T, 3), (machine_U, 3), (machine_T, 5)])
+    def test_power_k_needs_k_plus_one_rounds(self, make, n):
+        for k, M in enumerate(power_machines(make, n, 12), start=1):
+            with pytest.raises(NotClopenImage):
+                images(M, max_iter=k)
+            with pytest.raises(NotClopenImage):
+                reference_images(M, max_iter=k)
+            assert images(M, max_iter=k + 1) == reference_images(M, max_iter=k + 1)
+
+    def test_non_clopen_fails_like_full_recompute(self):
+        for f in (images, reference_images):
+            with pytest.raises(NotClopenImage):
+                f(constant_machine(), max_iter=32)

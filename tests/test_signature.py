@@ -5,10 +5,13 @@ from itertools import product as cartesian
 import pytest
 
 from cantortx.words import InvalidInput
+from cantortx.transducer import Transducer, evaluate
 from cantortx.images import images
+from cantortx.invert import inverse_closure
 from cantortx.synchronize import NotSynchronizing, forced_state, minimal_sync_level
 from cantortx.signature import (
     PerWordM,
+    _count_outputs_with_prefix,
     divisors_generate_units,
     inverse_reduced_signature,
     member_over_roots,
@@ -21,6 +24,7 @@ from cantortx.signature import (
     subgroup_generated,
     units,
     units_fixing_subgroup,
+    validate_core,
     validation_failure,
     verify_lcm_claim,
 )
@@ -33,6 +37,7 @@ from cantortx.machines import (
     oplus,
     swap_transducer,
     cycle_transducer,
+    state_wrapper,
 )
 from cantortx.group import GroupElement, group_product, invert_element
 
@@ -296,3 +301,114 @@ class TestMonotonicity:
             for i in range(1, 4):
                 for j in range(1, 4):
                     assert membership_monotonicity_check(M, i, j)
+
+
+# --- one validation, one images call, one closure ----------------------------
+
+
+def xor_machine():
+    # outputs each letter xor the one before: synchronizing core, every
+    # state a homeomorphism, but the inverse has to remember every letter
+    return Transducer(
+        2,
+        {
+            "a": {0: ((0,), "a"), 1: ((1,), "b")},
+            "b": {0: ((1,), "a"), 1: ((0,), "b")},
+        },
+    )
+
+
+def swapping_machine():
+    # the state flips on every letter, so no word synchronizes it
+    return Transducer(
+        2,
+        {
+            "a": {0: ((0,), "b"), 1: ((1,), "b")},
+            "b": {0: ((0,), "a"), 1: ((1,), "a")},
+        },
+    )
+
+
+def extra_state_machine():
+    return Transducer(
+        2,
+        {
+            "extra": {0: ((0,), "id"), 1: ((1,), "id")},
+            "id": {0: ((0,), "id"), 1: ((1,), "id")},
+        },
+    )
+
+
+def overlap_machine():
+    # "b" has overlapping branch images and "a" reaches it
+    return Transducer(
+        2,
+        {
+            "a": {0: ((0,), "a"), 1: ((1,), "b")},
+            "b": {0: ((), "a"), 1: ((1,), "b")},
+        },
+    )
+
+
+class TestSharedValidation:
+    def check(self, T, reason, built_img, built_closure):
+        got_reason, img, closure = validate_core(T)
+        assert got_reason == reason == validation_failure(T)
+        assert img == (images(T) if built_img else None)
+        assert closure == (inverse_closure(T) if built_closure else None)
+
+    def test_reason_and_analyses_per_failure_kind(self):
+        self.check(state_wrapper(machine_T(3), "a", 1), "not a plain transducer", False, False)
+        self.check(swapping_machine(), "not synchronizing", False, False)
+        self.check(
+            extra_state_machine(),
+            "not core: some states are not forced by long words",
+            False,
+            False,
+        )
+        self.check(overlap_machine(), "state 'a' is not injective", True, False)
+        self.check(xor_machine(), "the inverse is not synchronizing", True, True)
+        self.check(machine_g4(), None, True, True)
+        self.check(machine_U(4), None, True, True)
+
+    def test_not_clopen_within_the_bound(self, monkeypatch):
+        # T:3^2 needs three image rounds; allow two
+        import cantortx.signature as signature
+
+        T3sq = group_product(*[GroupElement.from_machine(machine_T(3))] * 2).machine
+        assert validation_failure(T3sq) is None
+        monkeypatch.setattr(signature, "images", lambda T: images(T, max_iter=2))
+        reason = "some state image is not clopen within the iteration bound"
+        assert validate_core(T3sq) == (reason, None, None)
+        assert validation_failure(T3sq) == reason
+
+    def test_invert_element_at_every_root(self):
+        for make, n, k in ((machine_T, 3, 3), (machine_U, 4, 2)):
+            g = list(powers(GroupElement.from_machine(make(n)), k))[-1]
+            want = invert_element(g)
+            for q in g.machine.states:
+                assert invert_element(g, root=q) == want
+
+    def test_inverse_rsig_on_the_verify_pool(self):
+        from cantortx.verify import _close_pool, _generator_pool
+
+        for n in (3, 4):
+            layers = _close_pool(_generator_pool(n), 3)
+            for X in layers[1] + layers[2] + layers[3]:
+                assert inverse_reduced_signature(X.machine) == invert_element(X).rsig
+
+
+class TestCountOutputsWithPrefix:
+    def test_matches_input_enumeration(self):
+        cases = [machine_g4()]
+        for make, n, top in ((machine_T, 3, 4), (machine_U, 4, 3)):
+            cases += [p.machine for p in powers(GroupElement.from_machine(make(n)), top)]
+        for M in cases:
+            n = M.n
+            prefixes = [()] + [tuple(w) for d in (1, 2, 3) for w in cartesian(range(n), repeat=d)]
+            for q in M.states:
+                for j in range(5 if n == 3 else 4):
+                    outs = [evaluate(M, q, x)[0] for x in cartesian(range(n), repeat=j)]
+                    for v in prefixes:
+                        want = sum(1 for out in outs if out[: len(v)] == v)
+                        assert _count_outputs_with_prefix(M, q, j, v) == want
