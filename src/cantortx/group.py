@@ -35,10 +35,11 @@ def canonical_core(T):
     for q in S.states:
         rep.setdefault(part[q], q)
     table = {
-        b: {i: (S.output(q, i), part[S.dest(q, i)]) for i in range(S.n)}
+        b: {i: (w, part[p]) for i, (w, p) in enumerate(S.row(q))}
         for b, q in rep.items()
     }
     M = Transducer(S.n, table)
+    rows = {q: M.row(q) for q in M.states}
     best = None
     for start in M.states:
         names = {start: 0}
@@ -47,18 +48,13 @@ def canonical_core(T):
         while k < len(order):
             q = order[k]
             k += 1
-            for i in range(M.n):
-                p = M.dest(q, i)
+            for _, p in rows[q]:
                 if p not in names:
                     names[p] = len(names)
                     order.append(p)
         if len(order) != len(M.states):
             continue  # not strongly connected from here; cores always are
-        key = tuple(
-            (M.output(q, i), names[M.dest(q, i)])
-            for q in order
-            for i in range(M.n)
-        )
+        key = tuple((w, names[p]) for q in order for w, p in rows[q])
         if best is None or key < best[0]:
             best = (key, names)
     return relabel(M, {q: str(v) for q, v in best[1].items()})

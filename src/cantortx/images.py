@@ -43,17 +43,15 @@ def images(T, max_iter=32):
     `max_iter` bounds are as many as with every state recomputed."""
     check_productive(T)
     n = T.n
+    rows = {q: T.row(q) for q in T.states}
     preds = {q: set() for q in T.states}
-    for p in T.states:
-        for i in range(n):
-            preds[T.dest(p, i)].add(p)
+    for p, row in rows.items():
+        for _, d in row:
+            preds[d].add(p)
     img = {q: whole_space(n) for q in T.states}
     todo = T.states
     for _ in range(max_iter):
-        new = {
-            q: union_all(n, [img[T.dest(q, i)].shift(T.output(q, i)) for i in range(n)])
-            for q in todo
-        }
+        new = {q: union_all(n, [img[p].shift(w) for w, p in rows[q]]) for q in todo}
         changed = [q for q, a in new.items() if a != img[q]]
         if not changed:
             return img
@@ -75,7 +73,7 @@ def m_of_state(T, q, max_iter=32):
 
 def _branches_disjoint(T, img, p):
     """Are the images of the n branches at state p pairwise disjoint?"""
-    pieces = [img[T.dest(p, i)].shift(T.output(p, i)) for i in range(T.n)]
+    pieces = [img[d].shift(w) for w, d in T.row(p)]
     return all(a.disjoint(b) for a, b in combinations(pieces, 2))
 
 
@@ -95,8 +93,8 @@ def non_injective_states(T, img):
     branch images overlap."""
     preds = {q: [] for q in T.states}
     for p in T.states:
-        for i in range(T.n):
-            preds[T.dest(p, i)].append(p)
+        for _, d in T.row(p):
+            preds[d].append(p)
     stack = [p for p in T.states if not _branches_disjoint(T, img, p)]
     bad = set(stack)
     while stack:

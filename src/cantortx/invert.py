@@ -6,12 +6,17 @@ sits at q and owes the output cone w".  Reading a letter i, the inverse emits
 the greatest common prefix v of all forward inputs whose output lies in the
 cone w.i, and moves to (w.i minus the forward output on v, forward state on
 v).  Every state used here satisfies U_w inside im(q) and (w)L_q empty, which
-keeps the subtraction well defined and the machine total."""
+keeps the subtraction well defined and the machine total.
+
+The preimage prefix (v)L_q is a search memoized on (state, rest of the cone):
+each pair is solved once, so one search costs at most |Q| x (|v|+1) pairs
+and needs no node budget.  The inverse closures share one memo over all
+their preimage searches and drop it on return."""
 
 from __future__ import annotations
 
 from .words import EMPTY, InvalidInput, gcp, subtract_prefix
-from .transducer import DepthExceeded, Transducer, evaluate
+from .transducer import DegenerateTransducer, Transducer, evaluate
 from .initial import InitialTransducer, dot, minimize_initial
 from .images import images, is_homeomorphism_initial
 from .synchronize import is_synchronizing
@@ -25,38 +30,86 @@ class StateExplosion(RuntimeError):
     """The inverse closure exceeded its configured state cap."""
 
 
-def preimage_gcp(T, q, v, max_nodes=200000):
-    """The greatest common prefix of all inputs whose image under the state
-    map of q lies in the cone v (the map written (v)L_q).
+_OPEN = object()  # memo mark of a subproblem whose search is under way
+_NEW = object()  # memo lookup default of a subproblem not met yet
 
-    Explores the input tree, pruning branches whose outputs leave the cone;
-    a branch whose output already covers v contributes its whole input cone."""
-    v = tuple(v)
-    best = None
-    count = 0
-    stack = [(q, v, EMPTY)]
-    nodes = 0
+
+def _preimage_search(moves, memo, q, v):
+    """The gcp of the inputs from q whose output lies in the cone v, or None
+    when there is no such input.  `moves[p]` lists (symbol, output, output
+    length, destination) at state p; `memo` maps (state, rest of the cone)
+    to its answer and keeps every subproblem solved here.
+
+    A symbol whose output covers the rest of the cone contributes its
+    one-symbol cone; a symbol whose output is a proper prefix of it
+    contributes itself followed by the answer at (destination, what is
+    left).  The gcp of the contributions is the answer, so a subproblem
+    stops at the first symbol that makes it empty.  The search keeps its own
+    stack, so long cones need no recursion; a subproblem met again while it
+    is still open lies on an empty-output cycle."""
+    top = (q, v)
+    stack = []  # frames [(state, rest of the cone), next move, answer so far]
+    if top not in memo:
+        memo[top] = _OPEN
+        stack.append([top, 0, None])
     while stack:
-        p, t, u = stack.pop()
-        nodes += 1
-        if nodes > max_nodes:
-            raise DepthExceeded("preimage exploration exceeded its node budget")
-        for i in range(T.n):
-            w, p2 = T.step(p, i)
-            k = min(len(w), len(t))
-            if w[:k] != t[:k]:
+        frame = stack[-1]
+        (p, t), j, best = frame
+        lt = len(t)
+        opts = moves[p]
+        while j < len(opts) and best != EMPTY:
+            sym, w, lw, p2 = opts[j]
+            j += 1
+            if lw >= lt:
+                if w[:lt] != t:
+                    continue
+                got = EMPTY
+            elif t[:lw] != w:
                 continue
-            if len(w) >= len(t):
-                cone = u + (i,)
-                best = cone if best is None else gcp([best, cone])
-                count += 1
             else:
-                stack.append((p2, t[len(w):], u + (i,)))
-        if best == EMPTY and count > 1:
-            return EMPTY
+                sub = (p2, t[lw:])
+                got = memo.get(sub, _NEW)
+                if got is _NEW:  # solve it first, then read this move again
+                    memo[sub] = _OPEN
+                    frame[1], frame[2] = j - 1, best
+                    stack.append([sub, 0, None])
+                    break
+                if got is _OPEN:
+                    raise DegenerateTransducer(
+                        f"cycle through state {p2!r} outputs the empty word"
+                    )
+            if got is not None:
+                cone = (sym,) + got
+                best = cone if best is None else gcp((best, cone))
+        else:
+            memo[frame[0]] = best
+            stack.pop()
+    return memo[top]
+
+
+def _moves(T):
+    return {
+        q: tuple((i, w, len(w), p) for i, (w, p) in enumerate(T.row(q))) for q in T.states
+    }
+
+
+def _preimage_gcp(moves, memo, q, v):
+    best = _preimage_search(moves, memo, q, v)
     if best is None:
         raise EmptyPreimage(f"cone {v} misses the image of state {q!r}")
     return best
+
+
+def preimage_gcp(T, q, v):
+    """The greatest common prefix of all inputs whose image under the state
+    map of q lies in the cone v (the map written (v)L_q).
+
+    A search memoized on (state, rest of the cone) for this call: a branch
+    whose output already covers the rest of the cone contributes its whole
+    input cone, one whose output leaves the cone contributes nothing.  Its
+    work is at most |Q| x (|v|+1) subproblems of one row each."""
+    T.step(q, 0)  # an unknown state is an error, not an empty preimage
+    return _preimage_gcp(_moves(T), {}, q, tuple(v))
 
 
 def inverse_closure(T, root=None, cap=10000, img=None):
@@ -66,14 +119,17 @@ def inverse_closure(T, root=None, cap=10000, img=None):
     the state (a - forward output on (a)L_root, forward state on (a)L_root);
     then closed forward under the inverse transition rule.  The closure
     contains the full core of the inverse whenever T is synchronizing.
-    `img` is images(T) when the caller already has it."""
+    `img` is images(T) when the caller already has it.  All preimage
+    searches of one call share one memo."""
     if img is None:
         img = images(T)
     if root is None:
         root = T.states[0]
+    moves = _moves(T)
+    memo = {}
     seeds = []
     for a in img[root].cones:
-        phi = preimage_gcp(T, root, a)
+        phi = _preimage_gcp(moves, memo, root, a)
         out, p = evaluate(T, root, phi)
         seeds.append((subtract_prefix(out, a), p))
     table = {}
@@ -83,7 +139,7 @@ def inverse_closure(T, root=None, cap=10000, img=None):
         w, q = queue.pop()
         row = {}
         for i in range(T.n):
-            v = preimage_gcp(T, q, w + (i,))
+            v = _preimage_gcp(moves, memo, q, w + (i,))
             out, p = evaluate(T, q, v)
             nxt = (subtract_prefix(out, w + (i,)), p)
             row[i] = (v, nxt)
@@ -107,32 +163,23 @@ def is_bisynchronizing_core(T, root=None, cap=10000, img=None):
 # --- inverses over the r-rooted space ---------------------------------------
 
 
-def preimage_gcp_initial(A, q, v, max_nodes=200000):
+def _moves_initial(A):
+    return {
+        q: tuple((s, w, len(w), p) for s in A.symbols_at(q) for w, p in [A.step(q, s)])
+        for q in A.states
+    }
+
+
+def preimage_gcp_initial(A, q, v):
     """(v)L_q over the r-rooted space: v is a rooted cone when q is the
     initial state, a plain cone otherwise; likewise for the returned input
-    word."""
-    best = None
-    count = 0
-    stack = [(q, tuple(v), EMPTY)]
-    nodes = 0
-    while stack:
-        p, t, u = stack.pop()
-        nodes += 1
-        if nodes > max_nodes:
-            raise DepthExceeded("preimage exploration exceeded its node budget")
-        for sym in A.symbols_at(p):
-            w, p2 = A.step(p, sym)
-            k = min(len(w), len(t))
-            if w[:k] != t[:k]:
-                continue
-            if len(w) >= len(t):
-                cone = u + (sym,)
-                best = cone if best is None else gcp([best, cone])
-                count += 1
-            else:
-                stack.append((p2, t[len(w):], u + (sym,)))
-        if best == EMPTY and count > 1:
-            return EMPTY
+    word.  The same memoized search as preimage_gcp."""
+    A.step(q, A.symbols_at(q)[0])  # an unknown state is an error
+    return _preimage_gcp_initial(_moves_initial(A), {}, q, tuple(v))
+
+
+def _preimage_gcp_initial(moves, memo, q, v):
+    best = _preimage_search(moves, memo, q, v)
     if best is None:
         raise EmptyPreimage(f"cone {v!r} misses the image of the machine")
     return best
@@ -158,11 +205,13 @@ def invert_initial(A, cap=10000):
     table = {}
     queue = []
     known = {inv_root}
+    moves = _moves_initial(A)
+    memo = {}
 
     def advance(state, sym):
         w, q = state
         target = w + (sym,)
-        v = preimage_gcp_initial(A, q, target)
+        v = _preimage_gcp_initial(moves, memo, q, target)
         out, p = _run_mixed(A, q, v)
         nxt = (subtract_prefix(out, target), p)
         return v, nxt

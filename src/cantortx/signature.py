@@ -28,9 +28,9 @@ from .synchronize import (
 from .images import (
     Orientation,
     NotClopenImage,
+    _boundary_orientation,
     images,
     non_injective_states,
-    orientation,
 )
 from .invert import inverse_closure
 
@@ -109,6 +109,12 @@ def signature_report(T):
     bad = non_injective_states(T, img)
     if bad:
         raise InvalidInput(f"state {bad[0]!r} is not injective")
+    return _signature(T, img)
+
+
+def _signature(T, img):
+    """signature_report(T) of a machine that meets its preconditions, given
+    img = images(T)."""
     k, counts, rows = subset_counts(T)
     m = {q: len(img[q].cones) for q in counts}
     sig = sum(count * m[q] for q, count in counts.items())
@@ -157,18 +163,20 @@ def member_over_roots(T, r):
     n = T.n
     if not (1 <= r <= n - 1):
         raise InvalidInput(f"root count must be in 1..{n - 1}")
-    if validation_failure(T) is not None:
+    fail, img, _ = validate_core(T)
+    if fail is not None:
         return False
-    sig = signature_report(T).sig
+    sig = _signature(T, img).sig
     return (r * (sig - 1)) % (n - 1) == 0
 
 
 def member_over_roots_ordered(T, r):
     """Membership over r roots for the circle-compatible subgroup: the
-    element must additionally preserve or reverse the lexicographic order."""
+    element must additionally preserve or reverse the lexicographic order.
+    A member has passed validation, so every state is injective."""
     if not member_over_roots(T, r):
         return False
-    return orientation(T) in (Orientation.PRESERVING, Orientation.REVERSING)
+    return _boundary_orientation(T) in (Orientation.PRESERVING, Orientation.REVERSING)
 
 
 def inverse_reduced_signature(T):
@@ -193,10 +201,7 @@ def _depth_with_min_output(T, q, need, cap=4096):
     while j < cap:
         if minlen[q] >= need:
             return j
-        minlen = {
-            p: min(len(T.output(p, i)) + minlen[T.dest(p, i)] for i in range(T.n))
-            for p in T.states
-        }
+        minlen = {p: min(len(w) + minlen[d] for w, d in T.row(p)) for p in T.states}
         j += 1
     raise InvalidInput("outputs do not grow; machine is degenerate")
 
@@ -209,8 +214,7 @@ def _count_outputs_with_prefix(T, q, depth, v):
     for _ in range(depth):
         nxt = {}
         for (p, t), words in layer.items():
-            for i in range(T.n):
-                w, p2 = T.step(p, i)
+            for w, p2 in T.row(p):
                 k = min(len(w), len(t))
                 if w[:k] == t[:k]:
                     key = (p2, t[k:])
@@ -253,8 +257,10 @@ def units(m):
 
 
 def units_fixing_subgroup(m, i):
-    """Units a of Z_m with a*i = i mod m; depends only on gcd(i, m)."""
-    return {a for a in units(m) if (a * i) % m == i % m}
+    """Units a of Z_m with a*i = i mod m; depends only on gcd(i, m):
+    a*i = i mod m exactly when a = 1 mod m/gcd(i, m)."""
+    step = m // math.gcd(i, m)
+    return {a % m for a in range(1, m + 1, step) if math.gcd(a, m) == 1}
 
 
 def subgroup_generated(m, gens):

@@ -40,7 +40,7 @@ class Automaton:
 def automaton_of(T):
     if isinstance(T, InitialTransducer):
         T = underlying_interior(T)
-    return Automaton(T.n, {q: tuple(T.dest(q, i) for i in range(T.n)) for q in T.states})
+    return Automaton(T.n, {q: tuple(p for _, p in T.row(q)) for q in T.states})
 
 
 def collapse(A):

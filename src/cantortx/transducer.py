@@ -32,9 +32,14 @@ class DepthExceeded(RuntimeError):
 class Transducer:
     """Immutable-by-convention machine.  `table` maps state -> letter ->
     (output word, destination state).  State names are arbitrary hashables;
-    canonical machines use the strings "0", "1", ..."""
+    canonical machines use the strings "0", "1", ...
 
-    __slots__ = ("n", "states", "_out", "_dest")
+    The transitions are stored as one row per state: `row(q)` is the tuple
+    ((out_0, dest_0), ..., (out_{n-1}, dest_{n-1})) indexed by letter, so a
+    loop over a state's letters reads one row instead of looking up each
+    (state, letter) pair."""
+
+    __slots__ = ("n", "states", "_rows")
 
     def __init__(self, n, table):
         if n < 2:
@@ -43,41 +48,46 @@ class Transducer:
         self.states = tuple(table)
         if len(set(self.states)) != len(self.states):
             raise InvalidInput("duplicate state names")
-        out = {}
-        dest = {}
+        rows = {}
         for q, row in table.items():
             if set(row) != set(range(n)):
                 raise InvalidInput(f"state {q!r} must have one transition per letter")
+            cells = [None] * n
             for i, (w, p) in row.items():
                 w = tuple(w)
                 check_letters(n, w)
                 if p not in table:
                     raise InvalidInput(f"transition {q!r},{i} targets unknown state {p!r}")
-                out[(q, i)] = w
-                dest[(q, i)] = p
-        self._out = out
-        self._dest = dest
+                cells[i] = (w, p)
+            rows[q] = tuple(cells)
+        self._rows = rows
 
     def step(self, q, i):
         """One letter: (output word, destination)."""
+        row = self._rows.get(q)
+        if row is None or i not in range(self.n):
+            raise InvalidInput(f"no transition for state {q!r} on letter {i}")
+        return row[i]
+
+    def row(self, q):
+        """All letters of state q: the tuple of (output word, destination)
+        indexed by letter."""
         try:
-            return self._out[(q, i)], self._dest[(q, i)]
+            return self._rows[q]
         except KeyError:
-            raise InvalidInput(f"no transition for state {q!r} on letter {i}") from None
+            raise InvalidInput(f"no transitions for state {q!r}") from None
 
     def output(self, q, i):
-        return self._out[(q, i)]
+        return self.step(q, i)[0]
 
     def dest(self, q, i):
-        return self._dest[(q, i)]
+        return self.step(q, i)[1]
 
     def __eq__(self, other):
         return (
             isinstance(other, Transducer)
             and self.n == other.n
-            and set(self.states) == set(other.states)
-            and self._out == other._out
-            and self._dest == other._dest
+            and self._rows == other._rows
         )
 
     def __hash__(self):
@@ -88,16 +98,19 @@ class Transducer:
 
     def rows(self):
         for q in self.states:
-            for i in range(self.n):
-                yield q, i, self._out[(q, i)], self._dest[(q, i)]
+            for i, (w, p) in enumerate(self._rows[q]):
+                yield q, i, w, p
 
 
 def evaluate(T, q, w):
     """Run the word w from state q: (accumulated output, end state)."""
     check_letters(T.n, w)
+    rows = T._rows
+    if w and q not in rows:
+        T.step(q, w[0])  # raises the unknown-state error
     out = []
     for i in w:
-        piece, q = T.step(q, i)
+        piece, q = rows[q][i]
         out.extend(piece)
     return tuple(out), q
 
@@ -121,7 +134,7 @@ def check_productive(T, states=None):
                 stack.pop()
                 continue
             stack[-1] = (q, i + 1)
-            w, p = T.step(q, i)
+            w, p = T._rows[q][i]
             if w or p not in colors:
                 continue
             if colors[p] == 1:
@@ -142,12 +155,12 @@ def reachable(T, roots):
         if q not in seen:
             seen.add(q)
             order.append(q)
+    rows = T._rows
     k = 0
     while k < len(order):
         q = order[k]
         k += 1
-        for i in range(T.n):
-            p = T.dest(q, i)
+        for _, p in rows[q]:
             if p not in seen:
                 seen.add(p)
                 order.append(p)
@@ -160,13 +173,11 @@ def restrict(T, states):
     keep = set(states)
     table = {}
     for q in states:
-        row = {}
-        for i in range(T.n):
-            w, p = T.step(q, i)
+        row = T.row(q)
+        for _, p in row:
             if p not in keep:
                 raise InvalidInput(f"state set not closed: {q!r} -> {p!r}")
-            row[i] = (w, p)
-        table[q] = row
+        table[q] = dict(enumerate(row))
     return Transducer(T.n, table)
 
 
@@ -174,7 +185,7 @@ def relabel(T, mapping):
     table = {}
     for q in T.states:
         table[mapping[q]] = {
-            i: (T.output(q, i), mapping[T.dest(q, i)]) for i in range(T.n)
+            i: (w, mapping[p]) for i, (w, p) in enumerate(T._rows[q])
         }
     return Transducer(T.n, table)
 
@@ -187,10 +198,10 @@ def product(A, B):
         raise InvalidInput("product of transducers over different alphabets")
     table = {}
     for a in A.states:
+        arow = A._rows[a]
         for b in B.states:
             row = {}
-            for i in range(A.n):
-                w, a2 = A.step(a, i)
+            for i, (w, a2) in enumerate(arow):
                 v, b2 = evaluate(B, b, w)
                 row[i] = (v, (a2, b2))
             table[(a, b)] = row
@@ -235,13 +246,14 @@ def common_prefixes(T, bound=64, states=None):
     """
     pool = T.states if states is None else tuple(states)
     check_productive(T, pool)
+    rows = T._rows
     ref = {}
     for q in pool:
         out = []
         s = q
         guard = 0
         while len(out) < bound:
-            w, s = T.step(s, 0)
+            w, s = rows[s][0]
             out.extend(w)
             guard += 1
             if guard > bound * len(pool) + len(pool) + 1:
@@ -252,9 +264,7 @@ def common_prefixes(T, bound=64, states=None):
     for _ in range(maxiter):
         new = {}
         for q in pool:
-            new[q] = gcp(
-                [T.output(q, i) + g[T.dest(q, i)] for i in range(T.n)]
-            )
+            new[q] = gcp([w + g[p] for w, p in rows[q]])
         if new == g:
             break
         g = new
@@ -277,11 +287,9 @@ def strip_common_prefixes(T, bound=64):
     c = common_prefixes(T, bound)
     table = {}
     for q in T.states:
-        row = {}
-        for i in range(T.n):
-            w, p = T.step(q, i)
-            row[i] = (subtract_prefix(c[q], w + c[p]), p)
-        table[q] = row
+        table[q] = {
+            i: (subtract_prefix(c[q], w + c[p]), p) for i, (w, p) in enumerate(T._rows[q])
+        }
     return Transducer(T.n, table)
 
 
@@ -292,16 +300,18 @@ def behavior_partition(T, states=None):
 
     Returns {state: block index}, block indices deterministic."""
     pool = list(T.states if states is None else states)
+    rows = T._rows
+    dests = {q: tuple(p for _, p in rows[q]) for q in pool}
     block = {}
     keys = {}
     for q in pool:
-        key = tuple(T.output(q, i) for i in range(T.n))
+        key = tuple(w for w, _ in rows[q])
         block[q] = keys.setdefault(key, len(keys))
     while True:
         keys = {}
         new = {}
         for q in pool:
-            key = (block[q], tuple(block[T.dest(q, i)] for i in range(T.n)))
+            key = (block[q], tuple(map(block.__getitem__, dests[q])))
             new[q] = keys.setdefault(key, len(keys))
         if new == block:
             return block
@@ -331,20 +341,16 @@ def remove_incomplete_response_rooted(T, root, bound=64):
     order = reachable(T, [root])
     R = restrict(T, order)
     c = common_prefixes(R, bound)
+    rows = R._rows
     table = {}
     for q in order:
-        row = {}
-        for i in range(R.n):
-            w, p = R.step(q, i)
-            row[i] = (subtract_prefix(c[q], w + c[p]), p)
-        table[q] = row
+        table[q] = {
+            i: (subtract_prefix(c[q], w + c[p]), p) for i, (w, p) in enumerate(rows[q])
+        }
     if c[root] == EMPTY:
         return Transducer(R.n, table), root
     entry = (_ROOT, root)
-    table[entry] = {
-        i: (R.output(root, i) + c[R.dest(root, i)], R.dest(root, i))
-        for i in range(R.n)
-    }
+    table[entry] = {i: (w + c[p], p) for i, (w, p) in enumerate(rows[root])}
     return Transducer(R.n, table), entry
 
 
@@ -361,9 +367,7 @@ def minimize_rooted(T, root, bound=64):
         rep.setdefault(part[q], q)
     table = {}
     for b, q in rep.items():
-        table[b] = {
-            i: (S.output(q, i), part[S.dest(q, i)]) for i in range(S.n)
-        }
+        table[b] = {i: (w, part[p]) for i, (w, p) in enumerate(S._rows[q])}
     merged = Transducer(S.n, table)
     order = reachable(merged, [part[entry]])
     merged = restrict(merged, order)

@@ -273,7 +273,13 @@ class ClopenSet:
         return canonicalize_clopen(self.n, _complement(self.n, list(self.cones)))
 
     def disjoint(self, other):
-        return self.intersection(other).is_empty()
+        """True iff no cone of one antichain is a prefix of a cone of the
+        other.  If u is a prefix of v, every cone sorted between them also
+        extends u, so only neighbours in the merged sorted order are tested;
+        two cones of one antichain are never prefixes of each other."""
+        self._check_same(other)
+        cones = sorted(self.cones + other.cones)
+        return not any(is_prefix(u, v) for u, v in zip(cones, cones[1:]))
 
     def issubset(self, other):
         return self.intersection(other) == self

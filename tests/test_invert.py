@@ -1,9 +1,11 @@
+import random
 from itertools import product as cartesian
 
 import pytest
 
-from cantortx.words import EMPTY, gcp
-from cantortx.transducer import evaluate
+from cantortx.words import EMPTY, gcp, subtract_prefix
+from cantortx.transducer import DepthExceeded, Transducer, evaluate
+from cantortx.images import images
 from cantortx.initial import (
     evaluate_initial,
     initial_equal,
@@ -19,8 +21,12 @@ from cantortx.invert import (
     is_bisynchronizing_initial,
     bisynchronizing_failure_initial,
     preimage_gcp,
+    preimage_gcp_initial,
+    _moves,
+    _preimage_search,
 )
 from cantortx.machines import (
+    cycle_transducer,
     identity_transducer,
     letter_complement,
     machine_T,
@@ -40,6 +46,7 @@ from cantortx.group import (
     is_identity,
 )
 from cantortx.signature import inverse_reduced_signature
+from cantortx.verify import _close_pool, _generator_pool
 
 
 def brute_preimage_gcp(T, q, v, depth=6):
@@ -186,3 +193,207 @@ class TestBisynchronizing:
         assert is_bisynchronizing_core(machine_g4())
         assert is_bisynchronizing_core(machine_T(4))
         assert is_bisynchronizing_core(oplus(3, identity_transducer(3), 6))
+
+
+# --- the memoized preimage search against the depth-first search it replaced
+
+
+def reference_preimage_gcp(M, q, v, symbols, max_nodes=200000):
+    """The depth-first preimage search with a node budget that the memoized
+    search replaced, kept as a reference; `symbols(p)` lists the input
+    symbols at p (range(n) for a plain machine, symbols_at for an initial
+    one)."""
+    best = None
+    count = 0
+    stack = [(q, tuple(v), EMPTY)]
+    nodes = 0
+    while stack:
+        p, t, u = stack.pop()
+        nodes += 1
+        if nodes > max_nodes:
+            raise DepthExceeded("preimage exploration exceeded its node budget")
+        for sym in symbols(p):
+            w, p2 = M.step(p, sym)
+            k = min(len(w), len(t))
+            if w[:k] != t[:k]:
+                continue
+            if len(w) >= len(t):
+                cone = u + (sym,)
+                best = cone if best is None else gcp([best, cone])
+                count += 1
+            else:
+                stack.append((p2, t[len(w):], u + (sym,)))
+        if best == EMPTY and count > 1:
+            return EMPTY
+    if best is None:
+        raise EmptyPreimage(f"cone {v} misses the image of state {q!r}")
+    return best
+
+
+def reference_inverse_closure(T, root=None, cap=10000):
+    """inverse_closure built on the reference depth-first search."""
+    img = images(T)
+    if root is None:
+        root = T.states[0]
+    letters = lambda p: range(T.n)
+    seeds = []
+    for a in img[root].cones:
+        phi = reference_preimage_gcp(T, root, a, letters)
+        out, p = evaluate(T, root, phi)
+        seeds.append((subtract_prefix(out, a), p))
+    table = {}
+    queue = list(dict.fromkeys(seeds))
+    known = set(queue)
+    while queue:
+        w, q = queue.pop()
+        row = {}
+        for i in range(T.n):
+            v = reference_preimage_gcp(T, q, w + (i,), letters)
+            out, p = evaluate(T, q, v)
+            nxt = (subtract_prefix(out, w + (i,)), p)
+            row[i] = (v, nxt)
+            if nxt not in known:
+                assert len(known) < cap
+                known.add(nxt)
+                queue.append(nxt)
+        table[(w, q)] = row
+    return Transducer(T.n, table)
+
+
+def power_machines(make, n, top):
+    g = GroupElement.from_machine(make(n))
+    acc = g
+    for _ in range(top):
+        yield acc.machine
+        acc = group_product(acc, g)
+
+
+def oracle_cases():
+    yield machine_g4()
+    yield oplus(2, swap_transducer(), 4)
+    yield oplus(2, swap_transducer(), 6)
+    yield oplus(3, cycle_transducer(3), 6)
+    for n in (3, 4, 5):
+        for make in (machine_T, machine_U):
+            yield from power_machines(make, n, 3)
+
+
+def depth_for(T, q, need):
+    """Least depth whose inputs from q all output at least `need` letters."""
+    minlen = {p: 0 for p in T.states}
+    depth = 0
+    while minlen[q] < need:
+        minlen = {p: min(len(w) + minlen[d] for w, d in T.row(p)) for p in T.states}
+        depth += 1
+    return depth
+
+
+def doubling_machine():
+    """Productive, but every input maps into 0^w and the input tree under a
+    cone 0^k has 4^k leaves: the depth-first search ran out of nodes."""
+    return Transducer(
+        2,
+        {
+            "a": {0: ((), "b"), 1: ((), "b")},
+            "b": {0: ((0,), "a"), 1: ((0,), "a")},
+        },
+    )
+
+
+class TestMemoizedPreimage:
+    def test_against_brute_oracle(self):
+        # the oracle enumerates n^depth inputs, so long cones of the larger
+        # powers are left out; every machine has its one-letter cones checked
+        for M in oracle_cases():
+            img = images(M)
+            checked = 0
+            for q in M.states:
+                for k in (1, 2):
+                    depth = depth_for(M, q, k)
+                    if M.n**depth > 3000:
+                        continue
+                    for v in cartesian(range(M.n), repeat=k):
+                        if not img[q].meets_cone(v):
+                            with pytest.raises(EmptyPreimage):
+                                preimage_gcp(M, q, v)
+                            continue
+                        assert preimage_gcp(M, q, v) == brute_preimage_gcp(M, q, v, depth)
+                        checked += 1
+            assert checked >= len(M.states)
+
+    def test_shared_memo_equals_fresh_calls(self):
+        rng = random.Random(5)
+        for M in oracle_cases():
+            moves = _moves(M)
+            memo = {}
+            asks = [
+                (q, v)
+                for q in M.states
+                for k in (1, 2, 3)
+                for v in cartesian(range(M.n), repeat=k)
+            ]
+            rng.shuffle(asks)
+            for q, v in asks:
+                got = _preimage_search(moves, memo, q, v)
+                try:
+                    fresh = preimage_gcp(M, q, v)
+                except EmptyPreimage:
+                    fresh = None
+                assert got == fresh
+
+    @pytest.mark.parametrize("k", [10, 30, 3000])
+    def test_no_node_budget(self, k):
+        M = doubling_machine()
+        assert preimage_gcp(M, "a", (0,) * k) == EMPTY
+
+    def test_budget_ran_out_in_the_depth_first_search(self):
+        M = doubling_machine()
+        with pytest.raises(DepthExceeded):
+            reference_preimage_gcp(M, "a", (0,) * 8, lambda p: range(2), max_nodes=20000)
+
+    def test_empty_output_cycle_is_degenerate(self):
+        from cantortx.transducer import DegenerateTransducer
+
+        M = Transducer(2, {"a": {0: ((), "a"), 1: ((1,), "a")}})
+        with pytest.raises(DegenerateTransducer):
+            preimage_gcp(M, "a", (0,))
+
+    def test_unknown_state(self):
+        from cantortx.words import InvalidInput
+
+        with pytest.raises(InvalidInput):
+            preimage_gcp(machine_g4(), "zz", (0,))
+
+    def test_closure_equals_depth_first_closure_on_verify_pools(self):
+        for n in (3, 4):
+            layers = _close_pool(_generator_pool(n), 3)
+            for X in layers[1] + layers[2] + layers[3]:
+                M = X.machine
+                got = inverse_closure(M)
+                want = reference_inverse_closure(M)
+                assert got == want and got.states == want.states
+
+    def test_closure_equals_depth_first_closure_on_t5_powers(self):
+        for M in power_machines(machine_T, 5, 6):
+            for root in M.states:
+                got = inverse_closure(M, root)
+                want = reference_inverse_closure(M, root)
+                assert got == want and got.states == want.states
+
+    def test_initial_search_equals_depth_first_search(self):
+        for M, r in ((machine_g4(), 3), (machine_T(3), 2), (machine_U(4), 3),
+                     (oplus(2, swap_transducer(), 4), 3)):
+            A = minimize_initial(realize(M, r, ordered=False))
+            for q in A.states:
+                if q == A.root:
+                    targets = [(b,) + w for b in A.symbols_at(q) for w in ((), (0,), (1,))]
+                else:
+                    targets = [w for k in (1, 2) for w in cartesian(range(A.n), repeat=k)]
+                for v in targets:
+                    try:
+                        want = reference_preimage_gcp(A, q, v, A.symbols_at)
+                    except EmptyPreimage:
+                        with pytest.raises(EmptyPreimage):
+                            preimage_gcp_initial(A, q, v)
+                        continue
+                    assert preimage_gcp_initial(A, q, v) == want

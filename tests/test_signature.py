@@ -229,6 +229,47 @@ class TestMembership:
         with pytest.raises(InvalidInput):
             member_over_roots(identity_transducer(4), 4)
 
+    def test_one_images_call_per_ordered_membership(self, monkeypatch):
+        import cantortx.images
+        import cantortx.invert
+        import cantortx.signature
+
+        calls = []
+        real = cantortx.images.images
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for mod in (cantortx.images, cantortx.invert, cantortx.signature):
+            monkeypatch.setattr(mod, "images", counting)
+        for M in (machine_T(3), machine_U(5), machine_g4()):
+            for r in range(1, M.n):
+                calls.clear()
+                member_over_roots_ordered(M, r)
+                assert len(calls) == 1
+                calls.clear()
+                member_over_roots(M, r)
+                assert len(calls) == 1
+
+    def test_answers_equal_the_composed_definition_on_the_verify_pool(self):
+        from cantortx.images import Orientation, orientation
+        from cantortx.verify import _close_pool, _generator_pool
+
+        for n in (3, 4):
+            layers = _close_pool(_generator_pool(n), 3)
+            for X in layers[1] + layers[2] + layers[3]:
+                M = X.machine
+                valid = validation_failure(M) is None
+                for r in range(1, n):
+                    plain = valid and (r * (signature_report(M).sig - 1)) % (n - 1) == 0
+                    ordered = plain and orientation(M) in (
+                        Orientation.PRESERVING,
+                        Orientation.REVERSING,
+                    )
+                    assert member_over_roots(M, r) == plain
+                    assert member_over_roots_ordered(M, r) == ordered
+
     def test_kernel_statement(self):
         # membership at a single root is exactly reduced signature one
         for M in (machine_g4(), machine_T(4), machine_U(4),
@@ -269,6 +310,12 @@ class TestUnitsLattice:
                 assert units_fixing_subgroup(m, i) == units_fixing_subgroup(
                     m, math.gcd(i, m)
                 )
+
+    def test_closed_form_matches_the_definition(self):
+        for m in range(1, 81):
+            for i in range(0, 2 * m + 2):
+                want = {a for a in units(m) if (a * i) % m == i % m}
+                assert units_fixing_subgroup(m, i) == want, (m, i)
 
     def test_lcm_claim_sample(self):
         for m, i, j in ((6, 2, 3), (12, 4, 6), (30, 6, 10), (16, 2, 8)):

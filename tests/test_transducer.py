@@ -84,6 +84,45 @@ class TestEvaluate:
         assert evaluate(T, q, u + v) == (out_u + out_v, end)
 
 
+class TestRows:
+    def test_step_rejects_unknown_state_and_letters(self):
+        from cantortx.words import InvalidInput
+
+        for T in (machine_g4(), machine_T(3), identity_transducer(2)):
+            q = T.states[0]
+            for bad in (-1, T.n):
+                with pytest.raises(InvalidInput):
+                    T.step(q, bad)
+            with pytest.raises(InvalidInput):
+                T.step("no such state", 0)
+            with pytest.raises(InvalidInput):
+                T.row("no such state")
+
+    def test_row_is_the_steps(self):
+        for seed in range(40):
+            T = random_machine(seed, n_choices=(2, 3, 4), max_states=5)
+            for q in T.states:
+                assert T.row(q) == tuple(T.step(q, i) for i in range(T.n))
+                for i in range(T.n):
+                    assert (T.output(q, i), T.dest(q, i)) == T.step(q, i)
+            assert list(T.rows()) == [
+                (q, i, w, p) for q in T.states for i, (w, p) in enumerate(T.row(q))
+            ]
+
+    def test_rows_follow_the_letters_not_the_table_order(self):
+        A = Transducer(2, {"s": {1: ((1,), "s"), 0: ((0, 0), "s")}})
+        B = Transducer(2, {"s": {0: ((0, 0), "s"), 1: ((1,), "s")}})
+        assert A.row("s") == (((0, 0), "s"), ((1,), "s"))
+        assert A == B
+
+    def test_unknown_start_state_in_evaluate(self):
+        from cantortx.words import InvalidInput
+
+        with pytest.raises(InvalidInput):
+            evaluate(machine_g4(), "zz", (0,))
+        assert evaluate(machine_g4(), "zz", ()) == ((), "zz")
+
+
 class TestEvaluatePeriodic:
     def test_identity_fixed_point(self):
         I = identity_transducer(3)

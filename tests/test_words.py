@@ -108,6 +108,28 @@ class TestBooleanAlgebra:
         assert a.union(b).complement() == a.complement().intersection(b.complement())
         assert a.complement().complement() == a
 
+    @given(cone_set_pairs)
+    @settings(max_examples=300)
+    def test_disjoint_matches_empty_intersection(self, data):
+        n, ca, cb = data
+        sets = [
+            canonicalize_clopen(n, ca),
+            canonicalize_clopen(n, cb),
+            canonicalize_clopen(n, []),
+            whole_space(n),
+        ]
+        for a in sets:
+            for b in sets:
+                assert a.disjoint(b) == a.intersection(b).is_empty()
+
+    def test_disjoint_examples(self):
+        a = canonicalize_clopen(3, [(0, 1), (2,)])
+        assert not a.disjoint(cone(3, (0,)))
+        assert not a.disjoint(cone(3, (2, 1, 1)))
+        assert a.disjoint(canonicalize_clopen(3, [(0, 0), (0, 2), (1,)]))
+        assert not a.disjoint(a)
+        assert canonicalize_clopen(3, []).disjoint(canonicalize_clopen(3, []))
+
     def test_subset_and_whole(self):
         assert cone(2, (0, 1)).issubset(cone(2, (0,)))
         assert whole_space(3).is_whole()
