@@ -331,16 +331,11 @@ def cmd_verify(args, started):
 
 def cmd_edges(args, started):
     M = _read_machine(args.file)
-    lines = []
-    if isinstance(M, InitialTransducer):
-        for q in M.states:
-            for sym in M.symbols_at(q):
-                w, p = M.step(q, sym)
-                label = f".{sym[1]}" if isinstance(sym, tuple) else str(sym)
-                lines.append(f"{q} -{label}|{textio._fmt_out(w)}-> {p}")
-    else:
-        for q, i, w, p in M.rows():
-            lines.append(f"{q} -{i}|{format_word(w)}-> {p}")
+    lines = [
+        f"{q} -{textio._fmt_letter(sym)}|{textio._fmt_out(w)}-> {p}"
+        for q in M.states
+        for sym, (w, p) in zip(M.symbols_at(q), M.row(q))
+    ]
     text = "\n".join(lines) + "\n"
     _emit(args, "edges", [args.file], text, {}, started, machine_text=text)
 

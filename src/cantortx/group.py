@@ -14,6 +14,7 @@ from .transducer import (
     evaluate,
     minimize_rooted,
     product,
+    quotient_rows,
     relabel,
     strip_common_prefixes,
 )
@@ -30,16 +31,8 @@ def canonical_core(T):
     all start states (core machines have no distinguished root)."""
     C = core(T)
     S = strip_common_prefixes(C)
-    part = behavior_partition(S)
-    rep = {}
-    for q in S.states:
-        rep.setdefault(part[q], q)
-    table = {
-        b: {i: (w, part[p]) for i, (w, p) in enumerate(S.row(q))}
-        for b, q in rep.items()
-    }
-    M = Transducer(S.n, table)
-    rows = {q: M.row(q) for q in M.states}
+    M = Transducer._from_rows(S.n, quotient_rows(S._rows, behavior_partition(S)))
+    rows = M._rows
     best = None
     for start in M.states:
         names = {start: 0}
@@ -105,7 +98,7 @@ class GroupElement:
         return isinstance(other, GroupElement) and self.machine == other.machine
 
     def __hash__(self):
-        return hash((self.n, len(self.machine.states)))
+        return hash(self.machine)
 
     def __repr__(self):
         return f"<GroupElement n={self.n} states={len(self.machine.states)}>"

@@ -6,7 +6,8 @@ A_0(q) = whole space, A_{m+1}(q) = union over letters of out(i,q).A_m(dest);
 on stabilization the fixpoint equation holds exactly, and for a productive
 machine the fixpoint is exactly the image.  The approximants are computed in
 rounds, and a round recomputes only the states with a successor whose
-approximant changed in the round before; `max_iter` bounds the rounds."""
+approximant changed in the round before; `max_iter` bounds the rounds.
+Plain and initial machines share the rounds."""
 
 from __future__ import annotations
 
@@ -33,25 +34,23 @@ class NotClopenImage(RuntimeError):
     """Image iteration failed to stabilize within the configured bound."""
 
 
-def images(T, max_iter=32):
-    """Exact clopen image of every state of a plain transducer.
+def _fixpoint(M, img, value, max_iter):
+    """Rounds of img[q] = value(q) over the states of the plain or initial
+    machine M, from the approximants in img, until a round changes nothing;
+    returns img.
 
     Each round computes new approximants from the previous round's.  Round 1
     recomputes every state; a later round recomputes only the predecessors
     of the states that changed in the round before, because every other
     state would compute its previous value again.  So the rounds that
     `max_iter` bounds are as many as with every state recomputed."""
-    check_productive(T)
-    n = T.n
-    rows = {q: T.row(q) for q in T.states}
-    preds = {q: set() for q in T.states}
-    for p, row in rows.items():
-        for _, d in row:
+    preds = {q: set() for q in M.states}
+    for p in M.states:
+        for _, d in M.row(p):
             preds[d].add(p)
-    img = {q: whole_space(n) for q in T.states}
-    todo = T.states
+    todo = M.states
     for _ in range(max_iter):
-        new = {q: union_all(n, [img[p].shift(w) for w, p in rows[q]]) for q in todo}
+        new = {q: value(q) for q in todo}
         changed = [q for q, a in new.items() if a != img[q]]
         if not changed:
             return img
@@ -59,6 +58,17 @@ def images(T, max_iter=32):
             img[q] = new[q]
         todo = {p for q in changed for p in preds[q]}
     raise NotClopenImage(f"images did not stabilize within {max_iter} iterations")
+
+
+def images(T, max_iter=32):
+    """Exact clopen image of every state of a plain transducer."""
+    check_productive(T)
+    n = T.n
+    rows = T._rows
+    img = {q: whole_space(n) for q in T.states}
+    return _fixpoint(
+        T, img, lambda q: union_all(n, [img[p].shift(w) for w, p in rows[q]]), max_iter
+    )
 
 
 def image(T, q, max_iter=32):
@@ -184,9 +194,9 @@ def analyze(T, max_iter=32):
 # --- images over the r-rooted space ---------------------------------------
 
 
-def _rooted_branch(A, img, q, sym):
-    """The image of state q's branch on symbol sym, given the images img."""
-    w, p = A.step(q, sym)
+def _rooted_branch(A, img, w, p):
+    """The image of the branch that outputs w and moves to p, given the
+    images img."""
     root, tail = split_rooted(w)
     target = img[p]
     if root is None:
@@ -204,22 +214,18 @@ def images_initial(A, max_iter=32):
     """Image of every state of an initial machine: a ClopenSet for states past
     the output root, a RootedClopen for the initial state and pending states."""
     n, r = A.n, A.r
-    img = {}
-    for q in A.states:
-        img[q] = whole_space(n) if A.region[q] is DONE else whole_rooted(n, r)
+    img = {
+        q: whole_space(n) if A.region[q] is DONE else whole_rooted(n, r) for q in A.states
+    }
 
-    for _ in range(max_iter):
-        new = {}
-        for q in A.states:
-            pieces = [_rooted_branch(A, img, q, sym) for sym in A.symbols_at(q)]
-            acc = pieces[0]
-            for piece in pieces[1:]:
-                acc = acc.union(piece)
-            new[q] = acc
-        if new == img:
-            return img
-        img = new
-    raise NotClopenImage(f"images did not stabilize within {max_iter} iterations")
+    def value(q):
+        pieces = [_rooted_branch(A, img, w, p) for w, p in A.row(q)]
+        acc = pieces[0]
+        for piece in pieces[1:]:
+            acc = acc.union(piece)
+        return acc
+
+    return _fixpoint(A, img, value, max_iter)
 
 
 def is_injective_initial(A, max_iter=32, img=None):
@@ -230,7 +236,7 @@ def is_injective_initial(A, max_iter=32, img=None):
     return all(
         a.disjoint(b)
         for q in A.states
-        for a, b in combinations([_rooted_branch(A, img, q, s) for s in A.symbols_at(q)], 2)
+        for a, b in combinations([_rooted_branch(A, img, w, p) for w, p in A.row(q)], 2)
     )
 
 

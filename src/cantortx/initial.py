@@ -6,6 +6,14 @@ start with a root marker.  The structural rules are enforced at construction:
 until the output root is emitted the machine outputs nothing or a rooted word
 (the "pending" region), after it only plain letters; the pending region has no
 cycles; and no reachable cycle outputs the empty word.
+
+An initial machine has the row layout of a plain Transducer plus an entry
+row: every state q has `row(q)`, the tuple of (output, destination) pairs
+indexed by letter, except the initial state, whose entry row is indexed by
+root letter (the symbol .a reads cell a).  So the analyses of plain machines
+(forced outputs, productivity, partition refinement, preimage search, the
+image fixpoint) run on the non-initial states unchanged, and `run` is the one
+evaluation loop over symbols.
 """
 
 from __future__ import annotations
@@ -15,10 +23,16 @@ from .words import (
     EvPeriodicWord,
     InvalidInput,
     check_letters,
-    gcp,
-    subtract_prefix,
 )
-from .transducer import DegenerateTransducer, DepthExceeded
+from .transducer import (
+    DegenerateTransducer,
+    Transducer,
+    check_productive,
+    common_prefixes,
+    partition_rows,
+    quotient_rows,
+    strip_rows,
+)
 
 
 def dot(a):
@@ -57,14 +71,28 @@ def check_oword(n, r, w):
 PENDING, DONE = "pending", "done"
 
 
+def _checked_row(n, r, row):
+    """A row {symbol index: (output, destination)} as a tuple of checked
+    cells; the caller has checked the indices."""
+    cells = [None] * len(row)
+    for i, (w, p) in row.items():
+        w = tuple(w)
+        check_oword(n, r, w)
+        cells[i] = (w, p)
+    return tuple(cells)
+
+
 class InitialTransducer:
     """A machine inducing a continuous map of the r-rooted n-ary Cantor space.
 
     `root_table` maps root letter a -> (output rooted word, state);
     `table` maps state -> letter -> (output rooted word, state).
-    Only states reachable from the initial state are kept."""
+    Only states reachable from the initial state are kept, in breadth-first
+    order from it.  The transitions are stored as one row per state: the
+    initial state's entry row is indexed by root letter, every other row by
+    letter, and `step(q, sym)` reads cell a of the entry row for sym = .a."""
 
-    __slots__ = ("n", "r", "root", "states", "_out", "_dest", "region")
+    __slots__ = ("n", "r", "root", "states", "_rows", "region", "_hash")
 
     def __init__(self, n, r, root_table, table, root="q0"):
         if n < 2 or r < 1:
@@ -76,30 +104,16 @@ class InitialTransducer:
             raise InvalidInput("initial state needs exactly one transition per root letter")
         if root in table:
             raise InvalidInput("the initial state reads only root letters")
-        out = {}
-        dest = {}
-        for a, (w, p) in root_table.items():
-            w = tuple(w)
-            check_oword(n, r, w)
-            out[(root, dot(a))] = w
-            dest[(root, dot(a))] = p
+        rows = {root: _checked_row(n, r, root_table)}
         for q, row in table.items():
             if set(row) != set(range(n)):
                 raise InvalidInput(f"state {q!r} must have one transition per letter")
-            for i, (w, p) in row.items():
-                w = tuple(w)
-                check_oword(n, r, w)
-                out[(q, i)] = w
-                dest[(q, i)] = p
-        # accessible part only
+            rows[q] = _checked_row(n, r, row)
+        # accessible part only, breadth-first
         order = [root]
         seen = {root}
-        k = 0
-        while k < len(order):
-            q = order[k]
-            k += 1
-            for sym in self._symbols_at(q):
-                p = dest[(q, sym)]
+        for q in order:  # grows while it is read
+            for _, p in rows[q]:
                 if p == root:
                     raise InvalidInput("the initial state cannot be re-entered")
                 if p not in table:
@@ -108,42 +122,50 @@ class InitialTransducer:
                     seen.add(p)
                     order.append(p)
         self.states = tuple(order)
-        self._out = {k: v for k, v in out.items() if k[0] in seen}
-        self._dest = {k: v for k, v in dest.items() if k[0] in seen}
+        self._rows = {q: rows[q] for q in order}
+        self._hash = None
         self.region = self._classify()
         self._check_structure()
 
-    def _symbols_at(self, q):
+    def symbols_at(self, q):
+        """The input symbols of state q, in row order: the dotted root
+        letters at the initial state, the letters elsewhere."""
         if q == self.root:
             return [dot(a) for a in range(self.r)]
-        return list(range(self.n))
-
-    def symbols_at(self, q):
-        return self._symbols_at(q)
+        return range(self.n)
 
     def step(self, q, sym):
+        row = self._rows.get(q)
+        if row is not None:
+            if q == self.root:
+                if is_dot(sym) and sym[1] in range(self.r):
+                    return row[sym[1]]
+            elif sym in range(self.n):
+                return row[sym]
+        raise InvalidInput(f"no transition for state {q!r} on {sym!r}")
+
+    def row(self, q):
+        """All symbols of state q: the tuple of (output, destination) in the
+        order of symbols_at(q)."""
         try:
-            return self._out[(q, sym)], self._dest[(q, sym)]
+            return self._rows[q]
         except KeyError:
-            raise InvalidInput(f"no transition for state {q!r} on {sym!r}") from None
+            raise InvalidInput(f"no transitions for state {q!r}") from None
 
     def output(self, q, sym):
-        return self._out[(q, sym)]
+        return self.step(q, sym)[0]
 
     def dest(self, q, sym):
-        return self._dest[(q, sym)]
+        return self.step(q, sym)[1]
 
     def _classify(self):
+        # breadth-first order reaches every state from a state already marked
         region = {self.root: PENDING}
-        changed = True
-        while changed:
-            changed = False
-            for (q, sym), w in self._out.items():
-                if q not in region:
-                    continue
-                p = self._dest[(q, sym)]
+        for q in self.states:
+            pending = region[q] is PENDING
+            for w, p in self._rows[q]:
                 root_emitted, tail = split_rooted(w)
-                if region[q] is PENDING:
+                if pending:
                     if root_emitted is None and tail:
                         raise InvalidInput(
                             f"state {q!r} outputs letters before the output root"
@@ -153,78 +175,50 @@ class InitialTransducer:
                     if root_emitted is not None:
                         raise InvalidInput(f"state {q!r} emits a second output root")
                     mark = DONE
-                if region.get(p, mark) != mark:
+                if region.setdefault(p, mark) != mark:
                     raise InvalidInput(
                         f"state {p!r} is reached both before and after the output root"
                     )
-                if p not in region:
-                    region[p] = mark
-                    changed = True
         return region
 
     def _check_structure(self):
-        # no cycles among pending states: the output root must always be emitted
-        pend = [q for q in self.states if self.region[q] is PENDING]
-        colors = dict.fromkeys(pend, 0)
-        for start in pend:
-            if colors[start]:
-                continue
-            stack = [(start, iter(self._symbols_at(start)))]
-            colors[start] = 1
-            while stack:
-                q, it = stack[-1]
-                sym = next(it, None)
-                if sym is None:
-                    colors[q] = 2
-                    stack.pop()
-                    continue
-                p = self._dest[(q, sym)]
-                if p not in colors:
-                    continue
-                if colors[p] == 1:
-                    raise InvalidInput("cycle that never emits the output root")
-                if colors[p] == 0:
-                    colors[p] = 1
-                    stack.append((p, iter(self._symbols_at(p))))
-        # no empty-output cycle (pending cycles are already excluded)
-        colors = dict.fromkeys(self.states, 0)
-        for start in self.states:
-            if colors[start]:
-                continue
-            stack = [(start, iter(self._symbols_at(start)))]
-            colors[start] = 1
-            while stack:
-                q, it = stack[-1]
-                sym = next(it, None)
-                if sym is None:
-                    colors[q] = 2
-                    stack.pop()
-                    continue
-                if self._out[(q, sym)]:
-                    continue
-                p = self._dest[(q, sym)]
-                if colors[p] == 1:
-                    raise DegenerateTransducer(
-                        f"cycle through {p!r} outputs the empty word"
-                    )
-                if colors[p] == 0:
-                    colors[p] = 1
-                    stack.append((p, iter(self._symbols_at(p))))
+        # An edge between pending states outputs the empty word (_classify
+        # rejects letters before the output root, and the root leads to a
+        # done state), so a pending cycle is an empty-output cycle there.
+        interior = self.states[1:]
+        try:
+            check_productive(self, [q for q in interior if self.region[q] is PENDING])
+        except DegenerateTransducer:
+            raise InvalidInput("cycle that never emits the output root") from None
+        check_productive(self, interior)
 
     def __eq__(self, other):
         return (
             isinstance(other, InitialTransducer)
             and (self.n, self.r, self.root) == (other.n, other.r, other.root)
-            and set(self.states) == set(other.states)
-            and self._out == other._out
-            and self._dest == other._dest
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.n, self.r, len(self.states)))
+        # the rows in any order, as __eq__ compares them; computed once
+        if self._hash is None:
+            self._hash = hash((self.n, self.r, self.root, frozenset(self._rows.items())))
+        return self._hash
 
     def __repr__(self):
         return f"<InitialTransducer n={self.n} r={self.r} states={len(self.states)}>"
+
+
+def run(M, q, w):
+    """Run the symbols of w from state q of a plain or initial machine M:
+    (accumulated output, end state).  At the initial state the first symbol
+    is a root marker, and a rooted word fed to an initial machine must reach
+    its marker while the machine still sits at its initial state."""
+    out = []
+    for sym in w:
+        piece, q = M.step(q, sym)
+        out.extend(piece)
+    return tuple(out), q
 
 
 def evaluate_initial(A, a, w):
@@ -232,12 +226,7 @@ def evaluate_initial(A, a, w):
     Returns (output rooted word, end state)."""
     if not (0 <= a < A.r):
         raise InvalidInput(f"root letter {a} out of range")
-    out, q = A.step(A.root, dot(a))
-    out = list(out)
-    for i in w:
-        piece, q = A.step(q, i)
-        out.extend(piece)
-    return tuple(out), q
+    return run(A, A.root, (dot(a),) + tuple(w))
 
 
 def evaluate_periodic_initial(A, a, x):
@@ -246,7 +235,7 @@ def evaluate_periodic_initial(A, a, x):
     seen = {q: 0}
     chunks = []
     while True:
-        piece, q = _run_letters(A, q, x.per)
+        piece, q = run(A, q, x.per)
         chunks.append(piece)
         if q in seen:
             start = seen[q]
@@ -260,149 +249,57 @@ def evaluate_periodic_initial(A, a, x):
     return root, EvPeriodicWord(tail, per)
 
 
-def _run_letters(A, q, w):
-    out = []
-    for i in w:
-        piece, q = A.step(q, i)
-        out.extend(piece)
-    return tuple(out), q
-
-
-def _feed(B, q, w):
-    """Push a rooted word through B from state q (the root marker, if any,
-    must arrive while B still sits at its initial state)."""
-    out = []
-    for sym in w:
-        piece, q = B.step(q, sym)
-        out.extend(piece)
-    return tuple(out), q
-
-
 def product_initial(A, B):
     """Composite machine on C_{n,r}: input through A, then through B."""
     if A.n != B.n or A.r != B.r:
         raise InvalidInput("initial product needs matching n and r")
     root = (A.root, B.root)
-    root_table = {}
-    table = {}
+    rows = {}
     queue = [root]
     seen = {root}
     while queue:
-        qa, qb = queue.pop()
-        syms = [dot(a) for a in range(A.r)] if qa == A.root else list(range(A.n))
-        row = {}
-        for sym in syms:
-            w, qa2 = A.step(qa, sym)
-            v, qb2 = _feed(B, qb, w)
-            state = (qa2, qb2)
-            key = sym[1] if is_dot(sym) else sym
-            row[key] = (v, state)
-            if state not in seen:
-                seen.add(state)
-                queue.append(state)
-        if qa == A.root:
-            root_table = row
-        else:
-            table[(qa, qb)] = row
-    return InitialTransducer(A.n, A.r, root_table, table, root=root)
-
-
-def _common_prefixes_initial(A, bound=64):
-    """Forced outputs (as rooted words) of every non-initial state."""
-    pool = [q for q in A.states if q != A.root]
-    ref = {}
-    for q in pool:
-        out = []
-        s = q
-        guard = 0
-        while len(out) < bound:
-            w, s = A.step(s, 0)
-            out.extend(w)
-            guard += 1
-            if guard > bound * len(pool) + len(pool) + 1:
-                raise DegenerateTransducer("letter-0 path stopped producing output")
-        ref[q] = tuple(out[:bound])
-    g = ref
-    maxiter = 2 * bound * len(pool) + len(pool) + 8
-    for _ in range(maxiter):
-        new = {
-            q: gcp([A.output(q, i) + g[A.dest(q, i)] for i in range(A.n)])
-            for q in pool
-        }
-        if new == g:
-            break
-        g = new
-    else:
-        raise DepthExceeded("forced outputs did not stabilize")
-    for q, w in g.items():
-        if len(w) >= bound:
-            raise DepthExceeded(f"forced output at state {q!r} reaches the bound {bound}")
-    return g
+        qa, qb = state = queue.pop()
+        row = []
+        for w, qa2 in A.row(qa):
+            v, qb2 = run(B, qb, w)
+            nxt = (qa2, qb2)
+            row.append((v, nxt))
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+        rows[state] = dict(enumerate(row))
+    return InitialTransducer(A.n, A.r, rows.pop(root), rows, root=root)
 
 
 def minimize_initial(A, bound=64):
     """The canonical minimal machine inducing the same map of C_{n,r}:
     accessible, complete response, no pair of equivalent non-initial states,
-    states renamed "0" (initial), "1", ... in breadth-first order."""
-    c = _common_prefixes_initial(A, bound)
-    c[A.root] = EMPTY  # the initial state keeps its behaviour
-    stripped_out = {}
-    for q in A.states:
-        for sym in A.symbols_at(q):
-            w, p = A.step(q, sym)
-            stripped_out[(q, sym)] = subtract_prefix(c[q], w + c[p])
-    # behaviour partition of non-initial states
-    pool = [q for q in A.states if q != A.root]
-    block = {}
-    keys = {}
-    for q in pool:
-        key = tuple(stripped_out[(q, i)] for i in range(A.n))
-        block[q] = keys.setdefault(key, len(keys))
-    while True:
-        keys = {}
-        new = {}
-        for q in pool:
-            key = (block[q], tuple(block[A.dest(q, i)] for i in range(A.n)))
-            new[q] = keys.setdefault(key, len(keys))
-        if new == block:
-            break
-        block = new
-    rep = {}
-    for q in pool:
-        rep.setdefault(block[q], q)
-    root_table = {
-        a: (stripped_out[(A.root, dot(a))], ("b", block[A.dest(A.root, dot(a))]))
-        for a in range(A.r)
-    }
+    states renamed "0" (initial), "1", ... in breadth-first order.
+
+    The non-initial states are a plain machine's rows: their forced outputs
+    are pushed upstream (the initial state keeps its behaviour), equivalent
+    ones are merged, and the blocks are named breadth-first from the entry
+    row."""
+    c = common_prefixes(A, bound, states=A.states[1:])
+    c[A.root] = EMPTY
+    rows = strip_rows(A._rows, c)
+    entry = rows.pop(A.root)
+    part = partition_rows(rows)
+    blocks = quotient_rows(rows, part)
+    names = {}
+    order = []
+
+    def name(b):
+        if b not in names:
+            names[b] = str(len(names) + 1)
+            order.append(b)
+        return names[b]
+
+    root_table = {a: (w, name(part[p])) for a, (w, p) in enumerate(entry)}
     table = {}
-    for b, q in rep.items():
-        table[("b", b)] = {
-            i: (stripped_out[(q, i)], ("b", block[A.dest(q, i)]))
-            for i in range(A.n)
-        }
-    M = InitialTransducer(A.n, A.r, root_table, table, root=("b", "root"))
-    # breadth-first renaming
-    names = {M.root: "0"}
-    order = [M.root]
-    k = 0
-    while k < len(order):
-        q = order[k]
-        k += 1
-        for sym in M.symbols_at(q):
-            p = M.dest(q, sym)
-            if p not in names:
-                names[p] = str(len(names))
-                order.append(p)
-    new_root_table = {
-        a: (M.output(M.root, dot(a)), names[M.dest(M.root, dot(a))])
-        for a in range(M.r)
-    }
-    new_table = {}
-    for q in order[1:]:
-        new_table[names[q]] = {
-            i: (M.output(q, i), names[M.dest(q, i)]) for i in range(M.n)
-        }
-    return InitialTransducer(M.n, M.r, new_root_table, new_table, root="0")
+    for b in order:  # grows while it is read: breadth-first
+        table[names[b]] = {i: (w, name(p)) for i, (w, p) in enumerate(blocks[b])}
+    return InitialTransducer(A.n, A.r, root_table, table, root="0")
 
 
 def initial_equal(A, B, bound=64):
@@ -414,16 +311,10 @@ def underlying_interior(A):
     X_n (every non-initial state reads plain letters).  Outputs keep their
     root markers only in the pending region; for synchronization the outputs
     are irrelevant, and core states are always past the output root."""
-    from .transducer import Transducer
-
-    table = {}
-    for q in A.states:
-        if q == A.root:
-            continue
-        table[q] = {i: (_strip_marker(A.output(q, i)), A.dest(q, i)) for i in range(A.n)}
-    return Transducer(A.n, table)
-
-
-def _strip_marker(w):
-    root, tail = split_rooted(w)
-    return tail
+    return Transducer._from_rows(
+        A.n,
+        {
+            q: tuple((split_rooted(w)[1], p) for w, p in A.row(q))
+            for q in A.states[1:]
+        },
+    )

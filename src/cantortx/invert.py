@@ -10,14 +10,15 @@ keeps the subtraction well defined and the machine total.
 
 The preimage prefix (v)L_q is a search memoized on (state, rest of the cone):
 each pair is solved once, so one search costs at most |Q| x (|v|+1) pairs
-and needs no node budget.  The inverse closures share one memo over all
-their preimage searches and drop it on return."""
+and needs no node budget.  Plain and initial machines share the search and
+the forward closure of inverse states; one closure keeps one memo over all
+its preimage searches and drops it on return."""
 
 from __future__ import annotations
 
 from .words import EMPTY, InvalidInput, gcp, subtract_prefix
-from .transducer import DegenerateTransducer, Transducer, evaluate
-from .initial import InitialTransducer, dot, minimize_initial
+from .transducer import DegenerateTransducer, Transducer
+from .initial import InitialTransducer, dot, minimize_initial, run
 from .images import images, is_homeomorphism_initial
 from .synchronize import is_synchronizing
 
@@ -87,9 +88,12 @@ def _preimage_search(moves, memo, q, v):
     return memo[top]
 
 
-def _moves(T):
+def _moves(M):
+    """(symbol, output, output length, destination) for every symbol of every
+    state of a plain or initial machine."""
     return {
-        q: tuple((i, w, len(w), p) for i, (w, p) in enumerate(T.row(q))) for q in T.states
+        q: tuple((s, w, len(w), p) for s, (w, p) in zip(M.symbols_at(q), M.row(q)))
+        for q in M.states
     }
 
 
@@ -102,14 +106,58 @@ def _preimage_gcp(moves, memo, q, v):
 
 def preimage_gcp(T, q, v):
     """The greatest common prefix of all inputs whose image under the state
-    map of q lies in the cone v (the map written (v)L_q).
+    map of q lies in the cone v (the map written (v)L_q).  On an initial
+    machine v is a rooted cone at the initial state, a plain cone elsewhere;
+    likewise for the returned input word.
 
     A search memoized on (state, rest of the cone) for this call: a branch
     whose output already covers the rest of the cone contributes its whole
     input cone, one whose output leaves the cone contributes nothing.  Its
     work is at most |Q| x (|v|+1) subproblems of one row each."""
-    T.step(q, 0)  # an unknown state is an error, not an empty preimage
+    T.step(q, T.symbols_at(q)[0])  # an unknown state is an error, not an empty preimage
     return _preimage_gcp(_moves(T), {}, q, tuple(v))
+
+
+preimage_gcp_initial = preimage_gcp
+
+
+def _inverse_step(M):
+    """The inverse transition rule of the plain or initial machine M, with
+    one memo for all its preimage searches: from the inverse state (w, q) on
+    the symbols t, emit v = (w.t)L_q and move to (w.t minus the forward
+    output on v, forward state on v)."""
+    moves = _moves(M)
+    memo = {}
+
+    def step(state, t):
+        w, q = state
+        target = w + t
+        v = _preimage_gcp(moves, memo, q, target)
+        out, p = run(M, q, v)
+        return v, (subtract_prefix(out, target), p)
+
+    return step
+
+
+def _close(n, step, queue, known, cap):
+    """Close the inverse states on `queue` forward over the letters, last in
+    first out.  `known` holds the states met so far; a state met for the
+    first time counts against `cap`.  Returns {state: row} in the order the
+    states were closed."""
+    rows = {}
+    while queue:
+        state = queue.pop()
+        row = []
+        for i in range(n):
+            v, nxt = step(state, (i,))
+            row.append((v, nxt))
+            if nxt not in known:
+                if len(known) >= cap:
+                    raise StateExplosion(f"inverse closure passed {cap} states")
+                known.add(nxt)
+                queue.append(nxt)
+        rows[state] = tuple(row)
+    return rows
 
 
 def inverse_closure(T, root=None, cap=10000, img=None):
@@ -125,31 +173,9 @@ def inverse_closure(T, root=None, cap=10000, img=None):
         img = images(T)
     if root is None:
         root = T.states[0]
-    moves = _moves(T)
-    memo = {}
-    seeds = []
-    for a in img[root].cones:
-        phi = _preimage_gcp(moves, memo, root, a)
-        out, p = evaluate(T, root, phi)
-        seeds.append((subtract_prefix(out, a), p))
-    table = {}
-    queue = list(dict.fromkeys(seeds))
-    known = set(queue)
-    while queue:
-        w, q = queue.pop()
-        row = {}
-        for i in range(T.n):
-            v = _preimage_gcp(moves, memo, q, w + (i,))
-            out, p = evaluate(T, q, v)
-            nxt = (subtract_prefix(out, w + (i,)), p)
-            row[i] = (v, nxt)
-            if nxt not in known:
-                if len(known) >= cap:
-                    raise StateExplosion(f"inverse closure passed {cap} states")
-                known.add(nxt)
-                queue.append(nxt)
-        table[(w, q)] = row
-    return Transducer(T.n, table)
+    step = _inverse_step(T)
+    queue = list(dict.fromkeys(step((EMPTY, root), a)[1] for a in img[root].cones))
+    return Transducer._from_rows(T.n, _close(T.n, step, queue, set(queue), cap))
 
 
 def is_bisynchronizing_core(T, root=None, cap=10000, img=None):
@@ -163,79 +189,21 @@ def is_bisynchronizing_core(T, root=None, cap=10000, img=None):
 # --- inverses over the r-rooted space ---------------------------------------
 
 
-def _moves_initial(A):
-    return {
-        q: tuple((s, w, len(w), p) for s in A.symbols_at(q) for w, p in [A.step(q, s)])
-        for q in A.states
-    }
-
-
-def preimage_gcp_initial(A, q, v):
-    """(v)L_q over the r-rooted space: v is a rooted cone when q is the
-    initial state, a plain cone otherwise; likewise for the returned input
-    word.  The same memoized search as preimage_gcp."""
-    A.step(q, A.symbols_at(q)[0])  # an unknown state is an error
-    return _preimage_gcp_initial(_moves_initial(A), {}, q, tuple(v))
-
-
-def _preimage_gcp_initial(moves, memo, q, v):
-    best = _preimage_search(moves, memo, q, v)
-    if best is None:
-        raise EmptyPreimage(f"cone {v!r} misses the image of the machine")
-    return best
-
-
-def _run_mixed(A, q, w):
-    """Evaluate a word that may start with a root marker from state q."""
-    out = []
-    for sym in w:
-        piece, q = A.step(q, sym)
-        out.extend(piece)
-    return tuple(out), q
-
-
 def invert_initial(A, cap=10000):
     """The inverse machine of a homeomorphism A of the r-rooted space,
-    minimized.  Raises InvalidInput when A is not invertible."""
+    minimized.  Raises InvalidInput when A is not invertible.  The inverse's
+    entry row reads the output roots .b; its other states are closed forward
+    as in inverse_closure."""
     A = minimize_initial(A)
     if not is_homeomorphism_initial(A):
         raise InvalidInput("machine is not a homeomorphism, cannot invert")
     inv_root = (EMPTY, A.root)
-    root_table = {}
-    table = {}
-    queue = []
-    known = {inv_root}
-    moves = _moves_initial(A)
-    memo = {}
-
-    def advance(state, sym):
-        w, q = state
-        target = w + (sym,)
-        v = _preimage_gcp_initial(moves, memo, q, target)
-        out, p = _run_mixed(A, q, v)
-        nxt = (subtract_prefix(out, target), p)
-        return v, nxt
-
-    for b in range(A.r):
-        v, nxt = advance(inv_root, dot(b))
-        root_table[b] = (v, nxt)
-        if nxt not in known:
-            known.add(nxt)
-            queue.append(nxt)
-    while queue:
-        state = queue.pop()
-        w, q = state
-        row = {}
-        for i in range(A.n):
-            v, nxt = advance(state, i)
-            row[i] = (v, nxt)
-            if nxt not in known:
-                if len(known) >= cap:
-                    raise StateExplosion(f"inverse closure passed {cap} states")
-                known.add(nxt)
-                queue.append(nxt)
-        table[state] = row
-    raw = InitialTransducer(A.n, A.r, root_table, table, root=inv_root)
+    step = _inverse_step(A)
+    entry = [step(inv_root, (dot(b),)) for b in range(A.r)]
+    queue = list(dict.fromkeys(nxt for _, nxt in entry))
+    rows = _close(A.n, step, queue, {inv_root, *queue}, cap)
+    table = {state: dict(enumerate(row)) for state, row in rows.items()}
+    raw = InitialTransducer(A.n, A.r, dict(enumerate(entry)), table, root=inv_root)
     return minimize_initial(raw)
 
 

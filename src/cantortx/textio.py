@@ -45,35 +45,23 @@ def _safe_name(q):
 
 def serialize(T):
     """Serialize a plain or initial machine; deterministic ordering."""
-    lines = []
-    if isinstance(T, Transducer):
-        names = [_safe_name(q) for q in T.states]
-        if len(set(names)) != len(names):
-            raise InvalidInput("state names collide as strings; relabel first")
-        head = f"TRANSDUCER n={T.n} r=0 states={','.join(names)} initial=-"
-        lines.append(head)
-        for q in T.states:
-            for i in range(T.n):
-                w, p = T.step(q, i)
-                lines.append(f"{_safe_name(q)} {i} -> {_safe_name(p)} : {format_word(w)}")
-        return "\n".join(lines) + "\n"
     if isinstance(T, InitialTransducer):
-        names = [_safe_name(q) for q in T.states]
-        if len(set(names)) != len(names):
-            raise InvalidInput("state names collide as strings; relabel first")
-        head = (
-            f"TRANSDUCER n={T.n} r={T.r} states={','.join(names)}"
-            f" initial={_safe_name(T.root)}"
-        )
-        lines.append(head)
-        for q in T.states:
-            for sym in T.symbols_at(q):
-                w, p = T.step(q, sym)
-                lines.append(
-                    f"{_safe_name(q)} {_fmt_letter(sym)} -> {_safe_name(p)} : {_fmt_out(w)}"
-                )
-        return "\n".join(lines) + "\n"
-    raise InvalidInput(f"cannot serialize {type(T).__name__}")
+        r = T.r
+    elif isinstance(T, Transducer):
+        r = 0
+    else:
+        raise InvalidInput(f"cannot serialize {type(T).__name__}")
+    names = [_safe_name(q) for q in T.states]
+    if len(set(names)) != len(names):
+        raise InvalidInput("state names collide as strings; relabel first")
+    initial = _safe_name(T.root) if r else "-"
+    lines = [f"TRANSDUCER n={T.n} r={r} states={','.join(names)} initial={initial}"]
+    for q in T.states:
+        for sym, (w, p) in zip(T.symbols_at(q), T.row(q)):
+            lines.append(
+                f"{_safe_name(q)} {_fmt_letter(sym)} -> {_safe_name(p)} : {_fmt_out(w)}"
+            )
+    return "\n".join(lines) + "\n"
 
 
 def _parse_out(text, lineno):

@@ -39,7 +39,7 @@ class Transducer:
     loop over a state's letters reads one row instead of looking up each
     (state, letter) pair."""
 
-    __slots__ = ("n", "states", "_rows")
+    __slots__ = ("n", "states", "_rows", "_hash")
 
     def __init__(self, n, table):
         if n < 2:
@@ -61,6 +61,19 @@ class Transducer:
                 cells[i] = (w, p)
             rows[q] = tuple(cells)
         self._rows = rows
+        self._hash = None
+
+    @classmethod
+    def _from_rows(cls, n, rows):
+        """The machine with rows {state: ((out_0, dest_0), ...)}, taken as
+        they are: for tables the library builds from valid machines, which
+        need none of the constructor's checks."""
+        T = cls.__new__(cls)
+        T.n = n
+        T.states = tuple(rows)
+        T._rows = rows
+        T._hash = None
+        return T
 
     def step(self, q, i):
         """One letter: (output word, destination)."""
@@ -77,6 +90,10 @@ class Transducer:
         except KeyError:
             raise InvalidInput(f"no transitions for state {q!r}") from None
 
+    def symbols_at(self, q):
+        """The input symbols of state q, in row order: the letters."""
+        return range(self.n)
+
     def output(self, q, i):
         return self.step(q, i)[0]
 
@@ -91,7 +108,10 @@ class Transducer:
         )
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.states)))
+        # the rows in any order, as __eq__ compares them; computed once
+        if self._hash is None:
+            self._hash = hash((self.n, frozenset(self._rows.items())))
+        return self._hash
 
     def __repr__(self):
         return f"<Transducer n={self.n} states={len(self.states)}>"
@@ -171,23 +191,24 @@ def restrict(T, states):
     """Sub-transducer on a transition-closed subset of states."""
     states = list(states)
     keep = set(states)
-    table = {}
+    rows = {}
     for q in states:
         row = T.row(q)
         for _, p in row:
             if p not in keep:
                 raise InvalidInput(f"state set not closed: {q!r} -> {p!r}")
-        table[q] = dict(enumerate(row))
-    return Transducer(T.n, table)
+        rows[q] = row
+    return Transducer._from_rows(T.n, rows)
 
 
 def relabel(T, mapping):
-    table = {}
-    for q in T.states:
-        table[mapping[q]] = {
-            i: (w, mapping[p]) for i, (w, p) in enumerate(T._rows[q])
-        }
-    return Transducer(T.n, table)
+    return Transducer._from_rows(
+        T.n,
+        {
+            mapping[q]: tuple((w, mapping[p]) for w, p in row)
+            for q, row in T._rows.items()
+        },
+    )
 
 
 def product(A, B):
@@ -196,16 +217,15 @@ def product(A, B):
     States are pairs (a, b); the behaviour at (a, b) is h_b after h_a."""
     if A.n != B.n:
         raise InvalidInput("product of transducers over different alphabets")
-    table = {}
-    for a in A.states:
-        arow = A._rows[a]
+    rows = {}
+    for a, arow in A._rows.items():
         for b in B.states:
-            row = {}
-            for i, (w, a2) in enumerate(arow):
+            row = []
+            for w, a2 in arow:
                 v, b2 = evaluate(B, b, w)
-                row[i] = (v, (a2, b2))
-            table[(a, b)] = row
-    return Transducer(A.n, table)
+                row.append((v, (a2, b2)))
+            rows[(a, b)] = tuple(row)
+    return Transducer._from_rows(A.n, rows)
 
 
 def evaluate_periodic(T, q, x):
@@ -280,17 +300,54 @@ def common_prefixes(T, bound=64, states=None):
     return g
 
 
+def strip_rows(rows, c):
+    """The rows {state: row} with every state's forced output c[state]
+    pushed upstream: the output w to p at q becomes c[q]^-1 . w . c[p]."""
+    return {
+        q: tuple((subtract_prefix(c[q], w + c[p]), p) for w, p in row)
+        for q, row in rows.items()
+    }
+
+
 def strip_common_prefixes(T, bound=64):
     """Push every state's forced output upstream: the result has no state of
     incomplete response, and the state map of q changes from h to
     (forced prefix of q)^-1 . h."""
-    c = common_prefixes(T, bound)
-    table = {}
-    for q in T.states:
-        table[q] = {
-            i: (subtract_prefix(c[q], w + c[p]), p) for i, (w, p) in enumerate(T._rows[q])
-        }
-    return Transducer(T.n, table)
+    return Transducer._from_rows(T.n, strip_rows(T._rows, common_prefixes(T, bound)))
+
+
+def partition_rows(rows):
+    """Coarsest partition of the states of rows {state: row}, every
+    destination among them, in which states of one block have equal letter
+    outputs and successors in one block, letter by letter (Moore's
+    refinement).  Returns {state: block index}, blocks numbered in order of
+    their first state."""
+    dests = {q: tuple(p for _, p in row) for q, row in rows.items()}
+    block = {}
+    keys = {}
+    for q, row in rows.items():
+        key = tuple(w for w, _ in row)
+        block[q] = keys.setdefault(key, len(keys))
+    while True:
+        keys = {}
+        new = {}
+        for q, ds in dests.items():
+            key = (block[q], tuple(map(block.__getitem__, ds)))
+            new[q] = keys.setdefault(key, len(keys))
+        if new == block:
+            return block
+        block = new
+
+
+def quotient_rows(rows, part):
+    """The rows of the blocks of part {state: block}: each block takes the
+    row of its first state, with destinations replaced by their blocks."""
+    out = {}
+    for q, row in rows.items():
+        b = part[q]
+        if b not in out:
+            out[b] = tuple((w, part[p]) for w, p in row)
+    return out
 
 
 def behavior_partition(T, states=None):
@@ -299,23 +356,8 @@ def behavior_partition(T, states=None):
     machine two states are in one block iff their state maps are equal.
 
     Returns {state: block index}, block indices deterministic."""
-    pool = list(T.states if states is None else states)
     rows = T._rows
-    dests = {q: tuple(p for _, p in rows[q]) for q in pool}
-    block = {}
-    keys = {}
-    for q in pool:
-        key = tuple(w for w, _ in rows[q])
-        block[q] = keys.setdefault(key, len(keys))
-    while True:
-        keys = {}
-        new = {}
-        for q in pool:
-            key = (block[q], tuple(map(block.__getitem__, dests[q])))
-            new[q] = keys.setdefault(key, len(keys))
-        if new == block:
-            return block
-        block = new
+    return partition_rows(rows if states is None else {q: rows[q] for q in states})
 
 
 def omega_equivalent(T, q1, q2, bound=64):
@@ -338,20 +380,14 @@ def remove_incomplete_response_rooted(T, root, bound=64):
     Interior states get their forced prefixes stripped; the root keeps its
     behaviour exactly, so when the root has a nonempty forced output it
     becomes a fresh entry state that is never re-entered."""
-    order = reachable(T, [root])
-    R = restrict(T, order)
+    R = restrict(T, reachable(T, [root]))
     c = common_prefixes(R, bound)
-    rows = R._rows
-    table = {}
-    for q in order:
-        table[q] = {
-            i: (subtract_prefix(c[q], w + c[p]), p) for i, (w, p) in enumerate(rows[q])
-        }
+    rows = strip_rows(R._rows, c)
     if c[root] == EMPTY:
-        return Transducer(R.n, table), root
+        return Transducer._from_rows(R.n, rows), root
     entry = (_ROOT, root)
-    table[entry] = {i: (w + c[p], p) for i, (w, p) in enumerate(rows[root])}
-    return Transducer(R.n, table), entry
+    rows[entry] = tuple((w + c[p], p) for w, p in R._rows[root])
+    return Transducer._from_rows(R.n, rows), entry
 
 
 def minimize_rooted(T, root, bound=64):
@@ -362,13 +398,7 @@ def minimize_rooted(T, root, bound=64):
     produce structurally identical results."""
     S, entry = remove_incomplete_response_rooted(T, root, bound)
     part = behavior_partition(S)
-    rep = {}
-    for q in S.states:
-        rep.setdefault(part[q], q)
-    table = {}
-    for b, q in rep.items():
-        table[b] = {i: (w, part[p]) for i, (w, p) in enumerate(S._rows[q])}
-    merged = Transducer(S.n, table)
+    merged = Transducer._from_rows(S.n, quotient_rows(S._rows, part))
     order = reachable(merged, [part[entry]])
     merged = restrict(merged, order)
     names = {b: str(k) for k, b in enumerate(order)}

@@ -78,6 +78,22 @@ class TestProductAndEquality:
         T = GroupElement.from_machine(machine_T(3))
         assert not equal(T, invert_element(T))
 
+    def test_hash_separates_machines_of_one_size(self):
+        from cantortx.verify import _close_pool, _generator_pool
+
+        layers = _close_pool(_generator_pool(3), 3)
+        by_size = {}
+        for g in layers[1] + layers[2] + layers[3]:
+            by_size.setdefault(len(g.machine.states), []).append(g)
+        shared = [gs for gs in by_size.values() if len(gs) > 1]
+        assert shared
+        for gs in shared:
+            assert len({hash(g) for g in gs}) > 1
+            assert len({hash(g) for g in gs}) == len(set(gs)) == len(gs)
+        for g in layers[2]:
+            twin = GroupElement(canonical_core(g.machine))
+            assert twin == g and hash(twin) == hash(g) == hash(g.machine)
+
     def test_alphabet_mismatch(self):
         with pytest.raises(InvalidInput):
             group_product(identity_element(2), identity_element(3))

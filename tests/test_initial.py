@@ -1,10 +1,22 @@
+from functools import lru_cache
 from itertools import product as cartesian
 
 import pytest
 
-from cantortx.words import EMPTY, EvPeriodicWord, InvalidInput
-from cantortx.transducer import DegenerateTransducer
+from cantortx.words import (
+    EMPTY,
+    EvPeriodicWord,
+    InvalidInput,
+    RootedClopen,
+    empty_clopen,
+    gcp,
+    subtract_prefix,
+    whole_rooted,
+    whole_space,
+)
+from cantortx.transducer import DegenerateTransducer, DepthExceeded
 from cantortx.initial import (
+    DONE,
     InitialTransducer,
     dot,
     evaluate_initial,
@@ -13,15 +25,24 @@ from cantortx.initial import (
     minimize_initial,
     product_initial,
     rooted_word,
+    run,
     split_rooted,
 )
+from cantortx.images import NotClopenImage, images_initial, is_homeomorphism_initial
+from cantortx.invert import StateExplosion, invert_initial, preimage_gcp_initial
 from cantortx.machines import (
+    RealizeError,
     identity_transducer,
     letter_complement,
+    machine_T,
+    machine_U,
     machine_g4,
+    realize,
     state_wrapper,
     reversing_complement_wrapper,
 )
+from cantortx.group import GroupElement, group_product
+from cantortx.textio import serialize
 
 
 def identity_wrapper(n, r):
@@ -207,3 +228,318 @@ class TestProductMinimize:
         root_img = img[A.root]
         assert root_img.parts[1].is_whole()
         assert not root_img.is_whole()  # the 1-cone of root 0 is never hit
+
+
+# --- the row kernel against the initial-machine routines it replaced --------
+#
+# Copies of the earlier minimize_initial (with its own forced-output loop and
+# partition), the full-recompute images_initial and the invert_initial loop,
+# written on the public step/symbols_at interface, kept as references.
+
+def reference_common_prefixes_initial(A, bound=64):
+    pool = [q for q in A.states if q != A.root]
+    ref = {}
+    for q in pool:
+        out = []
+        s = q
+        guard = 0
+        while len(out) < bound:
+            w, s = A.step(s, 0)
+            out.extend(w)
+            guard += 1
+            if guard > bound * len(pool) + len(pool) + 1:
+                raise DegenerateTransducer("letter-0 path stopped producing output")
+        ref[q] = tuple(out[:bound])
+    g = ref
+    for _ in range(2 * bound * len(pool) + len(pool) + 8):
+        new = {
+            q: gcp([A.output(q, i) + g[A.dest(q, i)] for i in range(A.n)])
+            for q in pool
+        }
+        if new == g:
+            break
+        g = new
+    else:
+        raise DepthExceeded("forced outputs did not stabilize")
+    for q, w in g.items():
+        if len(w) >= bound:
+            raise DepthExceeded(f"forced output at state {q!r} reaches the bound {bound}")
+    return g
+
+
+def reference_minimize_initial(A, bound=64):
+    c = reference_common_prefixes_initial(A, bound)
+    c[A.root] = EMPTY
+    stripped = {}
+    for q in A.states:
+        for sym in A.symbols_at(q):
+            w, p = A.step(q, sym)
+            stripped[(q, sym)] = subtract_prefix(c[q], w + c[p])
+    pool = [q for q in A.states if q != A.root]
+    block = {}
+    keys = {}
+    for q in pool:
+        key = tuple(stripped[(q, i)] for i in range(A.n))
+        block[q] = keys.setdefault(key, len(keys))
+    while True:
+        keys = {}
+        new = {}
+        for q in pool:
+            key = (block[q], tuple(block[A.dest(q, i)] for i in range(A.n)))
+            new[q] = keys.setdefault(key, len(keys))
+        if new == block:
+            break
+        block = new
+    rep = {}
+    for q in pool:
+        rep.setdefault(block[q], q)
+    root_table = {
+        a: (stripped[(A.root, dot(a))], ("b", block[A.dest(A.root, dot(a))]))
+        for a in range(A.r)
+    }
+    table = {
+        ("b", b): {
+            i: (stripped[(q, i)], ("b", block[A.dest(q, i)])) for i in range(A.n)
+        }
+        for b, q in rep.items()
+    }
+    M = InitialTransducer(A.n, A.r, root_table, table, root=("b", "root"))
+    names = {M.root: "0"}
+    order = [M.root]
+    k = 0
+    while k < len(order):
+        q = order[k]
+        k += 1
+        for sym in M.symbols_at(q):
+            p = M.dest(q, sym)
+            if p not in names:
+                names[p] = str(len(names))
+                order.append(p)
+    new_root_table = {
+        a: (M.output(M.root, dot(a)), names[M.dest(M.root, dot(a))]) for a in range(M.r)
+    }
+    new_table = {
+        names[q]: {i: (M.output(q, i), names[M.dest(q, i)]) for i in range(M.n)}
+        for q in order[1:]
+    }
+    return InitialTransducer(M.n, M.r, new_root_table, new_table, root="0")
+
+
+def _reference_branch(A, img, q, sym):
+    w, p = A.step(q, sym)
+    root, tail = split_rooted(w)
+    target = img[p]
+    if root is None:
+        if isinstance(target, RootedClopen):
+            return target
+        return target.shift(tail)
+    parts = [empty_clopen(A.n)] * A.r
+    parts[root] = target.shift(tail)
+    return RootedClopen(A.n, A.r, parts)
+
+
+def reference_images_initial(A, max_iter=32):
+    """Every state recomputed in every round."""
+    img = {
+        q: whole_space(A.n) if A.region[q] is DONE else whole_rooted(A.n, A.r)
+        for q in A.states
+    }
+    for _ in range(max_iter):
+        new = {}
+        for q in A.states:
+            pieces = [_reference_branch(A, img, q, sym) for sym in A.symbols_at(q)]
+            acc = pieces[0]
+            for piece in pieces[1:]:
+                acc = acc.union(piece)
+            new[q] = acc
+        if new == img:
+            return img
+        img = new
+    raise NotClopenImage("reference images did not stabilize")
+
+
+def reference_invert_initial(A, cap=10000):
+    A = reference_minimize_initial(A)
+    assert is_homeomorphism_initial(A)
+    inv_root = (EMPTY, A.root)
+    root_table = {}
+    table = {}
+    queue = []
+    known = {inv_root}
+
+    def advance(state, sym):
+        w, q = state
+        target = w + (sym,)
+        v = preimage_gcp_initial(A, q, target)
+        out, p = run(A, q, v)
+        return v, (subtract_prefix(out, target), p)
+
+    for b in range(A.r):
+        v, nxt = advance(inv_root, dot(b))
+        root_table[b] = (v, nxt)
+        if nxt not in known:
+            known.add(nxt)
+            queue.append(nxt)
+    while queue:
+        state = queue.pop()
+        row = {}
+        for i in range(A.n):
+            v, nxt = advance(state, i)
+            row[i] = (v, nxt)
+            if nxt not in known:
+                if len(known) >= cap:
+                    raise StateExplosion(f"inverse closure passed {cap} states")
+                known.add(nxt)
+                queue.append(nxt)
+        table[state] = row
+    return reference_minimize_initial(
+        InitialTransducer(A.n, A.r, root_table, table, root=inv_root)
+    )
+
+
+@lru_cache(maxsize=None)
+def realized_cases():
+    """(label, A) for realize(g, r) of T:n^k and U:n^k, n = 3..5, k <= 3, at
+    every r in 1..n-1, ordered and unordered, wherever g is realizable."""
+    cases = []
+    for n in (3, 4, 5):
+        for make in (machine_T, machine_U):
+            g = GroupElement.from_machine(make(n))
+            acc = g
+            for k in (1, 2, 3):
+                for r in range(1, n):
+                    for ordered in (True, False):
+                        try:
+                            A = realize(acc.machine, r, ordered)
+                        except RealizeError:
+                            continue
+                        cases.append((f"{make.__name__}({n})^{k} r={r} {ordered}", A))
+                acc = group_product(acc, g)
+    return tuple(cases)
+
+
+def raw_products():
+    """Unminimized initial machines: each realized machine composed with the
+    reversing complement wrapper, on either side."""
+    for label, A in realized_cases():
+        W = reversing_complement_wrapper(A.n, A.r)
+        yield label + " *W", product_initial(A, W)
+        yield label + " W*", product_initial(W, A)
+
+
+class TestRowKernel:
+    def test_cases_cover_every_root_count(self):
+        got = {(A.n, A.r) for _, A in realized_cases()}
+        assert got == {(n, r) for n in (3, 4, 5) for r in range(1, n)}
+
+    def test_minimize_matches_reference(self):
+        for label, A in list(realized_cases()) + list(raw_products()):
+            got = minimize_initial(A)
+            want = reference_minimize_initial(A)
+            assert got == want and got.states == want.states, label
+            assert serialize(got) == serialize(want), label
+
+    def test_minimize_bound_errors_match_reference(self):
+        A = InitialTransducer(
+            2, 1,
+            {0: ((dot(0),), "s")},
+            {"s": {0: ((1, 0), "id"), 1: ((1, 1), "id")},
+             "id": {0: ((0,), "id"), 1: ((1,), "id")}},
+        )
+        for bound in (1, 2, 3, 64):
+            try:
+                want = reference_minimize_initial(A, bound)
+            except DepthExceeded:
+                with pytest.raises(DepthExceeded):
+                    minimize_initial(A, bound)
+                continue
+            assert minimize_initial(A, bound) == want
+
+    def test_images_match_reference(self):
+        for label, A in list(realized_cases()) + list(raw_products()):
+            got = images_initial(A)
+            want = reference_images_initial(A)
+            assert got == want and list(got) == list(want), label
+
+    def test_images_bound_raises_like_reference(self):
+        for label, A in list(realized_cases()) + list(raw_products()):
+            for k in range(1, 8):
+                try:
+                    want = reference_images_initial(A, max_iter=k)
+                except NotClopenImage:
+                    with pytest.raises(NotClopenImage):
+                        images_initial(A, max_iter=k)
+                    continue
+                assert images_initial(A, max_iter=k) == want, (label, k)
+                break
+            else:
+                pytest.fail(f"{label}: images need more than 7 rounds")
+
+    def test_invert_matches_reference(self):
+        for label, A in realized_cases():
+            got = invert_initial(A)
+            want = reference_invert_initial(A)
+            assert got == want and serialize(got) == serialize(want), label
+        for label, A in list(raw_products())[::7]:
+            assert invert_initial(A) == reference_invert_initial(A), label
+
+    def test_invert_cap_matches_reference(self):
+        for label, A in realized_cases()[::5]:
+            for cap in (1, 2, 3, 5, 8):
+                try:
+                    want = reference_invert_initial(A, cap)
+                except StateExplosion:
+                    with pytest.raises(StateExplosion):
+                        invert_initial(A, cap)
+                    continue
+                assert invert_initial(A, cap) == want, (label, cap)
+
+
+class TestRows:
+    def machine(self):
+        return realize(machine_T(3), 2)
+
+    def test_row_is_step_over_symbols(self):
+        for _, A in realized_cases()[:10]:
+            for q in A.states:
+                assert A.row(q) == tuple(A.step(q, s) for s in A.symbols_at(q))
+
+    def test_entry_row_indexed_by_root_letter(self):
+        A = InitialTransducer(
+            2, 2,
+            {1: ((dot(1),), "id"), 0: (EMPTY, "w")},
+            {
+                "w": {1: (rooted_word(1, EMPTY), "id"), 0: (rooted_word(0, (0,)), "id")},
+                "id": {0: ((0,), "id"), 1: ((1,), "id")},
+            },
+        )
+        assert A.row(A.root) == ((EMPTY, "w"), ((dot(1),), "id"))
+        assert A.row("w") == ((rooted_word(0, (0,)), "id"), (rooted_word(1, EMPTY), "id"))
+        assert A.states == (A.root, "w", "id")
+
+    def test_step_rejects(self):
+        A = self.machine()
+        q = A.states[1]
+        for bad in [("zz", 0), ("zz", dot(0)), (q, dot(0)), (A.root, 0),
+                    (A.root, dot(2)), (A.root, dot(-1)), (q, 3), (q, -1)]:
+            with pytest.raises(InvalidInput):
+                A.step(*bad)
+        with pytest.raises(InvalidInput):
+            A.row("zz")
+
+    def test_hash_agrees_with_equality(self):
+        rows = {
+            "p": {0: ((0,), "q"), 1: ((1,), "p")},
+            "q": {0: ((0,), "p"), 1: ((1,), "q")},
+        }
+        A = InitialTransducer(2, 1, {0: ((dot(0),), "p")}, rows)
+        B = InitialTransducer(
+            2, 1, {0: ((dot(0),), "p")},
+            {q: dict(reversed(list(row.items()))) for q, row in reversed(list(rows.items()))},
+        )
+        assert A == B and hash(A) == hash(B)
+        C = InitialTransducer(2, 1, {0: ((dot(0),), "q")}, rows)
+        assert A != C
+        assert len({hash(M) for _, M in realized_cases()}) == len(set(
+            serialize(M) for _, M in realized_cases()
+        ))

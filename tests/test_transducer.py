@@ -115,6 +115,50 @@ class TestRows:
         assert A.row("s") == (((0, 0), "s"), ((1,), "s"))
         assert A == B
 
+    def test_symbols_at_are_the_letters(self):
+        T = machine_g4()
+        assert list(T.symbols_at("a")) == [0, 1, 2, 3]
+
+    def test_hash_agrees_with_equality(self):
+        for seed in range(40):
+            T = random_machine(seed, n_choices=(2, 3, 4), max_states=5)
+            table = {q: dict(enumerate(T.row(q))) for q in T.states}
+            shuffled = {
+                q: dict(reversed(list(table[q].items()))) for q in reversed(T.states)
+            }
+            U = Transducer(T.n, shuffled)
+            assert U == T and hash(U) == hash(T)
+            assert U.states != T.states or len(T.states) == 1
+
+    def test_library_tables_pass_the_public_constructor(self):
+        # machines the library builds without the constructor's checks are
+        # valid tables, equal to what the checked constructor makes of them
+        from cantortx.group import canonical_core
+        from cantortx.initial import underlying_interior
+        from cantortx.invert import inverse_closure
+        from cantortx.machines import realize
+        from cantortx.transducer import relabel, restrict, strip_common_prefixes
+
+        def rebuilt(M):
+            return Transducer(M.n, {q: dict(enumerate(M.row(q))) for q in M.states})
+
+        T3, U3 = machine_T(3), machine_U(3)
+        P = product(T3, U3)
+        built = [
+            P,
+            restrict(P, P.states),
+            relabel(T3, {q: q + "'" for q in T3.states}),
+            strip_common_prefixes(P),
+            remove_incomplete_response_rooted(P, P.states[0])[0],
+            minimize_rooted(P, P.states[0])[0],
+            canonical_core(P),
+            inverse_closure(machine_g4()),
+            underlying_interior(realize(T3, 2)),
+        ]
+        for M in built:
+            R = rebuilt(M)
+            assert R == M and R.states == M.states
+
     def test_unknown_start_state_in_evaluate(self):
         from cantortx.words import InvalidInput
 
