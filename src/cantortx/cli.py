@@ -26,11 +26,10 @@ from .synchronize import NotSynchronizing, core, minimal_sync_level
 from .images import NotClopenImage, analyze
 from .invert import EmptyPreimage, StateExplosion, inverse_closure, invert_initial
 from .signature import (
-    member_over_roots,
-    member_over_roots_ordered,
+    _membership_failure,
     signature_class_partition,
     signature_report,
-    validation_failure,
+    validate_core,
 )
 from .machines import (
     NotOrderable,
@@ -156,10 +155,10 @@ def cmd_invert(args, started):
     if isinstance(M, InitialTransducer):
         out = invert_initial(M, cap=args.cap)
     else:
-        fail = validation_failure(M)
+        fail, img, _ = validate_core(M)
         if fail is not None:
             raise InvalidInput(f"not invertible as a core element: {fail}")
-        out = canonical_core(inverse_closure(M, cap=args.cap))
+        out = canonical_core(inverse_closure(M, cap=args.cap, img=img))
     text = textio.serialize(out)
     _emit(args, "invert", [args.file], text, {"cap": args.cap}, started,
           machine_text=text)
@@ -220,9 +219,8 @@ def cmd_sig(args, started):
 
 def cmd_member(args, started):
     M = _plain(_read_machine(args.file), "member")
-    fn = member_over_roots_ordered if args.ordered else member_over_roots
-    ok = fn(M, args.r)
-    reason = None if ok else (validation_failure(M) or "membership congruence fails")
+    reason = _membership_failure(M, args.r, args.ordered)[0]
+    ok = reason is None
     result = {"member": ok, "r": args.r, "ordered": args.ordered, "reason": reason}
     if args.json:
         _emit(args, "member", [args.file], result, {}, started)

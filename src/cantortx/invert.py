@@ -12,7 +12,14 @@ The preimage prefix (v)L_q is a search memoized on (state, rest of the cone):
 each pair is solved once, so one search costs at most |Q| x (|v|+1) pairs
 and needs no node budget.  Plain and initial machines share the search and
 the forward closure of inverse states; one closure keeps one memo over all
-its preimage searches and drops it on return."""
+its preimage searches and drops it on return.
+
+`invert_initial` and `bisynchronizing_failure_initial` minimize their input
+and check that it is a homeomorphism; then `_invert_minimal` builds the
+inverse of that minimized homeomorphism (closure, then one minimization of
+the raw inverse).  A caller that has minimized and checked a machine already,
+as `machines.realize` has, calls `_invert_minimal` (through
+`_bisynchronizing_failure_minimal`) and skips both."""
 
 from __future__ import annotations
 
@@ -197,6 +204,13 @@ def invert_initial(A, cap=10000):
     A = minimize_initial(A)
     if not is_homeomorphism_initial(A):
         raise InvalidInput("machine is not a homeomorphism, cannot invert")
+    return _invert_minimal(A, cap)
+
+
+def _invert_minimal(A, cap=10000):
+    """invert_initial(A) of a machine A that is already minimized and known
+    to be a homeomorphism: the closure, then one minimization of the raw
+    inverse."""
     inv_root = (EMPTY, A.root)
     step = _inverse_step(A)
     entry = [step(inv_root, (dot(b),)) for b in range(A.r)]
@@ -213,9 +227,14 @@ def bisynchronizing_failure_initial(A):
     A = minimize_initial(A)
     if not is_homeomorphism_initial(A):
         return "not invertible: the induced map is not a homeomorphism"
+    return _bisynchronizing_failure_minimal(A)
+
+
+def _bisynchronizing_failure_minimal(A):
+    """bisynchronizing_failure_initial(A) of a minimized homeomorphism A."""
     if not is_synchronizing(A):
         return "the machine itself is not synchronizing"
-    if not is_synchronizing(invert_initial(A)):
+    if not is_synchronizing(_invert_minimal(A)):
         return "the inverse is not synchronizing"
     return None
 

@@ -19,7 +19,7 @@ from .words import (
 from .transducer import Transducer
 from .initial import InitialTransducer, dot, rooted_word, evaluate_periodic_initial
 from .synchronize import is_synchronizing
-from .images import images, Orientation, orientation
+from .images import images, Orientation
 
 
 def identity_transducer(n):
@@ -288,12 +288,13 @@ def validate_viable(T, v, img=None):
     return union_all(T.n, pieces).is_whole()
 
 
-def viable_combinations(T, max_prefix_depth=3, max_size=None, limit=None):
+def viable_combinations(T, max_prefix_depth=3, max_size=None, limit=None, img=None):
     """Exhaustive search for viable combinations within the given bounds.
+    `img` is images(T) when the caller already has it.
 
     Pieces are found in increasing order of their least point, so each
     combination is produced exactly once, entries sorted by least point."""
-    img = images(T)
+    img = img or images(T)
     if max_size is None:
         max_size = 3 * (T.n - 1) + 1
     candidates = []
@@ -490,21 +491,23 @@ def _check_circle_map(A, leaves):
 def realize(T, r, ordered=True, max_prefix_depth=3, max_size=None):
     """An initial machine over r roots whose long-run behaviour (core) is the
     given core machine T; with ordered=True the machine also respects the
-    circle structure.  Membership at r is validated first.
+    circle structure.  Membership at r is validated first, once: its images
+    and orientation serve the construction.
 
     Uses the homeomorphism-state shortcut when available, otherwise assembles
     blocks from a lexicographic viable combination; orientation-reversing
     elements are realized through the letter-complement carrier."""
-    from .signature import member_over_roots, member_over_roots_ordered, validation_failure
+    from .signature import CONGRUENCE_FAILS, _membership_failure
     from . import group
     from .initial import minimize_initial, product_initial
 
-    member = member_over_roots_ordered if ordered else member_over_roots
-    if not member(T, r):
-        reason = validation_failure(T) or "membership congruence fails at this root count"
+    reason, img, orient = _membership_failure(T, r, ordered)
+    if reason is not None:
+        if reason == CONGRUENCE_FAILS:
+            reason += " at this root count"
         raise RealizeError(f"element is not realizable over {r} roots: {reason}")
 
-    if ordered and orientation(T) is Orientation.REVERSING:
+    if orient is Orientation.REVERSING:
         flip = group.GroupElement.from_machine(letter_complement(T.n))
         partner = group.group_product(group.GroupElement.from_machine(T), flip)
         M = realize(partner.machine, r, ordered=True,
@@ -513,7 +516,6 @@ def realize(T, r, ordered=True, max_prefix_depth=3, max_size=None):
         _verify_realization(out, T, ordered)
         return out
 
-    img = images(T)
     for q in T.states:
         # membership validated T, so every state is injective
         if img[q].is_whole():
@@ -523,7 +525,7 @@ def realize(T, r, ordered=True, max_prefix_depth=3, max_size=None):
                 _verify_realization(out, T, ordered)
                 return out
 
-    combos = viable_combinations(T, max_prefix_depth, max_size, limit=8)
+    combos = viable_combinations(T, max_prefix_depth, max_size, limit=8, img=img)
     if not combos:
         raise RealizeError(
             f"no viable combination within depth {max_prefix_depth}, size {max_size}"
@@ -542,16 +544,20 @@ def realize(T, r, ordered=True, max_prefix_depth=3, max_size=None):
 
 
 def _verify_realization(A, T, ordered):
+    """Check the minimized machine A built for T: a homeomorphism with core
+    T and bi-synchronizing.  Its images are computed once, and A, already
+    minimized and checked, is inverted without minimizing it again."""
     from . import group
     from .synchronize import core
-    from .invert import is_bisynchronizing_initial
-    from .images import is_homeomorphism_initial
+    from .invert import _bisynchronizing_failure_minimal
+    from .images import images_initial, is_injective_initial
 
-    if not is_homeomorphism_initial(A):
+    img = images_initial(A)
+    if not (is_injective_initial(A, img=img) and img[A.root].is_whole()):
         raise RealizeError("constructed machine is not a homeomorphism")
     got = group.canonical_core(core(A))
     want = group.canonical_core(T)
     if got != want:
         raise RealizeError("constructed machine has the wrong core")
-    if not is_bisynchronizing_initial(A):
+    if _bisynchronizing_failure_minimal(A) is not None:
         raise RealizeError("constructed machine is not bi-synchronizing")

@@ -156,27 +156,47 @@ def validate_core(T):
     return None, img, closure
 
 
-def member_over_roots(T, r):
-    """Is T the long-run behaviour of some homeomorphism machine over r
-    roots?  False (never an exception) when validation or the congruence
-    fails."""
+CONGRUENCE_FAILS = "membership congruence fails"
+NOT_ORDERED = "the element neither preserves nor reverses the lexicographic order"
+
+
+def _membership_failure(T, r, ordered):
+    """(reason, img, orient) of membership over r roots, ordered or not:
+    the reason is None for a member, else validation_failure(T),
+    CONGRUENCE_FAILS or (ordered only) NOT_ORDERED.  img is images(T) once
+    validation has built them, else None; orient is the orientation of a
+    valid element that meets the congruence when `ordered`, else None.
+    Validation, the images, the signature and the orientation are each
+    computed once."""
     n = T.n
     if not (1 <= r <= n - 1):
         raise InvalidInput(f"root count must be in 1..{n - 1}")
     fail, img, _ = validate_core(T)
     if fail is not None:
-        return False
+        return fail, img, None
     sig = _signature(T, img).sig
-    return (r * (sig - 1)) % (n - 1) == 0
+    if (r * (sig - 1)) % (n - 1) != 0:
+        return CONGRUENCE_FAILS, img, None
+    if not ordered:
+        return None, img, None
+    # a valid element has every state injective
+    orient = _boundary_orientation(T)
+    if orient is Orientation.NEITHER:
+        return NOT_ORDERED, img, orient
+    return None, img, orient
+
+
+def member_over_roots(T, r):
+    """Is T the long-run behaviour of some homeomorphism machine over r
+    roots?  False (never an exception) when validation or the congruence
+    fails."""
+    return _membership_failure(T, r, False)[0] is None
 
 
 def member_over_roots_ordered(T, r):
     """Membership over r roots for the circle-compatible subgroup: the
-    element must additionally preserve or reverse the lexicographic order.
-    A member has passed validation, so every state is injective."""
-    if not member_over_roots(T, r):
-        return False
-    return _boundary_orientation(T) in (Orientation.PRESERVING, Orientation.REVERSING)
+    element must additionally preserve or reverse the lexicographic order."""
+    return _membership_failure(T, r, True)[0] is None
 
 
 def inverse_reduced_signature(T):

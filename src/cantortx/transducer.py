@@ -255,49 +255,74 @@ def evaluate_periodic(T, q, x):
     return EvPeriodicWord(pre, per)
 
 
-def common_prefixes(T, bound=64, states=None):
-    """For each state q, the greatest common prefix of all infinite outputs
-    from q (the forced output).
+_FIRST_REFERENCE = 8  # letters of the first reference output
 
-    Computed by downward iteration from genuine reference-output prefixes of
-    length `bound`; on stabilization the fixpoint equation pins the value
-    exactly, provided every value resolved strictly below the bound.  A value
-    reaching the bound is a hard DepthExceeded error, never a truncation.
-    """
-    pool = T.states if states is None else tuple(states)
-    check_productive(T, pool)
-    rows = T._rows
+
+def _settle_prefixes(rows, pool, length):
+    """Downward iteration of the forced outputs over `pool`, seeded with the
+    first `length` letters of each state's letter-0 output: (values, round
+    bound), values None when they did not settle within the bound."""
     ref = {}
     for q in pool:
         out = []
         s = q
         guard = 0
-        while len(out) < bound:
+        while len(out) < length:
             w, s = rows[s][0]
             out.extend(w)
             guard += 1
-            if guard > bound * len(pool) + len(pool) + 1:
+            if guard > length * len(pool) + len(pool) + 1:
                 raise DegenerateTransducer("letter-0 path stopped producing output")
-        ref[q] = tuple(out[:bound])
+        ref[q] = tuple(out[:length])
     g = ref
-    maxiter = 2 * bound * len(pool) + len(pool) + 8
+    maxiter = 2 * length * len(pool) + len(pool) + 8
     for _ in range(maxiter):
         new = {}
         for q in pool:
             new[q] = gcp([w + g[p] for w, p in rows[q]])
         if new == g:
-            break
+            return g, maxiter
         g = new
-    else:
+    return None, maxiter
+
+
+def common_prefixes(T, bound=64, states=None):
+    """For each state q, the greatest common prefix c(q) of all infinite
+    outputs from q (the forced output).
+
+    Computed by downward iteration g(q) <- gcp over the letters of w . g(p)
+    (output w, destination p), seeded with genuine reference outputs: the
+    first L letters of the output of 0^omega from q.  The iteration is exact
+    for any L:
+    - every iterate has c(q) cut to L letters as a prefix: the seed has, and
+      c solves the same equation, c(q) = gcp over the letters of w . c(p);
+    - every fixpoint with finite values is a prefix of c(q): unrolling the
+      equation along any input, g(q) is a prefix of the output so far
+      followed by g(p), and by productivity the output so far eventually
+      outgrows g(q), so g(q) is a prefix of every output from q;
+    so a fixpoint whose values are all shorter than L is c itself.
+
+    L starts at 8 letters and doubles while some value reaches L or the
+    iteration does not settle; once L reaches `bound` the values are final,
+    as with a single reference of `bound` letters.  A value reaching the
+    bound is a hard DepthExceeded error, never a truncation.
+    """
+    pool = T.states if states is None else tuple(states)
+    check_productive(T, pool)
+    length = min(_FIRST_REFERENCE, bound)
+    while True:
+        g, maxiter = _settle_prefixes(T._rows, pool, length)
+        if g is not None and all(len(w) < length for w in g.values()):
+            return g
+        if length >= bound:
+            break
+        length = min(2 * length, bound)
+    if g is None:
         raise DepthExceeded(
             f"common output prefixes did not stabilize within {maxiter} rounds"
         )
-    for q, w in g.items():
-        if len(w) >= bound:
-            raise DepthExceeded(
-                f"forced output at state {q!r} reaches the depth bound {bound}"
-            )
-    return g
+    q = next(q for q, w in g.items() if len(w) >= bound)
+    raise DepthExceeded(f"forced output at state {q!r} reaches the depth bound {bound}")
 
 
 def strip_rows(rows, c):

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from cantortx.cli import main
-from cantortx.textio import parse
-from cantortx.machines import machine_g4
+from cantortx.textio import parse, serialize
+from cantortx.group import canonical_core
+from cantortx.machines import machine_g4, oplus, swap_transducer
 from cantortx.transducer import Transducer
 
 
@@ -147,6 +148,51 @@ class TestErrors:
         code, out, err = run(capsys, "order", "--bound", "40", path)
         assert code == 1 and out == ""
         assert err.startswith("error: product left the group")
+
+    def test_unordered_element_reasons(self, tmp_path, capsys):
+        # a member over 3 roots that neither preserves nor reverses the order
+        M = canonical_core(oplus(2, swap_transducer(), 4))
+        path = tmp_path / "oplus.tx"
+        path.write_text(serialize(M))
+        code, out, _ = run(capsys, "member", "--r", "3", str(path))
+        assert code == 0 and out.strip() == "true"
+        reason = "the element neither preserves nor reverses the lexicographic order"
+        code, out, _ = run(capsys, "member", "--r", "3", "--ordered", str(path))
+        assert code == 0 and out.strip() == f"false ({reason})"
+        code, out, _ = run(capsys, "member", "--r", "3", "--ordered", "--json", str(path))
+        assert json.loads(out)["result"]["reason"] == reason
+        code, out, err = run(capsys, "realize", "--r", "3", str(path))
+        assert code == 1 and out == ""
+        assert err.strip() == f"error: element is not realizable over 3 roots: {reason}"
+
+    def test_congruence_reasons(self, tmp_path, capsys):
+        path = write_example(tmp_path, capsys, "g4")
+        code, out, _ = run(capsys, "member", "--r", "1", "--ordered", path)
+        assert code == 0 and out.strip() == "false (membership congruence fails)"
+        code, out, err = run(capsys, "realize", "--r", "1", path)
+        assert code == 1 and err.strip() == (
+            "error: element is not realizable over 1 roots: "
+            "membership congruence fails at this root count")
+
+    def test_minimize_gcp_bound(self, tmp_path, capsys):
+        # s owes 0,1 before copying its input; z owes 0,1,1,1,2 and then 0,1
+        text = (
+            "TRANSDUCER n=3 r=0 states=s,z,id initial=-\n"
+            "s 0 -> id : 0,1,0\ns 1 -> id : 0,1,1\ns 2 -> id : 0,1,2\n"
+            "z 0 -> s : 0,1,1,1,2\nz 1 -> s : 0,1,1,1,2\nz 2 -> s : 0,1,1,1,2\n"
+            "id 0 -> id : 0\nid 1 -> id : 1\nid 2 -> id : 2\n"
+        )
+        path = tmp_path / "owes.tx"
+        path.write_text(text)
+        code, out, _ = run(capsys, "minimize", "--root", "s", "--gcp-bound", "4", str(path))
+        assert code == 0
+        code, want, _ = run(capsys, "minimize", "--root", "s", str(path))
+        assert out == want
+        code, out, err = run(capsys, "minimize", "--root", "z", "--gcp-bound", "4", str(path))
+        assert code == 1 and out == ""
+        assert err.strip() == "error: forced output at state 'z' reaches the depth bound 4"
+        code, out, _ = run(capsys, "minimize", "--root", "z", "--gcp-bound", "8", str(path))
+        assert code == 0
 
     def test_member_bad_root_count(self, tmp_path, capsys):
         path = write_example(tmp_path, capsys, "g4")

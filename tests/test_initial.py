@@ -1,5 +1,8 @@
+import hashlib
+import json
 from functools import lru_cache
 from itertools import product as cartesian
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +17,7 @@ from cantortx.words import (
     whole_rooted,
     whole_space,
 )
-from cantortx.transducer import DegenerateTransducer, DepthExceeded
+from cantortx.transducer import DegenerateTransducer, DepthExceeded, common_prefixes
 from cantortx.initial import (
     DONE,
     InitialTransducer,
@@ -493,6 +496,42 @@ class TestRowKernel:
                         invert_initial(A, cap)
                     continue
                 assert invert_initial(A, cap) == want, (label, cap)
+
+    def test_forced_outputs_match_reference(self):
+        # the non-initial states of the realized machines and of their raw
+        # products with the complement wrapper
+        for label, A in list(realized_cases()) + list(raw_products()):
+            got = common_prefixes(A, 64, states=A.states[1:])
+            assert got == reference_common_prefixes_initial(A), label
+            assert list(got) == list(A.states[1:]), label
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def digest(M):
+    return hashlib.sha256(serialize(M).encode()).hexdigest()
+
+
+class TestGoldenRealizations:
+    """sha256 of the serialized realizations and their inverses, as
+    recorded in tests/golden/realize_digests.json: a change to how realize
+    and invert_initial do their work must not change a byte of what they
+    return."""
+
+    def cases(self):
+        yield from realized_cases()
+        for r in (1, 2, 3):
+            for ordered in (True, False):
+                yield (f"letter_complement(4) r={r} {ordered}",
+                       realize(letter_complement(4), r, ordered))
+
+    def test_digests(self):
+        want = json.loads((GOLDEN / "realize_digests.json").read_text())
+        got = {label: [digest(A), digest(invert_initial(A))] for label, A in self.cases()}
+        assert got.keys() == want.keys()
+        for label, pair in got.items():
+            assert pair == want[label], label
 
 
 class TestRows:

@@ -1,6 +1,11 @@
+import importlib
+import pkgutil
+from collections import Counter
 from itertools import product as cartesian
 
 import pytest
+
+import cantortx
 
 from cantortx.words import EMPTY, InvalidInput, union_all, whole_space
 from cantortx.transducer import Transducer, evaluate
@@ -255,3 +260,51 @@ class TestRealize:
         A = realize(piR, 2)
         assert canonical_core(core(A)) == canonical_core(piR)
         assert is_bisynchronizing_initial(A)
+
+    def test_reason_names_the_failing_condition(self):
+        M = canonical_core(oplus(2, swap_transducer(), 4))
+        with pytest.raises(RealizeError, match="neither preserves nor reverses"):
+            realize(M, 3)
+        with pytest.raises(RealizeError, match="membership congruence fails at this root count"):
+            realize(machine_g4(), 1)
+        with pytest.raises(RealizeError, match="not synchronizing"):
+            realize(Transducer(2, {"0": {0: ((0,), "0"), 1: ((1,), "0")},
+                                   "1": {0: ((0,), "1"), 1: ((1,), "1")}}), 1)
+
+
+def count_calls(monkeypatch, names):
+    """Replace each named library function, in every cantortx module that
+    holds it, by a wrapper that counts its calls; returns the counter."""
+    modules = [importlib.import_module(f"cantortx.{info.name}")
+               for info in pkgutil.iter_modules(cantortx.__path__)]
+    calls = Counter()
+    for name in names:
+        original = next(getattr(m, name) for m in modules if hasattr(m, name))
+
+        def counted(*args, _name=name, _original=original, **kw):
+            calls[_name] += 1
+            return _original(*args, **kw)
+
+        for m in modules:
+            if getattr(m, name, None) is original:
+                monkeypatch.setattr(m, name, counted)
+    return calls
+
+
+class TestRealizeWork:
+    """realize validates its element once, and checks and inverts the
+    machine it built once; repeated analyses would show in these counts."""
+
+    def test_call_counts(self, monkeypatch):
+        calls = count_calls(monkeypatch, (
+            "minimize_initial", "images_initial", "images", "validate_core",
+            "_boundary_orientation", "is_homeomorphism_initial",
+        ))
+        A = realize(machine_T(3), 2)
+        assert len(A.states) > 1
+        assert 1 <= calls["minimize_initial"] <= 2
+        assert calls["images_initial"] == 1
+        assert calls["images"] == 1
+        assert calls["validate_core"] == 1
+        assert calls["_boundary_orientation"] == 1
+        assert calls["is_homeomorphism_initial"] == 0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cantortx.words import EMPTY, EvPeriodicWord, gcp
 from cantortx.transducer import (
     DegenerateTransducer,
+    DepthExceeded,
     Transducer,
     behavior_partition,
     check_productive,
@@ -269,6 +270,140 @@ class TestCommonPrefixes:
         T = Transducer(2, {"q": {0: (EMPTY, "q"), 1: ((1,), "q")}})
         with pytest.raises(DegenerateTransducer):
             common_prefixes(T)
+
+
+def reference_common_prefixes(T, bound=64, states=None):
+    """common_prefixes as written with one reference output of `bound`
+    letters from every state, kept as the reference for the short, doubling
+    references."""
+    pool = T.states if states is None else tuple(states)
+    check_productive(T, pool)
+    ref = {}
+    for q in pool:
+        out = []
+        s = q
+        guard = 0
+        while len(out) < bound:
+            w, s = T.step(s, 0)
+            out.extend(w)
+            guard += 1
+            if guard > bound * len(pool) + len(pool) + 1:
+                raise DegenerateTransducer("letter-0 path stopped producing output")
+        ref[q] = tuple(out[:bound])
+    g = ref
+    maxiter = 2 * bound * len(pool) + len(pool) + 8
+    for _ in range(maxiter):
+        new = {q: gcp([w + g[p] for w, p in T.row(q)]) for q in pool}
+        if new == g:
+            break
+        g = new
+    else:
+        raise DepthExceeded(
+            f"common output prefixes did not stabilize within {maxiter} rounds"
+        )
+    for q, w in g.items():
+        if len(w) >= bound:
+            raise DepthExceeded(
+                f"forced output at state {q!r} reaches the depth bound {bound}"
+            )
+    return g
+
+
+def outcome(fn, *args, **kw):
+    """The result of fn, or the type and message of the DepthExceeded it
+    raises."""
+    try:
+        return fn(*args, **kw)
+    except DepthExceeded as exc:
+        return (DepthExceeded, str(exc))
+
+
+def forced_word(length):
+    return tuple((j * j + 1) % 3 for j in range(length))
+
+
+def constant_prefix_machine(length):
+    """State s owes the word forced_word(length) before copying its input."""
+    u = forced_word(length)
+    return Transducer(3, {
+        "s": {i: (u + (i,), "id") for i in range(3)},
+        "id": {i: ((i,), "id") for i in range(3)},
+    })
+
+
+def delay_line_machine(length):
+    """A chain d0 .. d(length-1) emitting one letter of forced_word(length)
+    per step whatever it reads, then a copier: the forced output of dj is the
+    word from letter j on, and it takes `length` rounds to settle."""
+    u = forced_word(length)
+    table = {}
+    for j in range(length):
+        nxt = f"d{j + 1}" if j + 1 < length else "id"
+        table[f"d{j}"] = {i: ((u[j],), nxt) for i in range(3)}
+    table["id"] = {i: ((i,), "id") for i in range(3)}
+    return Transducer(3, table)
+
+
+class TestShortReferences:
+    """common_prefixes starts from an 8-letter reference and doubles it up
+    to the bound; every answer and every error must be the fixed-bound
+    routine's."""
+
+    BOUNDS = (0, 1, 4, 7, 8, 9, 15, 16, 17, 32, 33, 63, 64, 65, 128)
+
+    def test_hand_built_forced_lengths(self):
+        for length in (7, 8, 9, 16, 63):
+            for M in (constant_prefix_machine(length), delay_line_machine(length)):
+                c = common_prefixes(M)
+                assert max(len(w) for w in c.values()) == length
+                assert c == reference_common_prefixes(M)
+                for bound in self.BOUNDS:
+                    assert outcome(common_prefixes, M, bound) == outcome(
+                        reference_common_prefixes, M, bound), (length, bound)
+
+    def test_forced_output_at_the_bound_raises(self):
+        M = constant_prefix_machine(64)
+        with pytest.raises(DepthExceeded, match="state 's' reaches the depth bound 64"):
+            common_prefixes(M)
+        assert outcome(common_prefixes, M) == outcome(reference_common_prefixes, M)
+
+    def test_single_point_image_raises_as_before(self):
+        # z outputs 0 whatever it reads: its image is one point and its
+        # forced output is infinite
+        M = Transducer(2, {
+            "p": {0: ((1,), "z"), 1: ((0,), "p")},
+            "z": {0: ((0,), "z"), 1: ((0,), "z")},
+        })
+        for bound in self.BOUNDS:
+            got = outcome(common_prefixes, M, bound)
+            assert got == outcome(reference_common_prefixes, M, bound), bound
+            assert got[0] is DepthExceeded
+        # the values grow by a letter a round, so they never settle
+        assert outcome(common_prefixes, M) == (
+            DepthExceeded, "common output prefixes did not stabilize within 266 rounds")
+
+    def test_group_products_match_reference(self):
+        # g^-1 . g^k owes k letters and g^-1 . g^k . g^k owes 2k, so the
+        # references grow past 8, 16 and 32 letters; g^k . g owes none
+        from cantortx.group import GroupElement, group_product, invert_element
+
+        lengths = set()
+        for n in (3, 4, 5):
+            for make in (machine_T, machine_U):
+                g = GroupElement.from_machine(make(n))
+                ginv = invert_element(g).machine
+                power = g
+                for k in range(1, 17):
+                    machines = [product(power.machine, g.machine),
+                                product(ginv, power.machine)]
+                    if k in (5, 9, 16):
+                        machines.append(product(machines[1], power.machine))
+                    for M in machines:
+                        want = outcome(reference_common_prefixes, M)
+                        assert outcome(common_prefixes, M) == want, (make.__name__, n, k)
+                        lengths.add(max(len(w) for w in want.values()))
+                    power = group_product(power, g)
+        assert {0, 7, 8, 9, 16, 18, 32} <= lengths
 
 
 class TestIncompleteResponse:
