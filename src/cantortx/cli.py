@@ -26,7 +26,7 @@ from .synchronize import NotSynchronizing, core, minimal_sync_level
 from .images import NotClopenImage, analyze
 from .invert import EmptyPreimage, StateExplosion, inverse_closure, invert_initial
 from .signature import (
-    _membership_failure,
+    membership_failure,
     signature_class_partition,
     signature_report,
     validate_core,
@@ -219,7 +219,7 @@ def cmd_sig(args, started):
 
 def cmd_member(args, started):
     M = _plain(_read_machine(args.file), "member")
-    reason = _membership_failure(M, args.r, args.ordered)[0]
+    reason = membership_failure(M, args.r, args.ordered)[0]
     ok = reason is None
     result = {"member": ok, "r": args.r, "ordered": args.ordered, "reason": reason}
     if args.json:

@@ -208,9 +208,9 @@ def invert_initial(A, cap=10000):
 
 
 def _invert_minimal(A, cap=10000):
-    """invert_initial(A) of a machine A that is already minimized and known
-    to be a homeomorphism: the closure, then one minimization of the raw
-    inverse."""
+    """invert_initial(A) for a machine A that must already be the output of
+    minimize_initial and a homeomorphism (neither is checked here): the
+    closure, then one minimization of the raw inverse."""
     inv_root = (EMPTY, A.root)
     step = _inverse_step(A)
     entry = [step(inv_root, (dot(b),)) for b in range(A.r)]
@@ -231,7 +231,8 @@ def bisynchronizing_failure_initial(A):
 
 
 def _bisynchronizing_failure_minimal(A):
-    """bisynchronizing_failure_initial(A) of a minimized homeomorphism A."""
+    """bisynchronizing_failure_initial(A) for an A that must already be the
+    output of minimize_initial and a homeomorphism (neither is checked)."""
     if not is_synchronizing(A):
         return "the machine itself is not synchronizing"
     if not is_synchronizing(_invert_minimal(A)):

@@ -497,11 +497,11 @@ def realize(T, r, ordered=True, max_prefix_depth=3, max_size=None):
     Uses the homeomorphism-state shortcut when available, otherwise assembles
     blocks from a lexicographic viable combination; orientation-reversing
     elements are realized through the letter-complement carrier."""
-    from .signature import CONGRUENCE_FAILS, _membership_failure
+    from .signature import CONGRUENCE_FAILS, membership_failure
     from . import group
     from .initial import minimize_initial, product_initial
 
-    reason, img, orient = _membership_failure(T, r, ordered)
+    reason, img, orient = membership_failure(T, r, ordered)
     if reason is not None:
         if reason == CONGRUENCE_FAILS:
             reason += " at this root count"
@@ -544,9 +544,14 @@ def realize(T, r, ordered=True, max_prefix_depth=3, max_size=None):
 
 
 def _verify_realization(A, T, ordered):
-    """Check the minimized machine A built for T: a homeomorphism with core
-    T and bi-synchronizing.  Its images are computed once, and A, already
-    minimized and checked, is inverted without minimizing it again."""
+    """Check the machine A built for T: a homeomorphism with core T and
+    bi-synchronizing.
+
+    A must be the output of minimize_initial: the homeomorphism test reads
+    images_initial(A) once, and the bi-synchronization test inverts A with
+    invert._invert_minimal, which does not minimize A again.  Nothing here
+    checks that A is minimized; every caller passes minimize_initial's
+    result."""
     from . import group
     from .synchronize import core
     from .invert import _bisynchronizing_failure_minimal

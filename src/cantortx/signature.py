@@ -160,7 +160,7 @@ CONGRUENCE_FAILS = "membership congruence fails"
 NOT_ORDERED = "the element neither preserves nor reverses the lexicographic order"
 
 
-def _membership_failure(T, r, ordered):
+def membership_failure(T, r, ordered):
     """(reason, img, orient) of membership over r roots, ordered or not:
     the reason is None for a member, else validation_failure(T),
     CONGRUENCE_FAILS or (ordered only) NOT_ORDERED.  img is images(T) once
@@ -190,13 +190,13 @@ def member_over_roots(T, r):
     """Is T the long-run behaviour of some homeomorphism machine over r
     roots?  False (never an exception) when validation or the congruence
     fails."""
-    return _membership_failure(T, r, False)[0] is None
+    return membership_failure(T, r, False)[0] is None
 
 
 def member_over_roots_ordered(T, r):
     """Membership over r roots for the circle-compatible subgroup: the
     element must additionally preserve or reverse the lexicographic order."""
-    return _membership_failure(T, r, True)[0] is None
+    return membership_failure(T, r, True)[0] is None
 
 
 def inverse_reduced_signature(T):
