@@ -35,7 +35,6 @@ from .initial import (
 )
 from .synchronize import (
     NotSynchronizing,
-    collapse,
     core,
     is_synchronizing,
     minimal_sync_level,

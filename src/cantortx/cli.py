@@ -24,7 +24,7 @@ from .transducer import (
 from .initial import InitialTransducer, minimize_initial, product_initial
 from .synchronize import NotSynchronizing, core, minimal_sync_level
 from .images import NotClopenImage, analyze
-from .invert import EmptyPreimage, StateExplosion, inverse_closure, invert_initial
+from .invert import EmptyPreimage, StateExplosion, invert_initial
 from .signature import (
     membership_failure,
     signature_class_partition,
@@ -155,10 +155,10 @@ def cmd_invert(args, started):
     if isinstance(M, InitialTransducer):
         out = invert_initial(M, cap=args.cap)
     else:
-        fail, img, _ = validate_core(M)
+        fail, _, closure = validate_core(M, cap=args.cap)
         if fail is not None:
             raise InvalidInput(f"not invertible as a core element: {fail}")
-        out = canonical_core(inverse_closure(M, cap=args.cap, img=img))
+        out = canonical_core(closure)
     text = textio.serialize(out)
     _emit(args, "invert", [args.file], text, {"cap": args.cap}, started,
           machine_text=text)

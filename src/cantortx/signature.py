@@ -3,8 +3,9 @@
 For a synchronizing machine whose states all have clopen images, the
 signature is the sum of the image-antichain sizes m_q of the states forced by
 the words of the minimal synchronizing length k.  It is computed without
-enumerating the n^k words: one pass counts the words that force each state,
-and the signature is the sum over forced states of word count times m_q.
+enumerating the n^k words: synchronize.sync_counts counts the words that
+force each state by pushing path counts k letters from one start state, and
+the signature is the sum over forced states of word count times m_q.
 The per-word values, in lexicographic word order, are a lazy sequence of
 length n^k.  The signature's residue mod n-1 (kept in 1..n-1) is a
 multiplicative invariant.  Membership of a core element over r roots is the
@@ -21,9 +22,9 @@ from .words import InvalidInput
 from .transducer import Transducer
 from .synchronize import (
     NotSynchronizing,
-    core,
+    _destination_rows,
     is_synchronizing,
-    subset_counts,
+    sync_counts,
 )
 from .images import (
     Orientation,
@@ -42,18 +43,22 @@ def residue(value, n):
 
 class PerWordM(Sequence):
     """m of the state forced by each word of length `level`, in lexicographic
-    word order.  Read-only and lazy: it holds the subset rows of
-    synchronize.subset_counts and walks them per word, storing nothing per
-    word, so its length n^level may be far beyond memory.  Compares equal to a tuple or list of the same values."""
+    word order.  Read-only and lazy: every word of that length forces the
+    same end state from every start state, so a word's value is m of the
+    state it reaches from one fixed start state.  Indexing walks one
+    destination row per letter from that state, and iteration walks the
+    rows depth first, storing nothing per word, so its length n^level may
+    be far beyond memory.  Compares equal to a tuple or list of the same
+    values."""
 
-    __slots__ = ("n", "level", "_rows", "_root", "_m")
+    __slots__ = ("n", "level", "_rows", "_start", "_m")
 
-    def __init__(self, n, level, rows, root, m):
+    def __init__(self, n, level, rows, start, m):
         self.n = n
         self.level = level
-        self._rows = rows  # subset -> its n one-letter successors
-        self._root = root  # the full state set
-        self._m = m  # forced singleton subset -> m of its state
+        self._rows = rows  # state -> its n destinations
+        self._start = start
+        self._m = m  # forced state -> its m
 
     def __len__(self):
         return self.n**self.level
@@ -65,22 +70,22 @@ class PerWordM(Sequence):
             i += size
         if not 0 <= i < size:
             raise IndexError("per-word m index out of range")
-        S = self._root
+        q = self._start
         for place in range(self.level - 1, -1, -1):
-            S = self._rows[S][i // self.n**place % self.n]
-        return self._m[S]
+            q = self._rows[q][i // self.n**place % self.n]
+        return self._m[q]
 
     def __iter__(self):
         rows, m, k = self._rows, self._m, self.level
-        stack = [iter((self._root,))]  # a subset popped at height h is at depth h-1
+        stack = [iter((self._start,))]  # a state popped at height h is at depth h-1
         while stack:
-            S = next(stack[-1], None)
-            if S is None:
+            q = next(stack[-1], None)
+            if q is None:
                 stack.pop()
             elif len(stack) > k:
-                yield m[S]
+                yield m[q]
             else:
-                stack.append(iter(rows[S]))
+                stack.append(iter(rows[q]))
 
     def __eq__(self, other):
         if not isinstance(other, (PerWordM, tuple, list)):
@@ -115,11 +120,10 @@ def signature_report(T):
 def _signature(T, img):
     """signature_report(T) of a machine that meets its preconditions, given
     img = images(T)."""
-    k, counts, rows = subset_counts(T)
+    k, counts = sync_counts(T)
     m = {q: len(img[q].cones) for q in counts}
     sig = sum(count * m[q] for q, count in counts.items())
-    leaves = {frozenset((q,)): v for q, v in m.items()}
-    per = PerWordM(T.n, k, rows, frozenset(T.states), leaves)
+    per = PerWordM(T.n, k, _destination_rows(T), T.states[0], m)
     return SignatureReport(k, per, sig, residue(sig, T.n))
 
 
@@ -133,15 +137,17 @@ def validation_failure(T):
     return validate_core(T)[0]
 
 
-def validate_core(T):
+def validate_core(T, cap=10000):
     """(reason, img, closure): the reason is validation_failure(T); img is
-    images(T) and closure is inverse_closure(T) once validation has built
-    them, else None, so a caller can reuse them."""
+    images(T) and closure is inverse_closure(T, cap=cap) once validation has
+    built them, else None, so a caller can reuse them."""
     if not isinstance(T, Transducer):
         return "not a plain transducer", None, None
-    if not is_synchronizing(T):
+    try:
+        _, counts = sync_counts(T)
+    except NotSynchronizing:
         return "not synchronizing", None, None
-    if set(core(T).states) != set(T.states):
+    if set(counts) != set(T.states):
         return "not core: some states are not forced by long words", None, None
     try:
         img = images(T)
@@ -150,7 +156,7 @@ def validate_core(T):
     bad = non_injective_states(T, img)
     if bad:
         return f"state {bad[0]!r} is not injective", img, None
-    closure = inverse_closure(T, img=img)
+    closure = inverse_closure(T, cap=cap, img=img)
     if not is_synchronizing(closure):
         return "the inverse is not synchronizing", img, closure
     return None, img, closure

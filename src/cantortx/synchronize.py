@@ -1,15 +1,31 @@
-"""Synchronization: the collapsing procedure, minimal synchronizing level,
-and core extraction.
+"""Synchronization: the counted collapse, minimal synchronizing level, word
+counts per forced state, and core extraction.
 
 A machine is synchronizing when some length k exists with the property that
 the end state after reading any length-k word is independent of the start
-state.  Equivalently the underlying automaton collapses to a single state
-under repeated merging of states with identical transition rows.
+state; the least such k is the minimal synchronizing level.  Only the
+destinations matter, so every routine here reads the rows
+{state: destination per letter} (of the interior for an initial machine).
+
+The counted collapse merges states whose destination rows agree, then
+repeats on the quotient, counting its rounds.  Two facts make it exact:
+
+- After round j, two states are merged exactly when p.w = q.w for every
+  word w of length j (by induction: p and q merge in round j+1 exactly when
+  p.i and q.i were merged after round j for every letter i).  So the machine
+  synchronizes exactly when one state is left; the number of rounds until
+  then is the minimal synchronizing level; a round that merges nothing
+  leaves the relation fixed, so the machine does not synchronize; and since
+  every other round removes a state, the level is at most |Q| - 1.
+- Every word of length `level` sends every start state to the same end
+  state.  So the number of words of that length that force a state q is the
+  number of paths of that length from any one fixed start state to q, and
+  these counts are pushed one letter at a time in O(level * |Q| * n).
 """
 
 from __future__ import annotations
 
-from .transducer import Transducer, restrict
+from .transducer import restrict
 from .initial import InitialTransducer, underlying_interior
 
 
@@ -17,100 +33,66 @@ class NotSynchronizing(ValueError):
     pass
 
 
-class Automaton:
-    """Transition-only view: states plus a row of destinations per state."""
-
-    __slots__ = ("n", "rows")
-
-    def __init__(self, n, rows):
-        self.n = n
-        self.rows = dict(rows)  # state -> tuple of destinations
-
-    def __eq__(self, other):
-        return isinstance(other, Automaton) and (self.n, self.rows) == (other.n, other.rows)
-
-    def __repr__(self):
-        return f"<Automaton n={self.n} states={len(self.rows)}>"
-
-    @property
-    def states(self):
-        return tuple(self.rows)
-
-
-def automaton_of(T):
+def _destination_rows(T):
     if isinstance(T, InitialTransducer):
         T = underlying_interior(T)
-    return Automaton(T.n, {q: tuple(p for _, p in T.row(q)) for q in T.states})
+    return {q: tuple(p for _, p in T.row(q)) for q in T.states}
 
 
-def collapse(A):
-    """One collapsing step: merge states whose transition rows agree."""
-    if isinstance(A, (Transducer, InitialTransducer)):
-        A = automaton_of(A)
-    cls = {}
-    group = {}
-    for q, row in A.rows.items():
-        group[q] = cls.setdefault(row, len(cls))
-    rows = {}
-    for q, row in A.rows.items():
-        rows.setdefault(group[q], tuple(group[p] for p in row))
-    return Automaton(A.n, rows)
+def _collapse_rounds(rows):
+    """Rounds of the counted collapse of `rows` until one state is left:
+    the minimal synchronizing level, or None when a round merges nothing
+    (or there is no state at all)."""
+    level = 0
+    while len(rows) != 1:
+        cls = {}
+        group = {q: cls.setdefault(row, len(cls)) for q, row in rows.items()}
+        if len(cls) == len(rows):
+            return None
+        merged = {}
+        for q, row in rows.items():
+            merged.setdefault(group[q], tuple(group[p] for p in row))
+        rows = merged
+        level += 1
+    return level
 
 
-def collapse_fixpoint(A):
-    if isinstance(A, (Transducer, InitialTransducer)):
-        A = automaton_of(A)
-    while True:
-        B = collapse(A)
-        if len(B.rows) == len(A.rows):
-            return A
-        A = B
+def sync_counts(T):
+    """(level, counts): the minimal synchronizing level, and for each forced
+    state the number of words of that length that force it.  Raises
+    NotSynchronizing."""
+    rows = _destination_rows(T)
+    level = _collapse_rounds(rows)
+    if level is None:
+        raise NotSynchronizing("machine is not synchronizing")
+    counts = {next(iter(rows)): 1}
+    for _ in range(level):
+        nxt = {}
+        for q, count in counts.items():
+            for p in rows[q]:
+                nxt[p] = nxt.get(p, 0) + count
+        counts = nxt
+    return level, counts
 
 
 def is_synchronizing(T):
-    return len(collapse_fixpoint(T).rows) == 1
-
-
-def subset_counts(T):
-    """One pass over the subset images of the full state set: push a count of
-    words per subset through the letters until every subset is one state.
-
-    Returns (level, counts, rows): the minimal sync level; for each forced
-    state the number of words of that length that force it; and the
-    one-letter successors of every subset met before that level, enough to
-    replay the walk of any word.  The machine must be synchronizing."""
-    if not is_synchronizing(T):
-        raise NotSynchronizing("machine is not synchronizing")
-    A = automaton_of(T)
-    rows = {}
-    family = {frozenset(A.states): 1}
-    level = 0
-    while any(len(S) > 1 for S in family):
-        nxt = {}
-        for S, count in family.items():
-            row = rows.get(S)
-            if row is None:
-                row = rows[S] = tuple(
-                    frozenset(A.rows[q][i] for q in S) for i in range(A.n)
-                )
-            for C in row:
-                nxt[C] = nxt.get(C, 0) + count
-        family = nxt
-        level += 1
-    return level, {next(iter(S)): count for S, count in family.items()}, rows
+    return _collapse_rounds(_destination_rows(T)) is not None
 
 
 def minimal_sync_level(T):
     """Least k such that every length-k word forces the end state."""
-    return subset_counts(T)[0]
+    level = _collapse_rounds(_destination_rows(T))
+    if level is None:
+        raise NotSynchronizing("machine is not synchronizing")
+    return level
 
 
 def forced_state(T, word):
     """The state forced by `word`, which must be at least the sync level long."""
-    A = automaton_of(T)
-    S = set(A.states)
+    rows = _destination_rows(T)
+    S = set(rows)
     for i in word:
-        S = {A.rows[q][i] for q in S}
+        S = {rows[q][i] for q in S}
     if len(S) != 1:
         raise NotSynchronizing("word does not force a unique state")
     return next(iter(S))
@@ -118,7 +100,7 @@ def forced_state(T, word):
 
 def core_states(T):
     """States forced by words of the minimal synchronizing length."""
-    return set(subset_counts(T)[1])
+    return set(sync_counts(T)[1])
 
 
 def core(T):
@@ -126,6 +108,5 @@ def core(T):
     to its own core.  For an initial machine the forced states are taken
     among the states reachable from the initial state (the interior)."""
     if isinstance(T, InitialTransducer):
-        M = underlying_interior(T)
-        return restrict(M, sorted(core_states(M), key=str))
+        T = underlying_interior(T)
     return restrict(T, sorted(core_states(T), key=str))

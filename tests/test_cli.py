@@ -1,4 +1,6 @@
+import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +107,22 @@ class TestCommands:
         assert code == 0 and "a -1|0-> b" in out
 
 
+class TestInvertCap:
+    def test_one_closure_with_the_given_cap(self, tmp_path, capsys, record_calls):
+        path = write_example(tmp_path, capsys, "T:3")
+        _, want, _ = run(capsys, "invert", path)
+        calls = record_calls(("inverse_closure",))
+        code, out, _ = run(capsys, "invert", "--cap", "20000", path)
+        assert code == 0 and out == want
+        assert [call["cap"] for call in calls["inverse_closure"]] == [20000]
+
+    def test_cap_reached_exits_one(self, tmp_path, capsys):
+        path = write_example(tmp_path, capsys, "T:3")
+        code, out, err = run(capsys, "invert", "--cap", "1", path)
+        assert code == 1 and out == ""
+        assert err.strip() == "error: inverse closure passed 1 states"
+
+
 class TestPipelines:
     def test_stdin_stdout_composition(self):
         import subprocess
@@ -198,3 +216,64 @@ class TestErrors:
         path = write_example(tmp_path, capsys, "g4")
         code, _, err = run(capsys, "member", "--r", "7", path)
         assert code == 1 and "root count" in err
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_sync.json"
+GOLDEN_EXAMPLES = ("g4", "T:3", "U:4", "A:3", "B:3", "piR:3")
+INVERTIBLE_EXAMPLES = ("g4", "T:3", "U:4", "piR:3")
+
+
+def stdout_of(capsys, *argv):
+    """stdout of one successful command, with the timing dropped from a
+    --json report so that the text is reproducible."""
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    if "--json" in argv:
+        report = json.loads(out)
+        report.pop("elapsed_ms")
+        out = json.dumps(report, sort_keys=True) + "\n"
+    return out
+
+
+def golden_outputs(capsys, monkeypatch, tmp_path):
+    """stdout of sync-level, core and sig, plain and --json, and of invert
+    (on the core elements, with and without --cap) on the built-in examples,
+    and of the README pipeline `tx realize --r 3 g4.tx | tx core -
+    | tx sig -` (with sync-level on the realized machine too), keyed by the
+    command line."""
+    monkeypatch.chdir(tmp_path)
+    got = {}
+    for name in GOLDEN_EXAMPLES:
+        path = f"{name.replace(':', '_')}.tx"
+        (tmp_path / path).write_text(stdout_of(capsys, "example", "--name", name))
+        for command in ("sync-level", "core", "sig"):
+            for flags in ((), ("--json",)):
+                argv = (command, *flags, path)
+                got[" ".join(argv)] = stdout_of(capsys, *argv)
+        if name in INVERTIBLE_EXAMPLES:
+            for flags in ((), ("--cap", "20000")):
+                argv = ("invert", *flags, path)
+                got[" ".join(argv)] = stdout_of(capsys, *argv)
+    realized = stdout_of(capsys, "realize", "--r", "3", "g4.tx")
+    monkeypatch.setattr("sys.stdin", io.StringIO(realized))
+    core = stdout_of(capsys, "core", "-")
+    got["realize --r 3 g4.tx"] = realized
+    got["realize --r 3 g4.tx | core -"] = core
+    for head, text, command in (("realize --r 3 g4.tx |", realized, "sync-level"),
+                                ("realize --r 3 g4.tx | core - |", core, "sig")):
+        for flags in ((), ("--json",)):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            got[" ".join((head, command, *flags, "-"))] = stdout_of(capsys, command, *flags, "-")
+    return got
+
+
+class TestGoldenOutputs:
+    """The synchronization commands and invert print, byte for byte, what is
+    recorded in tests/golden/cli_sync.json."""
+
+    def test_sync_level_core_sig(self, capsys, monkeypatch, tmp_path):
+        want = json.loads(GOLDEN.read_text())
+        got = golden_outputs(capsys, monkeypatch, tmp_path)
+        assert got.keys() == want.keys()
+        for line, out in got.items():
+            assert out == want[line], line

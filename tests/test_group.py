@@ -229,3 +229,21 @@ class TestCoreInvariantError:
         assert issubclass(CoreInvariantError, RuntimeError)
         assert CoreInvariantError in DOMAIN_ERRORS
         assert cantortx.CoreInvariantError is CoreInvariantError
+
+
+class TestProductWork:
+    """One group product synchronizes each machine it checks once: the
+    minimized product in canonical_core and the result in validation run the
+    counting routine, and the inverse closure runs only the round loop."""
+
+    def test_sync_calls(self, record_calls):
+        t3 = GroupElement.from_machine(machine_T(3))
+        acc = t3
+        for _ in range(7):
+            acc = group_product(acc, t3)
+        calls = record_calls(("sync_counts", "is_synchronizing", "_collapse_rounds"))
+        result = group_product(acc, t3)
+        assert len(result.machine.states) == 11
+        assert len(calls["sync_counts"]) == 2
+        assert len(calls["is_synchronizing"]) == 1
+        assert len(calls["_collapse_rounds"]) == 3

@@ -1,24 +1,22 @@
+"""Synchronization against a reference: the subset-family implementation
+that the counted collapse replaced, kept below verbatim.  The reference
+defines its own is_synchronizing, so the library's synchronization routines
+are called as sync.*."""
+
 import random
 from itertools import product as cartesian
 
 import pytest
 
+from cantortx import synchronize as sync
 from cantortx.transducer import Transducer, evaluate
-from cantortx.synchronize import (
-    NotSynchronizing,
-    automaton_of,
-    collapse,
-    collapse_fixpoint,
-    core,
-    core_states,
-    forced_state,
-    is_synchronizing,
-    minimal_sync_level,
-)
+from cantortx.initial import InitialTransducer, underlying_interior
+from cantortx.synchronize import NotSynchronizing, core, forced_state
 from cantortx.machines import (
     identity_transducer,
     letter_complement,
     machine_T,
+    machine_U,
     machine_g4,
     oplus,
     swap_transducer,
@@ -26,7 +24,95 @@ from cantortx.machines import (
     from_prefix_exchange,
     PrefixExchange,
 )
-from cantortx.group import canonical_core
+from cantortx.group import GroupElement, canonical_core, group_product, invert_element
+
+
+# --- reference: the subset family, as it stood in cantortx.synchronize -----
+
+class Automaton:
+    """Transition-only view: states plus a row of destinations per state."""
+
+    __slots__ = ("n", "rows")
+
+    def __init__(self, n, rows):
+        self.n = n
+        self.rows = dict(rows)  # state -> tuple of destinations
+
+    def __eq__(self, other):
+        return isinstance(other, Automaton) and (self.n, self.rows) == (other.n, other.rows)
+
+    def __repr__(self):
+        return f"<Automaton n={self.n} states={len(self.rows)}>"
+
+    @property
+    def states(self):
+        return tuple(self.rows)
+
+
+def automaton_of(T):
+    if isinstance(T, InitialTransducer):
+        T = underlying_interior(T)
+    return Automaton(T.n, {q: tuple(p for _, p in T.row(q)) for q in T.states})
+
+
+def collapse(A):
+    """One collapsing step: merge states whose transition rows agree."""
+    if isinstance(A, (Transducer, InitialTransducer)):
+        A = automaton_of(A)
+    cls = {}
+    group = {}
+    for q, row in A.rows.items():
+        group[q] = cls.setdefault(row, len(cls))
+    rows = {}
+    for q, row in A.rows.items():
+        rows.setdefault(group[q], tuple(group[p] for p in row))
+    return Automaton(A.n, rows)
+
+
+def collapse_fixpoint(A):
+    if isinstance(A, (Transducer, InitialTransducer)):
+        A = automaton_of(A)
+    while True:
+        B = collapse(A)
+        if len(B.rows) == len(A.rows):
+            return A
+        A = B
+
+
+def is_synchronizing(T):
+    return len(collapse_fixpoint(T).rows) == 1
+
+
+def subset_counts(T):
+    """One pass over the subset images of the full state set: push a count of
+    words per subset through the letters until every subset is one state.
+
+    Returns (level, counts, rows): the minimal sync level; for each forced
+    state the number of words of that length that force it; and the
+    one-letter successors of every subset met before that level, enough to
+    replay the walk of any word.  The machine must be synchronizing."""
+    if not is_synchronizing(T):
+        raise NotSynchronizing("machine is not synchronizing")
+    A = automaton_of(T)
+    rows = {}
+    family = {frozenset(A.states): 1}
+    level = 0
+    while any(len(S) > 1 for S in family):
+        nxt = {}
+        for S, count in family.items():
+            row = rows.get(S)
+            if row is None:
+                row = rows[S] = tuple(
+                    frozenset(A.rows[q][i] for q in S) for i in range(A.n)
+                )
+            for C in row:
+                nxt[C] = nxt.get(C, 0) + count
+        family = nxt
+        level += 1
+    return level, {next(iter(S)): count for S, count in family.items()}, rows
+
+
+# --- pools ------------------------------------------------------------------
 
 
 def swap_automaton():
@@ -40,27 +126,97 @@ def swap_automaton():
     )
 
 
+def random_table(rng, n, k):
+    states = list(range(k))
+    return Transducer(
+        n, {q: {i: ((i,), rng.choice(states)) for i in range(n)} for q in states}
+    )
+
+
+def element_pool():
+    """T and U at n = 3..5, powers 1..16, and 45 seeded random products of
+    T^+-1 and U^+-1: 141 core machines."""
+    pool = []
+    gens = {}
+    for n in (3, 4, 5):
+        for make in (machine_T, machine_U):
+            g = GroupElement.from_machine(make(n))
+            gens.setdefault(n, []).extend((g, invert_element(g)))
+            acc = g
+            for _ in range(16):
+                pool.append(acc.machine)
+                acc = group_product(acc, g)
+    rng = random.Random(2019)
+    for _ in range(45):
+        choices = gens[rng.choice((3, 4, 5))]
+        acc = rng.choice(choices)
+        for _ in range(rng.randrange(1, 6)):
+            acc = group_product(acc, rng.choice(choices))
+        pool.append(acc.machine)
+    return pool
+
+
+def random_tables():
+    """3000 seeded random destination tables, n = 2..4 and |Q| = 1..9; most
+    of them do not synchronize."""
+    rng = random.Random(3000)
+    return [random_table(rng, rng.randint(2, 4), rng.randint(1, 9)) for _ in range(3000)]
+
+
+def assert_agrees(T):
+    """The library's answers on T are the reference's; returns whether T
+    synchronizes."""
+    synchronizing = is_synchronizing(T)
+    assert sync.is_synchronizing(T) == synchronizing
+    if not synchronizing:
+        for fn in (sync.minimal_sync_level, sync.sync_counts, sync.core_states):
+            with pytest.raises(NotSynchronizing):
+                fn(T)
+        return False
+    level, counts, _ = subset_counts(T)
+    assert sync.minimal_sync_level(T) == level
+    assert sync.sync_counts(T) == (level, counts)
+    assert sync.core_states(T) == set(counts)
+    assert level <= len(automaton_of(T).rows) - 1
+    return True
+
+
+class TestDifferential:
+    def test_element_pool(self):
+        elements = element_pool()
+        assert len(elements) == 141
+        assert all(assert_agrees(T) for T in elements)
+
+    def test_random_tables(self):
+        tables = random_tables()
+        synchronizing = sum(assert_agrees(T) for T in tables)
+        assert 0 < synchronizing < len(tables) // 4
+
+    def test_state_wrapper_initial_machines(self):
+        for M in (machine_g4(), machine_T(3), machine_U(4), letter_complement(3)):
+            for q in M.states:
+                for r in range(1, M.n):
+                    assert assert_agrees(state_wrapper(M, q, r))
+
+
 class TestCollapse:
+    """The counted collapse's rounds, against the reference collapse."""
+
     def test_g_collapses_in_one_step(self):
         assert len(collapse(machine_g4()).rows) == 1
+        assert sync.minimal_sync_level(machine_g4()) == 1
 
     def test_single_states_stay(self):
-        assert len(collapse(identity_transducer(3)).rows) == 1
-        assert len(collapse(letter_complement(5)).rows) == 1
+        for M in (identity_transducer(3), letter_complement(5)):
+            assert len(collapse(M).rows) == 1
+            assert sync.sync_counts(M) == (0, {M.states[0]: 1})
 
     def test_never_increases_and_reaches_fixpoint(self):
         rng = random.Random(7)
         for _ in range(40):
             n = rng.choice([2, 3])
             k = rng.randint(1, 6)
-            states = list(range(k))
-            T = Transducer(
-                n,
-                {
-                    q: {i: (((i % n),), rng.choice(states)) for i in range(n)}
-                    for q in states
-                },
-            )
+            T = random_table(rng, n, k)
             A = automaton_of(T)
             sizes = [len(A.rows)]
             for _ in range(k + 2):
@@ -68,13 +224,27 @@ class TestCollapse:
                 sizes.append(len(A.rows))
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
             assert sizes[k] == sizes[k + 1]  # fixpoint within |Q| steps
+            # the counted collapse stops after the rounds that shrink, at
+            # most |Q| - 1 of them, and only once one state is left
+            shrinking = sum(a > b for a, b in zip(sizes, sizes[1:]))
+            if sizes[-1] == 1:
+                assert sync.minimal_sync_level(T) == shrinking <= k - 1
+            else:
+                assert not sync.is_synchronizing(T)
+
+    def test_no_states_is_not_synchronizing(self):
+        empty = Transducer(2, {})
+        assert not is_synchronizing(empty)
+        assert not sync.is_synchronizing(empty)
+        with pytest.raises(NotSynchronizing):
+            sync.sync_counts(empty)
 
 
 class TestIsSynchronizing:
     def test_examples(self):
-        assert is_synchronizing(machine_g4())
-        assert not is_synchronizing(swap_automaton())
-        assert is_synchronizing(oplus(2, swap_transducer(), 4))
+        assert sync.is_synchronizing(machine_g4())
+        assert not sync.is_synchronizing(swap_automaton())
+        assert sync.is_synchronizing(oplus(2, swap_transducer(), 4))
 
     def test_agrees_with_word_enumeration(self):
         # brute-force definition: some k <= 8 where every length-k word
@@ -99,28 +269,30 @@ class TestIsSynchronizing:
                 ):
                     brute = True
                     break
-            assert is_synchronizing(T) == brute
+            assert sync.is_synchronizing(T) == brute
 
 
 class TestSyncLevel:
     def test_examples(self):
-        assert minimal_sync_level(machine_g4()) == 1
-        assert minimal_sync_level(identity_transducer(3)) == 0
+        assert sync.minimal_sync_level(machine_g4()) == 1
+        assert sync.minimal_sync_level(identity_transducer(3)) == 0
         # letter 0 maps {a,b,c} to {b,c}, so level 1 fails; level 2 works
         T = machine_T(3)
         assert {evaluate(T, q, (0,))[1] for q in T.states} == {"b", "c"}
         for w in cartesian(range(3), repeat=2):
             assert len({evaluate(T, q, w)[1] for q in T.states}) == 1
-        assert minimal_sync_level(T) == 2
+        assert sync.minimal_sync_level(T) == 2
 
     def test_requires_synchronizing(self):
         with pytest.raises(NotSynchronizing):
-            minimal_sync_level(swap_automaton())
+            sync.minimal_sync_level(swap_automaton())
 
     def test_forced_state(self):
         g = machine_g4()
         assert forced_state(g, (0,)) == "a"
         assert forced_state(g, (1,)) == "b"
+        with pytest.raises(NotSynchronizing):
+            forced_state(machine_T(3), (0,))
 
 
 class TestCore:
