@@ -10,18 +10,20 @@ from enum import Enum
 from .words import InvalidInput, rotation_class_of
 from .transducer import (
     Transducer,
-    behavior_partition,
+    bfs_numbering,
+    common_prefixes,
     evaluate,
     minimize_rooted,
+    partition_rows,
     product,
     quotient_rows,
-    relabel,
-    strip_common_prefixes,
+    renamed_rows,
+    strip_rows,
 )
 from .synchronize import core
 from .images import Orientation, orientation
 from .invert import inverse_closure
-from .signature import signature_report, validate_core, validation_failure
+from .signature import signature_report, validate_core, validate_synchronizing_core
 
 
 def canonical_core(T):
@@ -30,27 +32,19 @@ def canonical_core(T):
     relabel by the breadth-first order minimizing the serialized table over
     all start states (core machines have no distinguished root)."""
     C = core(T)
-    S = strip_common_prefixes(C)
-    M = Transducer._from_rows(S.n, quotient_rows(S._rows, behavior_partition(S)))
-    rows = M._rows
+    rows = strip_rows(C._rows, common_prefixes(C))
+    part = partition_rows(rows)
+    blocks = quotient_rows(rows, part)
     best = None
-    for start in M.states:
-        names = {start: 0}
-        order = [start]
-        k = 0
-        while k < len(order):
-            q = order[k]
-            k += 1
-            for _, p in rows[q]:
-                if p not in names:
-                    names[p] = len(names)
-                    order.append(p)
-        if len(order) != len(M.states):
+    for start in blocks:
+        names = bfs_numbering(blocks, [start])
+        if len(names) != len(blocks):
             continue  # not strongly connected from here; cores always are
-        key = tuple((w, names[p]) for q in order for w, p in rows[q])
+        key = tuple((w, names[p]) for q in names for w, p in blocks[q])
         if best is None or key < best[0]:
             best = (key, names)
-    return relabel(M, {q: str(v) for q, v in best[1].items()})
+    names = best[1]
+    return Transducer._from_rows(C.n, renamed_rows(blocks, {b: names[b] for b in blocks}))
 
 
 class GroupElement:
@@ -66,12 +60,13 @@ class GroupElement:
         self._orient = None
 
     @classmethod
-    def from_machine(cls, T, validate=True):
+    def from_machine(cls, T):
+        """The element of T's canonical core, validated; canonical_core
+        makes a synchronizing core, so validation checks the rest."""
         M = canonical_core(T)
-        if validate:
-            fail = validation_failure(M)
-            if fail is not None:
-                raise InvalidInput(f"not a valid core element: {fail}")
+        fail = validate_synchronizing_core(M)[0]
+        if fail is not None:
+            raise InvalidInput(f"not a valid core element: {fail}")
         return cls(M)
 
     @property
@@ -122,12 +117,11 @@ def group_product(g, h):
         raise InvalidInput("product of elements over different alphabets")
     P = product(g.machine, h.machine)
     root = (g.machine.states[0], h.machine.states[0])
-    M, entry = minimize_rooted(P, root)
-    result = GroupElement.from_machine(M, validate=False)
-    fail = validation_failure(result.machine)
+    M = canonical_core(minimize_rooted(P, root)[0])
+    fail = validate_synchronizing_core(M)[0]
     if fail is not None:
         raise ProductLeftGroup(f"product left the group, inputs were invalid: {fail}")
-    return result
+    return GroupElement(M)
 
 
 def invert_element(g, root=None):

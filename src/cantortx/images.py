@@ -26,7 +26,7 @@ from .words import (
     whole_space,
     GREATER,
 )
-from .transducer import check_productive, evaluate_periodic, reachable
+from .transducer import Transducer, check_productive, evaluate_periodic
 from .initial import DONE, split_rooted
 
 
@@ -71,52 +71,71 @@ def images(T, max_iter=32):
     )
 
 
-def image(T, q, max_iter=32):
-    return images(T, max_iter)[q]
+def image(T, q):
+    return images(T)[q]
 
 
-def m_of_state(T, q, max_iter=32):
+def m_of_state(T, q):
     """Size of the smallest set of cones inside the image that covers it;
     this is the size of the canonical antichain."""
-    return len(image(T, q, max_iter).cones)
+    return len(image(T, q).cones)
 
 
-def _branches_disjoint(T, img, p):
-    """Are the images of the n branches at state p pairwise disjoint?"""
-    pieces = [img[d].shift(w) for w, d in T.row(p)]
+def _rooted_branch(A, img, w, p):
+    """The image of the branch of the plain or initial machine A that
+    outputs w and moves to p, given the images img."""
+    root, tail = split_rooted(w)
+    target = img[p]
+    if root is None:
+        if isinstance(target, RootedClopen):
+            # pending output, pending successor: the structure rules make
+            # the tail empty here, so the branch image is the target's
+            return target
+        return target.shift(tail)
+    parts = [empty_clopen(A.n)] * A.r
+    parts[root] = target.shift(tail)
+    return RootedClopen(A.n, A.r, parts)
+
+
+def _branches_disjoint(M, img, p):
+    """Are the images of the branches at state p pairwise disjoint?"""
+    if isinstance(M, Transducer):  # plain outputs carry no root marker
+        pieces = [img[d].shift(w) for w, d in M.row(p)]
+    else:
+        pieces = [_rooted_branch(M, img, w, d) for w, d in M.row(p)]
     return all(a.disjoint(b) for a, b in combinations(pieces, 2))
 
 
-def is_injective_state(T, q, max_iter=32, img=None):
-    """True iff h_q is injective: at every state reachable from q the images
-    of distinct branches are pairwise disjoint.  `img` is images(T) when the
-    caller already has it."""
-    if img is None:
-        img = images(T, max_iter)
-    return all(_branches_disjoint(T, img, p) for p in reachable(T, [q]))
-
-
-def non_injective_states(T, img):
-    """The states q, in state order, with h_q not injective, given
-    img = images(T): each state's branches are checked once, then one
+def non_injective_states(M, img):
+    """The states q, in state order, with h_q not injective, given the
+    images img of the plain or initial machine M (images or
+    images_initial): each state's branches are checked once, then one
     reverse-reachability sweep adds every state that reaches a state whose
     branch images overlap."""
-    preds = {q: [] for q in T.states}
-    for p in T.states:
-        for _, d in T.row(p):
+    preds = {q: [] for q in M.states}
+    for p in M.states:
+        for _, d in M.row(p):
             preds[d].append(p)
-    stack = [p for p in T.states if not _branches_disjoint(T, img, p)]
+    stack = [p for p in M.states if not _branches_disjoint(M, img, p)]
     bad = set(stack)
     while stack:
         for p in preds[stack.pop()]:
             if p not in bad:
                 bad.add(p)
                 stack.append(p)
-    return [q for q in T.states if q in bad]
+    return [q for q in M.states if q in bad]
 
 
-def is_homeomorphism_state(T, q, max_iter=32):
-    img = images(T, max_iter)
+def is_injective_state(T, q, img=None):
+    """True iff h_q is injective: at every state reachable from q the images
+    of distinct branches are pairwise disjoint.  `img` is images(T) when the
+    caller already has it."""
+    T.row(q)  # an unknown state is an error, not an injective state
+    return q not in non_injective_states(T, images(T) if img is None else img)
+
+
+def is_homeomorphism_state(T, q):
+    img = images(T)
     return img[q].is_whole() and is_injective_state(T, q, img=img)
 
 
@@ -126,7 +145,7 @@ class Orientation(Enum):
     NEITHER = "neither"
 
 
-def orientation(T, max_iter=32):
+def orientation(T):
     """Lexicographic orientation decided by the boundary condition at every
     state: for letters x < y the image of x.(n-1)^w must not exceed the image
     of y.0^w (preserving), or the mirrored inequality must hold (reversing).
@@ -136,7 +155,7 @@ def orientation(T, max_iter=32):
     respects the endpoint identifications of the circle quotient; that is a
     theorem about these machines, so no separate check exists for it."""
     try:
-        img = images(T, max_iter)
+        img = images(T)
     except NotClopenImage:
         return Orientation.NEITHER
     if non_injective_states(T, img):
@@ -175,9 +194,9 @@ class StateReport:
     homeomorphism: bool
 
 
-def analyze(T, max_iter=32):
+def analyze(T):
     """One StateReport per state plus the machine orientation."""
-    img = images(T, max_iter)
+    img = images(T)
     bad = set(non_injective_states(T, img))
     reports = {
         q: StateReport(
@@ -192,22 +211,6 @@ def analyze(T, max_iter=32):
 
 
 # --- images over the r-rooted space ---------------------------------------
-
-
-def _rooted_branch(A, img, w, p):
-    """The image of the branch that outputs w and moves to p, given the
-    images img."""
-    root, tail = split_rooted(w)
-    target = img[p]
-    if root is None:
-        if isinstance(target, RootedClopen):
-            # pending output, pending successor: the structure rules make
-            # the tail empty here, so the branch image is the target's
-            return target
-        return target.shift(tail)
-    parts = [empty_clopen(A.n)] * A.r
-    parts[root] = target.shift(tail)
-    return RootedClopen(A.n, A.r, parts)
 
 
 def images_initial(A, max_iter=32):
@@ -228,19 +231,13 @@ def images_initial(A, max_iter=32):
     return _fixpoint(A, img, value, max_iter)
 
 
-def is_injective_initial(A, max_iter=32, img=None):
+def is_injective_initial(A, img=None):
     """True iff at every state the images of distinct branches are pairwise
     disjoint.  `img` is images_initial(A) when the caller already has it."""
-    if img is None:
-        img = images_initial(A, max_iter)
-    return all(
-        a.disjoint(b)
-        for q in A.states
-        for a, b in combinations([_rooted_branch(A, img, w, p) for w, p in A.row(q)], 2)
-    )
+    return not non_injective_states(A, images_initial(A) if img is None else img)
 
 
-def is_homeomorphism_initial(A, max_iter=32):
+def is_homeomorphism_initial(A):
     """True iff the induced map of C_{n,r} is a homeomorphism."""
-    img = images_initial(A, max_iter)
+    img = images_initial(A)
     return is_injective_initial(A, img=img) and img[A.root].is_whole()

@@ -27,10 +27,13 @@ from .words import (
 from .transducer import (
     DegenerateTransducer,
     Transducer,
+    bfs_numbering,
     check_productive,
     common_prefixes,
     partition_rows,
+    pump_period,
     quotient_rows,
+    renamed_rows,
     strip_rows,
 )
 
@@ -232,17 +235,7 @@ def evaluate_initial(A, a, w):
 def evaluate_periodic_initial(A, a, x):
     """Image of the point .a x, x eventually periodic: (output root, point)."""
     head, q = evaluate_initial(A, a, x.pre)
-    seen = {q: 0}
-    chunks = []
-    while True:
-        piece, q = run(A, q, x.per)
-        chunks.append(piece)
-        if q in seen:
-            start = seen[q]
-            break
-        seen[q] = len(chunks)
-    pre = head + sum(chunks[:start], ())
-    per = sum(chunks[start:], ())
+    pre, per = pump_period(run, A, head, q, x.per)
     root, tail = split_rooted(pre)
     if root is None or not per:
         raise DegenerateTransducer("initial machine produced a degenerate output")
@@ -278,32 +271,22 @@ def minimize_initial(A, bound=64):
 
     The non-initial states are a plain machine's rows: their forced outputs
     are pushed upstream (the initial state keeps its behaviour), equivalent
-    ones are merged, and the blocks are named breadth-first from the entry
-    row."""
+    ones are merged, and the entry row and the blocks are named
+    breadth-first from the entry row."""
     c = common_prefixes(A, bound, states=A.states[1:])
     c[A.root] = EMPTY
     rows = strip_rows(A._rows, c)
     entry = rows.pop(A.root)
     part = partition_rows(rows)
     blocks = quotient_rows(rows, part)
-    names = {}
-    order = []
-
-    def name(b):
-        if b not in names:
-            names[b] = str(len(names) + 1)
-            order.append(b)
-        return names[b]
-
-    root_table = {a: (w, name(part[p])) for a, (w, p) in enumerate(entry)}
-    table = {}
-    for b in order:  # grows while it is read: breadth-first
-        table[names[b]] = {i: (w, name(p)) for i, (w, p) in enumerate(blocks[b])}
-    return InitialTransducer(A.n, A.r, root_table, table, root="0")
+    blocks[None] = tuple((w, part[p]) for w, p in entry)  # None is no block index
+    names = bfs_numbering(blocks, [None])
+    table = {q: dict(enumerate(row)) for q, row in renamed_rows(blocks, names).items()}
+    return InitialTransducer(A.n, A.r, table.pop("0"), table, root="0")
 
 
-def initial_equal(A, B, bound=64):
-    return minimize_initial(A, bound) == minimize_initial(B, bound)
+def initial_equal(A, B):
+    return minimize_initial(A) == minimize_initial(B)
 
 
 def underlying_interior(A):

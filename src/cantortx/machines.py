@@ -5,6 +5,7 @@ core element as an initial machine over the r-rooted space."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 from .words import (
     EMPTY,
@@ -337,12 +338,11 @@ def _minus(a, b):
     return a.intersection(b.complement())
 
 
-def expand_viable(T, v, index, img=None):
+def expand_viable(T, v, index):
     """Replace entry `index` by its n children; the result is again viable and
     longer by n-1 entries."""
     if not (0 <= index < len(v)):
         raise InvalidInput("expansion index out of range")
-    img = img or images(T)
     rho, p = v.prefixes[index], v.states[index]
     kids = [(rho + T.output(p, l), T.dest(p, l)) for l in range(T.n)]
     prefixes = v.prefixes[:index] + tuple(w for w, _ in kids) + v.prefixes[index + 1:]
@@ -354,14 +354,14 @@ class NotOrderable(RuntimeError):
     pass
 
 
+_lex_key = cmp_to_key(lex_compare_evp)  # the exact order of infinite words
+
+
 def reorder_lexicographic(T, v, img=None):
     """Sort the entries so each piece lies entirely below the next in the
     lexicographic order; fails if the pieces do not separate."""
     img = img or images(T)
-    entries = sorted(
-        v.entries(),
-        key=lambda e: _point_key(piece_of(T, img, *e).min_point()),
-    )
+    entries = sorted(v.entries(), key=lambda e: _lex_key(piece_of(T, img, *e).min_point()))
     pieces = [piece_of(T, img, w, q) for w, q in entries]
     for a, b in zip(pieces, pieces[1:]):
         if lex_compare_evp(a.max_point(), b.min_point()) != LESS:
@@ -369,10 +369,6 @@ def reorder_lexicographic(T, v, img=None):
     return ViableCombination(
         tuple(w for w, _ in entries), tuple(q for _, q in entries)
     )
-
-
-def _point_key(x):
-    return tuple(x.letter(i) for i in range(64))
 
 
 # --- realization over r roots ----------------------------------------------
@@ -508,22 +504,32 @@ def realize(T, r, ordered=True, max_prefix_depth=3, max_size=None):
         raise RealizeError(f"element is not realizable over {r} roots: {reason}")
 
     if orient is Orientation.REVERSING:
-        flip = group.GroupElement.from_machine(letter_complement(T.n))
-        partner = group.group_product(group.GroupElement.from_machine(T), flip)
-        M = realize(partner.machine, r, ordered=True,
-                    max_prefix_depth=max_prefix_depth, max_size=max_size)
-        out = minimize_initial(product_initial(M, reversing_complement_wrapper(T.n, r)))
-        _verify_realization(out, T, ordered)
-        return out
+        # the partner T . (letter complement) preserves the order and is a
+        # member at r; group_product validates it.  The product is rooted at
+        # the first state of each factor, so T enters in canonical form.
+        flip = group.GroupElement(letter_complement(T.n))
+        g = group.GroupElement(group.canonical_core(T))
+        partner = group.group_product(g, flip).machine
+        raw = _construct(partner, r, True, images(partner), max_prefix_depth, max_size)
+        raw = product_initial(raw, reversing_complement_wrapper(T.n, r))
+    else:
+        raw = _construct(T, r, ordered, img, max_prefix_depth, max_size)
+    out = minimize_initial(raw)
+    _verify_realization(out, T, ordered)
+    return out
 
+
+def _construct(T, r, ordered, img, max_prefix_depth, max_size):
+    """The unminimized initial machine over r roots with core T that realize
+    builds, given img = images(T) of a valid member T that is not reversing:
+    a homeomorphism-state wrapper when one fits, else blocks assembled from
+    a (lexicographic) viable combination."""
     for q in T.states:
         # membership validated T, so every state is injective
         if img[q].is_whole():
             raw = state_wrapper(T, q, r)
             if not ordered or _check_circle_map(raw, [(a, EMPTY) for a in range(r)]):
-                out = minimize_initial(raw)
-                _verify_realization(out, T, ordered)
-                return out
+                return raw
 
     combos = viable_combinations(T, max_prefix_depth, max_size, limit=8, img=img)
     if not combos:
@@ -537,9 +543,7 @@ def realize(T, r, ordered=True, max_prefix_depth=3, max_size=None):
         if ordered and not _check_circle_map(raw, leaves):
             errors.append("assembled map broke a circle gluing")
             continue
-        out = minimize_initial(raw)
-        _verify_realization(out, T, ordered)
-        return out
+        return raw
     raise RealizeError("; ".join(errors) or "no combination assembled")
 
 

@@ -149,6 +149,13 @@ def validate_core(T, cap=10000):
         return "not synchronizing", None, None
     if set(counts) != set(T.states):
         return "not core: some states are not forced by long words", None, None
+    return validate_synchronizing_core(T, cap)
+
+
+def validate_synchronizing_core(T, cap=10000):
+    """validate_core(T) for a plain T that is known to be synchronizing and
+    its own core, as canonical_core makes it: only the images, injectivity
+    and the inverse closure and its synchronization are checked."""
     try:
         img = images(T)
     except NotClopenImage:

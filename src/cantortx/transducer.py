@@ -166,25 +166,31 @@ def check_productive(T, states=None):
                 stack.append((p, 0))
 
 
+def bfs_numbering(rows, roots):
+    """{state: index} of the states of rows {state: row} reachable from the
+    roots, numbered breadth-first with letters ascending; the dict iterates
+    in that order."""
+    order = list(dict.fromkeys(roots))
+    names = {q: k for k, q in enumerate(order)}
+    for q in order:  # grows while it is read
+        for _, p in rows[q]:
+            if p not in names:
+                names[p] = len(order)
+                order.append(p)
+    return names
+
+
+def renamed_rows(rows, names):
+    """The rows of the states in names {state: index}, in the order of
+    names, with every state renamed str(index)."""
+    return {
+        str(k): tuple((w, str(names[p])) for w, p in rows[q]) for q, k in names.items()
+    }
+
+
 def reachable(T, roots):
     """States reachable from the given roots, BFS order, letters ascending."""
-    order = []
-    seen = set()
-    queue = list(roots)
-    for q in queue:
-        if q not in seen:
-            seen.add(q)
-            order.append(q)
-    rows = T._rows
-    k = 0
-    while k < len(order):
-        q = order[k]
-        k += 1
-        for _, p in rows[q]:
-            if p not in seen:
-                seen.add(p)
-                order.append(p)
-    return order
+    return list(bfs_numbering(T._rows, roots))
 
 
 def restrict(T, states):
@@ -228,6 +234,23 @@ def product(A, B):
     return Transducer._from_rows(A.n, rows)
 
 
+def pump_period(walk, M, head, q, per):
+    """Pump the period word `per` from state q of M, where walk(M, q, w)
+    runs w as evaluate and run do, until the state repeats at a period
+    boundary: (head followed by the output before the cycle, the output
+    around the cycle)."""
+    seen = {q: 0}
+    chunks = []
+    while True:
+        piece, q = walk(M, q, per)
+        chunks.append(piece)
+        if q in seen:
+            break
+        seen[q] = len(chunks)
+    start = seen[q]
+    return head + sum(chunks[:start], ()), sum(chunks[start:], ())
+
+
 def evaluate_periodic(T, q, x):
     """The image of the eventually periodic point x under the state map of q,
     again as an eventually periodic point.
@@ -235,19 +258,7 @@ def evaluate_periodic(T, q, x):
     Runs the preperiod, then pumps the period until the machine state repeats
     at a period boundary."""
     head, s = evaluate(T, q, x.pre)
-    seen = {s: 0}
-    chunks = []
-    states = [s]
-    while True:
-        piece, s = evaluate(T, s, x.per)
-        chunks.append(piece)
-        if s in seen:
-            start = seen[s]
-            break
-        seen[s] = len(chunks)
-        states.append(s)
-    pre = head + sum(chunks[:start], ())
-    per = sum(chunks[start:], ())
+    pre, per = pump_period(evaluate, T, head, s, x.per)
     if not per:
         raise DegenerateTransducer(
             "state map produces a finite output on an infinite input"
@@ -334,11 +345,11 @@ def strip_rows(rows, c):
     }
 
 
-def strip_common_prefixes(T, bound=64):
+def strip_common_prefixes(T):
     """Push every state's forced output upstream: the result has no state of
     incomplete response, and the state map of q changes from h to
     (forced prefix of q)^-1 . h."""
-    return Transducer._from_rows(T.n, strip_rows(T._rows, common_prefixes(T, bound)))
+    return Transducer._from_rows(T.n, strip_rows(T._rows, common_prefixes(T)))
 
 
 def partition_rows(rows):
@@ -375,23 +386,21 @@ def quotient_rows(rows, part):
     return out
 
 
-def behavior_partition(T, states=None):
+def behavior_partition(T):
     """Coarsest partition of a complete-response machine in which equivalent
     states have equal letter outputs and equivalent successors.  On such a
     machine two states are in one block iff their state maps are equal.
 
     Returns {state: block index}, block indices deterministic."""
-    rows = T._rows
-    return partition_rows(rows if states is None else {q: rows[q] for q in states})
+    return partition_rows(T._rows)
 
 
-def omega_equivalent(T, q1, q2, bound=64):
+def omega_equivalent(T, q1, q2):
     """True iff the two states induce the same map on infinite words."""
-    c = common_prefixes(T, bound)
+    c = common_prefixes(T)
     if c[q1] != c[q2]:
         return False
-    S = strip_common_prefixes(T, bound)
-    part = behavior_partition(S)
+    part = partition_rows(strip_rows(T._rows, c))
     return part[q1] == part[q2]
 
 
@@ -405,14 +414,14 @@ def remove_incomplete_response_rooted(T, root, bound=64):
     Interior states get their forced prefixes stripped; the root keeps its
     behaviour exactly, so when the root has a nonempty forced output it
     becomes a fresh entry state that is never re-entered."""
-    R = restrict(T, reachable(T, [root]))
-    c = common_prefixes(R, bound)
-    rows = strip_rows(R._rows, c)
+    pool = reachable(T, [root])
+    c = common_prefixes(T, bound, states=pool)
+    rows = strip_rows({q: T._rows[q] for q in pool}, c)
     if c[root] == EMPTY:
-        return Transducer._from_rows(R.n, rows), root
+        return Transducer._from_rows(T.n, rows), root
     entry = (_ROOT, root)
-    rows[entry] = tuple((w + c[p], p) for w, p in R._rows[root])
-    return Transducer._from_rows(R.n, rows), entry
+    rows[entry] = tuple((w + c[p], p) for w, p in T._rows[root])
+    return Transducer._from_rows(T.n, rows), entry
 
 
 def minimize_rooted(T, root, bound=64):
@@ -422,14 +431,12 @@ def minimize_rooted(T, root, bound=64):
     Returns (machine, root name); two rooted machines with equal behaviour
     produce structurally identical results."""
     S, entry = remove_incomplete_response_rooted(T, root, bound)
-    part = behavior_partition(S)
-    merged = Transducer._from_rows(S.n, quotient_rows(S._rows, part))
-    order = reachable(merged, [part[entry]])
-    merged = restrict(merged, order)
-    names = {b: str(k) for k, b in enumerate(order)}
-    return relabel(merged, names), "0"
+    part = partition_rows(S._rows)
+    blocks = quotient_rows(S._rows, part)
+    names = bfs_numbering(blocks, [part[entry]])
+    return Transducer._from_rows(T.n, renamed_rows(blocks, names)), "0"
 
 
-def rooted_equal(A, roota, B, rootb, bound=64):
+def rooted_equal(A, roota, B, rootb):
     """Behavioural equality of two rooted machines, via canonical forms."""
-    return minimize_rooted(A, roota, bound) == minimize_rooted(B, rootb, bound)
+    return minimize_rooted(A, roota) == minimize_rooted(B, rootb)

@@ -277,3 +277,66 @@ class TestGoldenOutputs:
         assert got.keys() == want.keys()
         for line, out in got.items():
             assert out == want[line], line
+
+
+KERNEL_GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_kernel.json"
+KERNEL_EXAMPLES = ("T:3", "U:3", "T:4", "U:4", "T:5", "g4", "piR:4")
+
+
+def outcome_of(capsys, *argv):
+    """stdout of one command, or its exit code and stderr when it fails."""
+    code, out, err = run(capsys, *argv)
+    return out if code == 0 else f"exit {code}: {err}"
+
+
+def kernel_outputs(capsys, monkeypatch, tmp_path):
+    """stdout of the commands that print canonical forms, keyed by the
+    command line: minimize at every root of T:3, U:4 and g4 and of two
+    realized machines; mul of T:3 U:3, T:5 T:5, g4 g4 and piR:4 T:4; product
+    of two realized machines; and realize of T:3, U:4, g4, piR:4 and the
+    product piR:4 T:4 (both orientation-reversing) at every root count."""
+    monkeypatch.chdir(tmp_path)
+    got = {}
+
+    def record(*argv):
+        got[" ".join(argv)] = outcome_of(capsys, *argv)
+        return got[" ".join(argv)]
+
+    def save(path, text):
+        (tmp_path / path).write_text(text)
+        return path
+
+    files = {
+        name: save(f"{name.replace(':', '_')}.tx", stdout_of(capsys, "example", "--name", name))
+        for name in KERNEL_EXAMPLES
+    }
+    for name in ("T:3", "U:4", "g4"):
+        for q in parse((tmp_path / files[name]).read_text()).states:
+            record("minimize", "--root", q, files[name])
+    for a, b in (("T:3", "U:3"), ("T:5", "T:5"), ("g4", "g4"), ("piR:4", "T:4")):
+        record("mul", files[a], files[b])
+    files["piR:4 T:4"] = save("piR_4-T_4.tx", got["mul piR_4.tx T_4.tx"])
+    for name in ("T:3", "U:4", "g4", "piR:4", "piR:4 T:4"):
+        for r in range(1, parse((tmp_path / files[name]).read_text()).n):
+            record("realize", "--r", str(r), files[name])
+    realized = [
+        save(f"realized-{k}.tx", record("realize", "--r", r, files[name]))
+        for k, (name, r) in enumerate((("T:3", "2"), ("g4", "3"), ("U:4", "3")))
+    ]
+    for path in realized[:2]:
+        record("minimize", path)
+    record("product", realized[1], realized[2])
+    return got
+
+
+class TestKernelGolden:
+    """minimize, mul, product and realize print, byte for byte, what is
+    recorded in tests/golden/cli_kernel.json, including the order of the
+    states line."""
+
+    def test_canonical_forms(self, capsys, monkeypatch, tmp_path):
+        want = json.loads(KERNEL_GOLDEN.read_text())
+        got = kernel_outputs(capsys, monkeypatch, tmp_path)
+        assert got.keys() == want.keys()
+        for line, out in got.items():
+            assert out == want[line], line

@@ -233,8 +233,9 @@ class TestCoreInvariantError:
 
 class TestProductWork:
     """One group product synchronizes each machine it checks once: the
-    minimized product in canonical_core and the result in validation run the
-    counting routine, and the inverse closure runs only the round loop."""
+    minimized product in canonical_core runs the counting routine, the
+    inverse closure runs only the round loop, and the canonical core, which
+    is a synchronizing core by construction, is not synchronized again."""
 
     def test_sync_calls(self, record_calls):
         t3 = GroupElement.from_machine(machine_T(3))
@@ -244,6 +245,6 @@ class TestProductWork:
         calls = record_calls(("sync_counts", "is_synchronizing", "_collapse_rounds"))
         result = group_product(acc, t3)
         assert len(result.machine.states) == 11
-        assert len(calls["sync_counts"]) == 2
+        assert len(calls["sync_counts"]) == 1
         assert len(calls["is_synchronizing"]) == 1
-        assert len(calls["_collapse_rounds"]) == 3
+        assert len(calls["_collapse_rounds"]) == 2

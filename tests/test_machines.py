@@ -12,6 +12,7 @@ from cantortx.machines import (
     NotOrderable,
     PrefixExchange,
     RealizeError,
+    ViableCombination,
     cycle_transducer,
     expand_viable,
     from_prefix_exchange,
@@ -208,6 +209,15 @@ class TestViableCombinations:
         shuffled = type(base)(tuple(reversed(v.prefixes)), tuple(reversed(v.states)))
         assert reorder_lexicographic(g, shuffled).states == ("a", "b")
 
+    def test_reorder_beyond_sixty_four_letters(self):
+        # the least points 0^65 1 0^w and 0^w first differ at letter 66
+        I = identity_transducer(2)
+        deep = tuple((0,) * k + (1,) for k in range(65, -1, -1)) + ((0,) * 66,)
+        v = ViableCombination(deep, ("0",) * len(deep))
+        assert validate_viable(I, v)
+        got = reorder_lexicographic(I, v)
+        assert got.prefixes == deep[-1:] + deep[:-1]
+
     def test_interleaved_pieces_not_orderable(self):
         M = oplus(2, swap_transducer(), 4)
         combos = viable_combinations(M, 1, 2)
@@ -284,3 +294,17 @@ class TestRealizeWork:
         assert len(calls["validate_core"]) == 1
         assert len(calls["_boundary_orientation"]) == 1
         assert len(calls["is_homeomorphism_initial"]) == 0
+
+    def test_reversing_call_counts(self, record_calls):
+        # the partner T . (letter complement) is validated by group_product
+        # alone, and only the final machine is minimized and verified
+        calls = record_calls((
+            "validate_core", "images", "inverse_closure", "canonical_core",
+            "minimize_initial", "images_initial", "_verify_realization",
+        ))
+        A = realize(letter_complement(4), 2)
+        assert len(A.states) == 2
+        assert {name: len(c) for name, c in calls.items()} == {
+            "validate_core": 1, "images": 3, "inverse_closure": 2, "canonical_core": 4,
+            "minimize_initial": 2, "images_initial": 1, "_verify_realization": 1,
+        }
