@@ -126,15 +126,14 @@ def cmd_parse(args, started):
 def cmd_minimize(args, started):
     M = _read_machine(args.file)
     if isinstance(M, InitialTransducer):
-        out = minimize_initial(M, bound=args.gcp_bound)
+        out = minimize_initial(M)
     else:
         root = args.root if args.root is not None else M.states[0]
         if root not in M.states:
             raise InvalidInput(f"unknown root state {root!r}")
-        out, _ = minimize_rooted(M, root, bound=args.gcp_bound)
+        out, _ = minimize_rooted(M, root)
     text = textio.serialize(out)
-    _emit(args, "minimize", [args.file], text,
-          {"gcp_bound": args.gcp_bound}, started, machine_text=text)
+    _emit(args, "minimize", [args.file], text, {}, started, machine_text=text)
 
 
 def cmd_product(args, started):
@@ -357,7 +356,6 @@ def build_parser():
     p = add("minimize", cmd_minimize, help="canonical minimal machine")
     p.add_argument("file")
     p.add_argument("--root", default=None, help="root state for plain machines")
-    p.add_argument("--gcp-bound", type=int, default=64)
 
     p = add("product", cmd_product, help="compose two machines (first then second)")
     p.add_argument("a")

@@ -264,7 +264,7 @@ def product_initial(A, B):
     return InitialTransducer(A.n, A.r, rows.pop(root), rows, root=root)
 
 
-def minimize_initial(A, bound=64):
+def minimize_initial(A):
     """The canonical minimal machine inducing the same map of C_{n,r}:
     accessible, complete response, no pair of equivalent non-initial states,
     states renamed "0" (initial), "1", ... in breadth-first order.
@@ -273,7 +273,7 @@ def minimize_initial(A, bound=64):
     are pushed upstream (the initial state keeps its behaviour), equivalent
     ones are merged, and the entry row and the blocks are named
     breadth-first from the entry row."""
-    c = common_prefixes(A, bound, states=A.states[1:])
+    c = common_prefixes(A, states=A.states[1:])
     c[A.root] = EMPTY
     rows = strip_rows(A._rows, c)
     entry = rows.pop(A.root)

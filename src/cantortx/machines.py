@@ -12,6 +12,7 @@ from .words import (
     EvPeriodicWord,
     InvalidInput,
     canonicalize_clopen,
+    first_difference,
     lex_compare_evp,
     union_all,
     whole_space,
@@ -456,10 +457,7 @@ def _is_glue_pair(n, r, left, right):
     if b1 == b2:
         if x1 == x2:
             return False
-        k = 0
-        bound = max(len(x1.pre), len(x2.pre)) + len(x1.per) * len(x2.per) + 1
-        while x1.letter(k) == x2.letter(k) and k <= bound:
-            k += 1
+        k = first_difference(x1, x2)
         if x2.letter(k) != x1.letter(k) + 1:
             return False
         want1 = EvPeriodicWord(x1.prefix(k + 1), (n - 1,))

@@ -108,19 +108,21 @@ class SignatureReport:
 def signature_report(T):
     """Signature data of a synchronizing machine with injective clopen-image
     states; preconditions are checked and named."""
-    if not is_synchronizing(T):
-        raise NotSynchronizing("signature needs a synchronizing machine")
+    try:
+        sync = sync_counts(T)
+    except NotSynchronizing:
+        raise NotSynchronizing("signature needs a synchronizing machine") from None
     img = images(T)
     bad = non_injective_states(T, img)
     if bad:
         raise InvalidInput(f"state {bad[0]!r} is not injective")
-    return _signature(T, img)
+    return _signature(T, img, sync)
 
 
-def _signature(T, img):
+def _signature(T, img, sync):
     """signature_report(T) of a machine that meets its preconditions, given
-    img = images(T)."""
-    k, counts = sync_counts(T)
+    img = images(T) and sync = sync_counts(T)."""
+    k, counts = sync
     m = {q: len(img[q].cones) for q in counts}
     sig = sum(count * m[q] for q, count in counts.items())
     per = PerWordM(T.n, k, _destination_rows(T), T.states[0], m)
@@ -187,7 +189,7 @@ def membership_failure(T, r, ordered):
     fail, img, _ = validate_core(T)
     if fail is not None:
         return fail, img, None
-    sig = _signature(T, img).sig
+    sig = _signature(T, img, sync_counts(T)).sig
     if (r * (sig - 1)) % (n - 1) != 0:
         return CONGRUENCE_FAILS, img, None
     if not ordered:
@@ -228,15 +230,15 @@ def inverse_reduced_signature(T):
     return residue(count, T.n)
 
 
-def _depth_with_min_output(T, q, need, cap=4096):
+def _depth_with_min_output(T, q, need):
+    """The least j with every length-j output from q at least `need` long;
+    at most |Q| * need, as every |Q| letters pass a cycle, which outputs."""
     minlen = {p: 0 for p in T.states}
     j = 0
-    while j < cap:
-        if minlen[q] >= need:
-            return j
+    while minlen[q] < need:
         minlen = {p: min(len(w) + minlen[d] for w, d in T.row(p)) for p in T.states}
         j += 1
-    raise InvalidInput("outputs do not grow; machine is degenerate")
+    return j
 
 
 def _count_outputs_with_prefix(T, q, depth, v):

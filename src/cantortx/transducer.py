@@ -10,12 +10,15 @@ minimization) assume productivity and check it.
 
 from __future__ import annotations
 
+import heapq
+import math
+
 from .words import (
     EMPTY,
     EvPeriodicWord,
     InvalidInput,
     check_letters,
-    gcp,
+    first_difference,
     subtract_prefix,
 )
 
@@ -26,7 +29,8 @@ class DegenerateTransducer(ValueError):
 
 
 class DepthExceeded(RuntimeError):
-    """A bounded computation did not resolve within its configured bound."""
+    """A state's forced output is infinite: its state map is constant, every
+    input having the same output."""
 
 
 class Transducer:
@@ -266,74 +270,79 @@ def evaluate_periodic(T, q, x):
     return EvPeriodicWord(pre, per)
 
 
-_FIRST_REFERENCE = 8  # letters of the first reference output
-
-
-def _settle_prefixes(rows, pool, length):
-    """Downward iteration of the forced outputs over `pool`, seeded with the
-    first `length` letters of each state's letter-0 output: (values, round
-    bound), values None when they did not settle within the bound."""
-    ref = {}
+def _zero_outputs(rows, pool):
+    """{q: the output of 0^omega from q} over a productive pool closed
+    under letter 0: a new letter-0 cycle's output is read once and rotated
+    to each of its states, and a state off the cycles prefixes its letter-0
+    output to its successor's word."""
+    x = {}
     for q in pool:
-        out = []
-        s = q
-        guard = 0
-        while len(out) < length:
-            w, s = rows[s][0]
-            out.extend(w)
-            guard += 1
-            if guard > length * len(pool) + len(pool) + 1:
-                raise DegenerateTransducer("letter-0 path stopped producing output")
-        ref[q] = tuple(out[:length])
-    g = ref
-    maxiter = 2 * length * len(pool) + len(pool) + 8
-    for _ in range(maxiter):
-        new = {}
-        for q in pool:
-            new[q] = gcp([w + g[p] for w, p in rows[q]])
-        if new == g:
-            return g, maxiter
-        g = new
-    return None, maxiter
+        path = {}  # the states of this walk not yet valued, in order
+        while q not in x and q not in path:
+            path[q] = None
+            q = rows[q][0][1]
+        path = list(path)
+        if q not in x:  # the walk closed a new cycle, path[k:]
+            k = path.index(q)
+            per = sum((rows[s][0][0] for s in path[k:]), ())
+            for s in path[k:]:
+                x[s] = EvPeriodicWord((), per)
+                w = rows[s][0][0]
+                per = per[len(w):] + w
+            del path[k:]
+        for s in reversed(path):
+            w, p = rows[s][0]
+            x[s] = x[p].with_prefix(w)
+    return x
 
 
-def common_prefixes(T, bound=64, states=None):
+def common_prefixes(T, states=None):
     """For each state q, the greatest common prefix c(q) of all infinite
-    outputs from q (the forced output).
+    outputs from q (the forced output), over the states of T or of the given
+    transition-closed subset, in that order.
 
-    Computed by downward iteration g(q) <- gcp over the letters of w . g(p)
-    (output w, destination p), seeded with genuine reference outputs: the
-    first L letters of the output of 0^omega from q.  The iteration is exact
-    for any L:
-    - every iterate has c(q) cut to L letters as a prefix: the seed has, and
-      c solves the same equation, c(q) = gcp over the letters of w . c(p);
-    - every fixpoint with finite values is a prefix of c(q): unrolling the
-      equation along any input, g(q) is a prefix of the output so far
-      followed by g(p), and by productivity the output so far eventually
-      outgrows g(q), so g(q) is a prefix of every output from q;
-    so a fixpoint whose values are all shorter than L is c itself.
-
-    L starts at 8 letters and doubles while some value reaches L or the
-    iteration does not settle; once L reaches `bound` the values are final,
-    as with a single reference of `bound` letters.  A value reaching the
-    bound is a hard DepthExceeded error, never a truncation.
+    Let x_q be the output of 0^omega from q, an eventually periodic word.
+    As x_q is one output from q, c(q) is the first l(q) letters of x_q,
+    where l(q) is the least lcp(y, x_q) over the outputs y from q.  Every
+    output from q is w_i . y' for a letter i with output w_i to p_i and an
+    output y' from p_i, and w_i . x_{p_i} is one of them; so by the
+    ultrametric inequality
+        l(q) = min over i of min(d_i(q), |w_i| + l(p_i)),
+    where d_i(q) is the first index at which w_i . x_{p_i} and x_q differ
+    (infinite when they are equal).  Productivity makes every cycle output
+    at least one letter, so this system has exactly one solution: l(q) is
+    the least, over paths q -> p, of the output length along the path plus
+    min_i d_i(p), a multi-source shortest path on the reversed graph with
+    edge weights |w_i|, found by Dijkstra's algorithm.  No length bound is
+    involved.  An infinite l(q) means that every input from q has the
+    output x_q, and that raises DepthExceeded naming q.
     """
     pool = T.states if states is None else tuple(states)
     check_productive(T, pool)
-    length = min(_FIRST_REFERENCE, bound)
-    while True:
-        g, maxiter = _settle_prefixes(T._rows, pool, length)
-        if g is not None and all(len(w) < length for w in g.values()):
-            return g
-        if length >= bound:
-            break
-        length = min(2 * length, bound)
-    if g is None:
-        raise DepthExceeded(
-            f"common output prefixes did not stabilize within {maxiter} rounds"
-        )
-    q = next(q for q, w in g.items() if len(w) >= bound)
-    raise DepthExceeded(f"forced output at state {q!r} reaches the depth bound {bound}")
+    rows = T._rows
+    x = _zero_outputs(rows, pool)
+    index = {q: k for k, q in enumerate(pool)}
+    preds = [[] for _ in pool]
+    for q in pool:
+        for w, p in rows[q]:
+            preds[index[p]].append((len(w), index[q]))
+    # letter 0 gives x_q itself, so its d is infinite
+    dist = [min(first_difference(x[p].with_prefix(w), x[q]) for w, p in rows[q][1:])
+            for q in pool]
+    heap = [(d, k) for k, d in enumerate(dist) if d < math.inf]
+    heapq.heapify(heap)
+    while heap:
+        d, k = heapq.heappop(heap)
+        if d == dist[k]:
+            for weight, j in preds[k]:
+                if d + weight < dist[j]:
+                    dist[j] = d + weight
+                    heapq.heappush(heap, (d + weight, j))
+    if math.inf in dist:
+        q = pool[dist.index(math.inf)]
+        raise DepthExceeded(f"state {q!r} maps every input to one point, "
+                            "so its forced output is infinite")
+    return {q: x[q].prefix(d) for q, d in zip(pool, dist)}
 
 
 def strip_rows(rows, c):
@@ -407,7 +416,7 @@ def omega_equivalent(T, q1, q2):
 _ROOT = "__root__"
 
 
-def remove_incomplete_response_rooted(T, root, bound=64):
+def remove_incomplete_response_rooted(T, root):
     """An omega-equivalent rooted machine in which every state carries its
     full forced output on each letter.
 
@@ -415,7 +424,7 @@ def remove_incomplete_response_rooted(T, root, bound=64):
     behaviour exactly, so when the root has a nonempty forced output it
     becomes a fresh entry state that is never re-entered."""
     pool = reachable(T, [root])
-    c = common_prefixes(T, bound, states=pool)
+    c = common_prefixes(T, states=pool)
     rows = strip_rows({q: T._rows[q] for q in pool}, c)
     if c[root] == EMPTY:
         return Transducer._from_rows(T.n, rows), root
@@ -424,13 +433,13 @@ def remove_incomplete_response_rooted(T, root, bound=64):
     return Transducer._from_rows(T.n, rows), entry
 
 
-def minimize_rooted(T, root, bound=64):
+def minimize_rooted(T, root):
     """The canonical minimal machine of the rooted behaviour h_root:
     accessible, complete response, no omega-equivalent pair, states renamed
     "0", "1", ... in breadth-first order from the root with letters ascending.
     Returns (machine, root name); two rooted machines with equal behaviour
     produce structurally identical results."""
-    S, entry = remove_incomplete_response_rooted(T, root, bound)
+    S, entry = remove_incomplete_response_rooted(T, root)
     part = partition_rows(S._rows)
     blocks = quotient_rows(S._rows, part)
     names = bfs_numbering(blocks, [part[entry]])

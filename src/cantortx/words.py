@@ -10,7 +10,6 @@ maximal cones it contains.
 from __future__ import annotations
 
 import math
-from itertools import product as cartesian
 
 Word = tuple  # tuple of ints in range(n)
 
@@ -78,12 +77,6 @@ def parse_word(text):
         raise InvalidInput(f"malformed word {text!r}") from None
 
 
-def format_dotted(root, w):
-    if w:
-        return f".{root}," + format_word(w)
-    return f".{root}"
-
-
 def parse_dotted(text):
     """Parse `.a` or `.a,x,y,...` into (root, tail)."""
     text = text.strip()
@@ -146,7 +139,7 @@ class EvPeriodicWord:
         return self.per[(i - len(self.pre)) % len(self.per)]
 
     def prefix(self, k):
-        return tuple(self.letter(i) for i in range(k))
+        return (self.pre + self.per * (k // len(self.per) + 1))[:k]
 
     def with_prefix(self, w):
         return EvPeriodicWord(tuple(w) + self.pre, self.per)
@@ -162,19 +155,29 @@ def parse_evp(text):
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
-def lex_compare_evp(x, y):
-    """Lexicographic order of two infinite words; returns LESS/EQUAL/GREATER.
+def first_difference(x, y):
+    """The first index at which the eventually periodic words x and y
+    differ, math.inf when they are equal.  Words that agree on their first
+    max(|pre_x|, |pre_y|) + |per_x| + |per_y| letters are equal (Fine and
+    Wilf): past both preperiods the agreeing part has periods |per_x| and
+    |per_y| and is at least their sum long, so it has the period
+    g = gcd(|per_x|, |per_y|), and both words continue it from there."""
+    end = max(len(x.pre), len(y.pre)) + len(x.per) + len(y.per)
+    u, v = x.prefix(end), y.prefix(end)
+    if u == v:
+        return math.inf
+    k = 0
+    while u[k] == v[k]:
+        k += 1
+    return k
 
-    Two eventually periodic words that agree up to the longer preperiod plus
-    the lcm of the period lengths agree everywhere, so comparing that many
-    positions decides the order.
-    """
-    bound = max(len(x.pre), len(y.pre)) + math.lcm(len(x.per), len(y.per))
-    for i in range(bound):
-        a, b = x.letter(i), y.letter(i)
-        if a != b:
-            return LESS if a < b else GREATER
-    return EQUAL
+
+def lex_compare_evp(x, y):
+    """Lexicographic order of two infinite words; returns LESS/EQUAL/GREATER."""
+    k = first_difference(x, y)
+    if k == math.inf:
+        return EQUAL
+    return LESS if x.letter(k) < y.letter(k) else GREATER
 
 
 class RotationClass:
@@ -366,11 +369,6 @@ def union_all(n, sets):
     return canonicalize_clopen(n, out)
 
 
-def cones_of_depth(n, depth):
-    """All words of the given length, in lexicographic order."""
-    return [tuple(w) for w in cartesian(range(n), repeat=depth)]
-
-
 class RootedClopen:
     """A clopen subset of the disjoint union of r copies of Cantor space,
     one ClopenSet per root."""
@@ -416,7 +414,3 @@ class RootedClopen:
 
 def whole_rooted(n, r):
     return RootedClopen(n, r, [whole_space(n)] * r)
-
-
-def empty_rooted(n, r):
-    return RootedClopen(n, r, [empty_clopen(n)] * r)

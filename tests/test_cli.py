@@ -193,24 +193,32 @@ class TestErrors:
             "membership congruence fails at this root count")
 
     def test_minimize_gcp_bound(self, tmp_path, capsys):
-        # s owes 0,1 before copying its input; z owes 0,1,1,1,2 and then 0,1
-        text = (
-            "TRANSDUCER n=3 r=0 states=s,z,id initial=-\n"
-            "s 0 -> id : 0,1,0\ns 1 -> id : 0,1,1\ns 2 -> id : 0,1,2\n"
-            "z 0 -> s : 0,1,1,1,2\nz 1 -> s : 0,1,1,1,2\nz 2 -> s : 0,1,1,1,2\n"
-            "id 0 -> id : 0\nid 1 -> id : 1\nid 2 -> id : 2\n"
-        )
+        # s owes a 64-letter word before copying its input
+        u = tuple((j * j + 1) % 3 for j in range(64))
+        M = Transducer(3, {
+            "s": {i: (u + (i,), "id") for i in range(3)},
+            "id": {i: ((i,), "id") for i in range(3)},
+        })
         path = tmp_path / "owes.tx"
-        path.write_text(text)
-        code, out, _ = run(capsys, "minimize", "--root", "s", "--gcp-bound", "4", str(path))
+        path.write_text(serialize(M))
+        code, out, _ = run(capsys, "minimize", "--root", "s", str(path))
         assert code == 0
-        code, want, _ = run(capsys, "minimize", "--root", "s", str(path))
-        assert out == want
-        code, out, err = run(capsys, "minimize", "--root", "z", "--gcp-bound", "4", str(path))
+        assert parse(out).output("0", 2) == u + (2,)
+        # z outputs 0 whatever it reads: a constant map
+        path = tmp_path / "constant.tx"
+        path.write_text(
+            "TRANSDUCER n=2 r=0 states=z initial=-\n"
+            "z 0 -> z : 0\nz 1 -> z : 0\n"
+        )
+        code, out, err = run(capsys, "minimize", str(path))
         assert code == 1 and out == ""
-        assert err.strip() == "error: forced output at state 'z' reaches the depth bound 4"
-        code, out, _ = run(capsys, "minimize", "--root", "z", "--gcp-bound", "8", str(path))
-        assert code == 0
+        assert err.strip() == (
+            "error: state 'z' maps every input to one point, "
+            "so its forced output is infinite")
+        with pytest.raises(SystemExit) as exc:
+            main(["minimize", "--gcp-bound", "4", str(path)])
+        assert exc.value.code == 2
+        assert "--gcp-bound" in capsys.readouterr().err
 
     def test_member_bad_root_count(self, tmp_path, capsys):
         path = write_example(tmp_path, capsys, "g4")

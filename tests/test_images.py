@@ -20,6 +20,8 @@ from cantortx.images import (
     orientation,
 )
 from cantortx.signature import validation_failure
+from cantortx.synchronize import minimal_sync_level
+from cantortx.textio import parse
 from cantortx.machines import (
     identity_transducer,
     letter_complement,
@@ -269,6 +271,24 @@ class TestImageFixpoint:
             with pytest.raises(NotClopenImage):
                 reference_images(M, max_iter=k)
             assert images(M, max_iter=k + 1) == reference_images(M, max_iter=k + 1)
+
+    def test_rounds_exceed_states_and_sync_level(self):
+        # a valid 4-state core at sync level 3 whose images need 6 rounds:
+        # neither rounds <= |Q| nor rounds <= sync level + 1 holds (it is
+        # the inverse of a product of three n = 4 generators in the
+        # rsig-homomorphism pool of the acceptance tests)
+        M = parse(
+            "TRANSDUCER n=4 r=0 states=1,2,3,0 initial=-\n"
+            "1 0 -> 1 : 1\n1 1 -> 0 : 1\n1 2 -> 0 : 2\n1 3 -> 1 : 2\n"
+            "2 0 -> 1 : 0,1,2\n2 1 -> 0 : 0,1\n2 2 -> 0 : 0,2\n2 3 -> 3 : e\n"
+            "3 0 -> 1 : 0,2\n3 1 -> 0 : 0\n3 2 -> 0 : 3\n3 3 -> 1 : 3\n"
+            "0 0 -> 1 : 0,1,1\n0 1 -> 0 : 0,1,1\n0 2 -> 0 : 0,1,2\n0 3 -> 2 : e\n"
+        )
+        assert validation_failure(M) is None
+        assert len(M.states) == 4 and minimal_sync_level(M) == 3
+        with pytest.raises(NotClopenImage):
+            images(M, max_iter=5)
+        assert images(M, max_iter=6) == images(M)
 
     def test_non_clopen_fails_like_full_recompute(self):
         for f in (images, reference_images):

@@ -73,8 +73,15 @@ class TestSignature:
                 "t": {0: ((0,), "s"), 1: ((1,), "s")},
             },
         )
-        with pytest.raises(NotSynchronizing):
+        with pytest.raises(NotSynchronizing, match="^signature needs a synchronizing machine$"):
             signature_report(swap_states)
+
+    def test_report_runs_the_collapse_once(self, record_calls):
+        calls = record_calls(("sync_counts", "is_synchronizing", "_collapse_rounds"))
+        assert signature_report(machine_T(3)).sync_level == 2
+        assert len(calls["sync_counts"]) == 1
+        assert len(calls["is_synchronizing"]) == 0
+        assert len(calls["_collapse_rounds"]) == 1
 
     def test_residue_convention(self):
         # residues live in 1..n-1, never 0

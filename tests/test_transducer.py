@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product as cartesian
 
 import pytest
@@ -255,14 +256,19 @@ class TestCommonPrefixes:
     @given(st.integers(0, 10**9))
     @settings(max_examples=80, deadline=None)
     def test_against_brute_force(self, seed):
-        from hypothesis import assume
-        from cantortx.transducer import DepthExceeded
-
         T = random_machine(seed)
         try:
             c = common_prefixes(T)
-        except DepthExceeded:
-            assume(False)  # forced output genuinely reaches the bound
+        except DepthExceeded as exc:
+            # the named state's map is constant: its depth-8 outputs are
+            # all prefixes of one word
+            named = [q for q in T.states if f"state {q!r} " in str(exc)]
+            assert len(named) == 1, str(exc)
+            outs = [evaluate(T, named[0], w)[0]
+                    for w in cartesian(range(T.n), repeat=8)]
+            longest = max(outs, key=len)
+            assert all(longest[:len(w)] == w for w in outs)
+            return
         for q in T.states:
             assert c[q] == brute_gcp_all_outputs(T, q)
 
@@ -273,9 +279,9 @@ class TestCommonPrefixes:
 
 
 def reference_common_prefixes(T, bound=64, states=None):
-    """common_prefixes as written with one reference output of `bound`
-    letters from every state, kept as the reference for the short, doubling
-    references."""
+    """The earlier common_prefixes: downward iteration from one reference
+    output of `bound` letters per state, kept as the oracle for the exact
+    shortest-path pass."""
     pool = T.states if states is None else tuple(states)
     check_productive(T, pool)
     ref = {}
@@ -334,7 +340,7 @@ def constant_prefix_machine(length):
 def delay_line_machine(length):
     """A chain d0 .. d(length-1) emitting one letter of forced_word(length)
     per step whatever it reads, then a copier: the forced output of dj is the
-    word from letter j on, and it takes `length` rounds to settle."""
+    word from letter j on."""
     u = forced_word(length)
     table = {}
     for j in range(length):
@@ -345,27 +351,36 @@ def delay_line_machine(length):
 
 
 class TestShortReferences:
-    """common_prefixes starts from an 8-letter reference and doubles it up
-    to the bound; every answer and every error must be the fixed-bound
-    routine's."""
+    """Forced outputs of every length are exact, with no length bound: the
+    hand-built machines owe known words, and the fixed-reference routine
+    agrees wherever it is cheap to run."""
 
-    BOUNDS = (0, 1, 4, 7, 8, 9, 15, 16, 17, 32, 33, 63, 64, 65, 128)
+    LENGTHS = (7, 8, 9, 16, 63, 64, 200, 500)
 
     def test_hand_built_forced_lengths(self):
-        for length in (7, 8, 9, 16, 63):
-            for M in (constant_prefix_machine(length), delay_line_machine(length)):
-                c = common_prefixes(M)
-                assert max(len(w) for w in c.values()) == length
-                assert c == reference_common_prefixes(M)
-                for bound in self.BOUNDS:
-                    assert outcome(common_prefixes, M, bound) == outcome(
-                        reference_common_prefixes, M, bound), (length, bound)
+        for length in self.LENGTHS:
+            u = forced_word(length)
+            M = constant_prefix_machine(length)
+            assert common_prefixes(M) == {"s": u, "id": EMPTY}
+            if length <= 64:
+                assert reference_common_prefixes(M, length + 1) == {"s": u, "id": EMPTY}
+            M = delay_line_machine(length)
+            want = {f"d{j}": u[j:] for j in range(length)}
+            want["id"] = EMPTY
+            start = time.perf_counter()
+            c = common_prefixes(M)
+            assert time.perf_counter() - start < 1.0, length
+            assert c == want and list(c) == list(M.states)
+            if length <= 64:
+                assert reference_common_prefixes(M, length + 1) == want
 
-    def test_forced_output_at_the_bound_raises(self):
+    def test_forced_output_of_64_letters(self):
+        # the fixed 64-letter bound used to reject this valid machine
         M = constant_prefix_machine(64)
-        with pytest.raises(DepthExceeded, match="state 's' reaches the depth bound 64"):
-            common_prefixes(M)
-        assert outcome(common_prefixes, M) == outcome(reference_common_prefixes, M)
+        assert common_prefixes(M)["s"] == forced_word(64)
+        S, root = minimize_rooted(M, "s")
+        assert [S.output(root, i) for i in range(3)] == [
+            forced_word(64) + (i,) for i in range(3)]
 
     def test_single_point_image_raises_as_before(self):
         # z outputs 0 whatever it reads: its image is one point and its
@@ -374,17 +389,29 @@ class TestShortReferences:
             "p": {0: ((1,), "z"), 1: ((0,), "p")},
             "z": {0: ((0,), "z"), 1: ((0,), "z")},
         })
-        for bound in self.BOUNDS:
-            got = outcome(common_prefixes, M, bound)
-            assert got == outcome(reference_common_prefixes, M, bound), bound
-            assert got[0] is DepthExceeded
-        # the values grow by a letter a round, so they never settle
+        assert outcome(reference_common_prefixes, M)[0] is DepthExceeded
         assert outcome(common_prefixes, M) == (
-            DepthExceeded, "common output prefixes did not stabilize within 266 rounds")
+            DepthExceeded,
+            "state 'z' maps every input to one point, so its forced output is infinite")
+
+    def test_random_machines_match_reference(self):
+        # the same answers as the fixed 64-letter reference, and DepthExceeded
+        # on the same machines: none of these owes 64 letters or more
+        raised = 0
+        for seed in range(1500):
+            M = random_machine(seed, n_choices=(2, 3, 4), max_states=6)
+            want = outcome(reference_common_prefixes, M)
+            got = outcome(common_prefixes, M)
+            if isinstance(want, tuple):
+                assert isinstance(got, tuple) and got[0] is DepthExceeded, seed
+                raised += 1
+            else:
+                assert got == want, seed
+        assert raised > 0
 
     def test_group_products_match_reference(self):
         # g^-1 . g^k owes k letters and g^-1 . g^k . g^k owes 2k, so the
-        # references grow past 8, 16 and 32 letters; g^k . g owes none
+        # forced outputs reach 32 letters; g^k . g owes none
         from cantortx.group import GroupElement, group_product, invert_element
 
         lengths = set()

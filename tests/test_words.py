@@ -1,3 +1,4 @@
+import math
 from itertools import product as cartesian
 
 import pytest
@@ -13,6 +14,7 @@ from cantortx.words import (
     InvalidInput,
     canonicalize_clopen,
     cone,
+    first_difference,
     format_word,
     gcp,
     lex_compare_evp,
@@ -22,6 +24,34 @@ from cantortx.words import (
     rotation_class_of,
     whole_space,
 )
+
+
+def fine_wilf_word(p, q):
+    """A word of length p + q - 2 with the coprime periods p and q that is
+    not constant: positions p or q apart are joined, leaving two classes."""
+    size = p + q - 2
+    parent = list(range(size))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(size):
+        for j in (i + p, i + q):
+            if j < size:
+                parent[find(j)] = find(i)
+    return tuple(int(find(i) != find(0)) for i in range(size))
+
+
+def lcm_compare(x, y):
+    """Lexicographic comparison over max(pre) + lcm of the period lengths
+    letters, the earlier end point."""
+    for i in range(max(len(x.pre), len(y.pre)) + math.lcm(len(x.per), len(y.per))):
+        a, b = x.letter(i), y.letter(i)
+        if a != b:
+            return LESS if a < b else GREATER
+    return EQUAL
 
 
 def members_at_depth(s, depth):
@@ -169,6 +199,23 @@ class TestEvPeriodic:
         a, b = x.prefix(64), y.prefix(64)
         expect = EQUAL if a == b else (LESS if a < b else GREATER)
         assert lex_compare_evp(x, y) == expect
+
+    def test_long_coprime_periods_match_the_lcm_bound(self):
+        # periods 61 and 67 end the comparison at max(pre) + 128 letters;
+        # it used to run to max(pre) + lcm = max(pre) + 4087
+        p, q = 61, 67
+        w = fine_wilf_word(p, q)
+        assert len(set(w)) == 2
+        x, y = EvPeriodicWord((), w[:p]), EvPeriodicWord((), w[:q])
+        assert first_difference(x, y) == p + q - 2
+        flip = tuple(1 - a for a in w)
+        periods = (w[:p], w[:q], flip[:p], flip[:q], w[1:p + 1])
+        for pre1 in ((), (0,), (1, 0, 1)):
+            for pre2 in ((), (0,), (1, 0, 1)):
+                for per1 in periods:
+                    for per2 in periods:
+                        x, y = EvPeriodicWord(pre1, per1), EvPeriodicWord(pre2, per2)
+                        assert lex_compare_evp(x, y) == lcm_compare(x, y)
 
     def test_empty_period_rejected(self):
         with pytest.raises(InvalidInput):
