@@ -154,7 +154,7 @@ def cmd_invert(args, started):
     if isinstance(M, InitialTransducer):
         out = invert_initial(M, cap=args.cap)
     else:
-        fail, _, closure = validate_core(M, cap=args.cap)
+        fail, _, closure, _ = validate_core(M, cap=args.cap)
         if fail is not None:
             raise InvalidInput(f"not invertible as a core element: {fail}")
         out = canonical_core(closure)

@@ -140,24 +140,26 @@ def validation_failure(T):
 
 
 def validate_core(T, cap=10000):
-    """(reason, img, closure): the reason is validation_failure(T); img is
-    images(T) and closure is inverse_closure(T, cap=cap) once validation has
-    built them, else None, so a caller can reuse them."""
+    """(reason, img, closure, sync): the reason is validation_failure(T);
+    img is images(T), closure is inverse_closure(T, cap=cap) and sync is
+    sync_counts(T) once validation has built them, else None, so a caller
+    can reuse them."""
     if not isinstance(T, Transducer):
-        return "not a plain transducer", None, None
+        return "not a plain transducer", None, None, None
     try:
-        _, counts = sync_counts(T)
+        sync = sync_counts(T)
     except NotSynchronizing:
-        return "not synchronizing", None, None
-    if set(counts) != set(T.states):
-        return "not core: some states are not forced by long words", None, None
-    return validate_synchronizing_core(T, cap)
+        return "not synchronizing", None, None, None
+    if set(sync[1]) != set(T.states):
+        return "not core: some states are not forced by long words", None, None, sync
+    return validate_synchronizing_core(T, cap) + (sync,)
 
 
 def validate_synchronizing_core(T, cap=10000):
-    """validate_core(T) for a plain T that is known to be synchronizing and
-    its own core, as canonical_core makes it: only the images, injectivity
-    and the inverse closure and its synchronization are checked."""
+    """The reason, img and closure of validate_core(T) for a plain T that is
+    known to be synchronizing and its own core, as canonical_core makes it:
+    only the images, injectivity and the inverse closure and its
+    synchronization are checked."""
     try:
         img = images(T)
     except NotClopenImage:
@@ -181,15 +183,15 @@ def membership_failure(T, r, ordered):
     CONGRUENCE_FAILS or (ordered only) NOT_ORDERED.  img is images(T) once
     validation has built them, else None; orient is the orientation of a
     valid element that meets the congruence when `ordered`, else None.
-    Validation, the images, the signature and the orientation are each
-    computed once."""
+    Validation, the synchronization counts, the images, the signature and
+    the orientation are each computed once."""
     n = T.n
     if not (1 <= r <= n - 1):
         raise InvalidInput(f"root count must be in 1..{n - 1}")
-    fail, img, _ = validate_core(T)
+    fail, img, _, sync = validate_core(T)
     if fail is not None:
         return fail, img, None
-    sig = _signature(T, img, sync_counts(T)).sig
+    sig = _signature(T, img, sync).sig
     if (r * (sig - 1)) % (n - 1) != 0:
         return CONGRUENCE_FAILS, img, None
     if not ordered:
@@ -218,9 +220,15 @@ def inverse_reduced_signature(T):
     """Reduced signature of the inverse, computed directly on T: pick a state
     q and an image cone v, take j with every length-j output from q at least
     |v| long, and count the length-j inputs whose output starts with v."""
-    fail, img, _ = validate_core(T)
+    fail, img, _, _ = validate_core(T)
     if fail is not None:
         raise InvalidInput(f"not a valid core element: {fail}")
+    return _inverse_rsig(T, img)
+
+
+def _inverse_rsig(T, img):
+    """inverse_reduced_signature(T) of a valid core element T, given
+    img = images(T)."""
     q = T.states[0]
     if img[q].is_empty():
         raise InvalidInput("state has empty image")

@@ -296,6 +296,16 @@ def _zero_outputs(rows, pool):
     return x
 
 
+def _edge_difference(w, y, x):
+    """first_difference(w . y, x) for a finite word w: w is compared with
+    the first |w| letters of x, and y with x past them only when w is a
+    prefix of x."""
+    for k, a in enumerate(w):
+        if a != x.letter(k):
+            return k
+    return len(w) + first_difference(y, x.drop(len(w)))
+
+
 def common_prefixes(T, states=None):
     """For each state q, the greatest common prefix c(q) of all infinite
     outputs from q (the forced output), over the states of T or of the given
@@ -327,8 +337,7 @@ def common_prefixes(T, states=None):
         for w, p in rows[q]:
             preds[index[p]].append((len(w), index[q]))
     # letter 0 gives x_q itself, so its d is infinite
-    dist = [min(first_difference(x[p].with_prefix(w), x[q]) for w, p in rows[q][1:])
-            for q in pool]
+    dist = [min(_edge_difference(w, x[p], x[q]) for w, p in rows[q][1:]) for q in pool]
     heap = [(d, k) for k, d in enumerate(dist) if d < math.inf]
     heapq.heapify(heap)
     while heap:

@@ -144,6 +144,13 @@ class EvPeriodicWord:
     def with_prefix(self, w):
         return EvPeriodicWord(tuple(w) + self.pre, self.per)
 
+    def drop(self, k):
+        """The word past its first k letters."""
+        if k <= len(self.pre):
+            return EvPeriodicWord(self.pre[k:], self.per)
+        r = (k - len(self.pre)) % len(self.per)
+        return EvPeriodicWord((), self.per[r:] + self.per[:r])
+
 
 def parse_evp(text):
     pre, sep, per = text.partition("|")

@@ -14,6 +14,8 @@ from cantortx.machines import (
     swap_transducer,
 )
 from cantortx.transducer import Transducer
+from cantortx.images import Orientation, orientation
+from cantortx.signature import signature_report
 from cantortx.group import (
     CoreInvariantError,
     GroupElement,
@@ -248,3 +250,50 @@ class TestProductWork:
         assert len(calls["sync_counts"]) == 1
         assert len(calls["is_synchronizing"]) == 1
         assert len(calls["_collapse_rounds"]) == 2
+
+
+class TestCarriedImages:
+    """Elements that from_machine, group_product and invert_element build
+    carry the images that their validation built, and read them for the
+    signature, the orientation and the inverse."""
+
+    def test_analyses_match_the_checked_path_on_the_verify_pools(self):
+        from cantortx.verify import _close_pool, _generator_pool
+
+        for n in (3, 4):
+            layers = _close_pool(_generator_pool(n), 3)
+            built = layers[1] + layers[2] + layers[3]
+            for g in built + [invert_element(g) for g in built]:
+                got, want = g.signature, signature_report(g.machine)
+                assert (got.sync_level, got.sig, got.rsig) == (
+                    want.sync_level, want.sig, want.rsig)
+                if n**want.sync_level <= 10**4:
+                    assert tuple(got.per_word_m) == tuple(want.per_word_m)
+                assert g.orientation is orientation(g.machine)
+
+    def test_inverse_and_signature_skip_validation(self, record_calls):
+        t3 = GroupElement.from_machine(machine_T(3))
+        p = group_product(group_product(t3, t3), t3)
+        calls = record_calls(("validate_core", "images"))
+        inverse = invert_element(p)
+        # the one images call validates the inverse
+        assert len(calls["validate_core"]) == 0
+        assert len(calls["images"]) == 1
+        calls.clear()
+        assert p.signature.sync_level == 4
+        assert p.orientation is Orientation.PRESERVING
+        assert len(calls["images"]) == 0
+        assert is_identity(group_product(p, inverse))
+
+    def test_raw_element_is_validated_before_inversion(self):
+        swapping = Transducer(2, {"s": {0: ((0,), "t"), 1: ((1,), "t")},
+                                  "t": {0: ((0,), "s"), 1: ((1,), "s")}})
+        with pytest.raises(InvalidInput, match="not a valid core element: not synchronizing"):
+            invert_element(GroupElement(swapping))
+
+    def test_homomorphism_check_reuses_the_pool_products(self, record_calls):
+        from cantortx.verify import check_rsig_homomorphism
+
+        calls = record_calls(("group_product",))
+        assert check_rsig_homomorphism() == (True, "homomorphism verified")
+        assert len(calls["group_product"]) == 368

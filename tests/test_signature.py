@@ -8,7 +8,7 @@ from cantortx.words import InvalidInput
 from cantortx.transducer import Transducer, evaluate
 from cantortx.images import images
 from cantortx.invert import inverse_closure
-from cantortx.synchronize import NotSynchronizing, forced_state, minimal_sync_level
+from cantortx.synchronize import NotSynchronizing, forced_state, minimal_sync_level, sync_counts
 from cantortx.signature import (
     PerWordM,
     _count_outputs_with_prefix,
@@ -259,6 +259,13 @@ class TestMembership:
                 member_over_roots(M, r)
                 assert len(calls) == 1
 
+    def test_membership_synchronizes_once(self, record_calls):
+        # the signature reads the counts that validation computed
+        calls = record_calls(("sync_counts", "validate_core"))
+        assert member_over_roots(machine_T(3), 1)
+        assert len(calls["sync_counts"]) == 1
+        assert len(calls["validate_core"]) == 1
+
     def test_answers_equal_the_composed_definition_on_the_verify_pool(self):
         from cantortx.images import Orientation, orientation
         from cantortx.verify import _close_pool, _generator_pool
@@ -327,6 +334,15 @@ class TestUnitsLattice:
     def test_lcm_claim_sample(self):
         for m, i, j in ((6, 2, 3), (12, 4, 6), (30, 6, 10), (16, 2, 8)):
             assert verify_lcm_claim(m, i, j)
+
+    def test_lcm_claim_reads_only_the_gcds(self):
+        # the units-lattice check looks each verdict up by these gcds
+        for m in range(1, 31):
+            for i in range(1, m + 1):
+                for j in range(1, m + 1):
+                    assert verify_lcm_claim(m, i, j) == verify_lcm_claim(
+                        m, math.gcd(i, m), math.gcd(j, m)
+                    ), (m, i, j)
 
     def test_divisors_generate_units_family(self):
         for n in (4, 10, 28):
@@ -406,10 +422,12 @@ def overlap_machine():
 
 class TestSharedValidation:
     def check(self, T, reason, built_img, built_closure):
-        got_reason, img, closure = validate_core(T)
+        got_reason, img, closure, sync = validate_core(T)
         assert got_reason == reason == validation_failure(T)
         assert img == (images(T) if built_img else None)
         assert closure == (inverse_closure(T) if built_closure else None)
+        unsynced = reason in ("not a plain transducer", "not synchronizing")
+        assert sync == (None if unsynced else sync_counts(T))
 
     def test_reason_and_analyses_per_failure_kind(self):
         self.check(state_wrapper(machine_T(3), "a", 1), "not a plain transducer", False, False)
@@ -433,7 +451,7 @@ class TestSharedValidation:
         assert validation_failure(T3sq) is None
         monkeypatch.setattr(signature, "images", lambda T: images(T, max_iter=2))
         reason = "some state image is not clopen within the iteration bound"
-        assert validate_core(T3sq) == (reason, None, None)
+        assert validate_core(T3sq) == (reason, None, None, sync_counts(T3sq))
         assert validation_failure(T3sq) == reason
 
     def test_invert_element_at_every_root(self):

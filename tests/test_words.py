@@ -200,6 +200,16 @@ class TestEvPeriodic:
         expect = EQUAL if a == b else (LESS if a < b else GREATER)
         assert lex_compare_evp(x, y) == expect
 
+    @given(
+        st.lists(st.integers(0, 2), max_size=4),
+        st.lists(st.integers(0, 2), min_size=1, max_size=4),
+        st.integers(0, 12),
+    )
+    @settings(max_examples=200)
+    def test_drop_is_the_suffix(self, pre, per, k):
+        x = EvPeriodicWord(pre, per)
+        assert x.drop(k).prefix(40) == x.prefix(k + 40)[k:]
+
     def test_long_coprime_periods_match_the_lcm_bound(self):
         # periods 61 and 67 end the comparison at max(pre) + 128 letters;
         # it used to run to max(pre) + lcm = max(pre) + 4087
