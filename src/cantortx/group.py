@@ -159,16 +159,18 @@ def invert_element(g, root=None):
     """The inverse element, via the inverse closure rooted at any state.  An
     element that carries its images is known valid, so only the closure is
     built; any other is validated first, and validation's closure, rooted
-    at the first state, is reused."""
+    at the first state, is reused whatever the root: every rooted closure
+    of a synchronizing core contains the whole core of the inverse, so the
+    canonical core does not depend on the root."""
     M = g.machine
-    img = g._img
-    if img is None:
-        fail, img, closure, _ = validate_core(M)
+    if root is not None:
+        M.row(root)  # an unknown state is an error at either path
+    if g._img is None:
+        fail, _, closure, _ = validate_core(M)
         if fail is not None:
             raise InvalidInput(f"not a valid core element: {fail}")
-        if root is None or root == M.states[0]:
-            return GroupElement.from_machine(closure)
-    return GroupElement.from_machine(inverse_closure(M, root, img=img))
+        return GroupElement.from_machine(closure)
+    return GroupElement.from_machine(inverse_closure(M, root, img=g._img))
 
 
 def is_identity(g):

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 
 from .words import (
     ClopenSet,
     EvPeriodicWord,
     RootedClopen,
+    canonicalize_clopen,
     empty_clopen,
     lex_compare_evp,
-    union_all,
+    pairwise_disjoint,
     whole_rooted,
     whole_space,
     GREATER,
@@ -67,7 +67,10 @@ def images(T, max_iter=32):
     rows = T._rows
     img = {q: whole_space(n) for q in T.states}
     return _fixpoint(
-        T, img, lambda q: union_all(n, [img[p].shift(w) for w, p in rows[q]]), max_iter
+        T,
+        img,
+        lambda q: canonicalize_clopen(n, [w + c for w, p in rows[q] for c in img[p].cones]),
+        max_iter,
     )
 
 
@@ -98,12 +101,15 @@ def _rooted_branch(A, img, w, p):
 
 
 def _branches_disjoint(M, img, p):
-    """Are the images of the branches at state p pairwise disjoint?"""
+    """Are the images of the branches at state p pairwise disjoint?  The
+    cones of all branches are sorted once, and once per root over the
+    rooted space, and only neighbours are compared (pairwise_disjoint)."""
     if isinstance(M, Transducer):  # plain outputs carry no root marker
-        pieces = [img[d].shift(w) for w, d in M.row(p)]
-    else:
-        pieces = [_rooted_branch(M, img, w, d) for w, d in M.row(p)]
-    return all(a.disjoint(b) for a, b in combinations(pieces, 2))
+        return pairwise_disjoint([img[d].shift(w) for w, d in M.row(p)])
+    pieces = [_rooted_branch(M, img, w, d) for w, d in M.row(p)]
+    if isinstance(pieces[0], ClopenSet):
+        return pairwise_disjoint(pieces)
+    return all(pairwise_disjoint(parts) for parts in zip(*(b.parts for b in pieces)))
 
 
 def non_injective_states(M, img):

@@ -14,6 +14,7 @@ from .words import (
     canonicalize_clopen,
     first_difference,
     lex_compare_evp,
+    pairwise_disjoint,
     union_all,
     whole_space,
     LESS,
@@ -283,11 +284,7 @@ def piece_of(T, img, prefix, state):
 def validate_viable(T, v, img=None):
     img = img or images(T)
     pieces = [piece_of(T, img, p, q) for p, q in v.entries()]
-    for a in range(len(pieces)):
-        for b in range(a + 1, len(pieces)):
-            if not pieces[a].disjoint(pieces[b]):
-                return False
-    return union_all(T.n, pieces).is_whole()
+    return pairwise_disjoint(pieces) and union_all(T.n, pieces).is_whole()
 
 
 def viable_combinations(T, max_prefix_depth=3, max_size=None, limit=None, img=None):
@@ -311,27 +308,29 @@ def viable_combinations(T, max_prefix_depth=3, max_size=None, limit=None, img=No
                 seen.add((w, q))
                 candidates.append((w, q, piece))
     found = []
-
-    def search(uncovered, chosen):
-        if limit is not None and len(found) >= limit:
-            return
-        if uncovered.is_empty():
-            found.append(
-                ViableCombination(
-                    tuple(w for w, q, _ in chosen), tuple(q for w, q, _ in chosen)
-                )
-            )
-            return
-        if len(chosen) >= max_size:
-            return
-        # in any tiling exactly one piece holds the least uncovered point, so
-        # branching on that piece enumerates every combination exactly once
-        low = uncovered.min_point()
-        for w, q, piece in candidates:
+    # in any tiling exactly one piece holds the least uncovered point, so
+    # branching on that piece enumerates every combination exactly once;
+    # frames [uncovered, chosen, its least point, next candidate] keep the
+    # depth-first order of the branches without recursion
+    whole = whole_space(T.n)
+    stack = [[whole, (), whole.min_point(), 0]] if max_size > 0 else []
+    while stack and (limit is None or len(found) < limit):
+        frame = stack[-1]
+        uncovered, chosen, low, j = frame
+        while j < len(candidates):
+            w, q, piece = candidates[j]
+            j += 1
             if piece.contains_point(low) and piece.issubset(uncovered):
-                search(_minus(uncovered, piece), chosen + [(w, q, piece)])
-
-    search(whole_space(T.n), [])
+                break
+        else:
+            stack.pop()
+            continue
+        frame[3] = j
+        rest, chosen = _minus(uncovered, piece), chosen + ((w, q),)
+        if rest.is_empty():
+            found.append(ViableCombination(*zip(*chosen)))
+        elif len(chosen) < max_size:
+            stack.append([rest, chosen, rest.min_point(), 0])
     return found
 
 

@@ -177,6 +177,11 @@ CONGRUENCE_FAILS = "membership congruence fails"
 NOT_ORDERED = "the element neither preserves nor reverses the lexicographic order"
 
 
+def _check_root_count(n, r):
+    if not (1 <= r <= n - 1):
+        raise InvalidInput(f"root count must be in 1..{n - 1}")
+
+
 def membership_failure(T, r, ordered):
     """(reason, img, orient) of membership over r roots, ordered or not:
     the reason is None for a member, else validation_failure(T),
@@ -186,8 +191,7 @@ def membership_failure(T, r, ordered):
     Validation, the synchronization counts, the images, the signature and
     the orientation are each computed once."""
     n = T.n
-    if not (1 <= r <= n - 1):
-        raise InvalidInput(f"root count must be in 1..{n - 1}")
+    _check_root_count(n, r)
     fail, img, _, sync = validate_core(T)
     if fail is not None:
         return fail, img, None
@@ -338,12 +342,23 @@ def divisors_generate_units(n):
 
 def membership_monotonicity_check(T, i, j):
     """Property helper: membership at i propagates along multipliers m with
-    m*i = j mod n-1, and membership at j matches membership at gcd(j, n-1)."""
-    m = T.n - 1
+    m*i = j mod n-1, and membership at j matches membership at gcd(j, n-1).
+    T is validated and its signature taken once; membership at each root
+    count is then the congruence."""
+    n = T.n
+    m = n - 1
+    for r in (i, j):
+        _check_root_count(n, r)
+    fail, img, _, sync = validate_core(T)
+    if fail is not None:  # a member over no root count, so both laws hold
+        return True
+    sig = _signature(T, img, sync).sig
+
+    def member(r):
+        return (r * (sig - 1)) % m == 0
+
     ok = True
-    if member_over_roots(T, i) and any((k * i) % m == j % m for k in range(m)):
-        ok = ok and member_over_roots(T, j)
-    d = math.gcd(j, m)
-    d = residue(d, T.n)
-    ok = ok and (member_over_roots(T, j) == member_over_roots(T, d))
-    return ok
+    if member(i) and any((k * i) % m == j % m for k in range(m)):
+        ok = member(j)
+    d = residue(math.gcd(j, m), n)
+    return ok and member(j) == member(d)

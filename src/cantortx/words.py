@@ -4,12 +4,22 @@ and clopen subsets of n-ary Cantor space kept in canonical antichain form.
 A finite word is a plain tuple of ints.  The n-ary Cantor space is the set of
 infinite words; a cone U_w is the set of infinite words with prefix w.  A
 clopen set is a finite union of cones and is stored as the unique antichain of
-maximal cones it contains.
+maximal cones it contains, sorted as tuples.
+
+In that order a word sorts before its extensions, and every word sorted
+between u and an extension v of u also extends u.  So in a sorted antichain
+the cone that is a prefix of a word w, if there is one, is the last cone
+sorted at or before w; the cones that extend w follow w directly; and the
+n children of a cone, when all are present, sit next to each other.  Every
+routine here reads a set through these neighbours: canonicalization is one
+sort and one stack pass, and membership, intersection and disjointness
+bisect or compare adjacent cones instead of testing all pairs.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 Word = tuple  # tuple of ints in range(n)
 
@@ -28,7 +38,7 @@ def check_letters(n, w):
 
 def is_prefix(u, v):
     """True if u is a (non-strict) prefix of v."""
-    return len(u) <= len(v) and v[: len(u)] == u
+    return v[: len(u)] == u
 
 
 class SubtractionError(RuntimeError):
@@ -219,9 +229,13 @@ def rotation_class_of(w):
 
 class ClopenSet:
     """A clopen subset of n-ary Cantor space as its canonical antichain: the
-    set of maximal cones contained in it.  The empty antichain is the empty
-    set; the antichain {e} is the whole space.  Instances are immutable; build
-    them with canonicalize_clopen."""
+    set of maximal cones contained in it, as a sorted tuple of words.  The
+    empty antichain is the empty set; the antichain {e} is the whole space.
+    Instances are immutable; build them with canonicalize_clopen.
+
+    Sorted, a cone's prefixes and extensions among the cones are its
+    neighbours (see the module docstring), so each query below bisects to
+    the one cone that can answer it."""
 
     __slots__ = ("n", "cones")
 
@@ -254,68 +268,82 @@ class ClopenSet:
         return self.cones == (EMPTY,)
 
     def contains_cone(self, w):
-        """True if the full cone U_w lies inside the set."""
-        return any(is_prefix(c, w) for c in self.cones)
+        """True if the full cone U_w lies inside the set: the last cone
+        sorted at or before w is a prefix of w."""
+        cones = self.cones
+        i = bisect_right(cones, w)
+        return i > 0 and is_prefix(cones[i - 1], w)
 
     def meets_cone(self, w):
-        """True if U_w intersects the set."""
-        return any(is_prefix(c, w) or is_prefix(w, c) for c in self.cones)
+        """True if U_w intersects the set: a cone is a prefix of w, or the
+        first cone sorted at or after w extends w."""
+        cones = self.cones
+        i = bisect_left(cones, w)
+        return (i < len(cones) and is_prefix(w, cones[i])) or (
+            i > 0 and is_prefix(cones[i - 1], w)
+        )
 
     def contains_point(self, x: EvPeriodicWord):
-        return any(x.prefix(len(c)) == c for c in self.cones)
+        """True if x lies in the set: a cone is a prefix of x's first L
+        letters, L the longest cone's length."""
+        return bool(self.cones) and self.contains_cone(
+            x.prefix(max(map(len, self.cones)))
+        )
 
     def union(self, other):
         self._check_same(other)
         return canonicalize_clopen(self.n, self.cones + other.cones)
 
     def intersection(self, other):
+        """The cones of each set that the other covers.  They form an
+        antichain with no complete sibling family, as the two antichains
+        do, so sorting them (dropping a cone both sets hold) is the
+        canonical form."""
         self._check_same(other)
-        out = []
-        for u in self.cones:
-            for v in other.cones:
-                if is_prefix(u, v):
-                    out.append(v)
-                elif is_prefix(v, u):
-                    out.append(u)
-        return canonicalize_clopen(self.n, out)
+        out = {u for u in self.cones if other.contains_cone(u)}
+        out.update(v for v in other.cones if self.contains_cone(v))
+        return ClopenSet(self.n, tuple(sorted(out)))
 
     def complement(self):
         return canonicalize_clopen(self.n, _complement(self.n, list(self.cones)))
 
     def disjoint(self, other):
-        """True iff no cone of one antichain is a prefix of a cone of the
-        other.  If u is a prefix of v, every cone sorted between them also
-        extends u, so only neighbours in the merged sorted order are tested;
-        two cones of one antichain are never prefixes of each other."""
         self._check_same(other)
-        cones = sorted(self.cones + other.cones)
-        return not any(is_prefix(u, v) for u, v in zip(cones, cones[1:]))
+        return pairwise_disjoint((self, other))
 
     def issubset(self, other):
-        return self.intersection(other) == self
+        """True iff other covers every cone of the set."""
+        return all(other.contains_cone(c) for c in self.cones)
 
     def shift(self, w):
-        """The set w . self, every point prefixed by the finite word w."""
+        """The set w . self, every point prefixed by the finite word w.  A
+        common prefix keeps the order and the antichain canonical."""
         check_letters(self.n, w)
         w = tuple(w)
         if not w:
             return self
-        if not self.cones:
-            return self
-        return ClopenSet(self.n, tuple(sorted(w + c for c in self.cones)))
+        return ClopenSet(self.n, tuple(w + c for c in self.cones))
 
     def min_point(self):
         """Lexicographically least point; the set must be nonempty."""
         if not self.cones:
             raise InvalidInput("minimum of the empty clopen set")
-        w = min(self.cones, key=lambda c: (c, len(c)))
-        return EvPeriodicWord(w, (0,))
+        return EvPeriodicWord(self.cones[0], (0,))
 
     def max_point(self):
         if not self.cones:
             raise InvalidInput("maximum of the empty clopen set")
-        w = max(self.cones, key=lambda c: (c, -len(c)))
-        return EvPeriodicWord(w, (self.n - 1,))
+        return EvPeriodicWord(self.cones[-1], (self.n - 1,))
+
+
+def pairwise_disjoint(sets):
+    """True iff the clopen sets, all over one alphabet, are pairwise
+    disjoint: no cone of one is a prefix of a cone of another.  If u is a
+    prefix of v, every cone sorted between them also extends u, and two
+    cones of one antichain never do, so only neighbours in the merged
+    sorted order are tested."""
+    cones = sorted(c for s in sets for c in s.cones)
+    return not any(v[: len(u)] == u for u, v in zip(cones, cones[1:]))
 
 
 def _complement(n, cones):
@@ -331,30 +359,37 @@ def _complement(n, cones):
 
 
 def canonicalize_clopen(n, cones):
-    """Canonical antichain with the same union of cones: prefixes absorb
-    extensions and complete sibling families merge upward, to a fixpoint."""
+    """Canonical antichain with the same union of cones, in one sorted pass.
+    A cone that extends the top of the stack, or equals it, is skipped.  A
+    cone whose n-1 elder siblings sit on top of the stack replaces them by
+    their parent, which may complete a family in turn; the n siblings of a
+    family are adjacent in sorted order, so no other merge is missed."""
     if n < 2:
         raise InvalidInput("alphabet must have at least 2 letters")
-    s = set()
+    cones = [tuple(c) for c in cones]
+    letters = set().union(*cones)
+    if letters and not (0 <= min(letters) and max(letters) < n):
+        for c in cones:
+            check_letters(n, c)  # names the first letter out of range
+    cones.sort()
+    last = n - 1
+    stack = []
     for c in cones:
-        c = tuple(c)
-        check_letters(n, c)
-        s.add(c)
-    changed = True
-    while changed:
-        # drop any word with a proper prefix already present
-        s = {w for w in s if not any(w[:k] in s for k in range(len(w)))}
-        changed = False
-        parents = {}
-        for w in s:
-            if w:
-                parents.setdefault(w[:-1], set()).add(w[-1])
-        for parent, kids in parents.items():
-            if len(kids) == n:
-                s.difference_update(parent + (i,) for i in range(n))
-                s.add(parent)
-                changed = True
-    return ClopenSet(n, tuple(sorted(s)))
+        if stack and c[: len(stack[-1])] == stack[-1]:
+            continue
+        while c and c[-1] == last and _elder_siblings(stack, c, last):
+            del stack[-last:]
+            c = c[:-1]
+        stack.append(c)
+    return ClopenSet(n, tuple(stack))
+
+
+def _elder_siblings(stack, c, last):
+    """Are the top n-1 = `last` cones of the stack the siblings of c, whose
+    last letter is n-1?  They sort before c, so each is c's parent followed
+    by a smaller letter, and n-1 of them are all of them."""
+    parent = c[:-1]
+    return len(stack) >= last and all(w[:-1] == parent for w in stack[-last:])
 
 
 def empty_clopen(n):

@@ -291,6 +291,23 @@ class TestCarriedImages:
         with pytest.raises(InvalidInput, match="not a valid core element: not synchronizing"):
             invert_element(GroupElement(swapping))
 
+    def test_raw_element_inverts_with_validations_closure(self, record_calls):
+        t3 = GroupElement.from_machine(machine_T(3))
+        M = group_product(t3, t3).machine
+        want = invert_element(GroupElement.from_machine(M))
+        calls = record_calls(("inverse_closure",))
+        for q in M.states:
+            calls.clear()
+            assert invert_element(GroupElement(M), root=q) == want
+            # validation's closure, then the one that validates the inverse
+            assert len(calls["inverse_closure"]) == 2
+
+    def test_unknown_root_is_a_domain_error(self):
+        g = GroupElement.from_machine(machine_T(3))
+        for h in (g, GroupElement(g.machine)):
+            with pytest.raises(InvalidInput, match="no transitions for state 'z'"):
+                invert_element(h, root="z")
+
     def test_homomorphism_check_reuses_the_pool_products(self, record_calls):
         from cantortx.verify import check_rsig_homomorphism
 

@@ -1,13 +1,24 @@
 import random
-from itertools import product as cartesian
+from itertools import combinations, product as cartesian
 
 import pytest
 
-from cantortx.words import EMPTY, EvPeriodicWord, canonicalize_clopen, whole_space, union_all
+from cantortx.words import (
+    EMPTY,
+    ClopenSet,
+    EvPeriodicWord,
+    RootedClopen,
+    canonicalize_clopen,
+    union_all,
+    whole_space,
+)
 from cantortx.transducer import Transducer, evaluate
+from cantortx.initial import InitialTransducer, dot
 from cantortx.images import (
     NotClopenImage,
     Orientation,
+    _branches_disjoint,
+    _rooted_branch,
     analyze,
     image,
     images,
@@ -31,9 +42,11 @@ from cantortx.machines import (
     oplus,
     swap_transducer,
     cycle_transducer,
+    realize,
     state_wrapper,
 )
 from cantortx.group import GroupElement, group_product, invert_element
+from cantortx.verify import _close_pool, _generator_pool
 
 
 def constant_machine():
@@ -212,12 +225,37 @@ class TestInitialImages:
 # --- the round-based image fixpoint -----------------------------------------
 
 
+def reference_canonicalize(n, cones):
+    """The fixpoint canonicalization that the sorted stack pass replaced
+    (as in test_words): drop every word with a proper prefix present, merge
+    complete sibling families into their parent, and repeat until nothing
+    changes."""
+    s = {tuple(c) for c in cones}
+    changed = True
+    while changed:
+        s = {w for w in s if not any(w[:k] in s for k in range(len(w)))}
+        changed = False
+        parents = {}
+        for w in s:
+            if w:
+                parents.setdefault(w[:-1], set()).add(w[-1])
+        for parent, kids in parents.items():
+            if len(kids) == n:
+                s.difference_update(parent + (i,) for i in range(n))
+                s.add(parent)
+                changed = True
+    return ClopenSet(n, tuple(sorted(s)))
+
+
 def reference_images(T, max_iter=32):
-    """The image fixpoint recomputing every state in every round."""
+    """The image fixpoint recomputing every state in every round, with the
+    fixpoint canonicalization that the sorted stack pass replaced."""
     img = {q: whole_space(T.n) for q in T.states}
     for _ in range(max_iter):
         new = {
-            q: union_all(T.n, [img[T.dest(q, i)].shift(T.output(q, i)) for i in range(T.n)])
+            q: reference_canonicalize(
+                T.n, [w + c for w, p in T.row(q) for c in img[p].cones]
+            )
             for q in T.states
         }
         if new == img:
@@ -253,6 +291,64 @@ def fixpoint_cases():
         for _ in range(rng.randrange(1, 5)):
             acc = group_product(acc, rng.choice(gens))
         yield acc.machine
+
+
+def reference_branches_disjoint(M, img, p):
+    """The pairwise branch test that one sorted pass replaced: every two
+    branch images, compared cone by cone."""
+    if isinstance(M, Transducer):
+        pieces = [img[d].shift(w) for w, d in M.row(p)]
+    else:
+        pieces = [_rooted_branch(M, img, w, d) for w, d in M.row(p)]
+    return all(_pairwise_disjoint(a, b) for a, b in combinations(pieces, 2))
+
+
+def _pairwise_disjoint(a, b):
+    """No cone of a and cone of b are nested."""
+    if isinstance(a, RootedClopen):
+        return all(_pairwise_disjoint(x, y) for x, y in zip(a.parts, b.parts))
+    return not any(
+        v[: len(u)] == u or u[: len(v)] == v for u in a.cones for v in b.cones
+    )
+
+
+def verify_pool_machines():
+    """The elements of both verify pools and their inverses."""
+    for n in (3, 4):
+        layers = _close_pool(_generator_pool(n), 3)
+        built = layers[1] + layers[2] + layers[3]
+        for g in built + [invert_element(g) for g in built]:
+            yield g.machine
+
+
+class TestSortedKernelImages:
+    """Images and branch disjointness against the fixpoint and pairwise
+    routines that the sorted-antichain kernel replaced."""
+
+    def test_powers_and_verify_pools_match_the_references(self):
+        machines = list(power_machines(machine_T, 3, 16)) + list(verify_pool_machines())
+        machines += [folding_machine(), reaches_overlap_machine()]
+        for M in machines:
+            img = images(M)
+            assert img == reference_images(M)
+            for p in M.states:
+                assert _branches_disjoint(M, img, p) == reference_branches_disjoint(M, img, p)
+
+    def test_initial_machines_match_the_references(self):
+        machines = [realize(make(n), r) for make, n in ((machine_T, 3), (machine_U, 4))
+                    for r in range(1, n)]
+        machines += [state_wrapper(M, q, r) for M in (machine_g4(), machine_T(3))
+                     for q in M.states for r in (1, 2)]
+        # both roots go to root 1, so the branches overlap at root 1 only
+        T = machine_T(3)
+        table = {p: dict(enumerate(T.row(p))) for p in T.states}
+        merging = InitialTransducer(3, 2, {a: ((dot(1),), "a") for a in (0, 1)}, table)
+        assert not _branches_disjoint(merging, images_initial(merging), merging.root)
+        machines.append(merging)
+        for A in machines:
+            img = images_initial(A)
+            for p in A.states:
+                assert _branches_disjoint(A, img, p) == reference_branches_disjoint(A, img, p)
 
 
 class TestImageFixpoint:

@@ -1,3 +1,4 @@
+import gc
 from itertools import product as cartesian
 
 import pytest
@@ -24,6 +25,7 @@ from cantortx.machines import (
     machine_U,
     machine_g4,
     oplus,
+    piece_of,
     realize,
     reorder_lexicographic,
     state_wrapper,
@@ -168,7 +170,66 @@ class TestPrefixExchange:
             PrefixExchange(2, 1, [(0, (0,))], [(0, (1,))], (0,))
 
 
+def reference_viable_combinations(T, max_prefix_depth=3, max_size=None, limit=None):
+    """The recursive search that the explicit stack replaced."""
+    img = images(T)
+    if max_size is None:
+        max_size = 3 * (T.n - 1) + 1
+    candidates = []
+    prefixes = [EMPTY]
+    for _ in range(max_prefix_depth):
+        prefixes = [w + (i,) for w in prefixes for i in range(T.n)] + prefixes
+    seen = set()
+    for w in sorted(set(prefixes), key=lambda w: (len(w), w)):
+        for q in T.states:
+            piece = piece_of(T, img, w, q)
+            if not piece.is_empty() and (w, q) not in seen:
+                seen.add((w, q))
+                candidates.append((w, q, piece))
+    found = []
+
+    def search(uncovered, chosen):
+        if limit is not None and len(found) >= limit:
+            return
+        if uncovered.is_empty():
+            found.append(
+                ViableCombination(
+                    tuple(w for w, q, _ in chosen), tuple(q for w, q, _ in chosen)
+                )
+            )
+            return
+        if len(chosen) >= max_size:
+            return
+        low = uncovered.min_point()
+        for w, q, piece in candidates:
+            if piece.contains_point(low) and piece.issubset(uncovered):
+                search(uncovered.intersection(piece.complement()), chosen + [(w, q, piece)])
+
+    search(whole_space(T.n), [])
+    return found
+
+
 class TestViableCombinations:
+    def test_search_matches_the_recursive_reference(self):
+        bounds = ({"limit": 8}, {"max_size": 3, "limit": 20}, {"max_size": 2},
+                  {"max_prefix_depth": 2, "limit": 12}, {"max_size": 0}, {"limit": 0},
+                  {"max_size": 1})
+        for M in (machine_g4(), machine_T(3), machine_U(3), oplus(2, swap_transducer(), 4)):
+            for kw in bounds:
+                assert viable_combinations(M, **kw) == reference_viable_combinations(M, **kw)
+
+    def test_search_leaves_no_cyclic_garbage(self):
+        g = machine_g4()
+        gc.collect()
+        gc.disable()
+        try:
+            combos = viable_combinations(g, limit=8)
+            # the recursive search left 926 objects here
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert combos == reference_viable_combinations(g, limit=8)
+
     def test_identity_has_singleton(self):
         I = identity_transducer(3)
         combos = viable_combinations(I, max_prefix_depth=1, max_size=1)

@@ -355,7 +355,40 @@ class TestUnitsLattice:
         assert subgroup_generated(1, {0}) == {0}
 
 
+def reference_monotonicity(T, i, j):
+    """The check as it was: one membership test per root count it reads."""
+    m = T.n - 1
+    ok = True
+    if member_over_roots(T, i) and any((k * i) % m == j % m for k in range(m)):
+        ok = ok and member_over_roots(T, j)
+    d = residue(math.gcd(j, m), T.n)
+    return ok and (member_over_roots(T, j) == member_over_roots(T, d))
+
+
 class TestMonotonicity:
+    def test_validates_once_per_call(self, record_calls):
+        constant = Transducer(4, {"q": {i: ((0,), "q") for i in range(4)}})
+        machines = (machine_T(4), machine_U(4), machine_g4(), letter_complement(4), constant)
+        want = {(M, i, j): reference_monotonicity(M, i, j)
+                for M in machines for i in range(1, 4) for j in range(1, 4)}
+        calls = record_calls(("validate_core",))
+        for (M, i, j), expect in want.items():
+            calls.clear()
+            assert membership_monotonicity_check(M, i, j) == expect
+            assert len(calls["validate_core"]) == 1
+
+    def test_membership_lattice_validation_count(self, record_calls):
+        from cantortx.verify import check_membership_lattice
+
+        calls = record_calls(("validate_core",))
+        assert check_membership_lattice() == (True, "lattice laws hold")
+        assert len(calls["validate_core"]) == 80  # it was 262
+
+    def test_root_counts_out_of_range(self):
+        for i, j in ((0, 1), (1, 0), (4, 1), (1, 4)):
+            with pytest.raises(InvalidInput, match="root count must be in 1..3"):
+                membership_monotonicity_check(machine_T(4), i, j)
+
     def test_examples(self):
         g = machine_g4()
         assert membership_monotonicity_check(g, 3, 3)

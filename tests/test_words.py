@@ -10,6 +10,7 @@ from cantortx.words import (
     EQUAL,
     GREATER,
     LESS,
+    ClopenSet,
     EvPeriodicWord,
     InvalidInput,
     canonicalize_clopen,
@@ -20,6 +21,7 @@ from cantortx.words import (
     lex_compare_evp,
     parse_dotted,
     parse_evp,
+    pairwise_disjoint,
     parse_word,
     rotation_class_of,
     whole_space,
@@ -76,6 +78,150 @@ cone_sets = st.integers(2, 4).flatmap(
 cone_set_pairs = st.integers(2, 4).flatmap(
     lambda n: st.tuples(st.just(n), _cone_lists(n), _cone_lists(n))
 )
+
+
+def reference_canonicalize(n, cones):
+    """The fixpoint canonicalization that the sorted stack pass replaced:
+    drop every word with a proper prefix present, merge complete sibling
+    families into their parent, and repeat until nothing changes."""
+    s = {tuple(c) for c in cones}
+    changed = True
+    while changed:
+        s = {w for w in s if not any(w[:k] in s for k in range(len(w)))}
+        changed = False
+        parents = {}
+        for w in s:
+            if w:
+                parents.setdefault(w[:-1], set()).add(w[-1])
+        for parent, kids in parents.items():
+            if len(kids) == n:
+                s.difference_update(parent + (i,) for i in range(n))
+                s.add(parent)
+                changed = True
+    return ClopenSet(n, tuple(sorted(s)))
+
+
+def reference_intersection(a, b):
+    """The pairwise intersection: of every two cones that are nested, the
+    longer one."""
+    out = []
+    for u in a.cones:
+        for v in b.cones:
+            if v[: len(u)] == u:
+                out.append(v)
+            elif u[: len(v)] == v:
+                out.append(u)
+    return reference_canonicalize(a.n, out)
+
+
+def family_cones(n, rnd, depth=6, budget=60):
+    """Cones of a random tree down to `depth`: a node is kept as a cone,
+    dropped, or split into its children, all of them or all but one, so
+    the list is dense in complete and nearly complete sibling families.
+    Extensions of kept cones and repeats are mixed in, and the list is
+    shuffled."""
+    out = []
+    todo = [EMPTY]
+    while todo and len(out) < budget:
+        w = todo.pop(rnd.randrange(len(todo)))
+        r = rnd.random()
+        if len(w) == depth or r < 0.15:
+            out.append(w)
+        elif r < 0.2:
+            continue
+        else:
+            kids = [w + (i,) for i in range(n)]
+            if rnd.random() < 0.4:
+                del kids[rnd.randrange(n)]
+            todo.extend(kids)
+    for w in rnd.sample(out, len(out) // 4):
+        out.append(w + tuple(rnd.randrange(n) for _ in range(rnd.randrange(3))))
+    rnd.shuffle(out)
+    return out
+
+
+# cone lists over n = 2..5: short random words, and dense sibling families
+def _any_cone_lists(n):
+    return st.one_of(
+        st.lists(st.lists(st.integers(0, n - 1), max_size=6).map(tuple), max_size=12),
+        st.randoms(use_true_random=False).map(lambda rnd: family_cones(n, rnd)),
+    )
+
+
+kernel_sets = st.integers(2, 5).flatmap(
+    lambda n: st.tuples(st.just(n), _any_cone_lists(n), _any_cone_lists(n))
+)
+
+
+def query_words(s, rnd):
+    """Words to ask a set about: its cones, their prefixes and extensions,
+    and random words."""
+    n = s.n
+    out = [EMPTY]
+    for c in s.cones:
+        out += [c, c[: rnd.randrange(len(c) + 1)], c + (rnd.randrange(n),)]
+    out += [tuple(rnd.randrange(n) for _ in range(rnd.randrange(8))) for _ in range(20)]
+    return out
+
+
+class TestSortedKernel:
+    """The sorted-antichain kernel against the pairwise and fixpoint
+    routines it replaced."""
+
+    @given(kernel_sets)
+    @settings(max_examples=100)
+    def test_canonicalize_matches_the_fixpoint(self, data):
+        n, ca, cb = data
+        for cones in (ca, cb, ca + cb):
+            got = canonicalize_clopen(n, cones)
+            assert got == reference_canonicalize(n, cones)
+            assert canonicalize_clopen(n, reversed(cones)) == got
+
+    def test_cascading_merges(self):
+        # completing the last family merges up to the root
+        for n in (2, 3, 5):
+            cones = [w + (i,) for w in ((), (n - 1,), (n - 1, n - 1)) for i in range(n - 1)]
+            assert canonicalize_clopen(n, cones + [(n - 1,) * 3]).is_whole()
+            assert canonicalize_clopen(n, cones) == reference_canonicalize(n, cones)
+
+    @given(kernel_sets, st.lists(st.integers(0, 4), max_size=4))
+    @settings(max_examples=50)
+    def test_shift_keeps_the_order(self, data, w):
+        n, ca, _ = data
+        w = tuple(a % n for a in w)
+        s = canonicalize_clopen(n, ca)
+        t = s.shift(w)
+        assert list(t.cones) == sorted(t.cones)
+        assert t == reference_canonicalize(n, [w + c for c in s.cones])
+
+    @given(kernel_sets, st.randoms(use_true_random=False))
+    @settings(max_examples=60)
+    def test_bisected_queries_match_a_scan(self, data, rnd):
+        n, ca, _ = data
+        s = canonicalize_clopen(n, ca)
+        for w in query_words(s, rnd):
+            assert s.contains_cone(w) == any(w[: len(c)] == c for c in s.cones)
+            assert s.meets_cone(w) == any(
+                w[: len(c)] == c or c[: len(w)] == w for c in s.cones
+            )
+            x = EvPeriodicWord(w, (rnd.randrange(n),) * rnd.randrange(1, 3))
+            assert s.contains_point(x) == any(x.prefix(len(c)) == c for c in s.cones)
+
+    @given(kernel_sets)
+    @settings(max_examples=80)
+    def test_set_operations_match_the_pairwise_references(self, data):
+        n, ca, cb = data
+        a, b = canonicalize_clopen(n, ca), canonicalize_clopen(n, cb)
+        meet = reference_intersection(a, b)
+        assert a.intersection(b) == meet
+        assert a.union(b) == reference_canonicalize(n, a.cones + b.cones)
+        assert a.issubset(b) == (meet == a)
+        assert a.disjoint(b) == meet.is_empty()
+        thirds = [a, b, canonicalize_clopen(n, ca[::3] + cb[1::3])]
+        assert pairwise_disjoint(thirds) == all(
+            reference_intersection(x, y).is_empty()
+            for i, x in enumerate(thirds) for y in thirds[i + 1:]
+        )
 
 
 class TestCanonicalize:
