@@ -154,7 +154,7 @@ def cmd_invert(args, started):
     if isinstance(M, InitialTransducer):
         out = invert_initial(M, cap=args.cap)
     else:
-        fail, _, closure, _ = validate_core(M, cap=args.cap)
+        fail, closure = validate_core(M, cap=args.cap)
         if fail is not None:
             raise InvalidInput(f"not invertible as a core element: {fail}")
         out = canonical_core(closure)
@@ -218,7 +218,7 @@ def cmd_sig(args, started):
 
 def cmd_member(args, started):
     M = _plain(_read_machine(args.file), "member")
-    reason = membership_failure(M, args.r, args.ordered)[0]
+    reason = membership_failure(M, args.r, args.ordered)
     ok = reason is None
     result = {"member": ok, "r": args.r, "ordered": args.ordered, "reason": reason}
     if args.json:

@@ -20,15 +20,10 @@ from .transducer import (
     renamed_rows,
     strip_rows,
 )
-from .synchronize import core, sync_counts
-from .images import Orientation, _boundary_orientation, images, orientation
+from .synchronize import core
+from .images import Orientation, orientation
 from .invert import inverse_closure
-from .signature import (
-    _signature,
-    signature_report,
-    validate_core,
-    validate_synchronizing_core,
-)
+from .signature import signature_report, validate_core, validate_synchronizing_core
 
 
 def canonical_core(T):
@@ -54,58 +49,33 @@ def canonical_core(T):
 
 class GroupElement:
     """A core element: canonical minimal core bi-synchronizing machine with
-    injective clopen-image states.  Signature data and orientation are
-    computed once and cached.
+    injective clopen-image states.  Its analyses (images, signature data,
+    orientation, validation) are memoized on its machine, so an element that
+    from_machine or group_product validated reads them without recomputing,
+    and an element made directly from a machine computes each once."""
 
-    An element that from_machine or group_product built carries the images
-    that its validation built, so its signature, orientation and inverse
-    neither recompute nor recheck them.  An element made directly from a
-    machine carries none, and those three validate the machine first."""
-
-    __slots__ = ("machine", "_sig", "_orient", "_img")
+    __slots__ = ("machine",)
 
     def __init__(self, machine):
         self.machine = machine
-        self._sig = None
-        self._orient = None
-        self._img = None
-
-    @classmethod
-    def _validated(cls, M, img):
-        """The element of a machine M that validation passed, with
-        img = images(M) as validation built them."""
-        g = cls(M)
-        g._img = img
-        return g
 
     @classmethod
     def from_machine(cls, T):
         """The element of T's canonical core, validated; canonical_core
         makes a synchronizing core, so validation checks the rest."""
         M = canonical_core(T)
-        fail, img, _ = validate_synchronizing_core(M)
+        fail = validate_synchronizing_core(M)
         if fail is not None:
             raise InvalidInput(f"not a valid core element: {fail}")
-        return cls._validated(M, img)
+        return cls(M)
 
     @property
     def n(self):
         return self.machine.n
 
     @property
-    def images(self):
-        """images(machine): the ones validation built, when it built them."""
-        return images(self.machine) if self._img is None else self._img
-
-    @property
     def signature(self):
-        if self._sig is None:
-            M = self.machine
-            if self._img is None:
-                self._sig = signature_report(M)
-            else:
-                self._sig = _signature(M, self._img, sync_counts(M))
-        return self._sig
+        return signature_report(self.machine)
 
     @property
     def rsig(self):
@@ -113,12 +83,7 @@ class GroupElement:
 
     @property
     def orientation(self):
-        if self._orient is None:
-            if self._img is None:
-                self._orient = orientation(self.machine)
-            else:  # validation found every state injective
-                self._orient = _boundary_orientation(self.machine)
-        return self._orient
+        return orientation(self.machine)
 
     def __eq__(self, other):
         return isinstance(other, GroupElement) and self.machine == other.machine
@@ -149,28 +114,28 @@ def group_product(g, h):
     P = product(g.machine, h.machine)
     root = (g.machine.states[0], h.machine.states[0])
     M = canonical_core(minimize_rooted(P, root)[0])
-    fail, img, _ = validate_synchronizing_core(M)
+    fail = validate_synchronizing_core(M)
     if fail is not None:
         raise ProductLeftGroup(f"product left the group, inputs were invalid: {fail}")
-    return GroupElement._validated(M, img)
+    return GroupElement(M)
 
 
 def invert_element(g, root=None):
     """The inverse element, via the inverse closure rooted at any state.  An
-    element that carries its images is known valid, so only the closure is
-    built; any other is validated first, and validation's closure, rooted
-    at the first state, is reused whatever the root: every rooted closure
-    of a synchronizing core contains the whole core of the inverse, so the
-    canonical core does not depend on the root."""
+    element whose machine has not been validated yet is validated here, and
+    validation's closure, rooted at the first state, serves whatever the
+    root: every rooted closure of a synchronizing core contains the whole
+    core of the inverse, so the canonical core does not depend on the
+    root."""
     M = g.machine
     if root is not None:
-        M.row(root)  # an unknown state is an error at either path
-    if g._img is None:
-        fail, _, closure, _ = validate_core(M)
-        if fail is not None:
-            raise InvalidInput(f"not a valid core element: {fail}")
-        return GroupElement.from_machine(closure)
-    return GroupElement.from_machine(inverse_closure(M, root, img=g._img))
+        M.row(root)  # an unknown state is an error, valid element or not
+    fail, closure = validate_core(M)
+    if fail is not None:
+        raise InvalidInput(f"not a valid core element: {fail}")
+    if closure is None:
+        closure = inverse_closure(M, root)
+    return GroupElement.from_machine(closure)
 
 
 def is_identity(g):

@@ -7,7 +7,8 @@ on stabilization the fixpoint equation holds exactly, and for a productive
 machine the fixpoint is exactly the image.  The approximants are computed in
 rounds, and a round recomputes only the states with a successor whose
 approximant changed in the round before; `max_iter` bounds the rounds.
-Plain and initial machines share the rounds."""
+Plain and initial machines share the rounds.  The images, the non-injective
+states and the orientation are memoized on the machine."""
 
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .words import (
     whole_space,
     GREATER,
 )
-from .transducer import Transducer, check_productive, evaluate_periodic
+from .transducer import Transducer, check_productive, evaluate_periodic, memoized
 from .initial import DONE, split_rooted
 
 
@@ -34,19 +35,38 @@ class NotClopenImage(RuntimeError):
     """Image iteration failed to stabilize within the configured bound."""
 
 
-def _fixpoint(M, img, value, max_iter):
-    """Rounds of img[q] = value(q) over the states of the plain or initial
-    machine M, from the approximants in img, until a round changes nothing;
-    returns img.
+def _fixpoint(M, max_iter):
+    """The images of the plain or initial machine M: rounds of
+    img[q] = value(q) over its states, from the whole space (the whole
+    rooted space at the initial and pending states), until a round changes
+    nothing.
 
     Each round computes new approximants from the previous round's.  Round 1
     recomputes every state; a later round recomputes only the predecessors
     of the states that changed in the round before, because every other
     state would compute its previous value again.  So the rounds that
     `max_iter` bounds are as many as with every state recomputed."""
+    n, rows = M.n, M._rows
+    if isinstance(M, Transducer):
+        check_productive(M)
+        img = {q: whole_space(n) for q in M.states}
+
+        def value(q):
+            return canonicalize_clopen(n, [w + c for w, p in rows[q] for c in img[p].cones])
+    else:
+        img = {q: whole_space(n) if M.region[q] is DONE else whole_rooted(n, M.r)
+               for q in M.states}
+
+        def value(q):
+            pieces = [_rooted_branch(M, img, w, p) for w, p in rows[q]]
+            acc = pieces[0]
+            for piece in pieces[1:]:
+                acc = acc.union(piece)
+            return acc
+
     preds = {q: set() for q in M.states}
     for p in M.states:
-        for _, d in M.row(p):
+        for _, d in rows[p]:
             preds[d].add(p)
     todo = M.states
     for _ in range(max_iter):
@@ -62,16 +82,7 @@ def _fixpoint(M, img, value, max_iter):
 
 def images(T, max_iter=32):
     """Exact clopen image of every state of a plain transducer."""
-    check_productive(T)
-    n = T.n
-    rows = T._rows
-    img = {q: whole_space(n) for q in T.states}
-    return _fixpoint(
-        T,
-        img,
-        lambda q: canonicalize_clopen(n, [w + c for w, p in rows[q] for c in img[p].cones]),
-        max_iter,
-    )
+    return memoized(T, ("images", max_iter), lambda: _fixpoint(T, max_iter))
 
 
 def image(T, q):
@@ -112,12 +123,16 @@ def _branches_disjoint(M, img, p):
     return all(pairwise_disjoint(parts) for parts in zip(*(b.parts for b in pieces)))
 
 
-def non_injective_states(M, img):
-    """The states q, in state order, with h_q not injective, given the
-    images img of the plain or initial machine M (images or
-    images_initial): each state's branches are checked once, then one
-    reverse-reachability sweep adds every state that reaches a state whose
-    branch images overlap."""
+def non_injective_states(M):
+    """The states q, in state order, with h_q not injective, for a plain
+    or initial machine M: each state's branch images are checked once, then
+    one reverse-reachability sweep adds every state that reaches a state
+    whose branch images overlap."""
+    return memoized(M, "non_injective_states", lambda: _non_injective(M))
+
+
+def _non_injective(M):
+    img = images(M) if isinstance(M, Transducer) else images_initial(M)
     preds = {q: [] for q in M.states}
     for p in M.states:
         for _, d in M.row(p):
@@ -132,17 +147,15 @@ def non_injective_states(M, img):
     return [q for q in M.states if q in bad]
 
 
-def is_injective_state(T, q, img=None):
+def is_injective_state(T, q):
     """True iff h_q is injective: at every state reachable from q the images
-    of distinct branches are pairwise disjoint.  `img` is images(T) when the
-    caller already has it."""
+    of distinct branches are pairwise disjoint."""
     T.row(q)  # an unknown state is an error, not an injective state
-    return q not in non_injective_states(T, images(T) if img is None else img)
+    return q not in non_injective_states(T)
 
 
 def is_homeomorphism_state(T, q):
-    img = images(T)
-    return img[q].is_whole() and is_injective_state(T, q, img=img)
+    return images(T)[q].is_whole() and is_injective_state(T, q)
 
 
 class Orientation(Enum):
@@ -160,17 +173,17 @@ def orientation(T):
     An order-preserving or order-reversing core element automatically
     respects the endpoint identifications of the circle quotient; that is a
     theorem about these machines, so no separate check exists for it."""
-    try:
-        img = images(T)
-    except NotClopenImage:
-        return Orientation.NEITHER
-    if non_injective_states(T, img):
-        return Orientation.NEITHER
-    return _boundary_orientation(T)
+    return memoized(T, "orientation", lambda: _boundary_orientation(T))
 
 
 def _boundary_orientation(T):
-    """orientation() of T once every state is known to be injective."""
+    """orientation(T), computed: NEITHER unless every state is injective
+    with clopen image, else the boundary condition decides."""
+    try:
+        if non_injective_states(T):
+            return Orientation.NEITHER
+    except NotClopenImage:
+        return Orientation.NEITHER
     n = T.n
     preserving = True
     reversing = True
@@ -203,7 +216,7 @@ class StateReport:
 def analyze(T):
     """One StateReport per state plus the machine orientation."""
     img = images(T)
-    bad = set(non_injective_states(T, img))
+    bad = set(non_injective_states(T))
     reports = {
         q: StateReport(
             image=img[q],
@@ -213,7 +226,7 @@ def analyze(T):
         )
         for q in T.states
     }
-    return reports, Orientation.NEITHER if bad else _boundary_orientation(T)
+    return reports, orientation(T)
 
 
 # --- images over the r-rooted space ---------------------------------------
@@ -222,28 +235,15 @@ def analyze(T):
 def images_initial(A, max_iter=32):
     """Image of every state of an initial machine: a ClopenSet for states past
     the output root, a RootedClopen for the initial state and pending states."""
-    n, r = A.n, A.r
-    img = {
-        q: whole_space(n) if A.region[q] is DONE else whole_rooted(n, r) for q in A.states
-    }
-
-    def value(q):
-        pieces = [_rooted_branch(A, img, w, p) for w, p in A.row(q)]
-        acc = pieces[0]
-        for piece in pieces[1:]:
-            acc = acc.union(piece)
-        return acc
-
-    return _fixpoint(A, img, value, max_iter)
+    return memoized(A, ("images", max_iter), lambda: _fixpoint(A, max_iter))
 
 
-def is_injective_initial(A, img=None):
+def is_injective_initial(A):
     """True iff at every state the images of distinct branches are pairwise
-    disjoint.  `img` is images_initial(A) when the caller already has it."""
-    return not non_injective_states(A, images_initial(A) if img is None else img)
+    disjoint."""
+    return not non_injective_states(A)
 
 
 def is_homeomorphism_initial(A):
     """True iff the induced map of C_{n,r} is a homeomorphism."""
-    img = images_initial(A)
-    return is_injective_initial(A, img=img) and img[A.root].is_whole()
+    return is_injective_initial(A) and images_initial(A)[A.root].is_whole()

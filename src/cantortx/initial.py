@@ -93,9 +93,10 @@ class InitialTransducer:
     Only states reachable from the initial state are kept, in breadth-first
     order from it.  The transitions are stored as one row per state: the
     initial state's entry row is indexed by root letter, every other row by
-    letter, and `step(q, sym)` reads cell a of the entry row for sym = .a."""
+    letter, and `step(q, sym)` reads cell a of the entry row for sym = .a.
+    `_memo` keeps the analyses of the machine, as on a plain Transducer."""
 
-    __slots__ = ("n", "r", "root", "states", "_rows", "region", "_hash")
+    __slots__ = ("n", "r", "root", "states", "_rows", "region", "_hash", "_memo")
 
     def __init__(self, n, r, root_table, table, root="q0"):
         if n < 2 or r < 1:
@@ -127,6 +128,7 @@ class InitialTransducer:
         self.states = tuple(order)
         self._rows = {q: rows[q] for q in order}
         self._hash = None
+        self._memo = None
         self.region = self._classify()
         self._check_structure()
 
@@ -272,7 +274,17 @@ def minimize_initial(A):
     The non-initial states are a plain machine's rows: their forced outputs
     are pushed upstream (the initial state keeps its behaviour), equivalent
     ones are merged, and the entry row and the blocks are named
-    breadth-first from the entry row."""
+    breadth-first from the entry row.  The result is marked minimal in its
+    memo, so minimizing it again returns it unchanged."""
+    if A._memo is not None and "minimal" in A._memo:
+        return A
+    M = _minimize(A)
+    M._memo = {"minimal": True}
+    return M
+
+
+def _minimize(A):
+    """minimize_initial(A), computed."""
     c = common_prefixes(A, states=A.states[1:])
     c[A.root] = EMPTY
     rows = strip_rows(A._rows, c)

@@ -12,14 +12,8 @@ The preimage prefix (v)L_q is a search memoized on (state, rest of the cone):
 each pair is solved once, so one search costs at most |Q| x (|v|+1) pairs
 and needs no node budget.  Plain and initial machines share the search and
 the forward closure of inverse states; one closure keeps one memo over all
-its preimage searches and drops it on return.
-
-`invert_initial` and `bisynchronizing_failure_initial` minimize their input
-and check that it is a homeomorphism; then `_invert_minimal` builds the
-inverse of that minimized homeomorphism (closure, then one minimization of
-the raw inverse).  A caller that has minimized and checked a machine already,
-as `machines.realize` has, calls `_invert_minimal` (through
-`_bisynchronizing_failure_minimal`) and skips both."""
+its preimage searches and drops it on return.  A closure is never kept in
+its machine's memo: only inversion reads one."""
 
 from __future__ import annotations
 
@@ -167,30 +161,26 @@ def _close(n, step, queue, known, cap):
     return rows
 
 
-def inverse_closure(T, root=None, cap=10000, img=None):
+def inverse_closure(T, root=None, cap=10000):
     """The inverse behaviours of a core machine as a total transducer.
 
     Seeded from the image antichain of `root`: for each maximal image cone a,
     the state (a - forward output on (a)L_root, forward state on (a)L_root);
     then closed forward under the inverse transition rule.  The closure
     contains the full core of the inverse whenever T is synchronizing.
-    `img` is images(T) when the caller already has it.  All preimage
-    searches of one call share one memo."""
-    if img is None:
-        img = images(T)
+    All preimage searches of one call share one memo."""
     if root is None:
         root = T.states[0]
     step = _inverse_step(T)
-    queue = list(dict.fromkeys(step((EMPTY, root), a)[1] for a in img[root].cones))
+    queue = list(dict.fromkeys(step((EMPTY, root), a)[1] for a in images(T)[root].cones))
     return Transducer._from_rows(T.n, _close(T.n, step, queue, set(queue), cap))
 
 
-def is_bisynchronizing_core(T, root=None, cap=10000, img=None):
-    """A core machine together with its inverse closure must both collapse.
-    `img` is images(T) when the caller already has it."""
+def is_bisynchronizing_core(T, root=None, cap=10000):
+    """A core machine together with its inverse closure must both collapse."""
     if not is_synchronizing(T):
         return False
-    return is_synchronizing(inverse_closure(T, root, cap, img))
+    return is_synchronizing(inverse_closure(T, root, cap))
 
 
 # --- inverses over the r-rooted space ---------------------------------------
@@ -204,13 +194,6 @@ def invert_initial(A, cap=10000):
     A = minimize_initial(A)
     if not is_homeomorphism_initial(A):
         raise InvalidInput("machine is not a homeomorphism, cannot invert")
-    return _invert_minimal(A, cap)
-
-
-def _invert_minimal(A, cap=10000):
-    """invert_initial(A) for a machine A that must already be the output of
-    minimize_initial and a homeomorphism (neither is checked here): the
-    closure, then one minimization of the raw inverse."""
     inv_root = (EMPTY, A.root)
     step = _inverse_step(A)
     entry = [step(inv_root, (dot(b),)) for b in range(A.r)]
@@ -227,15 +210,9 @@ def bisynchronizing_failure_initial(A):
     A = minimize_initial(A)
     if not is_homeomorphism_initial(A):
         return "not invertible: the induced map is not a homeomorphism"
-    return _bisynchronizing_failure_minimal(A)
-
-
-def _bisynchronizing_failure_minimal(A):
-    """bisynchronizing_failure_initial(A) for an A that must already be the
-    output of minimize_initial and a homeomorphism (neither is checked)."""
     if not is_synchronizing(A):
         return "the machine itself is not synchronizing"
-    if not is_synchronizing(_invert_minimal(A)):
+    if not is_synchronizing(invert_initial(A)):
         return "the inverse is not synchronizing"
     return None
 

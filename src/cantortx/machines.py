@@ -22,7 +22,7 @@ from .words import (
 from .transducer import Transducer
 from .initial import InitialTransducer, dot, rooted_word, evaluate_periodic_initial
 from .synchronize import is_synchronizing
-from .images import images, Orientation
+from .images import images, orientation, Orientation
 
 
 def identity_transducer(n):
@@ -281,19 +281,18 @@ def piece_of(T, img, prefix, state):
     return img[state].shift(prefix)
 
 
-def validate_viable(T, v, img=None):
-    img = img or images(T)
+def validate_viable(T, v):
+    img = images(T)
     pieces = [piece_of(T, img, p, q) for p, q in v.entries()]
     return pairwise_disjoint(pieces) and union_all(T.n, pieces).is_whole()
 
 
-def viable_combinations(T, max_prefix_depth=3, max_size=None, limit=None, img=None):
+def viable_combinations(T, max_prefix_depth=3, max_size=None, limit=None):
     """Exhaustive search for viable combinations within the given bounds.
-    `img` is images(T) when the caller already has it.
 
     Pieces are found in increasing order of their least point, so each
     combination is produced exactly once, entries sorted by least point."""
-    img = img or images(T)
+    img = images(T)
     if max_size is None:
         max_size = 3 * (T.n - 1) + 1
     candidates = []
@@ -357,10 +356,10 @@ class NotOrderable(RuntimeError):
 _lex_key = cmp_to_key(lex_compare_evp)  # the exact order of infinite words
 
 
-def reorder_lexicographic(T, v, img=None):
+def reorder_lexicographic(T, v):
     """Sort the entries so each piece lies entirely below the next in the
     lexicographic order; fails if the pieces do not separate."""
-    img = img or images(T)
+    img = images(T)
     entries = sorted(v.entries(), key=lambda e: _lex_key(piece_of(T, img, *e).min_point()))
     pieces = [piece_of(T, img, w, q) for w, q in entries]
     for a, b in zip(pieces, pieces[1:]):
@@ -405,7 +404,7 @@ def _subdivide_last(n, antichain, times):
     return out
 
 
-def _assemble_blocks(T, v, r, img):
+def _assemble_blocks(T, v, r):
     """Initial machine sending block i of a complete r*j antichain onto root i
     via the viable combination's pieces, in order."""
     j = len(v)
@@ -484,8 +483,7 @@ def _check_circle_map(A, leaves):
 def realize(T, r, ordered=True, max_prefix_depth=3, max_size=None):
     """An initial machine over r roots whose long-run behaviour (core) is the
     given core machine T; with ordered=True the machine also respects the
-    circle structure.  Membership at r is validated first, once: its images
-    and orientation serve the construction.
+    circle structure.  Membership at r is checked first.
 
     Uses the homeomorphism-state shortcut when available, otherwise assembles
     blocks from a lexicographic viable combination; orientation-reversing
@@ -494,33 +492,34 @@ def realize(T, r, ordered=True, max_prefix_depth=3, max_size=None):
     from . import group
     from .initial import minimize_initial, product_initial
 
-    reason, img, orient = membership_failure(T, r, ordered)
+    reason = membership_failure(T, r, ordered)
     if reason is not None:
         if reason == CONGRUENCE_FAILS:
             reason += " at this root count"
         raise RealizeError(f"element is not realizable over {r} roots: {reason}")
 
-    if orient is Orientation.REVERSING:
+    if ordered and orientation(T) is Orientation.REVERSING:
         # the partner T . (letter complement) preserves the order and is a
         # member at r; group_product validates it.  The product is rooted at
         # the first state of each factor, so T enters in canonical form.
         flip = group.GroupElement(letter_complement(T.n))
         g = group.GroupElement(group.canonical_core(T))
         partner = group.group_product(g, flip).machine
-        raw = _construct(partner, r, True, images(partner), max_prefix_depth, max_size)
+        raw = _construct(partner, r, True, max_prefix_depth, max_size)
         raw = product_initial(raw, reversing_complement_wrapper(T.n, r))
     else:
-        raw = _construct(T, r, ordered, img, max_prefix_depth, max_size)
+        raw = _construct(T, r, ordered, max_prefix_depth, max_size)
     out = minimize_initial(raw)
-    _verify_realization(out, T, ordered)
+    _verify_realization(out, T)
     return out
 
 
-def _construct(T, r, ordered, img, max_prefix_depth, max_size):
+def _construct(T, r, ordered, max_prefix_depth, max_size):
     """The unminimized initial machine over r roots with core T that realize
-    builds, given img = images(T) of a valid member T that is not reversing:
-    a homeomorphism-state wrapper when one fits, else blocks assembled from
-    a (lexicographic) viable combination."""
+    builds for a valid member T that is not reversing: a homeomorphism-state
+    wrapper when one fits, else blocks assembled from a (lexicographic)
+    viable combination."""
+    img = images(T)
     for q in T.states:
         # membership validated T, so every state is injective
         if img[q].is_whole():
@@ -528,15 +527,15 @@ def _construct(T, r, ordered, img, max_prefix_depth, max_size):
             if not ordered or _check_circle_map(raw, [(a, EMPTY) for a in range(r)]):
                 return raw
 
-    combos = viable_combinations(T, max_prefix_depth, max_size, limit=8, img=img)
+    combos = viable_combinations(T, max_prefix_depth, max_size, limit=8)
     if not combos:
         raise RealizeError(
             f"no viable combination within depth {max_prefix_depth}, size {max_size}"
         )
     errors = []
     for combo in combos:
-        v = reorder_lexicographic(T, combo, img) if ordered else combo
-        raw, leaves = _assemble_blocks(T, v, r, img)
+        v = reorder_lexicographic(T, combo) if ordered else combo
+        raw, leaves = _assemble_blocks(T, v, r)
         if ordered and not _check_circle_map(raw, leaves):
             errors.append("assembled map broke a circle gluing")
             continue
@@ -544,26 +543,19 @@ def _construct(T, r, ordered, img, max_prefix_depth, max_size):
     raise RealizeError("; ".join(errors) or "no combination assembled")
 
 
-def _verify_realization(A, T, ordered):
+def _verify_realization(A, T):
     """Check the machine A built for T: a homeomorphism with core T and
-    bi-synchronizing.
-
-    A must be the output of minimize_initial: the homeomorphism test reads
-    images_initial(A) once, and the bi-synchronization test inverts A with
-    invert._invert_minimal, which does not minimize A again.  Nothing here
-    checks that A is minimized; every caller passes minimize_initial's
-    result."""
+    bi-synchronizing."""
     from . import group
     from .synchronize import core
-    from .invert import _bisynchronizing_failure_minimal
-    from .images import images_initial, is_injective_initial
+    from .invert import bisynchronizing_failure_initial
+    from .images import is_homeomorphism_initial
 
-    img = images_initial(A)
-    if not (is_injective_initial(A, img=img) and img[A.root].is_whole()):
+    if not is_homeomorphism_initial(A):
         raise RealizeError("constructed machine is not a homeomorphism")
     got = group.canonical_core(core(A))
     want = group.canonical_core(T)
     if got != want:
         raise RealizeError("constructed machine has the wrong core")
-    if _bisynchronizing_failure_minimal(A) is not None:
+    if bisynchronizing_failure_initial(A) is not None:
         raise RealizeError("constructed machine is not bi-synchronizing")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import index as as_index
 
 from .words import InvalidInput
-from .transducer import Transducer
+from .transducer import Transducer, memoized
 from .synchronize import (
     NotSynchronizing,
     _destination_rows,
@@ -29,9 +29,9 @@ from .synchronize import (
 from .images import (
     Orientation,
     NotClopenImage,
-    _boundary_orientation,
     images,
     non_injective_states,
+    orientation,
 )
 from .invert import inverse_closure
 
@@ -107,22 +107,19 @@ class SignatureReport:
 
 def signature_report(T):
     """Signature data of a synchronizing machine with injective clopen-image
-    states; preconditions are checked and named."""
+    states; preconditions are checked and named.  Memoized on T."""
+    return memoized(T, "signature_report", lambda: _signature_report(T))
+
+
+def _signature_report(T):
     try:
-        sync = sync_counts(T)
+        k, counts = sync_counts(T)
     except NotSynchronizing:
         raise NotSynchronizing("signature needs a synchronizing machine") from None
     img = images(T)
-    bad = non_injective_states(T, img)
+    bad = non_injective_states(T)
     if bad:
         raise InvalidInput(f"state {bad[0]!r} is not injective")
-    return _signature(T, img, sync)
-
-
-def _signature(T, img, sync):
-    """signature_report(T) of a machine that meets its preconditions, given
-    img = images(T) and sync = sync_counts(T)."""
-    k, counts = sync
     m = {q: len(img[q].cones) for q in counts}
     sig = sum(count * m[q] for q, count in counts.items())
     per = PerWordM(T.n, k, _destination_rows(T), T.states[0], m)
@@ -135,42 +132,55 @@ def reduced_signature(T):
 
 def validation_failure(T):
     """None when T is a valid core element (core, bi-synchronizing, every
-    state injective with clopen image); otherwise the reason."""
+    state injective with clopen image); otherwise the reason.  The verdict
+    is memoized on T."""
     return validate_core(T)[0]
 
 
 def validate_core(T, cap=10000):
-    """(reason, img, closure, sync): the reason is validation_failure(T);
-    img is images(T), closure is inverse_closure(T, cap=cap) and sync is
-    sync_counts(T) once validation has built them, else None, so a caller
-    can reuse them."""
+    """(reason, closure): the reason is validation_failure(T); closure is
+    the inverse closure, rooted at the first state with the given cap, when
+    this call built it to decide the verdict, else None (the verdict was
+    memoized already, or failed before the closure)."""
     if not isinstance(T, Transducer):
-        return "not a plain transducer", None, None, None
-    try:
-        sync = sync_counts(T)
-    except NotSynchronizing:
-        return "not synchronizing", None, None, None
-    if set(sync[1]) != set(T.states):
-        return "not core: some states are not forced by long words", None, None, sync
-    return validate_synchronizing_core(T, cap) + (sync,)
+        return "not a plain transducer", None
+    closure = None
+
+    def check():
+        nonlocal closure
+        try:
+            _, counts = sync_counts(T)
+        except NotSynchronizing:
+            return "not synchronizing"
+        if len(counts) != len(T.states):
+            return "not core: some states are not forced by long words"
+        reason, closure = _core_failure(T, cap)
+        return reason
+
+    return memoized(T, ("validation", cap), check), closure
 
 
 def validate_synchronizing_core(T, cap=10000):
-    """The reason, img and closure of validate_core(T) for a plain T that is
-    known to be synchronizing and its own core, as canonical_core makes it:
-    only the images, injectivity and the inverse closure and its
-    synchronization are checked."""
+    """validation_failure(T) for a plain T that is known to be synchronizing
+    and its own core, as canonical_core makes it: only the images,
+    injectivity and the inverse closure and its synchronization are
+    checked, and the verdict is memoized on T as validation's."""
+    return memoized(T, ("validation", cap), lambda: _core_failure(T, cap)[0])
+
+
+def _core_failure(T, cap):
+    """(reason, closure) of the checks past synchronization and the core."""
     try:
-        img = images(T)
+        images(T)
     except NotClopenImage:
-        return "some state image is not clopen within the iteration bound", None, None
-    bad = non_injective_states(T, img)
+        return "some state image is not clopen within the iteration bound", None
+    bad = non_injective_states(T)
     if bad:
-        return f"state {bad[0]!r} is not injective", img, None
-    closure = inverse_closure(T, cap=cap, img=img)
+        return f"state {bad[0]!r} is not injective", None
+    closure = inverse_closure(T, cap=cap)
     if not is_synchronizing(closure):
-        return "the inverse is not synchronizing", img, closure
-    return None, img, closure
+        return "the inverse is not synchronizing", closure
+    return None, closure
 
 
 CONGRUENCE_FAILS = "membership congruence fails"
@@ -183,57 +193,43 @@ def _check_root_count(n, r):
 
 
 def membership_failure(T, r, ordered):
-    """(reason, img, orient) of membership over r roots, ordered or not:
-    the reason is None for a member, else validation_failure(T),
-    CONGRUENCE_FAILS or (ordered only) NOT_ORDERED.  img is images(T) once
-    validation has built them, else None; orient is the orientation of a
-    valid element that meets the congruence when `ordered`, else None.
-    Validation, the synchronization counts, the images, the signature and
-    the orientation are each computed once."""
+    """The reason T is not a member over r roots, ordered or not: None for a
+    member, else validation_failure(T), CONGRUENCE_FAILS or (ordered only)
+    NOT_ORDERED."""
     n = T.n
     _check_root_count(n, r)
-    fail, img, _, sync = validate_core(T)
+    fail = validation_failure(T)
     if fail is not None:
-        return fail, img, None
-    sig = _signature(T, img, sync).sig
-    if (r * (sig - 1)) % (n - 1) != 0:
-        return CONGRUENCE_FAILS, img, None
-    if not ordered:
-        return None, img, None
-    # a valid element has every state injective
-    orient = _boundary_orientation(T)
-    if orient is Orientation.NEITHER:
-        return NOT_ORDERED, img, orient
-    return None, img, orient
+        return fail
+    if (r * (signature_report(T).sig - 1)) % (n - 1) != 0:
+        return CONGRUENCE_FAILS
+    if ordered and orientation(T) is Orientation.NEITHER:
+        return NOT_ORDERED
+    return None
 
 
 def member_over_roots(T, r):
     """Is T the long-run behaviour of some homeomorphism machine over r
     roots?  False (never an exception) when validation or the congruence
     fails."""
-    return membership_failure(T, r, False)[0] is None
+    return membership_failure(T, r, False) is None
 
 
 def member_over_roots_ordered(T, r):
     """Membership over r roots for the circle-compatible subgroup: the
     element must additionally preserve or reverse the lexicographic order."""
-    return membership_failure(T, r, True)[0] is None
+    return membership_failure(T, r, True) is None
 
 
 def inverse_reduced_signature(T):
     """Reduced signature of the inverse, computed directly on T: pick a state
     q and an image cone v, take j with every length-j output from q at least
     |v| long, and count the length-j inputs whose output starts with v."""
-    fail, img, _, _ = validate_core(T)
+    fail = validation_failure(T)
     if fail is not None:
         raise InvalidInput(f"not a valid core element: {fail}")
-    return _inverse_rsig(T, img)
-
-
-def _inverse_rsig(T, img):
-    """inverse_reduced_signature(T) of a valid core element T, given
-    img = images(T)."""
     q = T.states[0]
+    img = images(T)
     if img[q].is_empty():
         raise InvalidInput("state has empty image")
     v = min(img[q].cones)
@@ -349,10 +345,9 @@ def membership_monotonicity_check(T, i, j):
     m = n - 1
     for r in (i, j):
         _check_root_count(n, r)
-    fail, img, _, sync = validate_core(T)
-    if fail is not None:  # a member over no root count, so both laws hold
+    if validation_failure(T) is not None:  # a member nowhere: both laws hold
         return True
-    sig = _signature(T, img, sync).sig
+    sig = signature_report(T).sig
 
     def member(r):
         return (r * (sig - 1)) % m == 0

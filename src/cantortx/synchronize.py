@@ -21,11 +21,13 @@ repeats on the quotient, counting its rounds.  Two facts make it exact:
   state.  So the number of words of that length that force a state q is the
   number of paths of that length from any one fixed start state to q, and
   these counts are pushed one letter at a time in O(level * |Q| * n).
+
+The level and the counts are memoized on the machine.
 """
 
 from __future__ import annotations
 
-from .transducer import restrict
+from .transducer import memoized, restrict
 from .initial import InitialTransducer, underlying_interior
 
 
@@ -57,14 +59,24 @@ def _collapse_rounds(rows):
     return level
 
 
+def _sync_level(T):
+    """The minimal synchronizing level of T, or None when T does not
+    synchronize."""
+    return memoized(T, "sync_level", lambda: _collapse_rounds(_destination_rows(T)))
+
+
 def sync_counts(T):
     """(level, counts): the minimal synchronizing level, and for each forced
     state the number of words of that length that force it.  Raises
     NotSynchronizing."""
-    rows = _destination_rows(T)
-    level = _collapse_rounds(rows)
+    return memoized(T, "sync_counts", lambda: _counts(T))
+
+
+def _counts(T):
+    level = _sync_level(T)
     if level is None:
         raise NotSynchronizing("machine is not synchronizing")
+    rows = _destination_rows(T)
     counts = {next(iter(rows)): 1}
     for _ in range(level):
         nxt = {}
@@ -76,12 +88,12 @@ def sync_counts(T):
 
 
 def is_synchronizing(T):
-    return _collapse_rounds(_destination_rows(T)) is not None
+    return _sync_level(T) is not None
 
 
 def minimal_sync_level(T):
     """Least k such that every length-k word forces the end state."""
-    level = _collapse_rounds(_destination_rows(T))
+    level = _sync_level(T)
     if level is None:
         raise NotSynchronizing("machine is not synchronizing")
     return level
@@ -107,6 +119,7 @@ def core(T):
     """The sub-transducer on the forced states; strongly connected and equal
     to its own core.  For an initial machine the forced states are taken
     among the states reachable from the initial state (the interior)."""
+    states = sorted(core_states(T), key=str)
     if isinstance(T, InitialTransducer):
         T = underlying_interior(T)
-    return restrict(T, sorted(core_states(T), key=str))
+    return restrict(T, states)

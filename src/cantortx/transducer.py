@@ -41,9 +41,11 @@ class Transducer:
     The transitions are stored as one row per state: `row(q)` is the tuple
     ((out_0, dest_0), ..., (out_{n-1}, dest_{n-1})) indexed by letter, so a
     loop over a state's letters reads one row instead of looking up each
-    (state, letter) pair."""
+    (state, letter) pair.
 
-    __slots__ = ("n", "states", "_rows", "_hash")
+    `_memo` keeps the analyses of the machine that `memoized` computed."""
+
+    __slots__ = ("n", "states", "_rows", "_hash", "_memo")
 
     def __init__(self, n, table):
         if n < 2:
@@ -66,6 +68,7 @@ class Transducer:
             rows[q] = tuple(cells)
         self._rows = rows
         self._hash = None
+        self._memo = None
 
     @classmethod
     def _from_rows(cls, n, rows):
@@ -77,6 +80,7 @@ class Transducer:
         T.states = tuple(rows)
         T._rows = rows
         T._hash = None
+        T._memo = None
         return T
 
     def step(self, q, i):
@@ -124,6 +128,20 @@ class Transducer:
         for q in self.states:
             for i, (w, p) in enumerate(self._rows[q]):
                 yield q, i, w, p
+
+
+def memoized(M, key, compute):
+    """The analysis `key` of the plain or initial machine M: compute() on
+    the first call, read from M's memo after that.  Only pure analyses whose
+    results no caller mutates are kept there, keyed by every argument that
+    shapes them; an exception is not kept.  No kept value refers to M, so a
+    dropped machine frees its memo without a garbage collection."""
+    memo = M._memo
+    if memo is None:
+        memo = M._memo = {}
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 def evaluate(T, q, w):

@@ -7,17 +7,18 @@ from __future__ import annotations
 
 import math
 import time
+from functools import lru_cache, partial
 from itertools import product as cartesian
 
-from .words import rotation_class_of
+from .words import EMPTY, rotation_class_of
 from .transducer import evaluate, minimize_rooted, product
 from .initial import evaluate_initial, split_rooted
 from .synchronize import minimal_sync_level
 from .images import Orientation, images, is_homeomorphism_state, orientation
 from .invert import invert_initial, is_bisynchronizing_core
 from .signature import (
-    _inverse_rsig,
     divisors_generate_units,
+    inverse_reduced_signature,
     member_over_roots,
     member_over_roots_ordered,
     membership_monotonicity_check,
@@ -141,7 +142,7 @@ def check_block_sums():
         rep = signature_report(M)
         _expect(failures, rep.rsig == d, f"rsig={d} for n={n},d={d}")
         img = images(M)
-        _expect(failures, is_bisynchronizing_core(M, img=img), f"bi-synchronizing n={n},d={d}")
+        _expect(failures, is_bisynchronizing_core(M), f"bi-synchronizing n={n},d={d}")
         m = n // d
         for i in range(m):
             want = tuple((d * i + b,) for b in range(d))
@@ -214,9 +215,8 @@ def check_rsig_homomorphism():
                         failures.append(f"rsig({i}+{j} product) n={n}")
         everything = layers[1] + layers[2] + layers[3]
         for X in everything:
-            # every element here was validated when it was built
-            img = X.images
-            if _inverse_rsig(X.machine, img) != invert_element(X).rsig:
+            img = images(X.machine)
+            if inverse_reduced_signature(X.machine) != invert_element(X).rsig:
                 failures.append(f"inverse signature mismatch n={n}")
             residues = {(len(img[q].cones) - 1) % m + 1 for q in X.machine.states}
             if residues != {X.rsig}:
@@ -256,6 +256,31 @@ def _padded_outputs_agree(out1, out2):
     return out1[:k] == out2[:k]
 
 
+def _run_then(A, B, state, w):
+    """evaluate for A's output fed to B, from the pair of states `state`."""
+    a, b = state
+    mid, a = evaluate(A, a, w)
+    out, b = evaluate(B, b, mid)
+    return out, (a, b)
+
+
+def _padded_runs_agree(n, f, g, p, q, pad, depth=6, a=EMPTY, b=EMPTY):
+    """Do the runs f from p and g from q, which have output a and b so far,
+    agree as far as both outputs go on every word of length at most `depth`
+    followed by `pad`?  A run maps (state, word) to (output, end state) as
+    evaluate does.  The walk is depth first and each word extends its
+    parent's runs by one letter, so every prefix is run once."""
+    if not _padded_outputs_agree(a + f(p, pad)[0], b + g(q, pad)[0]):
+        return False
+    if depth == 0:
+        return True
+    for i in range(n):
+        (x, p2), (y, q2) = f(p, (i,)), g(q, (i,))
+        if not _padded_runs_agree(n, f, g, p2, q2, pad, depth - 1, a + x, b + y):
+            return False
+    return True
+
+
 def check_oracle_equivalence():
     failures = []
     for n in (2, 3, 4):
@@ -267,26 +292,18 @@ def check_oracle_equivalence():
             pool.append(machine_T(n))
             pool.append(machine_U(n))
         pad = (0,) * 6
-        words = [w for k in range(7) for w in cartesian(range(n), repeat=k)]
+        # a run's answer on one (state, letter or pad) is computed once
+        remember = lru_cache(maxsize=None)
         for M in pool:
-            root = M.states[0]
-            Mmin, rt = minimize_rooted(M, root)
-            for w in words:
-                a, _ = evaluate(M, root, w + pad)
-                b, _ = evaluate(Mmin, rt, w + pad)
-                if not _padded_outputs_agree(a, b):
-                    failures.append(f"minimize oracle n={n}")
-                    break
+            Mmin, rt = minimize_rooted(M, M.states[0])
+            f, g = remember(partial(evaluate, M)), remember(partial(evaluate, Mmin))
+            if not _padded_runs_agree(n, f, g, M.states[0], rt, pad):
+                failures.append(f"minimize oracle n={n}")
         for A, B in zip(pool, pool[1:]):
-            P = product(A, B)
-            ra, rb = A.states[0], B.states[0]
-            for w in words:
-                mid, _ = evaluate(A, ra, w + pad)
-                direct, _ = evaluate(B, rb, mid)
-                got, _ = evaluate(P, (ra, rb), w + pad)
-                if not _padded_outputs_agree(direct, got):
-                    failures.append(f"product oracle n={n}")
-                    break
+            f, g = remember(partial(_run_then, A, B)), remember(partial(evaluate, product(A, B)))
+            root = (A.states[0], B.states[0])
+            if not _padded_runs_agree(n, f, g, root, root, pad):
+                failures.append(f"product oracle n={n}")
         if n >= 3:
             for M in pool[2:3]:
                 X = GroupElement.from_machine(M)

@@ -125,16 +125,24 @@ class TestInvertCap:
 
 class TestPipelines:
     def test_stdin_stdout_composition(self):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        import cantortx
+
+        # the child imports the package under test, however pytest found it
+        src = str(Path(cantortx.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
         first = subprocess.run(
             [sys.executable, "-m", "cantortx.cli", "example", "--name", "g4"],
-            capture_output=True, text=True, check=True,
+            capture_output=True, text=True, check=True, env=env,
         )
         second = subprocess.run(
             [sys.executable, "-m", "cantortx.cli", "sig", "-"],
-            input=first.stdout, capture_output=True, text=True, check=True,
+            input=first.stdout, capture_output=True, text=True, check=True, env=env,
         )
         assert second.stdout.strip() == "sync_level=1 sig=8 rsig=2"
 

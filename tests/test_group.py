@@ -253,9 +253,9 @@ class TestProductWork:
 
 
 class TestCarriedImages:
-    """Elements that from_machine, group_product and invert_element build
-    carry the images that their validation built, and read them for the
-    signature, the orientation and the inverse."""
+    """The analyses that validation computes for from_machine,
+    group_product and invert_element stay memoized on the element's
+    machine, and the signature, the orientation and the inverse read them."""
 
     def test_analyses_match_the_checked_path_on_the_verify_pools(self):
         from cantortx.verify import _close_pool, _generator_pool
@@ -274,15 +274,16 @@ class TestCarriedImages:
     def test_inverse_and_signature_skip_validation(self, record_calls):
         t3 = GroupElement.from_machine(machine_T(3))
         p = group_product(group_product(t3, t3), t3)
-        calls = record_calls(("validate_core", "images"))
+        calls = record_calls(("_core_failure", "_fixpoint"))
         inverse = invert_element(p)
-        # the one images call validates the inverse
-        assert len(calls["validate_core"]) == 0
-        assert len(calls["images"]) == 1
+        # p's verdict is memoized: only the inverse is validated, and the
+        # one image fixpoint is the inverse's
+        assert [c["T"] for c in calls["_core_failure"]] == [inverse.machine]
+        assert [c["M"] for c in calls["_fixpoint"]] == [inverse.machine]
         calls.clear()
         assert p.signature.sync_level == 4
         assert p.orientation is Orientation.PRESERVING
-        assert len(calls["images"]) == 0
+        assert len(calls["_fixpoint"]) == 0
         assert is_identity(group_product(p, inverse))
 
     def test_raw_element_is_validated_before_inversion(self):

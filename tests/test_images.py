@@ -134,16 +134,14 @@ class TestStatePredicates:
                     oplus(2, swap_transducer(), 4), oplus(3, cycle_transducer(3), 6)]
         machines += [make(n) for make in (machine_T, machine_U) for n in (3, 4, 5)]
         for M in machines:
-            img = images(M)
             expect = [q for q in M.states if not is_injective_state(M, q)]
-            assert non_injective_states(M, img) == expect
-            assert expect == [q for q in M.states if not is_injective_state(M, q, img=img)]
-        assert non_injective_states(folding_machine(), images(folding_machine())) == ["q"]
+            assert non_injective_states(M) == expect
+        assert non_injective_states(folding_machine()) == ["q"]
 
     def test_failure_names_the_first_state_reaching_an_overlap(self):
         # "a" has disjoint branches itself but reaches "b", whose do overlap
         M = reaches_overlap_machine()
-        assert non_injective_states(M, images(M)) == ["a", "b"]
+        assert non_injective_states(M) == ["a", "b"]
         assert validation_failure(M) == "state 'a' is not injective"
         assert orientation(M) is Orientation.NEITHER
 

@@ -5,9 +5,15 @@ import pytest
 
 from cantortx.words import EMPTY, InvalidInput, union_all, whole_space
 from cantortx.transducer import Transducer, evaluate
-from cantortx.initial import evaluate_initial, initial_equal, minimize_initial, split_rooted
+from cantortx.initial import (
+    InitialTransducer,
+    evaluate_initial,
+    initial_equal,
+    minimize_initial,
+    split_rooted,
+)
 from cantortx.images import Orientation, images, orientation
-from cantortx.invert import is_bisynchronizing_initial
+from cantortx.invert import invert_initial, is_bisynchronizing_initial
 from cantortx.synchronize import core
 from cantortx.machines import (
     NotOrderable,
@@ -340,32 +346,51 @@ class TestRealize:
 
 class TestRealizeWork:
     """realize validates its element once, and checks and inverts the
-    machine it built once; repeated analyses would show in these counts."""
+    machine it built once; repeated analyses would show in these counts of
+    the kernels that do the work (memo hits run none of them)."""
+
+    @staticmethod
+    def by_kind(calls):
+        """{"plain": count, "initial": count} of the image fixpoints."""
+        initial = sum(isinstance(c["M"], InitialTransducer) for c in calls["_fixpoint"])
+        return {"plain": len(calls["_fixpoint"]) - initial, "initial": initial}
 
     def test_call_counts(self, record_calls):
         calls = record_calls((
-            "minimize_initial", "images_initial", "images", "validate_core",
-            "_boundary_orientation", "is_homeomorphism_initial",
+            "_minimize", "_fixpoint", "_core_failure", "_boundary_orientation",
+            "_non_injective",
         ))
         A = realize(machine_T(3), 2)
         assert len(A.states) > 1
-        assert 1 <= len(calls["minimize_initial"]) <= 2
-        assert len(calls["images_initial"]) == 1
-        assert len(calls["images"]) == 1
-        assert len(calls["validate_core"]) == 1
+        assert 1 <= len(calls["_minimize"]) <= 2
+        assert self.by_kind(calls) == {"plain": 1, "initial": 1}
+        assert len(calls["_core_failure"]) == 1
         assert len(calls["_boundary_orientation"]) == 1
-        assert len(calls["is_homeomorphism_initial"]) == 0
+        # injectivity of T for validation, of A for the homeomorphism check
+        assert len(calls["_non_injective"]) == 2
 
     def test_reversing_call_counts(self, record_calls):
         # the partner T . (letter complement) is validated by group_product
         # alone, and only the final machine is minimized and verified
         calls = record_calls((
-            "validate_core", "images", "inverse_closure", "canonical_core",
-            "minimize_initial", "images_initial", "_verify_realization",
+            "validate_core", "_fixpoint", "inverse_closure", "canonical_core",
+            "_minimize", "_verify_realization",
         ))
         A = realize(letter_complement(4), 2)
         assert len(A.states) == 2
+        assert self.by_kind(calls) == {"plain": 2, "initial": 1}
+        del calls["_fixpoint"]
         assert {name: len(c) for name, c in calls.items()} == {
-            "validate_core": 1, "images": 3, "inverse_closure": 2, "canonical_core": 4,
-            "minimize_initial": 2, "images_initial": 1, "_verify_realization": 1,
+            "validate_core": 1, "inverse_closure": 2, "canonical_core": 4,
+            "_minimize": 2, "_verify_realization": 1,
         }
+
+    def test_inverting_a_realized_machine_minimizes_once(self, record_calls):
+        # realize returns a minimized machine whose images it has computed,
+        # so invert_initial minimizes only the raw inverse
+        A = realize(machine_T(3), 2)
+        calls = record_calls(("_minimize", "_fixpoint"))
+        Ainv = invert_initial(A)
+        assert [c["A"].root for c in calls["_minimize"]] == [(EMPTY, "0")]
+        assert len(calls["_fixpoint"]) == 0
+        assert minimize_initial(Ainv) is Ainv and minimize_initial(A) is A

@@ -8,7 +8,7 @@ from cantortx.words import InvalidInput
 from cantortx.transducer import Transducer, evaluate
 from cantortx.images import images
 from cantortx.invert import inverse_closure
-from cantortx.synchronize import NotSynchronizing, forced_state, minimal_sync_level, sync_counts
+from cantortx.synchronize import NotSynchronizing, forced_state, minimal_sync_level
 from cantortx.signature import (
     PerWordM,
     _count_outputs_with_prefix,
@@ -40,6 +40,7 @@ from cantortx.machines import (
     state_wrapper,
 )
 from cantortx.group import GroupElement, group_product, invert_element
+from cantortx.textio import parse, serialize
 
 
 class TestSignature:
@@ -236,34 +237,21 @@ class TestMembership:
         with pytest.raises(InvalidInput):
             member_over_roots(identity_transducer(4), 4)
 
-    def test_one_images_call_per_ordered_membership(self, monkeypatch):
-        import cantortx.images
-        import cantortx.invert
-        import cantortx.signature
-
-        calls = []
-        real = cantortx.images.images
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        for mod in (cantortx.images, cantortx.invert, cantortx.signature):
-            monkeypatch.setattr(mod, "images", counting)
+    def test_one_images_call_per_ordered_membership(self, record_calls):
+        # one image fixpoint serves every membership query on a machine
+        calls = record_calls(("_fixpoint",))
         for M in (machine_T(3), machine_U(5), machine_g4()):
+            calls.clear()
             for r in range(1, M.n):
-                calls.clear()
                 member_over_roots_ordered(M, r)
-                assert len(calls) == 1
-                calls.clear()
                 member_over_roots(M, r)
-                assert len(calls) == 1
+            assert len(calls["_fixpoint"]) == 1
 
     def test_membership_synchronizes_once(self, record_calls):
         # the signature reads the counts that validation computed
-        calls = record_calls(("sync_counts", "validate_core"))
+        calls = record_calls(("_counts", "validate_core"))
         assert member_over_roots(machine_T(3), 1)
-        assert len(calls["sync_counts"]) == 1
+        assert len(calls["_counts"]) == 1
         assert len(calls["validate_core"]) == 1
 
     def test_answers_equal_the_composed_definition_on_the_verify_pool(self):
@@ -369,20 +357,22 @@ class TestMonotonicity:
     def test_validates_once_per_call(self, record_calls):
         constant = Transducer(4, {"q": {i: ((0,), "q") for i in range(4)}})
         machines = (machine_T(4), machine_U(4), machine_g4(), letter_complement(4), constant)
-        want = {(M, i, j): reference_monotonicity(M, i, j)
+        # the reference runs on copies, so these machines' memos stay empty
+        want = {(M, i, j): reference_monotonicity(parse(serialize(M)), i, j)
                 for M in machines for i in range(1, 4) for j in range(1, 4)}
-        calls = record_calls(("validate_core",))
+        calls = record_calls(("_counts", "_core_failure"))
         for (M, i, j), expect in want.items():
-            calls.clear()
             assert membership_monotonicity_check(M, i, j) == expect
-            assert len(calls["validate_core"]) == 1
+        # each machine is validated once over its nine calls
+        assert len(calls["_counts"]) == len(calls["_core_failure"]) == 5
 
     def test_membership_lattice_validation_count(self, record_calls):
         from cantortx.verify import check_membership_lattice
 
-        calls = record_calls(("validate_core",))
+        calls = record_calls(("_core_failure",))
         assert check_membership_lattice() == (True, "lattice laws hold")
-        assert len(calls["validate_core"]) == 80  # it was 262
+        # the ten pool elements, validated once when the pools are built
+        assert len(calls["_core_failure"]) == 10  # 262, then 80 validations
 
     def test_root_counts_out_of_range(self):
         for i, j in ((0, 1), (1, 0), (4, 1), (1, 4)):
@@ -454,27 +444,25 @@ def overlap_machine():
 
 
 class TestSharedValidation:
-    def check(self, T, reason, built_img, built_closure):
-        got_reason, img, closure, sync = validate_core(T)
+    def check(self, T, reason, built_closure):
+        got_reason, closure = validate_core(T)
         assert got_reason == reason == validation_failure(T)
-        assert img == (images(T) if built_img else None)
         assert closure == (inverse_closure(T) if built_closure else None)
-        unsynced = reason in ("not a plain transducer", "not synchronizing")
-        assert sync == (None if unsynced else sync_counts(T))
+        # the verdict is memoized, so a second call builds no closure
+        assert validate_core(T) == (reason, None)
 
     def test_reason_and_analyses_per_failure_kind(self):
-        self.check(state_wrapper(machine_T(3), "a", 1), "not a plain transducer", False, False)
-        self.check(swapping_machine(), "not synchronizing", False, False)
+        self.check(state_wrapper(machine_T(3), "a", 1), "not a plain transducer", False)
+        self.check(swapping_machine(), "not synchronizing", False)
         self.check(
             extra_state_machine(),
             "not core: some states are not forced by long words",
             False,
-            False,
         )
-        self.check(overlap_machine(), "state 'a' is not injective", True, False)
-        self.check(xor_machine(), "the inverse is not synchronizing", True, True)
-        self.check(machine_g4(), None, True, True)
-        self.check(machine_U(4), None, True, True)
+        self.check(overlap_machine(), "state 'a' is not injective", False)
+        self.check(xor_machine(), "the inverse is not synchronizing", True)
+        self.check(machine_g4(), None, True)
+        self.check(machine_U(4), None, True)
 
     def test_not_clopen_within_the_bound(self, monkeypatch):
         # T:3^2 needs three image rounds; allow two
@@ -484,8 +472,11 @@ class TestSharedValidation:
         assert validation_failure(T3sq) is None
         monkeypatch.setattr(signature, "images", lambda T: images(T, max_iter=2))
         reason = "some state image is not clopen within the iteration bound"
-        assert validate_core(T3sq) == (reason, None, None, sync_counts(T3sq))
-        assert validation_failure(T3sq) == reason
+        # T3sq keeps its verdict; a fresh copy is validated under the bound
+        assert validation_failure(T3sq) is None
+        fresh = parse(serialize(T3sq))
+        assert validate_core(fresh) == (reason, None)
+        assert validation_failure(fresh) == reason
 
     def test_invert_element_at_every_root(self):
         for make, n, k in ((machine_T, 3, 3), (machine_U, 4, 2)):

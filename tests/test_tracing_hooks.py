@@ -3,6 +3,7 @@ removal would surface only there, so check the names here."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -22,3 +23,21 @@ def test_every_wrapped_name_is_a_library_callable():
         module = importlib.import_module(f"cantortx.{module_name}")
         for name in names:
             assert callable(getattr(module, name, None)), f"cantortx.{module_name}.{name}"
+
+
+WORKLOADS = TRACING.parent / "workloads.py"
+
+
+def test_every_chain_the_workloads_read_resolves():
+    # the workloads reach the library as tx.<name> and tx.<module>.<name>
+    # after importing cantortx, cantortx.textio and cantortx.verify
+    tx = importlib.import_module("cantortx")
+    importlib.import_module("cantortx.textio")
+    importlib.import_module("cantortx.verify")
+    chains = set(re.findall(r"\btx((?:\.[A-Za-z_]\w*)+)", WORKLOADS.read_text(encoding="utf-8")))
+    assert len(chains) > 20
+    for chain in sorted(chains):
+        target = tx
+        for part in chain.lstrip(".").split("."):
+            target = getattr(target, part, None)
+            assert target is not None, f"tx{chain}"
