@@ -337,6 +337,18 @@ def cmd_edges(args, started):
     _emit(args, "edges", [args.file], text, {}, started, machine_text=text)
 
 
+def _count(text):
+    """argparse type of a numeric option that may not be negative; the
+    message for a non-integer is argparse's own for type=int."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="tx",
@@ -363,7 +375,7 @@ def build_parser():
 
     p = add("invert", cmd_invert, help="inverse machine")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=10000)
+    p.add_argument("--cap", type=_count, default=10000)
 
     p = add("sync-level", cmd_sync_level, help="minimal synchronizing level")
     p.add_argument("file")
@@ -395,7 +407,7 @@ def build_parser():
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--unordered", action="store_true",
                    help="drop the circle-order requirement")
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=_count, default=3)
 
     p = add("mul", cmd_mul, help="group product of two core elements")
     p.add_argument("a")
@@ -403,13 +415,13 @@ def build_parser():
 
     p = add("order", cmd_order, help="order of a core element, up to a bound")
     p.add_argument("file")
-    p.add_argument("--bound", type=int, default=16)
-    p.add_argument("--state-cap", type=int, default=512)
+    p.add_argument("--bound", type=_count, default=16)
+    p.add_argument("--state-cap", type=_count, default=512)
 
     p = add("orbit", cmd_orbit, help="rotation-class orbit lengths")
     p.add_argument("file")
     p.add_argument("--class", dest="cls", required=True, help="e.g. 1,2")
-    p.add_argument("--steps", type=int, default=8)
+    p.add_argument("--steps", type=_count, default=8)
 
     p = add("partition", cmd_partition, help="root-count classes from signatures")
     p.add_argument("--n", type=int, required=True)

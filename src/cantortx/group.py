@@ -164,19 +164,18 @@ class OrderResult:
 
 
 def element_order(g, bound, state_cap=512):
-    """Iterate powers until the identity, the iteration bound, or the state
-    cap; an ExceedsBound result carries the state-count growth sequence."""
+    """Test g^1, ..., g^bound for the identity, stopping early at the state
+    cap; an ExceedsBound result carries the state counts of the powers
+    formed, g^1 up to g^bound at most."""
     acc = g
     growth = [len(g.machine.states)]
-    k = 1
-    while k <= bound:
+    for k in range(1, bound + 1):
         if is_identity(acc):
             return OrderResult(True, k, tuple(growth))
-        if len(acc.machine.states) > state_cap:
-            return OrderResult(False, None, tuple(growth))
+        if k == bound or len(acc.machine.states) > state_cap:
+            break
         acc = group_product(acc, g)
         growth.append(len(acc.machine.states))
-        k += 1
     return OrderResult(False, None, tuple(growth))
 
 

@@ -12,13 +12,16 @@ The preimage prefix (v)L_q is a search memoized on (state, rest of the cone):
 each pair is solved once, so one search costs at most |Q| x (|v|+1) pairs
 and needs no node budget.  Plain and initial machines share the search and
 the forward closure of inverse states; one closure keeps one memo over all
-its preimage searches and drops it on return.  A closure is never kept in
-its machine's memo: only inversion reads one."""
+its preimage searches and drops it on return.  The minimized inverse of an
+initial machine is kept in the memo of the minimal machine it inverts, so
+the bi-synchronization check of a realization and a later inversion share
+one closure; a plain inverse closure is never kept: only inversion reads
+one."""
 
 from __future__ import annotations
 
 from .words import EMPTY, InvalidInput, gcp, subtract_prefix
-from .transducer import DegenerateTransducer, Transducer
+from .transducer import DegenerateTransducer, Transducer, memoized
 from .initial import InitialTransducer, dot, minimize_initial, run
 from .images import images, is_homeomorphism_initial
 from .synchronize import is_synchronizing
@@ -190,8 +193,14 @@ def invert_initial(A, cap=10000):
     """The inverse machine of a homeomorphism A of the r-rooted space,
     minimized.  Raises InvalidInput when A is not invertible.  The inverse's
     entry row reads the output roots .b; its other states are closed forward
-    as in inverse_closure."""
+    as in inverse_closure.  The inverse is kept in the memo of the minimized
+    A under ("inverse", cap)."""
     A = minimize_initial(A)
+    return memoized(A, ("inverse", cap), lambda: _invert_minimal(A, cap))
+
+
+def _invert_minimal(A, cap):
+    """invert_initial(A, cap) of a minimal A, computed."""
     if not is_homeomorphism_initial(A):
         raise InvalidInput("machine is not a homeomorphism, cannot invert")
     inv_root = (EMPTY, A.root)

@@ -498,19 +498,19 @@ def realize(T, r, ordered=True, max_prefix_depth=3, max_size=None):
             reason += " at this root count"
         raise RealizeError(f"element is not realizable over {r} roots: {reason}")
 
+    want = group.canonical_core(T)
     if ordered and orientation(T) is Orientation.REVERSING:
         # the partner T . (letter complement) preserves the order and is a
         # member at r; group_product validates it.  The product is rooted at
         # the first state of each factor, so T enters in canonical form.
         flip = group.GroupElement(letter_complement(T.n))
-        g = group.GroupElement(group.canonical_core(T))
-        partner = group.group_product(g, flip).machine
+        partner = group.group_product(group.GroupElement(want), flip).machine
         raw = _construct(partner, r, True, max_prefix_depth, max_size)
         raw = product_initial(raw, reversing_complement_wrapper(T.n, r))
     else:
         raw = _construct(T, r, ordered, max_prefix_depth, max_size)
     out = minimize_initial(raw)
-    _verify_realization(out, T)
+    _verify_realization(out, want)
     return out
 
 
@@ -543,9 +543,10 @@ def _construct(T, r, ordered, max_prefix_depth, max_size):
     raise RealizeError("; ".join(errors) or "no combination assembled")
 
 
-def _verify_realization(A, T):
-    """Check the machine A built for T: a homeomorphism with core T and
-    bi-synchronizing."""
+def _verify_realization(A, want):
+    """Check the machine A built for an element whose canonical core is
+    `want`: a homeomorphism with that core and bi-synchronizing.  The
+    bi-synchronization check keeps A's inverse in A's memo."""
     from . import group
     from .synchronize import core
     from .invert import bisynchronizing_failure_initial
@@ -553,9 +554,7 @@ def _verify_realization(A, T):
 
     if not is_homeomorphism_initial(A):
         raise RealizeError("constructed machine is not a homeomorphism")
-    got = group.canonical_core(core(A))
-    want = group.canonical_core(T)
-    if got != want:
+    if group.canonical_core(core(A)) != want:
         raise RealizeError("constructed machine has the wrong core")
     if bisynchronizing_failure_initial(A) is not None:
         raise RealizeError("constructed machine is not bi-synchronizing")

@@ -48,6 +48,13 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["lengths"] == [2, 3, 4, 5, 6]
 
+    def test_order_tests_powers_up_to_the_bound(self, tmp_path, capsys):
+        # T:3^31 is the last power tested; T:3^32 is never formed
+        t3 = write_example(tmp_path, capsys, "T:3")
+        code, out, _ = run(capsys, "order", "--bound", "31", "--json", t3)
+        assert code == 0
+        assert json.loads(out)["result"]["state_counts"] == list(range(3, 34))
+
     def test_mul_pipeline(self, tmp_path, capsys):
         path = write_example(tmp_path, capsys, "g4")
         code, out, _ = run(capsys, "mul", path, path)
@@ -174,6 +181,27 @@ class TestErrors:
         code, out, err = run(capsys, "order", "--bound", "40", path)
         assert code == 1 and out == ""
         assert err.startswith("error: product left the group")
+
+    @pytest.mark.parametrize("argv", [
+        ("orbit", "--class", "1,2", "--steps", "-1"),
+        ("order", "--bound", "-3"),
+        ("order", "--state-cap", "-1"),
+        ("realize", "--r", "2", "--depth", "-1"),
+        ("invert", "--cap", "-1"),
+    ])
+    def test_negative_numeric_option_is_a_usage_error(self, tmp_path, capsys, argv):
+        path = write_example(tmp_path, capsys, "T:3")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, path])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert f"error: argument {argv[-2]}: must not be negative" in err
+        assert "Traceback" not in err
+
+    def test_zero_numeric_option_is_accepted(self, tmp_path, capsys):
+        path = write_example(tmp_path, capsys, "T:3")
+        code, out, _ = run(capsys, "orbit", "--class", "1,2", "--steps", "0", path)
+        assert code == 0 and json.loads(out)["lengths"] == [2]
 
     def test_unordered_element_reasons(self, tmp_path, capsys):
         # a member over 3 roots that neither preserves nor reverses the order

@@ -110,6 +110,16 @@ class TestOrder:
         assert not res.finite
         assert len(res.growth) >= 2
 
+    def test_the_bound_is_the_last_power_tested(self):
+        # g^bound is tested and g^(bound+1) is never formed: T:3^32 would
+        # leave the group through the image-round limit
+        res = element_order(GroupElement.from_machine(machine_T(3)), 31)
+        assert not res.finite
+        assert len(res.growth) == 31 and res.growth[-1] == 33
+        piR = GroupElement.from_machine(letter_complement(3))
+        assert not element_order(piR, 1).finite
+        assert repr(element_order(piR, 2)) == "Finite(2)"
+
     def test_state_cap_stops_growth(self):
         T = GroupElement.from_machine(machine_T(3))
         res = element_order(T, 10**6, state_cap=8)

@@ -381,16 +381,24 @@ class TestRealizeWork:
         assert self.by_kind(calls) == {"plain": 2, "initial": 1}
         del calls["_fixpoint"]
         assert {name: len(c) for name, c in calls.items()} == {
-            "validate_core": 1, "inverse_closure": 2, "canonical_core": 4,
+            "validate_core": 1, "inverse_closure": 2, "canonical_core": 3,
             "_minimize": 2, "_verify_realization": 1,
         }
 
     def test_inverting_a_realized_machine_minimizes_once(self, record_calls):
-        # realize returns a minimized machine whose images it has computed,
-        # so invert_initial minimizes only the raw inverse
+        # realize checks bi-synchronization with A's inverse, which stays in
+        # A's memo, so invert_initial neither closes nor minimizes again
         A = realize(machine_T(3), 2)
-        calls = record_calls(("_minimize", "_fixpoint"))
+        names = ("_minimize", "_close", "_fixpoint")
+        calls = record_calls(names)
         Ainv = invert_initial(A)
-        assert [c["A"].root for c in calls["_minimize"]] == [(EMPTY, "0")]
-        assert len(calls["_fixpoint"]) == 0
+        assert [len(calls[name]) for name in names] == [0, 0, 0]
+        assert invert_initial(A) is Ainv
         assert minimize_initial(Ainv) is Ainv and minimize_initial(A) is A
+
+    def test_realize_and_invert_close_and_minimize_twice(self, record_calls):
+        # one plain closure validates T, one initial closure inverts A; the
+        # realized machine and its inverse are minimized once each
+        calls = record_calls(("_minimize", "_close"))
+        invert_initial(realize(machine_T(3), 2))
+        assert {name: len(c) for name, c in calls.items()} == {"_minimize": 2, "_close": 2}

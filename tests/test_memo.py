@@ -1,6 +1,6 @@
 """Analyses memoized on a machine: every kept answer equals the same analysis
 on a fresh copy of the machine, which has an empty memo, and a dropped
-element leaves no cyclic garbage."""
+element or realized machine leaves no cyclic garbage."""
 
 import gc
 
@@ -16,7 +16,8 @@ from cantortx.signature import (
     signature_report,
     validation_failure,
 )
-from cantortx.machines import machine_T, machine_U
+from cantortx.invert import StateExplosion, invert_initial
+from cantortx.machines import machine_T, machine_U, realize
 from cantortx.group import GroupElement, group_product, invert_element
 from cantortx.verify import _close_pool, _generator_pool
 
@@ -101,6 +102,39 @@ class TestMemoizedAnswers:
         assert len(calls) == 2 and "probe" not in (M._memo or {})
 
 
+def realized():
+    """T:3^1..8 and U:5^1..4 realized over n - 1 roots."""
+    for make, n, top in ((machine_T, 3, 8), (machine_U, 5, 4)):
+        for g in powers(GroupElement.from_machine(make(n)), top):
+            yield realize(g.machine, n - 1)
+
+
+class TestKeptInverse:
+    def test_equal_to_the_inverse_of_a_fresh_copy(self):
+        seen = 0
+        for A in realized():
+            kept = A._memo[("inverse", 10000)]  # left by realize's check
+            assert invert_initial(A) is kept
+            F = parse(serialize(A))
+            assert F._memo is None
+            assert invert_initial(F) == kept
+            assert serialize(invert_initial(F)) == serialize(kept)
+            seen += 1
+        assert seen == 12
+
+    def test_key_holds_the_cap(self):
+        # a cap the closure passes still raises after the default-cap
+        # inverse is kept, every time, and the failure is not kept
+        A = realize(machine_T(3), 2)
+        want = invert_initial(A)
+        assert len(want.states) > 2
+        for _ in range(2):
+            with pytest.raises(StateExplosion):
+                invert_initial(A, cap=2)
+        assert ("inverse", 2) not in A._memo
+        assert invert_initial(A) is want
+
+
 class TestNoCyclicGarbage:
     def test_dropped_product_element(self):
         t3 = GroupElement.from_machine(machine_T(3))
@@ -110,6 +144,17 @@ class TestNoCyclicGarbage:
             p = group_product(t3, t3)
             p.signature, p.orientation, invert_element(p)
             del p
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_dropped_realized_machine(self):
+        gc.collect()
+        gc.disable()
+        try:
+            A = realize(machine_T(3), 2)
+            invert_initial(A)
+            del A
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -2,8 +2,11 @@
 routes must agree."""
 
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantortx.words import rotation_class_of
 from cantortx.initial import PENDING, minimize_initial, product_initial
@@ -25,6 +28,7 @@ from cantortx.group import (
     canonical_core,
     equal,
     group_product,
+    identity_element,
     invert_element,
     is_identity,
     rotation_action,
@@ -138,3 +142,72 @@ class TestRealizationAcrossRoots:
 
         A = realize(machine_U(4), 3)
         assert textio.parse(textio.serialize(A)) == A
+
+
+def generators(n):
+    """T, U and pi_R at n, and at n = 4 the block sum of the swap."""
+    base = [machine_T(n), machine_U(n), letter_complement(n)]
+    if n == 4:
+        base.append(oplus(2, swap_transducer(), 4))
+    return [GroupElement.from_machine(M) for M in base]
+
+
+GENERATORS = {n: generators(n) for n in (3, 4, 5)}
+
+
+@st.composite
+def words(draw, pieces=1):
+    """(n, the word split into `pieces` non-empty subwords), the word a list
+    of 8 to 10 generator indices at n = 3, 4 or 5."""
+    n = draw(st.sampled_from(sorted(GENERATORS)))
+    letters = st.integers(0, len(GENERATORS[n]) - 1)
+    word = draw(st.lists(letters, min_size=8, max_size=10))
+    cuts = sorted(draw(st.lists(st.integers(1, len(word) - 1), min_size=pieces - 1,
+                                max_size=pieces - 1, unique=True)))
+    return n, [word[i:j] for i, j in zip([0, *cuts], [*cuts, len(word)])]
+
+
+def evaluate_word(n, word):
+    return reduce(group_product, [GENERATORS[n][i] for i in word])
+
+
+# The four laws take about 2.5 s.  The draws follow each test's source
+# text; at 30 examples the inverse law draws an n = 4 word whose product
+# passes the inverse closure's fixed cap of 10000 states (ROADMAP item 1).
+laws = settings(max_examples=12, deadline=None, derandomize=True)
+
+
+class TestGroupLaws:
+    """The group laws and the multiplicativity of rsig on random words of
+    length 8 to 10 in T, U, pi_R and a block sum, at n = 3..5."""
+
+    @given(words(pieces=3))
+    @laws
+    def test_associativity(self, case):
+        n, (u, v, w) = case
+        a, b, c = (evaluate_word(n, x) for x in (u, v, w))
+        left = group_product(group_product(a, b), c)
+        right = group_product(a, group_product(b, c))
+        assert left.machine == right.machine == evaluate_word(n, u + v + w).machine
+
+    @given(words())
+    @laws
+    def test_inverse(self, case):
+        n, (word,) = case
+        g = evaluate_word(n, word)
+        gi = invert_element(g)
+        assert is_identity(group_product(g, gi)) and is_identity(group_product(gi, g))
+
+    @given(words())
+    @laws
+    def test_identity(self, case):
+        n, (word,) = case
+        g, e = evaluate_word(n, word), identity_element(n)
+        assert group_product(g, e).machine == g.machine == group_product(e, g).machine
+
+    @given(words(pieces=2))
+    @laws
+    def test_rsig_is_multiplicative(self, case):
+        n, (u, v) = case
+        a, b = evaluate_word(n, u), evaluate_word(n, v)
+        assert group_product(a, b).rsig == (a.rsig * b.rsig - 1) % (n - 1) + 1
