@@ -217,16 +217,20 @@ def orbit_lengths(g, c, steps):
 
 
 def evaluate_group_word(generators, word):
-    """Left-to-right product of (name, +-1) factors."""
+    """Left-to-right product of (name, +-1) factors; each generator that the
+    word inverts is inverted once."""
     if not word:
         raise InvalidInput("empty group word; use the identity element")
     acc = None
+    inverses = {}
     for name, exp in word:
         if name not in generators:
             raise InvalidInput(f"unknown generator {name!r}")
         g = generators[name]
         if exp == -1:
-            g = invert_element(g)
+            if name not in inverses:
+                inverses[name] = invert_element(g)
+            g = inverses[name]
         elif exp != 1:
             raise InvalidInput("exponents must be +1 or -1")
         acc = g if acc is None else group_product(acc, g)

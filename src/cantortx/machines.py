@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
+from itertools import islice
 
 from .words import (
     EMPTY,
@@ -288,10 +289,19 @@ def validate_viable(T, v):
 
 
 def viable_combinations(T, max_prefix_depth=3, max_size=None, limit=None):
-    """Exhaustive search for viable combinations within the given bounds.
+    """Exhaustive search for viable combinations within the given bounds;
+    the first `limit` of them, or all when limit is None.
 
     Pieces are found in increasing order of their least point, so each
-    combination is produced exactly once, entries sorted by least point."""
+    combination is produced exactly once, entries sorted by least point.
+    The list is drawn from the same lazy search that realization reads
+    first-fit, so realize assembles from these combinations in this order."""
+    return list(islice(_viable_search(T, max_prefix_depth, max_size), limit))
+
+
+def _viable_search(T, max_prefix_depth, max_size):
+    """The combinations of viable_combinations, generated lazily in its
+    order, so that a caller that stops at one builds no other."""
     img = images(T)
     if max_size is None:
         max_size = 3 * (T.n - 1) + 1
@@ -306,14 +316,13 @@ def viable_combinations(T, max_prefix_depth=3, max_size=None, limit=None):
             if not piece.is_empty() and (w, q) not in seen:
                 seen.add((w, q))
                 candidates.append((w, q, piece))
-    found = []
     # in any tiling exactly one piece holds the least uncovered point, so
     # branching on that piece enumerates every combination exactly once;
     # frames [uncovered, chosen, its least point, next candidate] keep the
     # depth-first order of the branches without recursion
     whole = whole_space(T.n)
     stack = [[whole, (), whole.min_point(), 0]] if max_size > 0 else []
-    while stack and (limit is None or len(found) < limit):
+    while stack:
         frame = stack[-1]
         uncovered, chosen, low, j = frame
         while j < len(candidates):
@@ -327,10 +336,9 @@ def viable_combinations(T, max_prefix_depth=3, max_size=None, limit=None):
         frame[3] = j
         rest, chosen = _minus(uncovered, piece), chosen + ((w, q),)
         if rest.is_empty():
-            found.append(ViableCombination(*zip(*chosen)))
+            yield ViableCombination(*zip(*chosen))
         elif len(chosen) < max_size:
             stack.append([rest, chosen, rest.min_point(), 0])
-    return found
 
 
 def _minus(a, b):
@@ -518,7 +526,9 @@ def _construct(T, r, ordered, max_prefix_depth, max_size):
     """The unminimized initial machine over r roots with core T that realize
     builds for a valid member T that is not reversing: a homeomorphism-state
     wrapper when one fits, else blocks assembled from a (lexicographic)
-    viable combination."""
+    viable combination.  Realization is first fit: the search runs lazily
+    and stops at the first of at most 8 combinations that assembles, so the
+    result is the one that building all 8 first would give."""
     img = images(T)
     for q in T.states:
         # membership validated T, so every state is injective
@@ -527,20 +537,19 @@ def _construct(T, r, ordered, max_prefix_depth, max_size):
             if not ordered or _check_circle_map(raw, [(a, EMPTY) for a in range(r)]):
                 return raw
 
-    combos = viable_combinations(T, max_prefix_depth, max_size, limit=8)
-    if not combos:
-        raise RealizeError(
-            f"no viable combination within depth {max_prefix_depth}, size {max_size}"
-        )
     errors = []
-    for combo in combos:
+    for combo in islice(_viable_search(T, max_prefix_depth, max_size), 8):
         v = reorder_lexicographic(T, combo) if ordered else combo
         raw, leaves = _assemble_blocks(T, v, r)
         if ordered and not _check_circle_map(raw, leaves):
             errors.append("assembled map broke a circle gluing")
             continue
         return raw
-    raise RealizeError("; ".join(errors) or "no combination assembled")
+    if not errors:
+        raise RealizeError(
+            f"no viable combination within depth {max_prefix_depth}, size {max_size}"
+        )
+    raise RealizeError("; ".join(errors))
 
 
 def _verify_realization(A, want):

@@ -1,7 +1,14 @@
 """The reproducibility suite: every published computation the library must
 reproduce exactly, grouped into named checks.  Each check returns (ok,
 detail); the CLI `tx verify` runs them and prints one PASS/FAIL line each.
-The pytest acceptance module asserts the same facts with frozen values."""
+The pytest acceptance module asserts the same facts with frozen values.
+
+The oracle check compares two runs on every word of length at most 6
+followed by a pad.  It decides each subtree of words once per (state pair,
+remaining depth, lead), the lead being the output by which one run is
+ahead once the agreed common prefix is dropped: every comparison below
+reads only the lead and the runs' later output, so the key determines the
+verdict and the memoized walk is exact (see _padded_runs_agree)."""
 
 from __future__ import annotations
 
@@ -264,33 +271,54 @@ def _run_then(A, B, state, w):
     return out, (a, b)
 
 
-def _padded_runs_agree(n, f, g, p, q, pad, depth=6, a=EMPTY, b=EMPTY):
+def _padded_runs_agree(n, f, g, p, q, pad, depth=6, a=EMPTY, b=EMPTY, memo=None):
     """Do the runs f from p and g from q, which have output a and b so far,
     agree as far as both outputs go on every word of length at most `depth`
     followed by `pad`?  A run maps (state, word) to (output, end state) as
     evaluate does.  The walk is depth first and each word extends its
-    parent's runs by one letter, so every prefix is run once."""
-    if not _padded_outputs_agree(a + f(p, pad)[0], b + g(q, pad)[0]):
-        return False
-    if depth == 0:
-        return True
-    for i in range(n):
-        (x, p2), (y, q2) = f(p, (i,)), g(q, (i,))
-        if not _padded_runs_agree(n, f, g, p2, q2, pad, depth - 1, a + x, b + y):
-            return False
-    return True
+    parent's runs by one letter, so every prefix is run at most once.
+
+    Each subtree's verdict is memoized on (p, q, depth, lead), where the
+    lead is what is left of a and b once their common prefix is dropped (one
+    of the two is empty).  The key is exact: every check in the subtree
+    compares a and b, each extended by its run's later output, as far as
+    both go, and the dropped prefix is the same on both sides.  Leave
+    `memo` out: each top-level call makes its own."""
+    k = min(len(a), len(b))
+    if a[:k] != b[:k]:
+        return False  # as this node's pad check would
+    a, b = a[k:], b[k:]
+    if memo is None:
+        memo = {}
+    key = (p, q, depth, a, b)
+    if key not in memo:
+        verdict = _padded_outputs_agree(a + f(p, pad)[0], b + g(q, pad)[0])
+        if verdict and depth > 0:
+            for i in range(n):
+                (x, p2), (y, q2) = f(p, (i,)), g(q, (i,))
+                if not _padded_runs_agree(n, f, g, p2, q2, pad, depth - 1, a + x, b + y, memo):
+                    verdict = False
+                    break
+        memo[key] = verdict
+    return memo[key]
+
+
+def _oracle_pool(n):
+    """The machines whose minimizations and products the oracle check runs."""
+    pool = [identity_transducer(n), letter_complement(n)]
+    if n == 4:
+        pool.append(machine_g4())
+        pool.append(oplus(2, swap_transducer(), 4))
+    if n >= 3:
+        pool.append(machine_T(n))
+        pool.append(machine_U(n))
+    return pool
 
 
 def check_oracle_equivalence():
     failures = []
     for n in (2, 3, 4):
-        pool = [identity_transducer(n), letter_complement(n)]
-        if n == 4:
-            pool.append(machine_g4())
-            pool.append(oplus(2, swap_transducer(), 4))
-        if n >= 3:
-            pool.append(machine_T(n))
-            pool.append(machine_U(n))
+        pool = _oracle_pool(n)
         pad = (0,) * 6
         # a run's answer on one (state, letter or pad) is computed once
         remember = lru_cache(maxsize=None)

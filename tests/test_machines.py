@@ -1,5 +1,7 @@
 import gc
+import json
 from itertools import product as cartesian
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,8 @@ from cantortx.initial import (
 from cantortx.images import Orientation, images, orientation
 from cantortx.invert import invert_initial, is_bisynchronizing_initial
 from cantortx.synchronize import core
+from cantortx.textio import serialize
+from cantortx import machines
 from cantortx.machines import (
     NotOrderable,
     PrefixExchange,
@@ -342,6 +346,43 @@ class TestRealize:
         with pytest.raises(RealizeError, match="not synchronizing"):
             realize(Transducer(2, {"0": {0: ((0,), "0"), 1: ((1,), "0")},
                                    "1": {0: ((0,), "1"), 1: ((1,), "1")}}), 1)
+
+
+class TestFirstFit:
+    """realize assembles from the first viable combination that fits and
+    builds no other; the result and the error messages are those of
+    building up to 8 combinations first."""
+
+    @staticmethod
+    def g4_element():
+        # neither state image is the whole space, so realize searches
+        return GroupElement.from_machine(machine_g4()).machine
+
+    def test_g4_draws_one_combination(self, monkeypatch):
+        drawn = []
+        search = machines._viable_search
+
+        def counted(*args):
+            for combo in search(*args):
+                drawn.append(combo)
+                yield combo
+
+        monkeypatch.setattr(machines, "_viable_search", counted)
+        A = realize(self.g4_element(), 3)
+        assert len(drawn) == 1
+        golden = Path(__file__).resolve().parent / "golden" / "cli_kernel.json"
+        assert serialize(A) == json.loads(golden.read_text())["realize --r 3 g4.tx"]
+
+    def test_no_viable_combination_message(self):
+        with pytest.raises(RealizeError) as err:
+            realize(self.g4_element(), 3, max_size=0)
+        assert str(err.value) == "no viable combination within depth 3, size 0"
+
+    def test_every_combination_failing_message(self, monkeypatch):
+        monkeypatch.setattr(machines, "_check_circle_map", lambda A, leaves: False)
+        with pytest.raises(RealizeError) as err:
+            realize(self.g4_element(), 3)
+        assert str(err.value) == "; ".join(["assembled map broke a circle gluing"] * 8)
 
 
 class TestRealizeWork:
