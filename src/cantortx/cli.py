@@ -24,7 +24,7 @@ from .transducer import (
 from .initial import InitialTransducer, minimize_initial, product_initial
 from .synchronize import NotSynchronizing, core, minimal_sync_level
 from .images import NotClopenImage, analyze
-from .invert import EmptyPreimage, StateExplosion, invert_initial
+from .invert import EmptyPreimage, invert_initial
 from .signature import (
     membership_failure,
     signature_class_partition,
@@ -61,7 +61,6 @@ DOMAIN_ERRORS = (
     DepthExceeded,
     NotClopenImage,
     EmptyPreimage,
-    StateExplosion,
     RealizeError,
     NotOrderable,
     ProductLeftGroup,
@@ -152,15 +151,14 @@ def cmd_product(args, started):
 def cmd_invert(args, started):
     M = _read_machine(args.file)
     if isinstance(M, InitialTransducer):
-        out = invert_initial(M, cap=args.cap)
+        out = invert_initial(M)
     else:
-        fail, closure = validate_core(M, cap=args.cap)
+        fail, closure = validate_core(M)
         if fail is not None:
             raise InvalidInput(f"not invertible as a core element: {fail}")
         out = canonical_core(closure)
     text = textio.serialize(out)
-    _emit(args, "invert", [args.file], text, {"cap": args.cap}, started,
-          machine_text=text)
+    _emit(args, "invert", [args.file], text, {}, started, machine_text=text)
 
 
 def cmd_sync_level(args, started):
@@ -375,7 +373,6 @@ def build_parser():
 
     p = add("invert", cmd_invert, help="inverse machine")
     p.add_argument("file")
-    p.add_argument("--cap", type=_count, default=10000)
 
     p = add("sync-level", cmd_sync_level, help="minimal synchronizing level")
     p.add_argument("file")

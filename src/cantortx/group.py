@@ -164,9 +164,11 @@ class OrderResult:
 
 
 def element_order(g, bound, state_cap=512):
-    """Test g^1, ..., g^bound for the identity, stopping early at the state
-    cap; an ExceedsBound result carries the state counts of the powers
-    formed, g^1 up to g^bound at most."""
+    """Test g^1, ..., g^bound for the identity.  `state_cap` is a user
+    limit, and the only limit on the products: the loop stops at the first
+    power with more than state_cap states.  An ExceedsBound result carries
+    the state counts of the powers formed, g^1 up to g^bound at most; when
+    the state cap stopped the loop, its last count exceeds the cap."""
     acc = g
     growth = [len(g.machine.states)]
     for k in range(1, bound + 1):

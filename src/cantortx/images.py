@@ -6,14 +6,18 @@ A_0(q) = whole space, A_{m+1}(q) = union over letters of out(i,q).A_m(dest);
 on stabilization the fixpoint equation holds exactly, and for a productive
 machine the fixpoint is exactly the image.  The approximants are computed in
 rounds, and a round recomputes only the states with a successor whose
-approximant changed in the round before; `max_iter` bounds the rounds.
-Plain and initial machines share the rounds.  The images, the non-injective
-states and the orientation are memoized on the machine."""
+approximant changed in the round before.  The rounds settle exactly when
+every image is clopen, so a machine whose rounds pass |Q| rounds is decided
+once by the residual test (_check_clopen), which raises NotClopenImage or
+lets the rounds run on to their certain end.  Plain and initial machines
+share the rounds and the test.  The images, the non-injective states and the
+orientation are memoized on the machine."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count
 
 from .words import (
     ClopenSet,
@@ -32,10 +36,10 @@ from .initial import DONE, split_rooted
 
 
 class NotClopenImage(RuntimeError):
-    """Image iteration failed to stabilize within the configured bound."""
+    """The image of some state is not clopen."""
 
 
-def _fixpoint(M, max_iter):
+def _fixpoint(M):
     """The images of the plain or initial machine M: rounds of
     img[q] = value(q) over its states, from the whole space (the whole
     rooted space at the initial and pending states), until a round changes
@@ -44,8 +48,9 @@ def _fixpoint(M, max_iter):
     Each round computes new approximants from the previous round's.  Round 1
     recomputes every state; a later round recomputes only the predecessors
     of the states that changed in the round before, because every other
-    state would compute its previous value again.  So the rounds that
-    `max_iter` bounds are as many as with every state recomputed."""
+    state would compute its previous value again, so there are as many
+    rounds as with every state recomputed.  Rounds that have changed
+    something |Q| times are checked once by _check_clopen."""
     n, rows = M.n, M._rows
     if isinstance(M, Transducer):
         check_productive(M)
@@ -69,7 +74,7 @@ def _fixpoint(M, max_iter):
         for _, d in rows[p]:
             preds[d].add(p)
     todo = M.states
-    for _ in range(max_iter):
+    for rounds in count(1):
         new = {q: value(q) for q in todo}
         changed = [q for q, a in new.items() if a != img[q]]
         if not changed:
@@ -77,12 +82,119 @@ def _fixpoint(M, max_iter):
         for q in changed:
             img[q] = new[q]
         todo = {p for q in changed for p in preds[q]}
-    raise NotClopenImage(f"images did not stabilize within {max_iter} iterations")
+        if rounds == len(M.states):
+            _check_clopen(M)
 
 
-def images(T, max_iter=32):
+def _check_clopen(M):
+    """Raise NotClopenImage unless the image of every state of the plain or
+    initial machine M is clopen, by Brzozowski's derivatives of the output
+    language (see _residual_graph).  On an initial machine only the states
+    past the output root are read: the pending region has no cycle, so the
+    image of the initial state or of a pending state is a finite union of
+    shifted images of those states, and clopen when they are.
+
+    The empty residual stands for the empty set, and every other residual
+    for a nonempty closed set.  A residual that cannot reach the empty one
+    meets every cone, so it stands for the whole space.  The rest are
+    undecided, and an image is clopen exactly when the residuals read from
+    it are decided past some depth: the images are all clopen exactly when
+    the undecided residuals read from the states form no cycle."""
+    succ = _residual_graph(M)
+    preds = {R: [] for R in succ}
+    for R, nexts in succ.items():
+        for S in nexts:
+            preds[S].append(R)
+    undecided = set()
+    stack = [0] if 0 in succ else []
+    while stack:
+        for R in preds[stack.pop()]:
+            if R and R not in undecided:
+                undecided.add(R)
+                stack.append(R)
+    # peel the undecided residuals that no undecided residual reads into
+    into = dict.fromkeys(undecided, 0)
+    for R in undecided:
+        for S in succ[R]:
+            if S in into:
+                into[S] += 1
+    stack = [R for R, k in into.items() if k == 0]
+    while stack:
+        R = stack.pop()
+        del into[R]
+        for S in succ[R]:
+            if S in into:
+                into[S] -= 1
+                if into[S] == 0:
+                    stack.append(S)
+    if into:
+        raise NotClopenImage("some state image is not clopen")
+
+
+def _residual_graph(M):
+    """{residual: the residuals it reads into, letter by letter} over the
+    residuals read from the states of the plain machine M, or from the
+    states past the output root of the initial machine M.
+
+    A position is an edge with a nonempty output w and an offset k into w;
+    it stands for the words w[k:] followed by the image of the edge's
+    destination, and the positions are numbered so that a residual, a set of
+    positions, is an int bitmask.  A state stands for the residual of its
+    edges, an edge with an empty output for the edges of its destination
+    (productivity keeps this finite).  Reading a letter keeps the positions
+    that expect it and moves each one on: to the next offset, or past the
+    end of w to the residual of the destination."""
+    rows = M._rows
+    states = M.states if isinstance(M, Transducer) else [
+        q for q in M.states if M.region[q] is DONE]
+    letters = [0] * M.n  # letter -> the positions that expect it
+    ends = []  # the destination past the last position of an edge, else None
+    first = {}  # (state, letter) -> the first position of the edge
+    for q in states:
+        for i, (w, p) in enumerate(rows[q]):
+            if w:
+                first[q, i] = len(ends)
+                for a in w:
+                    letters[a] |= 1 << len(ends)
+                    ends.append(None)
+                ends[-1] = p
+    start = {}  # state -> its residual
+    for top in states:
+        stack = [top]
+        while stack:
+            q = stack[-1]
+            later = [p for w, p in rows[q] if not w and p not in start]
+            if later:
+                stack.extend(later)
+                continue
+            stack.pop()
+            start[q] = 0
+            for i, (w, p) in enumerate(rows[q]):
+                start[q] |= 1 << first[q, i] if w else start[p]
+    moves = [1 << (j + 1) if p is None else start[p] for j, p in enumerate(ends)]
+
+    def read(R, want):
+        got = 0
+        R &= want
+        while R:
+            low = R & -R
+            got |= moves[low.bit_length() - 1]
+            R ^= low
+        return got
+
+    succ = {}
+    stack = list(set(start.values()))
+    while stack:
+        R = stack.pop()
+        if R not in succ:
+            succ[R] = [read(R, want) for want in letters]
+            stack.extend(succ[R])
+    return succ
+
+
+def images(T):
     """Exact clopen image of every state of a plain transducer."""
-    return memoized(T, ("images", max_iter), lambda: _fixpoint(T, max_iter))
+    return memoized(T, "images", lambda: _fixpoint(T))
 
 
 def image(T, q):
@@ -232,10 +344,10 @@ def analyze(T):
 # --- images over the r-rooted space ---------------------------------------
 
 
-def images_initial(A, max_iter=32):
+def images_initial(A):
     """Image of every state of an initial machine: a ClopenSet for states past
     the output root, a RootedClopen for the initial state and pending states."""
-    return memoized(A, ("images", max_iter), lambda: _fixpoint(A, max_iter))
+    return memoized(A, "images", lambda: _fixpoint(A))
 
 
 def is_injective_initial(A):

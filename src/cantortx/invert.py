@@ -8,6 +8,13 @@ cone w.i, and moves to (w.i minus the forward output on v, forward state on
 v).  Every state used here satisfies U_w inside im(q) and (w)L_q empty, which
 keeps the subtraction well defined and the machine total.
 
+The closure of a machine whose states are injective with clopen images is
+finite, so it needs no cap.  U_w lies in im(q) and (w)L_q is empty, so U_w
+meets the images w_i.im(p_i) of two branches of q, which are disjoint.  A
+branch image that meets U_w contains all of it once |w| >= |w_i| + the
+length of the longest cone of im(p_i).  So every closure state has |w| less
+than the greatest |w_i| + depth im(p_i) over the edges of the machine.
+
 The preimage prefix (v)L_q is a search memoized on (state, rest of the cone):
 each pair is solved once, so one search costs at most |Q| x (|v|+1) pairs
 and needs no node budget.  Plain and initial machines share the search and
@@ -23,16 +30,12 @@ from __future__ import annotations
 from .words import EMPTY, InvalidInput, gcp, subtract_prefix
 from .transducer import DegenerateTransducer, Transducer, memoized
 from .initial import InitialTransducer, dot, minimize_initial, run
-from .images import images, is_homeomorphism_initial
+from .images import images, is_homeomorphism_initial, non_injective_states
 from .synchronize import is_synchronizing
 
 
 class EmptyPreimage(ValueError):
     """The requested cone misses the state's image."""
-
-
-class StateExplosion(RuntimeError):
-    """The inverse closure exceeded its configured state cap."""
 
 
 _OPEN = object()  # memo mark of a subproblem whose search is under way
@@ -122,9 +125,6 @@ def preimage_gcp(T, q, v):
     return _preimage_gcp(_moves(T), {}, q, tuple(v))
 
 
-preimage_gcp_initial = preimage_gcp
-
-
 def _inverse_step(M):
     """The inverse transition rule of the plain or initial machine M, with
     one memo for all its preimage searches: from the inverse state (w, q) on
@@ -143,11 +143,10 @@ def _inverse_step(M):
     return step
 
 
-def _close(n, step, queue, known, cap):
+def _close(n, step, queue, known):
     """Close the inverse states on `queue` forward over the letters, last in
-    first out.  `known` holds the states met so far; a state met for the
-    first time counts against `cap`.  Returns {state: row} in the order the
-    states were closed."""
+    first out.  `known` holds the states met so far.  Returns {state: row}
+    in the order the states were closed."""
     rows = {}
     while queue:
         state = queue.pop()
@@ -156,58 +155,62 @@ def _close(n, step, queue, known, cap):
             v, nxt = step(state, (i,))
             row.append((v, nxt))
             if nxt not in known:
-                if len(known) >= cap:
-                    raise StateExplosion(f"inverse closure passed {cap} states")
                 known.add(nxt)
                 queue.append(nxt)
         rows[state] = tuple(row)
     return rows
 
 
-def inverse_closure(T, root=None, cap=10000):
+def inverse_closure(T, root=None):
     """The inverse behaviours of a core machine as a total transducer.
 
     Seeded from the image antichain of `root`: for each maximal image cone a,
     the state (a - forward output on (a)L_root, forward state on (a)L_root);
     then closed forward under the inverse transition rule.  The closure
     contains the full core of the inverse whenever T is synchronizing.
-    All preimage searches of one call share one memo."""
+    All preimage searches of one call share one memo.  Raises InvalidInput
+    when a state is not injective, and NotClopenImage when an image is not
+    clopen: the closure is finite otherwise (see the module docstring)."""
+    bad = non_injective_states(T)
+    if bad:
+        raise InvalidInput(f"state {bad[0]!r} is not injective")
     if root is None:
         root = T.states[0]
     step = _inverse_step(T)
     queue = list(dict.fromkeys(step((EMPTY, root), a)[1] for a in images(T)[root].cones))
-    return Transducer._from_rows(T.n, _close(T.n, step, queue, set(queue), cap))
+    return Transducer._from_rows(T.n, _close(T.n, step, queue, set(queue)))
 
 
-def is_bisynchronizing_core(T, root=None, cap=10000):
-    """A core machine together with its inverse closure must both collapse."""
-    if not is_synchronizing(T):
+def is_bisynchronizing_core(T, root=None):
+    """A core machine together with its inverse closure must both collapse;
+    False for a machine with a non-injective state, which has no inverse."""
+    if not is_synchronizing(T) or non_injective_states(T):
         return False
-    return is_synchronizing(inverse_closure(T, root, cap))
+    return is_synchronizing(inverse_closure(T, root))
 
 
 # --- inverses over the r-rooted space ---------------------------------------
 
 
-def invert_initial(A, cap=10000):
+def invert_initial(A):
     """The inverse machine of a homeomorphism A of the r-rooted space,
     minimized.  Raises InvalidInput when A is not invertible.  The inverse's
     entry row reads the output roots .b; its other states are closed forward
-    as in inverse_closure.  The inverse is kept in the memo of the minimized
-    A under ("inverse", cap)."""
+    as in inverse_closure, which a homeomorphism keeps finite.  The inverse
+    is kept in the memo of the minimized A under "inverse"."""
     A = minimize_initial(A)
-    return memoized(A, ("inverse", cap), lambda: _invert_minimal(A, cap))
+    return memoized(A, "inverse", lambda: _invert_minimal(A))
 
 
-def _invert_minimal(A, cap):
-    """invert_initial(A, cap) of a minimal A, computed."""
+def _invert_minimal(A):
+    """invert_initial(A) of a minimal A, computed."""
     if not is_homeomorphism_initial(A):
         raise InvalidInput("machine is not a homeomorphism, cannot invert")
     inv_root = (EMPTY, A.root)
     step = _inverse_step(A)
     entry = [step(inv_root, (dot(b),)) for b in range(A.r)]
     queue = list(dict.fromkeys(nxt for _, nxt in entry))
-    rows = _close(A.n, step, queue, {inv_root, *queue}, cap)
+    rows = _close(A.n, step, queue, {inv_root, *queue})
     table = {state: dict(enumerate(row)) for state, row in rows.items()}
     raw = InitialTransducer(A.n, A.r, dict(enumerate(entry)), table, root=inv_root)
     return minimize_initial(raw)

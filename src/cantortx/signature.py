@@ -137,11 +137,13 @@ def validation_failure(T):
     return validate_core(T)[0]
 
 
-def validate_core(T, cap=10000):
+def validate_core(T):
     """(reason, closure): the reason is validation_failure(T); closure is
-    the inverse closure, rooted at the first state with the given cap, when
-    this call built it to decide the verdict, else None (the verdict was
-    memoized already, or failed before the closure)."""
+    the inverse closure, rooted at the first state, when this call built it
+    to decide the verdict, else None (the verdict was memoized already, or
+    failed before the closure).  Every check is exact: the images are
+    decided clopen or not, and the closure of injective states with clopen
+    images is finite, so no bound can turn a valid element away."""
     if not isinstance(T, Transducer):
         return "not a plain transducer", None
     closure = None
@@ -154,30 +156,30 @@ def validate_core(T, cap=10000):
             return "not synchronizing"
         if len(counts) != len(T.states):
             return "not core: some states are not forced by long words"
-        reason, closure = _core_failure(T, cap)
+        reason, closure = _core_failure(T)
         return reason
 
-    return memoized(T, ("validation", cap), check), closure
+    return memoized(T, "validation", check), closure
 
 
-def validate_synchronizing_core(T, cap=10000):
+def validate_synchronizing_core(T):
     """validation_failure(T) for a plain T that is known to be synchronizing
     and its own core, as canonical_core makes it: only the images,
     injectivity and the inverse closure and its synchronization are
     checked, and the verdict is memoized on T as validation's."""
-    return memoized(T, ("validation", cap), lambda: _core_failure(T, cap)[0])
+    return memoized(T, "validation", lambda: _core_failure(T)[0])
 
 
-def _core_failure(T, cap):
+def _core_failure(T):
     """(reason, closure) of the checks past synchronization and the core."""
     try:
         images(T)
     except NotClopenImage:
-        return "some state image is not clopen within the iteration bound", None
+        return "some state image is not clopen", None
     bad = non_injective_states(T)
     if bad:
         return f"state {bad[0]!r} is not injective", None
-    closure = inverse_closure(T, cap=cap)
+    closure = inverse_closure(T)
     if not is_synchronizing(closure):
         return "the inverse is not synchronizing", closure
     return None, closure

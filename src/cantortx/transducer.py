@@ -422,15 +422,6 @@ def quotient_rows(rows, part):
     return out
 
 
-def behavior_partition(T):
-    """Coarsest partition of a complete-response machine in which equivalent
-    states have equal letter outputs and equivalent successors.  On such a
-    machine two states are in one block iff their state maps are equal.
-
-    Returns {state: block index}, block indices deterministic."""
-    return partition_rows(T._rows)
-
-
 def omega_equivalent(T, q1, q2):
     """True iff the two states induce the same map on infinite words."""
     c = common_prefixes(T)

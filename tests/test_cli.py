@@ -114,22 +114,6 @@ class TestCommands:
         assert code == 0 and "a -1|0-> b" in out
 
 
-class TestInvertCap:
-    def test_one_closure_with_the_given_cap(self, tmp_path, capsys, record_calls):
-        path = write_example(tmp_path, capsys, "T:3")
-        _, want, _ = run(capsys, "invert", path)
-        calls = record_calls(("inverse_closure",))
-        code, out, _ = run(capsys, "invert", "--cap", "20000", path)
-        assert code == 0 and out == want
-        assert [call["cap"] for call in calls["inverse_closure"]] == [20000]
-
-    def test_cap_reached_exits_one(self, tmp_path, capsys):
-        path = write_example(tmp_path, capsys, "T:3")
-        code, out, err = run(capsys, "invert", "--cap", "1", path)
-        assert code == 1 and out == ""
-        assert err.strip() == "error: inverse closure passed 1 states"
-
-
 class TestPipelines:
     def test_stdin_stdout_composition(self):
         import os
@@ -175,19 +159,27 @@ class TestErrors:
             main(["member"])  # missing --r and file
         assert exc.value.code == 2
 
-    def test_product_leaving_the_group_exits_one(self, tmp_path, capsys):
-        # T:3^32 is not recognised as clopen within the image iteration bound
+    def test_order_past_the_32nd_power(self, tmp_path, capsys):
+        # T:3^k needs k + 1 image rounds, more than the 32 that once bounded
+        # them
         path = write_example(tmp_path, capsys, "T:3")
         code, out, err = run(capsys, "order", "--bound", "40", path)
+        assert code == 0 and err == ""
+        assert out.strip() == f"ExceedsBound{tuple(range(3, 43))}"
+
+    def test_non_clopen_image_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "golden_mean.tx"
+        path.write_text("TRANSDUCER n=2 r=0 states=a initial=-\n"
+                        "a 0 -> a : 0\na 1 -> a : 0,1\n")
+        code, out, err = run(capsys, "analyze", str(path))
         assert code == 1 and out == ""
-        assert err.startswith("error: product left the group")
+        assert err == "error: some state image is not clopen\n"
 
     @pytest.mark.parametrize("argv", [
         ("orbit", "--class", "1,2", "--steps", "-1"),
         ("order", "--bound", "-3"),
         ("order", "--state-cap", "-1"),
         ("realize", "--r", "2", "--depth", "-1"),
-        ("invert", "--cap", "-1"),
     ])
     def test_negative_numeric_option_is_a_usage_error(self, tmp_path, capsys, argv):
         path = write_example(tmp_path, capsys, "T:3")
@@ -281,7 +273,7 @@ def stdout_of(capsys, *argv):
 
 def golden_outputs(capsys, monkeypatch, tmp_path):
     """stdout of sync-level, core and sig, plain and --json, and of invert
-    (on the core elements, with and without --cap) on the built-in examples,
+    (on the core elements) on the built-in examples,
     and of the README pipeline `tx realize --r 3 g4.tx | tx core -
     | tx sig -` (with sync-level on the realized machine too), keyed by the
     command line."""
@@ -295,9 +287,7 @@ def golden_outputs(capsys, monkeypatch, tmp_path):
                 argv = (command, *flags, path)
                 got[" ".join(argv)] = stdout_of(capsys, *argv)
         if name in INVERTIBLE_EXAMPLES:
-            for flags in ((), ("--cap", "20000")):
-                argv = ("invert", *flags, path)
-                got[" ".join(argv)] = stdout_of(capsys, *argv)
+            got[f"invert {path}"] = stdout_of(capsys, "invert", path)
     realized = stdout_of(capsys, "realize", "--r", "3", "g4.tx")
     monkeypatch.setattr("sys.stdin", io.StringIO(realized))
     core = stdout_of(capsys, "core", "-")

@@ -111,8 +111,7 @@ class TestOrder:
         assert len(res.growth) >= 2
 
     def test_the_bound_is_the_last_power_tested(self):
-        # g^bound is tested and g^(bound+1) is never formed: T:3^32 would
-        # leave the group through the image-round limit
+        # g^bound is tested and g^(bound+1) is never formed
         res = element_order(GroupElement.from_machine(machine_T(3)), 31)
         assert not res.finite
         assert len(res.growth) == 31 and res.growth[-1] == 33
@@ -124,6 +123,21 @@ class TestOrder:
         T = GroupElement.from_machine(machine_T(3))
         res = element_order(T, 10**6, state_cap=8)
         assert not res.finite
+        # the loop stops at the first power past the cap: 9 > 8 states
+        assert res.growth == (3, 4, 5, 6, 7, 8, 9)
+
+
+class TestLongWords:
+    def test_n4_word_past_the_old_closure_cap(self):
+        # U.B.B.pi_R.B.U.B.B.B at n = 4, B the block sum of the swap: its
+        # 224-state core has an inverse closure of 15,072 states, past the
+        # 10,000 at which the closure once stopped
+        U, B, piR = (GroupElement.from_machine(M) for M in
+                     (machine_U(4), oplus(2, swap_transducer(), 4), letter_complement(4)))
+        g = U
+        for h in (B, B, piR, B, U, B, B, B):
+            g = group_product(g, h)
+        assert len(g.machine.states) == 224 and g.rsig == 1
 
 
 class TestRotationAction:

@@ -12,12 +12,18 @@ from cantortx.words import (
     union_all,
     whole_space,
 )
-from cantortx.transducer import Transducer, evaluate
+from cantortx.transducer import (
+    DegenerateTransducer,
+    Transducer,
+    check_productive,
+    evaluate,
+)
 from cantortx.initial import InitialTransducer, dot
 from cantortx.images import (
     NotClopenImage,
     Orientation,
     _branches_disjoint,
+    _check_clopen,
     _rooted_branch,
     analyze,
     image,
@@ -52,6 +58,12 @@ from cantortx.verify import _close_pool, _generator_pool
 def constant_machine():
     # both letters output 0 forever: image is a single point, not clopen
     return Transducer(2, {"q": {0: ((0,), "q"), 1: ((0,), "q")}})
+
+
+def golden_mean_machine():
+    # the outputs avoid 1,1: the image is the golden-mean shift, closed but
+    # not open, and the image rounds grow exponentially on it
+    return Transducer(2, {"a": {0: ((0,), "a"), 1: ((0, 1), "a")}})
 
 
 def folding_machine():
@@ -361,10 +373,8 @@ class TestImageFixpoint:
     def test_power_k_needs_k_plus_one_rounds(self, make, n):
         for k, M in enumerate(power_machines(make, n, 12), start=1):
             with pytest.raises(NotClopenImage):
-                images(M, max_iter=k)
-            with pytest.raises(NotClopenImage):
                 reference_images(M, max_iter=k)
-            assert images(M, max_iter=k + 1) == reference_images(M, max_iter=k + 1)
+            assert images(M) == reference_images(M, max_iter=k + 1)
 
     def test_rounds_exceed_states_and_sync_level(self):
         # a valid 4-state core at sync level 3 whose images need 6 rounds:
@@ -381,10 +391,135 @@ class TestImageFixpoint:
         assert validation_failure(M) is None
         assert len(M.states) == 4 and minimal_sync_level(M) == 3
         with pytest.raises(NotClopenImage):
-            images(M, max_iter=5)
-        assert images(M, max_iter=6) == images(M)
+            reference_images(M, max_iter=5)
+        assert images(M) == reference_images(M, max_iter=6)
 
     def test_non_clopen_fails_like_full_recompute(self):
-        for f in (images, reference_images):
+        with pytest.raises(NotClopenImage):
+            images(constant_machine())
+        with pytest.raises(NotClopenImage):
+            reference_images(constant_machine(), max_iter=32)
+
+
+# --- the exact clopen test ----------------------------------------------------
+
+
+def reference_not_clopen(T):
+    """Is some state image of the plain machine T not clopen?  The residual
+    graph built on frozensets of (destination, pending output) pairs: is
+    there a cycle of residuals, read from the states, that each reach the
+    empty residual?"""
+
+    def expand(q):
+        out = set()
+        for w, p in T.row(q):
+            out |= {(p, w)} if w else expand(p)
+        return out
+
+    def read(R, a):
+        out = set()
+        for p, v in R:
+            if v[0] == a:
+                out |= {(p, v[1:])} if len(v) > 1 else expand(p)
+        return frozenset(out)
+
+    graph = {}
+    todo = [frozenset(expand(q)) for q in T.states]
+    while todo:
+        R = todo.pop()
+        if R not in graph:
+            graph[R] = {read(R, a) for a in range(T.n)}
+            todo.extend(graph[R])
+    reach = {frozenset()} & set(graph)
+    while True:
+        new = {R for R in graph if graph[R] & reach} - reach
+        if not new:
+            break
+        reach |= new
+    undecided = reach - {frozenset()}
+    for R in undecided:
+        seen, todo = set(), [S for S in graph[R] if S in undecided]
+        while todo:
+            S = todo.pop()
+            if S == R:
+                return True
+            if S not in seen:
+                seen.add(S)
+                todo.extend(X for X in graph[S] if X in undecided)
+    return False
+
+
+def random_productive_machines(count, seed):
+    """`count` seeded random productive machines with n = 2 or 3, one to
+    four states and outputs of zero to two letters."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        n, k = rng.choice((2, 3)), rng.randint(1, 4)
+        table = {
+            q: {i: (tuple(rng.randrange(n) for _ in range(rng.randint(0, 2))), rng.randrange(k))
+                for i in range(n)}
+            for q in range(k)
+        }
+        T = Transducer(n, table)
+        try:
+            check_productive(T)
+        except DegenerateTransducer:
+            continue
+        made += 1
+        yield T
+
+
+class TestExactClopen:
+    def test_golden_mean_is_not_clopen(self):
+        for f in (images, non_injective_states, _check_clopen):
+            with pytest.raises(NotClopenImage, match="^some state image is not clopen$"):
+                f(golden_mean_machine())
+        assert validation_failure(golden_mean_machine()) == "some state image is not clopen"
+        assert orientation(golden_mean_machine()) is Orientation.NEITHER
+
+    def test_initial_machine_over_a_non_clopen_state(self):
+        for r in (1, 2):
+            A = state_wrapper(golden_mean_machine(), "a", r)
             with pytest.raises(NotClopenImage):
-                f(constant_machine(), max_iter=32)
+                images_initial(A)
+            with pytest.raises(NotClopenImage):
+                _check_clopen(A)
+
+    def test_clopen_pools_pass(self):
+        machines = list(power_machines(machine_T, 3, 16)) + list(verify_pool_machines())
+        machines += [folding_machine(), reaches_overlap_machine()]
+        machines += [realize(make(n), r) for make, n in ((machine_T, 3), (machine_U, 4))
+                     for r in range(1, n)]
+        for M in machines:
+            assert _check_clopen(M) is None
+        assert reference_not_clopen(constant_machine())
+        assert not any(map(reference_not_clopen, machines[:16]))
+
+    def test_random_machines_agree_with_the_references(self):
+        clopen = not_clopen = 0
+        for T in random_productive_machines(2000, seed=5):
+            try:
+                img = images(T)
+            except NotClopenImage:
+                assert reference_not_clopen(T)
+                not_clopen += 1
+                continue
+            assert not reference_not_clopen(T)
+            clopen += 1
+            try:
+                want = reference_images(T)
+            except NotClopenImage:
+                continue
+            assert img == want
+        assert (clopen, not_clopen) == (133, 1867)
+
+    def test_squaring_chains_stay_valid(self):
+        # the 32nd and 64th powers need 33 and 65 image rounds
+        for make, n in ((machine_T, 3), (machine_U, 3), (machine_T, 5)):
+            g = GroupElement.from_machine(make(n))
+            for j in range(1, 7):
+                g = group_product(g, g)
+                if j == 5:
+                    assert images(g.machine) == reference_images(g.machine, max_iter=40)
+            assert validation_failure(g.machine) is None

@@ -21,7 +21,6 @@ from cantortx.invert import (
     is_bisynchronizing_initial,
     bisynchronizing_failure_initial,
     preimage_gcp,
-    preimage_gcp_initial,
     _moves,
     _preimage_search,
 )
@@ -195,6 +194,37 @@ class TestBisynchronizing:
         assert is_bisynchronizing_core(oplus(3, identity_transducer(3), 6))
 
 
+def closure_bound(T):
+    """The greatest |w_i| + depth im(p_i) over the edges of T, the depth
+    being the length of the longest cone of the image antichain: the owed
+    word w of every inverse-closure state (w, q) is shorter."""
+    img = images(T)
+    depth = {p: max(map(len, img[p].cones)) for p in T.states}
+    return max(len(w) + depth[p] for q in T.states for w, p in T.row(q))
+
+
+class TestClosureBound:
+    """The bound that makes every inverse closure finite holds on the
+    verify pools and on powers of T and U."""
+
+    def test_owed_words_are_shorter_than_the_bound(self):
+        machines = []
+        for n in (3, 4):
+            layers = _close_pool(_generator_pool(n), 3)
+            built = layers[1] + layers[2] + layers[3]
+            machines += [g.machine for g in built + [invert_element(g) for g in built]]
+        for make, n, top in ((machine_T, 3, 16), (machine_U, 3, 16), (machine_T, 5, 8),
+                             (machine_U, 5, 8), (machine_U, 4, 8)):
+            machines += power_machines(make, n, top)
+        checked = 0
+        for M in machines:
+            bound = closure_bound(M)
+            for w, q in inverse_closure(M).states:
+                assert len(w) < bound, (M, w, q)
+                checked += 1
+        assert checked > 3000, checked
+
+
 # --- the memoized preimage search against the depth-first search it replaced
 
 
@@ -230,7 +260,7 @@ def reference_preimage_gcp(M, q, v, symbols, max_nodes=200000):
     return best
 
 
-def reference_inverse_closure(T, root=None, cap=10000):
+def reference_inverse_closure(T, root=None):
     """inverse_closure built on the reference depth-first search."""
     img = images(T)
     if root is None:
@@ -253,7 +283,6 @@ def reference_inverse_closure(T, root=None, cap=10000):
             nxt = (subtract_prefix(out, w + (i,)), p)
             row[i] = (v, nxt)
             if nxt not in known:
-                assert len(known) < cap
                 known.add(nxt)
                 queue.append(nxt)
         table[(w, q)] = row
@@ -394,6 +423,6 @@ class TestMemoizedPreimage:
                         want = reference_preimage_gcp(A, q, v, A.symbols_at)
                     except EmptyPreimage:
                         with pytest.raises(EmptyPreimage):
-                            preimage_gcp_initial(A, q, v)
+                            preimage_gcp(A, q, v)
                         continue
-                    assert preimage_gcp_initial(A, q, v) == want
+                    assert preimage_gcp(A, q, v) == want

@@ -7,8 +7,13 @@ import pytest
 from cantortx.words import InvalidInput
 from cantortx.transducer import Transducer, evaluate
 from cantortx.images import images
-from cantortx.invert import inverse_closure
-from cantortx.synchronize import NotSynchronizing, forced_state, minimal_sync_level
+from cantortx.invert import inverse_closure, is_bisynchronizing_core
+from cantortx.synchronize import (
+    NotSynchronizing,
+    forced_state,
+    is_synchronizing,
+    minimal_sync_level,
+)
 from cantortx.signature import (
     PerWordM,
     _count_outputs_with_prefix,
@@ -464,19 +469,18 @@ class TestSharedValidation:
         self.check(machine_g4(), None, True)
         self.check(machine_U(4), None, True)
 
-    def test_not_clopen_within_the_bound(self, monkeypatch):
-        # T:3^2 needs three image rounds; allow two
-        import cantortx.signature as signature
+    def test_not_clopen(self):
+        # a one-state core whose image, the golden-mean shift, is closed but
+        # not open
+        golden_mean = Transducer(2, {"a": {0: ((0,), "a"), 1: ((0, 1), "a")}})
+        self.check(golden_mean, "some state image is not clopen", False)
 
-        T3sq = group_product(*[GroupElement.from_machine(machine_T(3))] * 2).machine
-        assert validation_failure(T3sq) is None
-        monkeypatch.setattr(signature, "images", lambda T: images(T, max_iter=2))
-        reason = "some state image is not clopen within the iteration bound"
-        # T3sq keeps its verdict; a fresh copy is validated under the bound
-        assert validation_failure(T3sq) is None
-        fresh = parse(serialize(T3sq))
-        assert validate_core(fresh) == (reason, None)
-        assert validation_failure(fresh) == reason
+    def test_non_injective_machine_has_no_closure(self):
+        T = overlap_machine()
+        assert is_synchronizing(T)
+        with pytest.raises(InvalidInput, match="^state 'a' is not injective$"):
+            inverse_closure(T)
+        assert not is_bisynchronizing_core(T)
 
     def test_invert_element_at_every_root(self):
         for make, n, k in ((machine_T, 3, 3), (machine_U, 4, 2)):

@@ -11,7 +11,6 @@ from cantortx.transducer import (
     DegenerateTransducer,
     DepthExceeded,
     Transducer,
-    behavior_partition,
     check_productive,
     common_prefixes,
     evaluate,
