@@ -180,6 +180,7 @@ class TestErrors:
         ("order", "--bound", "-3"),
         ("order", "--state-cap", "-1"),
         ("realize", "--r", "2", "--depth", "-1"),
+        ("order", "--json", "--bound", "-1"),
     ])
     def test_negative_numeric_option_is_a_usage_error(self, tmp_path, capsys, argv):
         path = write_example(tmp_path, capsys, "T:3")

@@ -362,6 +362,15 @@ def reference_images_initial(A, max_iter=32):
 
 
 def reference_invert_initial(A):
+    A, root_table, table, inv_root = reference_inverse_closure_initial(A)
+    return reference_minimize_initial(
+        InitialTransducer(A.n, A.r, root_table, table, root=inv_root)
+    )
+
+
+def reference_inverse_closure_initial(A):
+    """(minimized A, entry row, rows, entry state) of the inverse of A,
+    closed forward with no cap."""
     A = reference_minimize_initial(A)
     assert is_homeomorphism_initial(A)
     inv_root = (EMPTY, A.root)
@@ -393,9 +402,7 @@ def reference_invert_initial(A):
                 known.add(nxt)
                 queue.append(nxt)
         table[state] = row
-    return reference_minimize_initial(
-        InitialTransducer(A.n, A.r, root_table, table, root=inv_root)
-    )
+    return A, root_table, table, inv_root
 
 
 @lru_cache(maxsize=None)
@@ -455,6 +462,31 @@ class TestRowKernel:
             want = reference_images_initial(A)
             assert got == want and list(got) == list(want), label
 
+    def test_images_bound_raises_like_reference(self):
+        # images_initial has no round bound: it equals the reference at the
+        # first bound the reference settles within, and raises where the
+        # reference raises at every bound, on the golden-mean wrappers
+        for label, A in list(realized_cases()) + list(raw_products()):
+            for k in range(1, 8):
+                try:
+                    want = reference_images_initial(A, max_iter=k)
+                except NotClopenImage:
+                    continue
+                assert images_initial(A) == want, (label, k)
+                break
+            else:
+                pytest.fail(f"{label}: images need more than 7 rounds")
+        for r in (1, 2):
+            A = InitialTransducer(
+                2, r, {b: ((dot(b),), "a") for b in range(r)},
+                {"a": {0: ((0,), "a"), 1: ((0, 1), "a")}},
+            )
+            for k in range(1, 9):
+                with pytest.raises(NotClopenImage):
+                    reference_images_initial(A, max_iter=k)
+            with pytest.raises(NotClopenImage):
+                images_initial(A)
+
     def test_invert_matches_reference(self):
         for label, A in realized_cases():
             got = invert_initial(A)
@@ -462,6 +494,29 @@ class TestRowKernel:
             assert got == want and serialize(got) == serialize(want), label
         for label, A in list(raw_products())[::7]:
             assert invert_initial(A) == reference_invert_initial(A), label
+
+    def test_invert_cap_matches_reference(self):
+        # the closure has no cap: every owed word w of a state (w, q) of the
+        # reference closure is shorter than the greatest |w_i| + depth
+        # im(p_i) over the edges (a rooted image's root counts as a
+        # letter), and invert_initial matches the closure's minimization
+        def depth(img):
+            if isinstance(img, RootedClopen):
+                return 1 + max((len(c) for part in img.parts for c in part.cones), default=-1)
+            return max(map(len, img.cones))
+
+        checked = 0
+        cases = list(realized_cases()) + list(raw_products())[::7]
+        for i, (label, A) in enumerate(cases):
+            M, _, table, _ = reference_inverse_closure_initial(A)
+            img = images_initial(M)
+            bound = max(len(w) + depth(img[p]) for q in M.states for w, p in M._rows[q])
+            for w, q in table:
+                assert len(w) < bound, (label, w, q)
+                checked += 1
+            if i % 5 == 0:
+                assert invert_initial(A) == reference_invert_initial(A), label
+        assert checked > 600, checked
 
     def test_forced_outputs_match_reference(self):
         # the non-initial states of the realized machines and of their raw

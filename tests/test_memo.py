@@ -9,13 +9,14 @@ import pytest
 from cantortx.transducer import memoized
 from cantortx.textio import parse, serialize
 from cantortx.synchronize import minimal_sync_level, sync_counts
-from cantortx.images import images, non_injective_states, orientation
+from cantortx.images import NotClopenImage, images, non_injective_states, orientation
 from cantortx.signature import (
     inverse_reduced_signature,
     member_over_roots_ordered,
     signature_report,
     validation_failure,
 )
+from cantortx.initial import InitialTransducer, dot, minimize_initial
 from cantortx.invert import invert_initial
 from cantortx.machines import machine_T, machine_U, realize
 from cantortx.group import GroupElement, group_product, invert_element
@@ -78,6 +79,30 @@ class TestMemoizedAnswers:
         assert M._memo and F._memo is None
         assert M == F and hash(M) == hash(F)
 
+    def test_key_holds_the_iteration_bound(self, record_calls):
+        # the rounds' bound is |Q|, read from the machine, so the plain key
+        # holds it: this 4-state core needs 6 rounds, and the residual test
+        # past the bound runs once; a failure is raised every time and not
+        # kept
+        M = parse(
+            "TRANSDUCER n=4 r=0 states=1,2,3,0 initial=-\n"
+            "1 0 -> 1 : 1\n1 1 -> 0 : 1\n1 2 -> 0 : 2\n1 3 -> 1 : 2\n"
+            "2 0 -> 1 : 0,1,2\n2 1 -> 0 : 0,1\n2 2 -> 0 : 0,2\n2 3 -> 3 : e\n"
+            "3 0 -> 1 : 0,2\n3 1 -> 0 : 0\n3 2 -> 0 : 3\n3 3 -> 1 : 3\n"
+            "0 0 -> 1 : 0,1,1\n0 1 -> 0 : 0,1,1\n0 2 -> 0 : 0,1,2\n0 3 -> 2 : e\n"
+        )
+        calls = record_calls(("_check_clopen",))
+        want = images(M)
+        assert images(M) is want is M._memo["images"]
+        assert len(calls["_check_clopen"]) == 1
+        golden_mean = parse("TRANSDUCER n=2 r=0 states=a initial=-\n"
+                            "a 0 -> a : 0\na 1 -> a : 0,1\n")
+        for _ in range(2):
+            with pytest.raises(NotClopenImage):
+                images(golden_mean)
+        assert "images" not in (golden_mean._memo or {})
+        assert len(calls["_check_clopen"]) == 3
+
     def test_exceptions_are_not_kept(self):
         calls = []
 
@@ -111,6 +136,26 @@ class TestKeptInverse:
             assert serialize(invert_initial(F)) == serialize(kept)
             seen += 1
         assert seen == 12
+
+    def test_key_holds_the_cap(self, record_calls):
+        # the closure needs no cap, so the plain key holds the one inverse:
+        # a fresh minimal copy closes its inverse once, and a machine that
+        # cannot be inverted raises every time with nothing kept
+        A = realize(machine_T(3), 2)
+        M = minimize_initial(parse(serialize(A)))
+        calls = record_calls(("_close",))
+        want = invert_initial(M)
+        assert invert_initial(M) is want is M._memo["inverse"]
+        assert len(calls["_close"]) == 1
+        assert want == invert_initial(A) and len(want.states) > 2
+        golden_mean = minimize_initial(InitialTransducer(
+            2, 1, {0: ((dot(0),), "a")}, {"a": {0: ((0,), "a"), 1: ((0, 1), "a")}}
+        ))
+        for _ in range(2):
+            with pytest.raises(NotClopenImage):
+                invert_initial(golden_mean)
+        assert "inverse" not in golden_mean._memo
+        assert len(calls["_close"]) == 1
 
 
 class TestNoCyclicGarbage:

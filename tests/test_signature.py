@@ -469,9 +469,10 @@ class TestSharedValidation:
         self.check(machine_g4(), None, True)
         self.check(machine_U(4), None, True)
 
-    def test_not_clopen(self):
+    def test_not_clopen_within_the_bound(self):
         # a one-state core whose image, the golden-mean shift, is closed but
-        # not open
+        # not open: its image rounds pass the bound of |Q| = 1 rounds
+        # without settling, and the residual test past it decides
         golden_mean = Transducer(2, {"a": {0: ((0,), "a"), 1: ((0, 1), "a")}})
         self.check(golden_mean, "some state image is not clopen", False)
 
