@@ -95,7 +95,6 @@ from .group import (
     CoreInvariantError,
     GroupElement,
     OrderResult,
-    ProductLeftGroup,
     ZeroFixing,
     canonical_core,
     element_order,

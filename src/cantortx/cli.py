@@ -29,7 +29,6 @@ from .signature import (
     membership_failure,
     signature_class_partition,
     signature_report,
-    validate_core,
 )
 from .machines import (
     NotOrderable,
@@ -46,10 +45,9 @@ from .machines import (
 from .group import (
     CoreInvariantError,
     GroupElement,
-    ProductLeftGroup,
-    canonical_core,
     element_order,
     group_product,
+    invert_element,
     orbit_lengths,
 )
 from . import textio, verify
@@ -63,7 +61,6 @@ DOMAIN_ERRORS = (
     EmptyPreimage,
     RealizeError,
     NotOrderable,
-    ProductLeftGroup,
     CoreInvariantError,
     textio.ParseError,
     KeyError,
@@ -153,10 +150,7 @@ def cmd_invert(args, started):
     if isinstance(M, InitialTransducer):
         out = invert_initial(M)
     else:
-        fail, closure = validate_core(M)
-        if fail is not None:
-            raise InvalidInput(f"not invertible as a core element: {fail}")
-        out = canonical_core(closure)
+        out = invert_element(GroupElement(M)).machine
     text = textio.serialize(out)
     _emit(args, "invert", [args.file], text, {}, started, machine_text=text)
 

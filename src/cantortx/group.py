@@ -23,7 +23,7 @@ from .transducer import (
 from .synchronize import core
 from .images import Orientation, orientation
 from .invert import inverse_closure
-from .signature import signature_report, validate_core, validate_synchronizing_core
+from .signature import record_valid, signature_report, validate_core, validation_failure
 
 
 def canonical_core(T):
@@ -49,10 +49,12 @@ def canonical_core(T):
 
 class GroupElement:
     """A core element: canonical minimal core bi-synchronizing machine with
-    injective clopen-image states.  Its analyses (images, signature data,
-    orientation, validation) are memoized on its machine, so an element that
-    from_machine or group_product validated reads them without recomputing,
-    and an element made directly from a machine computes each once."""
+    injective clopen-image states.  A machine is validated where it enters:
+    in from_machine or, made into an element directly, when group_product
+    or invert_element first meets it.  Products and inverses of valid
+    elements are valid, so they carry a passing verdict unchecked.  The
+    analyses of an element, its verdict among them, are memoized on its
+    machine."""
 
     __slots__ = ("machine",)
 
@@ -61,13 +63,8 @@ class GroupElement:
 
     @classmethod
     def from_machine(cls, T):
-        """The element of T's canonical core, validated; canonical_core
-        makes a synchronizing core, so validation checks the rest."""
-        M = canonical_core(T)
-        fail = validate_synchronizing_core(M)
-        if fail is not None:
-            raise InvalidInput(f"not a valid core element: {fail}")
-        return cls(M)
+        """The element of T's canonical core, validated."""
+        return cls(_valid(canonical_core(T)))
 
     @property
     def n(self):
@@ -101,23 +98,26 @@ def identity_element(n):
     return GroupElement.from_machine(identity_transducer(n))
 
 
-class ProductLeftGroup(RuntimeError):
-    """A product's canonical machine failed validation as a core element."""
+def _valid(M):
+    """M, when it is a valid core element; else an InvalidInput naming why."""
+    fail = validation_failure(M)
+    if fail is not None:
+        raise InvalidInput(f"not a valid core element: {fail}")
+    return M
 
 
 def group_product(g, h):
     """g then h: root the product machine at a pair of states, minimize the
     rooted behaviour, and take the core.  The result is independent of the
-    chosen roots."""
+    chosen roots.  A factor is validated when it holds no verdict yet; the
+    product of valid elements is valid and carries a passing verdict."""
+    _valid(g.machine)
+    _valid(h.machine)
     if g.n != h.n:
         raise InvalidInput("product of elements over different alphabets")
     P = product(g.machine, h.machine)
     root = (g.machine.states[0], h.machine.states[0])
-    M = canonical_core(minimize_rooted(P, root)[0])
-    fail = validate_synchronizing_core(M)
-    if fail is not None:
-        raise ProductLeftGroup(f"product left the group, inputs were invalid: {fail}")
-    return GroupElement(M)
+    return GroupElement(record_valid(canonical_core(minimize_rooted(P, root)[0])))
 
 
 def invert_element(g, root=None):
@@ -126,7 +126,7 @@ def invert_element(g, root=None):
     validation's closure, rooted at the first state, serves whatever the
     root: every rooted closure of a synchronizing core contains the whole
     core of the inverse, so the canonical core does not depend on the
-    root."""
+    root.  The inverse of a valid element carries a passing verdict."""
     M = g.machine
     if root is not None:
         M.row(root)  # an unknown state is an error, valid element or not
@@ -135,7 +135,7 @@ def invert_element(g, root=None):
         raise InvalidInput(f"not a valid core element: {fail}")
     if closure is None:
         closure = inverse_closure(M, root)
-    return GroupElement.from_machine(closure)
+    return GroupElement(record_valid(canonical_core(closure)))
 
 
 def is_identity(g):

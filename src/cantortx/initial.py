@@ -30,6 +30,7 @@ from .transducer import (
     bfs_numbering,
     check_productive,
     common_prefixes,
+    memoized,
     partition_rows,
     pump_period,
     quotient_rows,
@@ -275,12 +276,11 @@ def minimize_initial(A):
     are pushed upstream (the initial state keeps its behaviour), equivalent
     ones are merged, and the entry row and the blocks are named
     breadth-first from the entry row.  The result is marked minimal in its
-    memo, so minimizing it again returns it unchanged."""
+    memo, so minimizing it again returns it unchanged, and it is kept in
+    A's memo under "minimized", so minimizing A again returns it too."""
     if A._memo is not None and "minimal" in A._memo:
         return A
-    M = _minimize(A)
-    M._memo = {"minimal": True}
-    return M
+    return memoized(A, "minimized", lambda: _minimize(A))
 
 
 def _minimize(A):
@@ -294,7 +294,9 @@ def _minimize(A):
     blocks[None] = tuple((w, part[p]) for w, p in entry)  # None is no block index
     names = bfs_numbering(blocks, [None])
     table = {q: dict(enumerate(row)) for q, row in renamed_rows(blocks, names).items()}
-    return InitialTransducer(A.n, A.r, table.pop("0"), table, root="0")
+    M = InitialTransducer(A.n, A.r, table.pop("0"), table, root="0")
+    M._memo = {"minimal": True}
+    return M
 
 
 def initial_equal(A, B):

@@ -197,7 +197,8 @@ def invert_initial(A):
     minimized.  Raises InvalidInput when A is not invertible.  The inverse's
     entry row reads the output roots .b; its other states are closed forward
     as in inverse_closure, which a homeomorphism keeps finite.  The inverse
-    is kept in the memo of the minimized A under "inverse"."""
+    is kept in the memo of the minimized A under "inverse", and A's memo
+    keeps the minimized A, so each machine is inverted once."""
     A = minimize_initial(A)
     return memoized(A, "inverse", lambda: _invert_minimal(A))
 

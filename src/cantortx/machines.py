@@ -496,7 +496,7 @@ def realize(T, r, ordered=True, max_prefix_depth=3, max_size=None):
     Uses the homeomorphism-state shortcut when available, otherwise assembles
     blocks from a lexicographic viable combination; orientation-reversing
     elements are realized through the letter-complement carrier."""
-    from .signature import CONGRUENCE_FAILS, membership_failure
+    from .signature import CONGRUENCE_FAILS, membership_failure, record_valid
     from . import group
     from .initial import minimize_initial, product_initial
 
@@ -506,12 +506,12 @@ def realize(T, r, ordered=True, max_prefix_depth=3, max_size=None):
             reason += " at this root count"
         raise RealizeError(f"element is not realizable over {r} roots: {reason}")
 
-    want = group.canonical_core(T)
+    want = record_valid(group.canonical_core(T))  # membership validated T
     if ordered and orientation(T) is Orientation.REVERSING:
-        # the partner T . (letter complement) preserves the order and is a
-        # member at r; group_product validates it.  The product is rooted at
-        # the first state of each factor, so T enters in canonical form.
-        flip = group.GroupElement(letter_complement(T.n))
+        # the partner T . (letter complement) preserves the order and, a
+        # product of valid elements, is a valid member at r.  The product is
+        # rooted at the first state of each factor: T enters canonical.
+        flip = group.GroupElement.from_machine(letter_complement(T.n))
         partner = group.group_product(group.GroupElement(want), flip).machine
         raw = _construct(partner, r, True, max_prefix_depth, max_size)
         raw = product_initial(raw, reversing_complement_wrapper(T.n, r))

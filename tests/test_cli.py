@@ -249,6 +249,14 @@ class TestErrors:
         assert exc.value.code == 2
         assert "--gcp-bound" in capsys.readouterr().err
 
+    def test_invert_invalid_element(self, tmp_path, capsys):
+        path = tmp_path / "swapping.tx"
+        path.write_text("TRANSDUCER n=2 r=0 states=s,t initial=-\n"
+                        "s 0 -> t : 0\ns 1 -> t : 1\nt 0 -> s : 0\nt 1 -> s : 1\n")
+        code, out, err = run(capsys, "invert", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: not a valid core element: not synchronizing\n"
+
     def test_member_bad_root_count(self, tmp_path, capsys):
         path = write_example(tmp_path, capsys, "g4")
         code, _, err = run(capsys, "member", "--r", "7", path)

@@ -15,7 +15,7 @@ from cantortx.machines import (
 )
 from cantortx.transducer import Transducer
 from cantortx.images import Orientation, orientation
-from cantortx.signature import signature_report
+from cantortx.signature import signature_report, validation_failure
 from cantortx.group import (
     CoreInvariantError,
     GroupElement,
@@ -258,10 +258,10 @@ class TestCoreInvariantError:
 
 
 class TestProductWork:
-    """One group product synchronizes each machine it checks once: the
-    minimized product in canonical_core runs the counting routine, the
-    inverse closure runs only the round loop, and the canonical core, which
-    is a synchronizing core by construction, is not synchronized again."""
+    """One group product of valid elements synchronizes one machine once:
+    the minimized product in canonical_core runs the counting routine.  The
+    product of valid elements is valid, so neither its canonical core nor
+    an inverse closure is synchronized."""
 
     def test_sync_calls(self, record_calls):
         t3 = GroupElement.from_machine(machine_T(3))
@@ -272,14 +272,32 @@ class TestProductWork:
         result = group_product(acc, t3)
         assert len(result.machine.states) == 11
         assert len(calls["sync_counts"]) == 1
-        assert len(calls["is_synchronizing"]) == 1
-        assert len(calls["_collapse_rounds"]) == 2
+        assert len(calls["is_synchronizing"]) == 0
+        assert len(calls["_collapse_rounds"]) == 1
+
+    def test_valid_factors_build_no_inverse_closure(self, record_calls):
+        t3 = GroupElement.from_machine(machine_T(3))
+        p = group_product(t3, t3)
+        calls = record_calls(("inverse_closure", "_core_failure"))
+        q = group_product(p, t3)
+        assert calls["inverse_closure"] == calls["_core_failure"] == []
+        assert validation_failure(q.machine) is None
+
+    def test_invalid_raw_factor_is_a_domain_error(self):
+        swapping = Transducer(2, {"s": {0: ((0,), "t"), 1: ((1,), "t")},
+                                  "t": {0: ((0,), "s"), 1: ((1,), "s")}})
+        t3 = GroupElement.from_machine(machine_T(3))
+        for g, h in ((GroupElement(swapping), t3), (t3, GroupElement(swapping))):
+            with pytest.raises(InvalidInput,
+                               match="not a valid core element: not synchronizing"):
+                group_product(g, h)
 
 
 class TestCarriedImages:
-    """The analyses that validation computes for from_machine,
-    group_product and invert_element stay memoized on the element's
-    machine, and the signature, the orientation and the inverse read them."""
+    """The analyses that validation computes for from_machine, and for a
+    raw element in group_product or invert_element, stay memoized on the
+    element's machine, and the signature, the orientation and the inverse
+    read them."""
 
     def test_analyses_match_the_checked_path_on_the_verify_pools(self):
         from cantortx.verify import _close_pool, _generator_pool
@@ -300,10 +318,12 @@ class TestCarriedImages:
         p = group_product(group_product(t3, t3), t3)
         calls = record_calls(("_core_failure", "_fixpoint"))
         inverse = invert_element(p)
-        # p's verdict is memoized: only the inverse is validated, and the
-        # one image fixpoint is the inverse's
-        assert [c["T"] for c in calls["_core_failure"]] == [inverse.machine]
-        assert [c["M"] for c in calls["_fixpoint"]] == [inverse.machine]
+        # p's verdict is memoized and the inverse of a valid element
+        # carries a passing verdict, so nothing is validated; the one image
+        # fixpoint is p's, which the closure reads
+        assert calls["_core_failure"] == []
+        assert [c["M"] for c in calls["_fixpoint"]] == [p.machine]
+        assert validation_failure(inverse.machine) is None
         calls.clear()
         assert p.signature.sync_level == 4
         assert p.orientation is Orientation.PRESERVING
@@ -324,8 +344,8 @@ class TestCarriedImages:
         for q in M.states:
             calls.clear()
             assert invert_element(GroupElement(M), root=q) == want
-            # validation's closure, then the one that validates the inverse
-            assert len(calls["inverse_closure"]) == 2
+            # validation's closure alone: the inverse is not validated
+            assert len(calls["inverse_closure"]) == 1
 
     def test_unknown_root_is_a_domain_error(self):
         g = GroupElement.from_machine(machine_T(3))

@@ -411,19 +411,23 @@ class TestRealizeWork:
         assert len(calls["_non_injective"]) == 2
 
     def test_reversing_call_counts(self, record_calls):
-        # the partner T . (letter complement) is validated by group_product
-        # alone, and only the final machine is minimized and verified
+        # membership validates T and from_machine the flip; T's canonical
+        # core carries T's verdict, so group_product reads both verdicts
+        # from the memo and the partner T . (letter complement), a product
+        # of valid elements, is not validated.  Only the final machine is
+        # minimized and verified.
         calls = record_calls((
-            "validate_core", "_fixpoint", "inverse_closure", "canonical_core",
-            "_minimize", "_verify_realization",
+            "validate_core", "_core_failure", "_fixpoint", "inverse_closure",
+            "canonical_core", "_minimize", "_verify_realization",
         ))
         A = realize(letter_complement(4), 2)
         assert len(A.states) == 2
-        assert self.by_kind(calls) == {"plain": 2, "initial": 1}
+        # T's, the flip's, and the partner's that realization reads
+        assert self.by_kind(calls) == {"plain": 3, "initial": 1}
         del calls["_fixpoint"]
         assert {name: len(c) for name, c in calls.items()} == {
-            "validate_core": 1, "inverse_closure": 2, "canonical_core": 3,
-            "_minimize": 2, "_verify_realization": 1,
+            "validate_core": 4, "_core_failure": 2, "inverse_closure": 2,
+            "canonical_core": 4, "_minimize": 2, "_verify_realization": 1,
         }
 
     def test_inverting_a_realized_machine_minimizes_once(self, record_calls):

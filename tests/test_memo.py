@@ -3,6 +3,7 @@ on a fresh copy of the machine, which has an empty memo, and a dropped
 element or realized machine leaves no cyclic garbage."""
 
 import gc
+import types
 
 import pytest
 
@@ -124,7 +125,32 @@ def realized():
             yield realize(g.machine, n - 1)
 
 
+def referents(value):
+    """Every object reachable from value through containers and instances,
+    classes, modules and functions aside."""
+    seen, stack = set(), [value]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or isinstance(x, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(x))
+        yield x
+        stack.extend(gc.get_referents(x))
+
+
 class TestKeptInverse:
+    def test_machine_read_back_is_inverted_once(self, record_calls):
+        # a machine not marked minimal keeps its minimized copy, and so the
+        # inverse that copy keeps
+        F = parse(serialize(realize(machine_T(3), 2)))
+        calls = record_calls(("_close",))
+        first = invert_initial(F)
+        assert invert_initial(F) is first
+        assert len(calls["_close"]) == 1
+        assert minimize_initial(F) is F._memo["minimized"]
+        assert "minimized" not in minimize_initial(F)._memo
+        assert all(x is not F for v in F._memo.values() for x in referents(v))
+
     def test_equal_to_the_inverse_of_a_fresh_copy(self):
         seen = 0
         for A in realized():
@@ -159,6 +185,24 @@ class TestKeptInverse:
 
 
 class TestNoCyclicGarbage:
+    def test_memo_values_do_not_refer_to_their_machine(self):
+        seen = 0
+        for n in (3, 4):
+            layers = _close_pool(_generator_pool(n), 3)
+            built = layers[2] + layers[3]
+            for g in built + [invert_element(g) for g in layers[1] + built]:
+                g.signature, g.orientation, invert_element(g)
+                M = g.machine
+                assert M._memo
+                for value in M._memo.values():
+                    assert all(x is not M for x in referents(value))
+                seen += 1
+        assert seen > 100
+
+    def test_self_reference_is_seen(self):
+        M = GroupElement.from_machine(machine_T(3)).machine
+        assert any(x is M for x in referents({"pair": (images(M), [M])}))
+
     def test_dropped_product_element(self):
         t3 = GroupElement.from_machine(machine_T(3))
         gc.collect()

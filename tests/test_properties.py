@@ -33,7 +33,8 @@ from cantortx.group import (
     is_identity,
     rotation_action,
 )
-from cantortx.signature import member_over_roots, reduced_signature
+from cantortx.signature import member_over_roots, reduced_signature, validation_failure
+from cantortx.textio import parse, serialize
 
 
 def elements(n):
@@ -171,6 +172,12 @@ def evaluate_word(n, word):
     return reduce(group_product, [GENERATORS[n][i] for i in word])
 
 
+def valid_from_scratch(g):
+    """The passing verdict that g carries, checked on a fresh copy of its
+    machine, whose memo is empty."""
+    return validation_failure(parse(serialize(g.machine))) is None
+
+
 # The four laws take about 2.5 s.  The draws follow each test's source
 # text; at 30 examples the inverse law draws an n = 4 word whose inverse
 # closure has 11,581 states and takes seconds to build.
@@ -179,7 +186,8 @@ laws = settings(max_examples=12, deadline=None, derandomize=True)
 
 class TestGroupLaws:
     """The group laws and the multiplicativity of rsig on random words of
-    length 8 to 10 in T, U, pi_R and a block sum, at n = 3..5."""
+    length 8 to 10 in T, U, pi_R and a block sum, at n = 3..5, and the
+    validity of each word's product and inverse."""
 
     @given(words(pieces=3))
     @laws
@@ -197,6 +205,7 @@ class TestGroupLaws:
         g = evaluate_word(n, word)
         gi = invert_element(g)
         assert is_identity(group_product(g, gi)) and is_identity(group_product(gi, g))
+        assert valid_from_scratch(g) and valid_from_scratch(gi)
 
     @given(words())
     @laws
