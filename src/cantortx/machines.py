@@ -510,8 +510,10 @@ def realize(T, r, ordered=True, max_prefix_depth=3, max_size=None):
     if ordered and orientation(T) is Orientation.REVERSING:
         # the partner T . (letter complement) preserves the order and, a
         # product of valid elements, is a valid member at r.  The product is
-        # rooted at the first state of each factor: T enters canonical.
-        flip = group.GroupElement.from_machine(letter_complement(T.n))
+        # rooted at the first state of each factor: T enters canonical.  The
+        # letter complement is a known valid element, so it carries its
+        # verdict unchecked.
+        flip = group.GroupElement(record_valid(group.canonical_core(letter_complement(T.n))))
         partner = group.group_product(group.GroupElement(want), flip).machine
         raw = _construct(partner, r, True, max_prefix_depth, max_size)
         raw = product_initial(raw, reversing_complement_wrapper(T.n, r))

@@ -18,9 +18,20 @@ repeats on the quotient, counting its rounds.  Two facts make it exact:
   leaves the relation fixed, so the machine does not synchronize; and since
   every other round removes a state, the level is at most |Q| - 1.
 - Every word of length `level` sends every start state to the same end
-  state.  So the number of words of that length that force a state q is the
-  number of paths of that length from any one fixed start state to q, and
-  these counts are pushed one letter at a time in O(level * |Q| * n).
+  state.  So the forced states are the states reachable from f = s.u, for
+  any start s and any word u of length `level`: f.w = s.uw is forced by the
+  last `level` letters of uw, and a forced state p = s.v is f.v.  They are
+  found in O(level + |Q| * n).  The number of words of that length that
+  force a state q is the number of paths of that length from any one fixed
+  start state to q; the signatures push these counts one letter at a time
+  in O(level * |Q| * n).
+
+A round of the collapse rehashes only the quotient states with a successor
+merged away in the round before; the others keep their rows, which stay
+pairwise distinct.  A state merges away once, and then the rows of its
+predecessors in the quotient are rehashed, so the work follows the edges
+into merged states instead of rehashing all |Q| rows in each of the
+`level` rounds.
 
 The level and the counts are memoized on the machine.
 """
@@ -44,19 +55,49 @@ def _destination_rows(T):
 def _collapse_rounds(rows):
     """Rounds of the counted collapse of `rows` until one state is left:
     the minimal synchronizing level, or None when a round merges nothing
-    (or there is no state at all)."""
+    (or there is no state at all).
+
+    `rows` holds the row of each class of the quotient, named by one of its
+    states, and `table` maps every row to its class.  Round one hashes every
+    row; a later round rehashes only the classes with a successor merged
+    away in the round before (`moved` maps those to the classes they merged
+    into), renaming that successor.  The rows of the other classes are
+    unchanged and pairwise distinct, so they merge with nothing among
+    themselves.  A rehashed row's old entry stays in the table: it names a
+    class merged away, which no row names again.  A round's merges rename
+    nothing before the next round."""
+    if len(rows) <= 1:
+        return 0 if rows else None
+    preds = {q: [] for q in rows}
+    for q, row in rows.items():
+        for p in row:
+            preds[p].append(q)
+    rows = dict(rows)
+    table = {}
+    moved = {}
+    for q, row in rows.items():
+        keeper = table.setdefault(row, q)
+        if keeper != q:
+            moved[q] = keeper
     level = 0
-    while len(rows) != 1:
-        cls = {}
-        group = {q: cls.setdefault(row, len(cls)) for q, row in rows.items()}
-        if len(cls) == len(rows):
-            return None
-        merged = {}
-        for q, row in rows.items():
-            merged.setdefault(group[q], tuple(group[p] for p in row))
-        rows = merged
+    while moved:
         level += 1
-    return level
+        pending = set()
+        for c, keeper in moved.items():
+            del rows[c]
+            pending.update(preds[c])
+            preds[keeper] += preds.pop(c)
+        if len(rows) == 1:
+            return level
+        pending.intersection_update(rows)
+        merged = {}
+        for c in pending:
+            row = rows[c] = tuple(moved.get(p, p) for p in rows[c])
+            keeper = table.setdefault(row, c)
+            if keeper != c:
+                merged[c] = keeper
+        moved = merged
+    return None
 
 
 def _sync_level(T):
@@ -111,8 +152,23 @@ def forced_state(T, word):
 
 
 def core_states(T):
-    """States forced by words of the minimal synchronizing length."""
-    return set(sync_counts(T)[1])
+    """States forced by words of the minimal synchronizing length: the
+    states reachable from the end state of one such word."""
+    level = _sync_level(T)
+    if level is None:
+        raise NotSynchronizing("machine is not synchronizing")
+    rows = _destination_rows(T)
+    q = next(iter(rows))
+    for _ in range(level):
+        q = rows[q][0]
+    seen = {q}
+    stack = [q]
+    while stack:
+        for p in rows[stack.pop()]:
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return seen
 
 
 def core(T):

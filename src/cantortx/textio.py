@@ -51,16 +51,14 @@ def serialize(T):
         r = 0
     else:
         raise InvalidInput(f"cannot serialize {type(T).__name__}")
-    names = [_safe_name(q) for q in T.states]
-    if len(set(names)) != len(names):
+    names = {q: _safe_name(q) for q in T.states}
+    if len(set(names.values())) != len(names):
         raise InvalidInput("state names collide as strings; relabel first")
-    initial = _safe_name(T.root) if r else "-"
-    lines = [f"TRANSDUCER n={T.n} r={r} states={','.join(names)} initial={initial}"]
-    for q in T.states:
+    initial = names[T.root] if r else "-"
+    lines = [f"TRANSDUCER n={T.n} r={r} states={','.join(names.values())} initial={initial}"]
+    for q, name in names.items():
         for sym, (w, p) in zip(T.symbols_at(q), T.row(q)):
-            lines.append(
-                f"{_safe_name(q)} {_fmt_letter(sym)} -> {_safe_name(p)} : {_fmt_out(w)}"
-            )
+            lines.append(f"{name} {_fmt_letter(sym)} -> {names[p]} : {_fmt_out(w)}")
     return "\n".join(lines) + "\n"
 
 

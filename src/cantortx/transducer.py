@@ -202,6 +202,32 @@ def bfs_numbering(rows, roots):
     return names
 
 
+def least_numbering(rows):
+    """The bfs_numbering of rows {state: row} from the start whose renamed
+    table, the rows in numbering order with every destination replaced by
+    its index, is least; every state must be reachable from every start, as
+    in a core.  The numberings from all starts run in step, one row at a
+    time, and only the starts whose renamed rows so far are least go on:
+    every table has one row of n cells per state, so comparing the tables
+    row by row is comparing them whole.  Among starts with equal tables the
+    first in rows' order wins."""
+    runs = [({q: 0}, [q]) for q in rows]
+    k = 0
+    while len(runs) > 1 and k < len(rows):
+        keyed = []
+        for names, order in runs:
+            row = rows[order[k]]
+            for _, p in row:
+                if p not in names:
+                    names[p] = len(order)
+                    order.append(p)
+            keyed.append((tuple((w, names[p]) for w, p in row), names, order))
+        least = min(key for key, _, _ in keyed)
+        runs = [(names, order) for key, names, order in keyed if key == least]
+        k += 1
+    return bfs_numbering(rows, runs[0][1][:1])
+
+
 def renamed_rows(rows, names):
     """The rows of the states in names {state: index}, in the order of
     names, with every state renamed str(index)."""
@@ -242,7 +268,10 @@ def relabel(T, mapping):
 def product(A, B):
     """The composite machine: input runs through A, A's output through B.
 
-    States are pairs (a, b); the behaviour at (a, b) is h_b after h_a."""
+    States are pairs (a, b); the behaviour at (a, b) is h_b after h_a.
+    Every pair gets a row, so the work is |A|·|B| rows of n letters, also
+    for a caller such as group_product that reads only the pairs reachable
+    from one root."""
     if A.n != B.n:
         raise InvalidInput("product of transducers over different alphabets")
     rows = {}
@@ -456,12 +485,16 @@ def minimize_rooted(T, root):
     accessible, complete response, no omega-equivalent pair, states renamed
     "0", "1", ... in breadth-first order from the root with letters ascending.
     Returns (machine, root name); two rooted machines with equal behaviour
-    produce structurally identical results."""
+    produce structurally identical results.  The machine is marked minimal
+    in its memo: no two of its states are omega-equivalent, and every state
+    but a fresh entry state, which no edge enters, has complete response."""
     S, entry = remove_incomplete_response_rooted(T, root)
     part = partition_rows(S._rows)
     blocks = quotient_rows(S._rows, part)
     names = bfs_numbering(blocks, [part[entry]])
-    return Transducer._from_rows(T.n, renamed_rows(blocks, names)), "0"
+    M = Transducer._from_rows(T.n, renamed_rows(blocks, names))
+    M._memo = {"minimal": True}
+    return M, "0"
 
 
 def rooted_equal(A, roota, B, rootb):

@@ -13,7 +13,15 @@ from cantortx.machines import (
     oplus,
     swap_transducer,
 )
-from cantortx.transducer import Transducer
+from cantortx.transducer import (
+    Transducer,
+    bfs_numbering,
+    least_numbering,
+    minimize_rooted,
+    product,
+)
+from cantortx.initial import minimize_initial
+from cantortx.textio import parse, serialize
 from cantortx.images import Orientation, orientation
 from cantortx.signature import signature_report, validation_failure
 from cantortx.group import (
@@ -257,11 +265,96 @@ class TestCoreInvariantError:
         assert cantortx.CoreInvariantError is CoreInvariantError
 
 
+def least_numbering_reference(rows):
+    """The numbering as it stood before the starts ran in step: every
+    start's whole renamed table is built, and the first least one wins."""
+    best = None
+    for start in rows:
+        names = bfs_numbering(rows, [start])
+        key = tuple((w, names[p]) for q in names for w, p in rows[q])
+        if best is None or key < best[0]:
+            best = (key, names)
+    return best[1]
+
+
+def power_pool():
+    """Powers 1..16 of T and U at n = 3 and 5."""
+    out = []
+    for n in (3, 5):
+        for make in (machine_T, machine_U):
+            g = acc = GroupElement.from_machine(make(n))
+            for _ in range(16):
+                out.append(acc)
+                acc = group_product(acc, g)
+    return out
+
+
+def verify_pool():
+    """The verify suite's pools at n = 3 and 4: products of up to three
+    generators."""
+    from cantortx.verify import _close_pool, _generator_pool
+
+    out = []
+    for n in (3, 4):
+        layers = _close_pool(_generator_pool(n), 3)
+        out += layers[1] + layers[2] + layers[3]
+    return out
+
+
+class TestLeastNumbering:
+    """The in-step numbering picks the all-starts reference's numbering, on
+    canonical rows and on the same rows with the states renamed in a
+    shuffled order, so that the least start is not always the first."""
+
+    def check(self, elements):
+        rng = random.Random(18)
+        for g in elements:
+            rows = g.machine._rows
+            states = list(rows)
+            rng.shuffle(states)
+            rename = {q: f"s{k}" for k, q in enumerate(states)}
+            shuffled = {rename[q]: tuple((w, rename[p]) for w, p in rows[q]) for q in states}
+            for table in (rows, shuffled):
+                assert list(least_numbering(table).items()) == list(
+                    least_numbering_reference(table).items())
+
+    def test_matches_all_starts_on_the_verify_pools(self):
+        self.check(verify_pool())
+
+    def test_matches_all_starts_on_powers(self):
+        self.check(power_pool())
+
+
+class TestMinimalCores:
+    """canonical_core of a machine marked minimal skips the merge of its
+    core, and gives the machine that the merge gives."""
+
+    def test_minimized_products(self):
+        elements = power_pool()[:32] + verify_pool()[:40]
+        for g, h in zip(elements, elements[1:] + elements[:1]):
+            if g.n != h.n:
+                continue
+            root = (g.machine.states[0], h.machine.states[0])
+            M, _ = minimize_rooted(product(g.machine, h.machine), root)
+            unmarked = Transducer._from_rows(M.n, M._rows)
+            assert "minimal" in M._memo and unmarked._memo is None
+            assert serialize(canonical_core(M)) == serialize(canonical_core(unmarked))
+
+    def test_minimal_initial_machines(self):
+        from cantortx.machines import realize
+
+        for M in (machine_T(3), machine_U(3), machine_T(4), machine_g4()):
+            A = realize(M, M.n - 1)
+            assert minimize_initial(A) is A
+            assert serialize(canonical_core(A)) == serialize(canonical_core(parse(serialize(A))))
+
+
 class TestProductWork:
     """One group product of valid elements synchronizes one machine once:
-    the minimized product in canonical_core runs the counting routine.  The
-    product of valid elements is valid, so neither its canonical core nor
-    an inverse closure is synchronized."""
+    the minimized product in canonical_core runs the collapse, and its core
+    is read from the sync level without counting words.  The product of
+    valid elements is valid, so neither its canonical core nor an inverse
+    closure is synchronized."""
 
     def test_sync_calls(self, record_calls):
         t3 = GroupElement.from_machine(machine_T(3))
@@ -271,7 +364,7 @@ class TestProductWork:
         calls = record_calls(("sync_counts", "is_synchronizing", "_collapse_rounds"))
         result = group_product(acc, t3)
         assert len(result.machine.states) == 11
-        assert len(calls["sync_counts"]) == 1
+        assert len(calls["sync_counts"]) == 0
         assert len(calls["is_synchronizing"]) == 0
         assert len(calls["_collapse_rounds"]) == 1
 

@@ -16,6 +16,7 @@ from cantortx.initial import (
 )
 from cantortx.images import Orientation, images, orientation
 from cantortx.invert import invert_initial, is_bisynchronizing_initial
+from cantortx.signature import validation_failure
 from cantortx.synchronize import core
 from cantortx.textio import serialize
 from cantortx import machines
@@ -72,6 +73,11 @@ class TestBuiltins:
         piR = letter_complement(4)
         assert evaluate(piR, "0", (0, 3)) == ((3, 0), "0")
         assert orientation(piR) is Orientation.REVERSING
+
+    def test_letter_complement_is_valid(self):
+        # realize carries this verdict unchecked for its flip
+        for n in range(2, 8):
+            assert validation_failure(letter_complement(n)) is None
 
     def test_square_of_complement_is_identity(self):
         piR = GroupElement.from_machine(letter_complement(5))
@@ -411,22 +417,22 @@ class TestRealizeWork:
         assert len(calls["_non_injective"]) == 2
 
     def test_reversing_call_counts(self, record_calls):
-        # membership validates T and from_machine the flip; T's canonical
-        # core carries T's verdict, so group_product reads both verdicts
-        # from the memo and the partner T . (letter complement), a product
-        # of valid elements, is not validated.  Only the final machine is
-        # minimized and verified.
+        # membership validates T; the flip, a known valid element, carries
+        # its verdict unchecked, and so does T's canonical core, so
+        # group_product reads both verdicts from the memo and the partner
+        # T . (letter complement), a product of valid elements, is not
+        # validated.  Only the final machine is minimized and verified.
         calls = record_calls((
             "validate_core", "_core_failure", "_fixpoint", "inverse_closure",
             "canonical_core", "_minimize", "_verify_realization",
         ))
         A = realize(letter_complement(4), 2)
         assert len(A.states) == 2
-        # T's, the flip's, and the partner's that realization reads
-        assert self.by_kind(calls) == {"plain": 3, "initial": 1}
+        # T's, and the partner's that realization reads
+        assert self.by_kind(calls) == {"plain": 2, "initial": 1}
         del calls["_fixpoint"]
         assert {name: len(c) for name, c in calls.items()} == {
-            "validate_core": 4, "_core_failure": 2, "inverse_closure": 2,
+            "validate_core": 3, "_core_failure": 1, "inverse_closure": 1,
             "canonical_core": 4, "_minimize": 2, "_verify_realization": 1,
         }
 

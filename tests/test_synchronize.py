@@ -240,6 +240,58 @@ class TestCollapse:
             sync.sync_counts(empty)
 
 
+def collapse_rounds_reference(rows):
+    """The counted collapse as it stood before it rehashed only the rows
+    that changed: every round rehashes every row of the quotient."""
+    level = 0
+    while len(rows) != 1:
+        cls = {}
+        group = {q: cls.setdefault(row, len(cls)) for q, row in rows.items()}
+        if len(cls) == len(rows):
+            return None
+        merged = {}
+        for q, row in rows.items():
+            merged.setdefault(group[q], tuple(group[p] for p in row))
+        rows = merged
+        level += 1
+    return level
+
+
+class TestIncrementalCollapse:
+    def test_matches_round_by_round_on_random_rows(self):
+        # uniform rows rarely synchronize past level 2; rows that mostly
+        # step to the next state reach every level up to 9
+        rng = random.Random(18)
+        levels = set()
+        for _ in range(20000):
+            n, k = rng.randint(2, 4), rng.randint(1, 10)
+            bias = rng.choice((0.0, 0.85))
+            rows = {
+                q: tuple(min(q + 1, k - 1) if rng.random() < bias else rng.randrange(k)
+                         for _ in range(n))
+                for q in range(k)
+            }
+            want = collapse_rounds_reference(rows)
+            assert sync._collapse_rounds(rows) == want
+            levels.add(want)
+        assert levels == {None, *range(10)}
+
+    def test_matches_round_by_round_on_the_element_pool(self):
+        for T in element_pool():
+            rows = {q: tuple(p for _, p in T.row(q)) for q in T.states}
+            assert sync._collapse_rounds(rows) == collapse_rounds_reference(rows)
+
+    def test_core_states_are_the_support_of_the_counts(self):
+        machines = random_tables() + [
+            state_wrapper(M, q, r)
+            for M in (machine_g4(), machine_T(3), machine_U(4))
+            for q in M.states for r in range(1, M.n)
+        ]
+        for T in machines:
+            if sync.is_synchronizing(T):
+                assert sync.core_states(T) == set(sync.sync_counts(T)[1])
+
+
 class TestIsSynchronizing:
     def test_examples(self):
         assert sync.is_synchronizing(machine_g4())
