@@ -13,12 +13,10 @@ from .transducer import (
     common_prefixes,
     evaluate,
     least_numbering,
+    merged_rows,
     minimize_rooted,
-    partition_rows,
     product,
-    quotient_rows,
     renamed_rows,
-    strip_rows,
 )
 from .synchronize import core
 from .images import Orientation, orientation
@@ -28,20 +26,19 @@ from .signature import record_valid, signature_report, validate_core, validation
 
 def canonical_core(T):
     """Canonical machine of a synchronizing T's long-run behaviour: take the
-    core, push forced output prefixes upstream, merge equivalent states, then
-    relabel by the breadth-first numbering from the start state whose
-    renamed table is least (core machines have no distinguished root).  The
-    numberings from all starts run in step and stop at the first row where
-    one start is least, so a core whose starts differ in their first rows
-    is numbered in O(|Q|·n).  The core of a machine marked minimal, as
-    minimize_rooted and minimize_initial mark theirs, is minimal already:
-    its states have complete response and no two are equivalent, so it is
-    neither stripped nor merged."""
+    core, push forced output prefixes upstream and merge equivalent states
+    (merged_rows), then relabel by the breadth-first numbering from the
+    start state whose renamed table is least (core machines have no
+    distinguished root).  The numberings from all starts run in step and
+    stop at the first row where one start is least, so a core whose starts
+    differ in their first rows is numbered in O(|Q|·n).  The core of a
+    machine marked minimal, as minimize_rooted and minimize_initial mark
+    theirs, is minimal already: its states have complete response and no
+    two are equivalent, so it is not reduced again."""
     C = core(T)
     rows = C._rows
     if T._memo is None or "minimal" not in T._memo:
-        rows = strip_rows(rows, common_prefixes(C))
-        rows = quotient_rows(rows, partition_rows(rows))
+        rows = merged_rows(rows, common_prefixes(C))[1]
     names = least_numbering(rows)
     return Transducer._from_rows(C.n, renamed_rows(rows, {q: names[q] for q in rows}))
 

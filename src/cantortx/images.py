@@ -192,9 +192,11 @@ def _residual_graph(M):
     return succ
 
 
-def images(T):
-    """Exact clopen image of every state of a plain transducer."""
-    return memoized(T, "images", lambda: _fixpoint(T))
+def images(M):
+    """Exact clopen image of every state of a plain or initial machine M: a
+    ClopenSet for a state of a plain machine or past the output root, a
+    RootedClopen for the initial state and the pending states."""
+    return memoized(M, "images", lambda: _fixpoint(M))
 
 
 def image(T, q):
@@ -244,7 +246,7 @@ def non_injective_states(M):
 
 
 def _non_injective(M):
-    img = images(M) if isinstance(M, Transducer) else images_initial(M)
+    img = images(M)
     preds = {q: [] for q in M.states}
     for p in M.states:
         for _, d in M.row(p):
@@ -344,12 +346,6 @@ def analyze(T):
 # --- images over the r-rooted space ---------------------------------------
 
 
-def images_initial(A):
-    """Image of every state of an initial machine: a ClopenSet for states past
-    the output root, a RootedClopen for the initial state and pending states."""
-    return memoized(A, "images", lambda: _fixpoint(A))
-
-
 def is_injective_initial(A):
     """True iff at every state the images of distinct branches are pairwise
     disjoint."""
@@ -358,4 +354,4 @@ def is_injective_initial(A):
 
 def is_homeomorphism_initial(A):
     """True iff the induced map of C_{n,r} is a homeomorphism."""
-    return is_injective_initial(A) and images_initial(A)[A.root].is_whole()
+    return is_injective_initial(A) and images(A)[A.root].is_whole()

@@ -19,7 +19,6 @@ evaluation loop over symbols.
 from __future__ import annotations
 
 from .words import (
-    EMPTY,
     EvPeriodicWord,
     InvalidInput,
     check_letters,
@@ -27,15 +26,11 @@ from .words import (
 from .transducer import (
     DegenerateTransducer,
     Transducer,
-    bfs_numbering,
     check_productive,
     common_prefixes,
     memoized,
-    partition_rows,
+    minimal_rows,
     pump_period,
-    quotient_rows,
-    renamed_rows,
-    strip_rows,
 )
 
 
@@ -272,12 +267,11 @@ def minimize_initial(A):
     accessible, complete response, no pair of equivalent non-initial states,
     states renamed "0" (initial), "1", ... in breadth-first order.
 
-    The non-initial states are a plain machine's rows: their forced outputs
-    are pushed upstream (the initial state keeps its behaviour), equivalent
-    ones are merged, and the entry row and the blocks are named
-    breadth-first from the entry row.  The result is marked minimal in its
-    memo, so minimizing it again returns it unchanged, and it is kept in
-    A's memo under "minimized", so minimizing A again returns it too."""
+    The non-initial states are a plain machine's rows, reduced by
+    minimal_rows with the initial state's row as the fresh entry row, so
+    the initial state keeps its behaviour.  The result is marked minimal in
+    its memo, so minimizing it again returns it unchanged, and it is kept
+    in A's memo under "minimized", so minimizing A again returns it too."""
     if A._memo is not None and "minimal" in A._memo:
         return A
     return memoized(A, "minimized", lambda: _minimize(A))
@@ -285,15 +279,10 @@ def minimize_initial(A):
 
 def _minimize(A):
     """minimize_initial(A), computed."""
-    c = common_prefixes(A, states=A.states[1:])
-    c[A.root] = EMPTY
-    rows = strip_rows(A._rows, c)
-    entry = rows.pop(A.root)
-    part = partition_rows(rows)
-    blocks = quotient_rows(rows, part)
-    blocks[None] = tuple((w, part[p]) for w, p in entry)  # None is no block index
-    names = bfs_numbering(blocks, [None])
-    table = {q: dict(enumerate(row)) for q, row in renamed_rows(blocks, names).items()}
+    interior = A.states[1:]
+    rows = minimal_rows({q: A._rows[q] for q in interior},
+                        common_prefixes(A, states=interior), None, A._rows[A.root])
+    table = {q: dict(enumerate(row)) for q, row in rows.items()}
     M = InitialTransducer(A.n, A.r, table.pop("0"), table, root="0")
     M._memo = {"minimal": True}
     return M

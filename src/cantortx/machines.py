@@ -21,7 +21,14 @@ from .words import (
     LESS,
 )
 from .transducer import Transducer
-from .initial import InitialTransducer, dot, rooted_word, evaluate_periodic_initial
+from .initial import (
+    InitialTransducer,
+    dot,
+    evaluate_periodic_initial,
+    minimize_initial,
+    product_initial,
+    rooted_word,
+)
 from .synchronize import is_synchronizing
 from .images import images, orientation, Orientation
 
@@ -219,45 +226,35 @@ def _check_complete_antichain(n, r, entries):
 
 def from_prefix_exchange(pe):
     """The minimal initial machine inducing the prefix exchange."""
-    table = {}
+    targets = {}
+    for leaf, k in zip(pe.domain, pe.bijection):
+        b, v = pe.range_[k]
+        targets[leaf] = (rooted_word(b, v), "id")
+    table = {"id": {i: ((i,), "id") for i in range(pe.n)}}
+    return minimize_initial(_tree_machine(pe.n, pe.r, targets, table))
+
+
+def _tree_machine(n, r, targets, table):
+    """The initial machine that reads each root's complete antichain of
+    leaves (root, word) down the states ("t", root, prefix), outputting
+    nothing, and leaves the cone of each leaf by the edge targets[root,
+    word]; table holds the rows of the states that the leaves enter, and
+    the rows of the tree are added to it.  The cells are filled from a
+    stack of (row, symbol, root, word)."""
+    deepest = max(len(w) for _, w in targets)
     root_table = {}
-    by_root = {}
-    for idx, (a, w) in enumerate(pe.domain):
-        by_root.setdefault(a, []).append((w, idx))
-
-    def target(idx):
-        b, v = pe.range_[pe.bijection[idx]]
-        return rooted_word(b, v)
-
-    for a in range(pe.r):
-        entries = by_root[a]
-        hit = [idx for w, idx in entries if w == EMPTY]
-        if hit:
-            root_table[a] = (target(hit[0]), "id")
+    stack = [(root_table, a, a, EMPTY) for a in range(r)]
+    while stack:
+        row, i, a, w = stack.pop()
+        if (a, w) in targets:
+            row[i] = targets[a, w]
+        elif len(w) >= deepest:
+            raise InvalidInput("antichain gap")  # unreachable after validation
         else:
-            root_table[a] = (EMPTY, ("t", a, EMPTY))
-            _build_tree(pe, table, a, EMPTY, entries, target)
-    table["id"] = {i: ((i,), "id") for i in range(pe.n)}
-    raw = InitialTransducer(pe.n, pe.r, root_table, table)
-    from .initial import minimize_initial
-
-    return minimize_initial(raw)
-
-
-def _build_tree(pe, table, a, prefix, entries, target):
-    row = {}
-    for i in range(pe.n):
-        ext = prefix + (i,)
-        hit = [idx for w, idx in entries if w == ext]
-        if hit:
-            row[i] = (target(hit[0]), "id")
-        else:
-            below = [(w, idx) for w, idx in entries if w[: len(ext)] == ext]
-            if not below:
-                raise InvalidInput("antichain gap")  # unreachable after validation
-            row[i] = (EMPTY, ("t", a, ext))
-            _build_tree(pe, table, a, ext, below, target)
-    table[("t", a, prefix)] = row
+            row[i] = (EMPTY, ("t", a, w))
+            table[("t", a, w)] = below = {}
+            stack.extend((below, k, a, w + (k,)) for k in range(n))
+    return InitialTransducer(n, r, root_table, table)
 
 
 # --- viable combinations ----------------------------------------------------
@@ -393,7 +390,7 @@ def state_wrapper(T, q, r, reversing=False):
     for a in range(r):
         b = r - 1 - a if reversing else a
         root_table[a] = ((dot(b),), q)
-    table = {p: {i: (T.output(p, i), T.dest(p, i)) for i in range(T.n)} for p in T.states}
+    table = {p: dict(enumerate(T.row(p))) for p in T.states}
     return InitialTransducer(T.n, r, root_table, table)
 
 
@@ -424,32 +421,8 @@ def _assemble_blocks(T, v, r):
     for k, leaf in enumerate(leaves):
         i, a = divmod(k, j)
         targets[leaf] = (rooted_word(i, v.prefixes[a]), v.states[a])
-    root_table = {}
-    table = {q: {i: (T.output(q, i), T.dest(q, i)) for i in range(T.n)} for q in T.states}
-    by_root = {}
-    for a, w in leaves:
-        by_root.setdefault(a, []).append(w)
-    for a in range(r):
-        words = by_root[a]
-        if EMPTY in words:
-            root_table[a] = targets[(a, EMPTY)]
-        else:
-            root_table[a] = (EMPTY, ("t", a, EMPTY))
-            _assemble_tree(T, table, targets, a, EMPTY, words)
-    return InitialTransducer(T.n, r, root_table, table), leaves
-
-
-def _assemble_tree(T, table, targets, a, prefix, words):
-    row = {}
-    for i in range(T.n):
-        ext = prefix + (i,)
-        if (a, ext) in targets:
-            row[i] = targets[(a, ext)]
-        else:
-            below = [w for w in words if w[: len(ext)] == ext]
-            row[i] = (EMPTY, ("t", a, ext))
-            _assemble_tree(T, table, targets, a, ext, below)
-    table[("t", a, prefix)] = row
+    table = {q: dict(enumerate(T.row(q))) for q in T.states}
+    return _tree_machine(T.n, r, targets, table), leaves
 
 
 def _is_glue_pair(n, r, left, right):
@@ -498,7 +471,6 @@ def realize(T, r, ordered=True, max_prefix_depth=3, max_size=None):
     elements are realized through the letter-complement carrier."""
     from .signature import CONGRUENCE_FAILS, membership_failure, record_valid
     from . import group
-    from .initial import minimize_initial, product_initial
 
     reason = membership_failure(T, r, ordered)
     if reason is not None:

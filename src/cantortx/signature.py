@@ -23,6 +23,7 @@ from .transducer import Transducer, memoized
 from .synchronize import (
     NotSynchronizing,
     _destination_rows,
+    core_states,
     is_synchronizing,
     sync_counts,
 )
@@ -151,10 +152,10 @@ def validate_core(T):
     def check():
         nonlocal closure
         try:
-            _, counts = sync_counts(T)
+            forced = core_states(T)
         except NotSynchronizing:
             return "not synchronizing"
-        if len(counts) != len(T.states):
+        if len(forced) != len(T.states):
             return "not core: some states are not forced by long words"
         reason, closure = _core_failure(T)
         return reason

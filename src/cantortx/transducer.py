@@ -14,7 +14,6 @@ import heapq
 import math
 
 from .words import (
-    EMPTY,
     EvPeriodicWord,
     InvalidInput,
     check_letters,
@@ -410,13 +409,6 @@ def strip_rows(rows, c):
     }
 
 
-def strip_common_prefixes(T):
-    """Push every state's forced output upstream: the result has no state of
-    incomplete response, and the state map of q changes from h to
-    (forced prefix of q)^-1 . h."""
-    return Transducer._from_rows(T.n, strip_rows(T._rows, common_prefixes(T)))
-
-
 def partition_rows(rows):
     """Coarsest partition of the states of rows {state: row}, every
     destination among them, in which states of one block have equal letter
@@ -451,33 +443,42 @@ def quotient_rows(rows, part):
     return out
 
 
+def merged_rows(rows, c):
+    """The reduction of rows {state: row}, every destination among them,
+    with forced outputs c {state: word}: every forced output is pushed
+    upstream (strip_rows), and equivalent states are merged
+    (partition_rows, quotient_rows).  Returns (part, blocks): part maps each
+    state to its block, blocks maps each block to its row."""
+    rows = strip_rows(rows, c)
+    part = partition_rows(rows)
+    return part, quotient_rows(rows, part)
+
+
+def minimal_rows(rows, c, start, entry=None):
+    """The merged_rows blocks of rows with forced outputs c, numbered
+    breadth-first from the block of the state start and renamed "0", "1",
+    ... (renamed_rows).  Given an entry row, the numbering starts at that
+    row instead: a fresh state, which no edge enters, whose outputs w to p
+    stay whole, w . c[p].  It stays out of the partition, as it merges with
+    no stripped state: either it reads other symbols (the entry row of an
+    initial machine), or its forced output is nonempty (a rooted behaviour
+    with a forced output), where every stripped state's is empty."""
+    part, blocks = merged_rows(rows, c)
+    if entry is not None:
+        start = None  # no block index
+        blocks[None] = tuple((w + c[p], part[p]) for w, p in entry)
+    else:
+        start = part[start]
+    return renamed_rows(blocks, bfs_numbering(blocks, [start]))
+
+
 def omega_equivalent(T, q1, q2):
     """True iff the two states induce the same map on infinite words."""
     c = common_prefixes(T)
     if c[q1] != c[q2]:
         return False
-    part = partition_rows(strip_rows(T._rows, c))
+    part, _ = merged_rows(T._rows, c)
     return part[q1] == part[q2]
-
-
-_ROOT = "__root__"
-
-
-def remove_incomplete_response_rooted(T, root):
-    """An omega-equivalent rooted machine in which every state carries its
-    full forced output on each letter.
-
-    Interior states get their forced prefixes stripped; the root keeps its
-    behaviour exactly, so when the root has a nonempty forced output it
-    becomes a fresh entry state that is never re-entered."""
-    pool = reachable(T, [root])
-    c = common_prefixes(T, states=pool)
-    rows = strip_rows({q: T._rows[q] for q in pool}, c)
-    if c[root] == EMPTY:
-        return Transducer._from_rows(T.n, rows), root
-    entry = (_ROOT, root)
-    rows[entry] = tuple((w + c[p], p) for w, p in T._rows[root])
-    return Transducer._from_rows(T.n, rows), entry
 
 
 def minimize_rooted(T, root):
@@ -485,18 +486,19 @@ def minimize_rooted(T, root):
     accessible, complete response, no omega-equivalent pair, states renamed
     "0", "1", ... in breadth-first order from the root with letters ascending.
     Returns (machine, root name); two rooted machines with equal behaviour
-    produce structurally identical results.  The machine is marked minimal
-    in its memo: no two of its states are omega-equivalent, and every state
-    but a fresh entry state, which no edge enters, has complete response."""
-    S, entry = remove_incomplete_response_rooted(T, root)
-    part = partition_rows(S._rows)
-    blocks = quotient_rows(S._rows, part)
-    names = bfs_numbering(blocks, [part[entry]])
-    M = Transducer._from_rows(T.n, renamed_rows(blocks, names))
+    produce structurally identical results.
+
+    The states reachable from the root are reduced by minimal_rows.  A root
+    whose forced output is empty is numbered as its block; otherwise the
+    root's row enters the machine as a fresh entry state that keeps the
+    whole forced output, and the root's own state stays inside as one
+    stripped state among the others.  The machine is marked minimal in its
+    memo: no two of its states are omega-equivalent, and every state but a
+    fresh entry state has complete response."""
+    pool = reachable(T, [root])
+    c = common_prefixes(T, states=pool)
+    rows = {q: T._rows[q] for q in pool}
+    entry = T._rows[root] if c[root] else None
+    M = Transducer._from_rows(T.n, minimal_rows(rows, c, root, entry))
     M._memo = {"minimal": True}
     return M, "0"
-
-
-def rooted_equal(A, roota, B, rootb):
-    """Behavioural equality of two rooted machines, via canonical forms."""
-    return minimize_rooted(A, roota) == minimize_rooted(B, rootb)

@@ -436,6 +436,12 @@ class RootedClopen:
     def __repr__(self):
         return "RootedClopen(" + ", ".join(f".{a}:{p!r}" for a, p in enumerate(self.parts)) + ")"
 
+    @property
+    def cones(self):
+        """The canonical antichain: the (root, word) pairs of the parts'
+        cones, root by root, as ClopenSet.cones are the words of one."""
+        return tuple((a, w) for a, p in enumerate(self.parts) for w in p.cones)
+
     def is_whole(self):
         return all(p.is_whole() for p in self.parts)
 

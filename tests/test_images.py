@@ -28,7 +28,6 @@ from cantortx.images import (
     analyze,
     image,
     images,
-    images_initial,
     is_homeomorphism_initial,
     is_homeomorphism_state,
     is_injective_state,
@@ -221,10 +220,10 @@ class TestInitialImages:
     def test_wrapper_images(self):
         g = machine_g4()
         A = state_wrapper(g, "a", 2)
-        img = images_initial(A)
+        img = images(A)
         assert not img[A.root].is_whole()  # im(a) misses half of each root copy
         B = state_wrapper(machine_T(3), "a", 2)
-        assert images_initial(B)[B.root].is_whole()
+        assert images(B)[B.root].is_whole()
 
     def test_homeomorphism_initial(self):
         assert is_homeomorphism_initial(state_wrapper(machine_T(3), "a", 1))
@@ -353,10 +352,10 @@ class TestSortedKernelImages:
         T = machine_T(3)
         table = {p: dict(enumerate(T.row(p))) for p in T.states}
         merging = InitialTransducer(3, 2, {a: ((dot(1),), "a") for a in (0, 1)}, table)
-        assert not _branches_disjoint(merging, images_initial(merging), merging.root)
+        assert not _branches_disjoint(merging, images(merging), merging.root)
         machines.append(merging)
         for A in machines:
-            img = images_initial(A)
+            img = images(A)
             for p in A.states:
                 assert _branches_disjoint(A, img, p) == reference_branches_disjoint(A, img, p)
 
@@ -482,7 +481,7 @@ class TestExactClopen:
         for r in (1, 2):
             A = state_wrapper(golden_mean_machine(), "a", r)
             with pytest.raises(NotClopenImage):
-                images_initial(A)
+                images(A)
             with pytest.raises(NotClopenImage):
                 _check_clopen(A)
 

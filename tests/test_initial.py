@@ -31,7 +31,7 @@ from cantortx.initial import (
     run,
     split_rooted,
 )
-from cantortx.images import NotClopenImage, images_initial, is_homeomorphism_initial
+from cantortx.images import NotClopenImage, images, is_homeomorphism_initial
 from cantortx.invert import invert_initial, preimage_gcp
 from cantortx.machines import (
     RealizeError,
@@ -211,7 +211,6 @@ class TestProductMinimize:
             assert minimize_initial(M) == M
 
     def test_images_of_delayed_machine(self):
-        from cantortx.images import images_initial
         from cantortx.words import RootedClopen
 
         A = InitialTransducer(
@@ -222,11 +221,12 @@ class TestProductMinimize:
                 "id": {0: ((0,), "id"), 1: ((1,), "id")},
             },
         )
-        img = images_initial(A)
+        img = images(A)
         assert isinstance(img["w"], RootedClopen)
         # branch 0 fills the 0-cone of root 0; branch 1 fills all of root 1
         assert img["w"].parts[0].cones == ((0,),)
         assert img["w"].parts[1].is_whole()
+        assert img["w"].cones == ((0, (0,)), (1, ()))
         assert img["id"].is_whole()
         root_img = img[A.root]
         assert root_img.parts[1].is_whole()
@@ -236,8 +236,9 @@ class TestProductMinimize:
 # --- the row kernel against the initial-machine routines it replaced --------
 #
 # Copies of the earlier minimize_initial (with its own forced-output loop and
-# partition), the full-recompute images_initial and the invert_initial loop,
-# written on the public step/symbols_at interface, kept as references.
+# partition), the full-recompute images of initial machines and the
+# invert_initial loop, written on the public step/symbols_at interface, kept
+# as references.
 
 def reference_common_prefixes_initial(A, bound=64):
     pool = [q for q in A.states if q != A.root]
@@ -458,12 +459,12 @@ class TestRowKernel:
 
     def test_images_match_reference(self):
         for label, A in list(realized_cases()) + list(raw_products()):
-            got = images_initial(A)
+            got = images(A)
             want = reference_images_initial(A)
             assert got == want and list(got) == list(want), label
 
     def test_images_bound_raises_like_reference(self):
-        # images_initial has no round bound: it equals the reference at the
+        # images has no round bound: it equals the reference at the
         # first bound the reference settles within, and raises where the
         # reference raises at every bound, on the golden-mean wrappers
         for label, A in list(realized_cases()) + list(raw_products()):
@@ -472,7 +473,7 @@ class TestRowKernel:
                     want = reference_images_initial(A, max_iter=k)
                 except NotClopenImage:
                     continue
-                assert images_initial(A) == want, (label, k)
+                assert images(A) == want, (label, k)
                 break
             else:
                 pytest.fail(f"{label}: images need more than 7 rounds")
@@ -485,7 +486,7 @@ class TestRowKernel:
                 with pytest.raises(NotClopenImage):
                     reference_images_initial(A, max_iter=k)
             with pytest.raises(NotClopenImage):
-                images_initial(A)
+                images(A)
 
     def test_invert_matches_reference(self):
         for label, A in realized_cases():
@@ -509,7 +510,7 @@ class TestRowKernel:
         cases = list(realized_cases()) + list(raw_products())[::7]
         for i, (label, A) in enumerate(cases):
             M, _, table, _ = reference_inverse_closure_initial(A)
-            img = images_initial(M)
+            img = images(M)
             bound = max(len(w) + depth(img[p]) for q in M.states for w, p in M._rows[q])
             for w, q in table:
                 assert len(w) < bound, (label, w, q)

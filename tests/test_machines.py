@@ -12,6 +12,7 @@ from cantortx.initial import (
     evaluate_initial,
     initial_equal,
     minimize_initial,
+    rooted_word,
     split_rooted,
 )
 from cantortx.images import Orientation, images, orientation
@@ -453,3 +454,111 @@ class TestRealizeWork:
         calls = record_calls(("_minimize", "_close"))
         invert_initial(realize(machine_T(3), 2))
         assert {name: len(c) for name, c in calls.items()} == {"_minimize": 2, "_close": 2}
+
+
+# --- the one antichain tree against the two builders it replaced ------------
+
+
+def reference_tree(n, a, prefix, words, leaf_cell, table):
+    """The per-root recursive builder that from_prefix_exchange and
+    _assemble_blocks each had: the state ("t", a, prefix) reads one letter,
+    leaving by leaf_cell(ext) at a leaf (a, ext) and going one level down
+    otherwise."""
+    row = {}
+    for i in range(n):
+        ext = prefix + (i,)
+        if ext in words:
+            row[i] = leaf_cell(ext)
+        else:
+            below = [w for w in words if w[: len(ext)] == ext]
+            row[i] = (EMPTY, ("t", a, ext))
+            reference_tree(n, a, ext, below, leaf_cell, table)
+    table[("t", a, prefix)] = row
+
+
+def reference_tree_machine(n, r, leaves, leaf_cell, table):
+    """The initial machine of the reference builders: a root whose
+    antichain is the empty word leaves at once, every other root enters its
+    tree."""
+    root_table = {}
+    for a in range(r):
+        words = [w for b, w in leaves if b == a]
+        if EMPTY in words:
+            root_table[a] = leaf_cell(a, EMPTY)
+        else:
+            root_table[a] = (EMPTY, ("t", a, EMPTY))
+            reference_tree(n, a, EMPTY, words, lambda w, a=a: leaf_cell(a, w), table)
+    return InitialTransducer(n, r, root_table, table)
+
+
+def reference_from_prefix_exchange(pe):
+    cells = {}
+    for leaf, k in zip(pe.domain, pe.bijection):
+        b, v = pe.range_[k]
+        cells[leaf] = (rooted_word(b, v), "id")
+    table = {"id": {i: ((i,), "id") for i in range(pe.n)}}
+    raw = reference_tree_machine(pe.n, pe.r, pe.domain, lambda a, w: cells[a, w], table)
+    return minimize_initial(raw)
+
+
+def reference_assemble_blocks(T, v, r):
+    j = len(v)
+    total = r * j
+    if (total - r) % (T.n - 1) != 0:
+        raise RealizeError("combination size incompatible with the root count")
+    leaves = machines._subdivide_last(
+        T.n, [(a, EMPTY) for a in range(r)], (total - r) // (T.n - 1))
+    cells = {}
+    for k, leaf in enumerate(leaves):
+        i, a = divmod(k, j)
+        cells[leaf] = (rooted_word(i, v.prefixes[a]), v.states[a])
+    table = {q: {i: (T.output(q, i), T.dest(q, i)) for i in range(T.n)} for q in T.states}
+    return reference_tree_machine(T.n, r, leaves, lambda a, w: cells[a, w], table), leaves
+
+
+def random_antichain(rng, n, r, splits):
+    """A complete antichain over r roots: the roots, then `splits` random
+    leaves each replaced by their n children."""
+    leaves = [(a, EMPTY) for a in range(r)]
+    for _ in range(splits):
+        a, w = leaves.pop(rng.randrange(len(leaves)))
+        leaves.extend((a, w + (i,)) for i in range(n))
+    return leaves
+
+
+class TestTreeMachineReference:
+    def test_prefix_exchanges(self):
+        import random
+
+        rng = random.Random(20)
+        for n in (2, 3, 4):
+            for r in (1, 2, 3):
+                for _ in range(12):
+                    splits = rng.randrange(5)
+                    domain = random_antichain(rng, n, r, splits)
+                    range_ = random_antichain(rng, n, r, splits)
+                    bijection = list(range(len(domain)))
+                    rng.shuffle(bijection)
+                    pe = PrefixExchange(n, r, domain, range_, tuple(bijection))
+                    got = from_prefix_exchange(pe)
+                    want = reference_from_prefix_exchange(pe)
+                    assert got == want and serialize(got) == serialize(want), (n, r, pe)
+
+    def test_assembled_blocks(self):
+        cores = [machine_g4(), machine_T(3), machine_U(3), machine_T(4),
+                 oplus(2, swap_transducer(), 4)]
+        checked = 0
+        for T in cores:
+            for v in viable_combinations(T, limit=6):
+                for r in (1, 2, 3):
+                    try:
+                        want = reference_assemble_blocks(T, v, r)
+                    except RealizeError as exc:
+                        with pytest.raises(RealizeError, match=str(exc)):
+                            machines._assemble_blocks(T, v, r)
+                        continue
+                    raw, leaves = machines._assemble_blocks(T, v, r)
+                    assert leaves == want[1]
+                    assert raw == want[0] and raw.states == want[0].states
+                    checked += 1
+        assert checked > 40

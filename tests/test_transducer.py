@@ -18,8 +18,6 @@ from cantortx.transducer import (
     minimize_rooted,
     omega_equivalent,
     product,
-    remove_incomplete_response_rooted,
-    rooted_equal,
 )
 from cantortx.machines import (
     identity_transducer,
@@ -138,7 +136,7 @@ class TestRows:
         from cantortx.initial import underlying_interior
         from cantortx.invert import inverse_closure
         from cantortx.machines import realize
-        from cantortx.transducer import relabel, restrict, strip_common_prefixes
+        from cantortx.transducer import merged_rows, relabel, restrict
 
         def rebuilt(M):
             return Transducer(M.n, {q: dict(enumerate(M.row(q))) for q in M.states})
@@ -149,8 +147,8 @@ class TestRows:
             P,
             restrict(P, P.states),
             relabel(T3, {q: q + "'" for q in T3.states}),
-            strip_common_prefixes(P),
-            remove_incomplete_response_rooted(P, P.states[0])[0],
+            Transducer._from_rows(P.n, merged_rows(P._rows, common_prefixes(P))[1]),
+            minimize_rooted(product(machine_g4(), machine_g4()), ("a", "a"))[0],
             minimize_rooted(P, P.states[0])[0],
             canonical_core(P),
             inverse_closure(machine_g4()),
@@ -208,12 +206,12 @@ class TestProduct:
     def test_identity_law(self):
         g = machine_g4()
         P = product(identity_transducer(4), g)
-        assert rooted_equal(P, ("0", "a"), g, "a")
+        assert minimize_rooted(P, ("0", "a")) == minimize_rooted(g, "a")
 
     def test_involution(self):
         piR = letter_complement(2)
         P = product(piR, piR)
-        assert rooted_equal(P, ("0", "0"), identity_transducer(2), "0")
+        assert minimize_rooted(P, ("0", "0")) == minimize_rooted(identity_transducer(2), "0")
 
     def test_g_squared_acts_as_delayed_identity(self):
         # the raw square is the one-step delayed copy: pending prefix 0 from
@@ -435,7 +433,7 @@ class TestShortReferences:
 class TestIncompleteResponse:
     def test_rooted_removal_keeps_behavior_and_completes(self):
         T = Transducer(2, {"q": {0: ((0, 0), "q"), 1: ((0, 1), "q")}})
-        S, root = remove_incomplete_response_rooted(T, "q")
+        S, root = minimize_rooted(T, "q")
         # single-letter outputs now carry the full forced prefix (depth-8 oracle)
         for i in range(2):
             outs = [evaluate(T, "q", (i,) + w)[0]
@@ -451,8 +449,8 @@ class TestIncompleteResponse:
 
     def test_already_complete_machines_unchanged(self):
         for M, root in ((identity_transducer(3), "0"), (machine_T(3), "a")):
-            S, r2 = remove_incomplete_response_rooted(M, root)
-            assert set(S.states) == set(M.states) and r2 == root
+            S, _ = minimize_rooted(M, root)
+            assert len(S.states) == len(M.states)
 
 
 class TestOmegaEquivalence:
@@ -528,3 +526,89 @@ class TestMinimizeRooted:
         assert M1 == M2 and r1 == r2
         M3, r3 = minimize_rooted(M1, r1)
         assert M3 == M1 and r3 == r1
+
+
+# --- the one reduction routine against the rooted pipeline it replaced -------
+
+
+def reference_minimize_rooted(T, root):
+    """minimize_rooted as written before minimal_rows: the forced outputs of
+    the states reachable from the root are stripped, a root with a forced
+    output gets a fresh entry state that keeps it and joins the partition,
+    and the blocks are numbered breadth-first from the entry's block."""
+    from cantortx.transducer import (
+        bfs_numbering,
+        partition_rows,
+        quotient_rows,
+        reachable,
+        renamed_rows,
+        strip_rows,
+    )
+
+    pool = reachable(T, [root])
+    c = common_prefixes(T, states=pool)
+    rows = strip_rows({q: T._rows[q] for q in pool}, c)
+    entry = root
+    if c[root] != EMPTY:
+        entry = ("__root__", root)
+        rows[entry] = tuple((w + c[p], p) for w, p in T._rows[root])
+    part = partition_rows(rows)
+    blocks = quotient_rows(rows, part)
+    names = bfs_numbering(blocks, [part[entry]])
+    return Transducer._from_rows(T.n, renamed_rows(blocks, names)), "0"
+
+
+def minimized_text(T, root, minimize):
+    """The serialization of minimize(T, root), or the type and message of
+    what it raises."""
+    from cantortx.textio import serialize
+
+    try:
+        M, r = minimize(T, root)
+    except (DegenerateTransducer, DepthExceeded) as exc:
+        return type(exc), str(exc)
+    return serialize(M), r
+
+
+class TestMinimalRowsReference:
+    def test_random_machines_from_every_root(self):
+        from cantortx.transducer import reachable
+
+        raised = entries = 0
+        for seed in range(1500):
+            T = random_machine(seed, max_states=5, productive=seed % 4 != 0)
+            for root in T.states:
+                want = minimized_text(T, root, reference_minimize_rooted)
+                assert minimized_text(T, root, minimize_rooted) == want, (seed, root)
+                if isinstance(want[0], type):
+                    raised += 1
+                elif common_prefixes(T, states=reachable(T, [root]))[root]:
+                    entries += 1  # a fresh entry state keeps the forced output
+        assert raised > 100 and entries > 100
+
+    def test_hand_built_cases(self):
+        g = machine_g4()
+        cases = [
+            (product(g, g), ("a", "a")),  # forced output 0: a fresh entry
+            (Transducer(2, {"q": {0: ((0, 0), "q"), 1: ((0, 1), "q")}}), "q"),
+            (Transducer(2, {"q": {0: ((0,), "p"), 1: ((1,), "q")},
+                            "p": {0: ((0,), "p"), 1: ((1,), "q")}}), "p"),
+            (machine_T(3), "a"),
+        ]
+        for T, root in cases:
+            want = minimized_text(T, root, reference_minimize_rooted)
+            assert minimized_text(T, root, minimize_rooted) == want, root
+
+    def test_powers_of_T_and_U(self):
+        from cantortx.group import GroupElement, group_product
+
+        for make in (machine_T, machine_U):
+            for n in (3, 5):
+                g = GroupElement.from_machine(make(n))
+                power = g
+                for k in range(1, 9):
+                    P = product(power.machine, g.machine)
+                    for root in P.states[:: max(1, len(P.states) // 12)]:
+                        want = minimized_text(P, root, reference_minimize_rooted)
+                        assert minimized_text(P, root, minimize_rooted) == want, (n, k, root)
+                    power = group_product(power, g)
