@@ -70,8 +70,13 @@ DOMAIN_ERRORS = (
 def _read_text(path):
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InvalidInput(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise InvalidInput(f"{path}: not UTF-8 text") from None
 
 
 def _read_machine(path):
@@ -297,7 +302,7 @@ def cmd_orbit(args, started):
 
 
 def cmd_partition(args, started):
-    sigs = {int(tok) for tok in args.sigs.split(",")}
+    sigs = set(args.sigs)
     parts = signature_class_partition(args.n, sigs)
     canon = sorted(sorted(p) for p in parts)
     _emit(args, "partition", [],
@@ -338,6 +343,14 @@ def _count(text):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
+def _alphabet(text):
+    """argparse type of an alphabet size, at least 2."""
+    value = _count(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2: {value}")
     return value
 
 
@@ -415,8 +428,9 @@ def build_parser():
     p.add_argument("--steps", type=_count, default=8)
 
     p = add("partition", cmd_partition, help="root-count classes from signatures")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--sigs", required=True, help="comma-separated reduced signatures")
+    p.add_argument("--n", type=_alphabet, required=True)
+    p.add_argument("--sigs", type=parse_word, required=True,
+                   help="comma-separated reduced signatures")
 
     p = add("verify", cmd_verify, help="run the reproducibility suite")
     p.add_argument("--suite", default="paper", choices=sorted(verify.SUITES))
@@ -430,6 +444,8 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
+    if getattr(args, "a", None) == getattr(args, "b", None) == "-":
+        ap.error("stdin can be read only once: give at most one input as -")
     started = time.perf_counter()
     try:
         args.fn(args, started)

@@ -8,39 +8,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .words import InvalidInput, rotation_class_of
-from .transducer import (
-    Transducer,
-    common_prefixes,
-    evaluate,
-    least_numbering,
-    merged_rows,
-    minimize_rooted,
-    product,
-    renamed_rows,
-)
-from .synchronize import core
+from .transducer import evaluate, minimize_rooted, product
+from .synchronize import canonical_core
 from .images import Orientation, orientation
-from .invert import inverse_closure
-from .signature import record_valid, signature_report, validate_core, validation_failure
-
-
-def canonical_core(T):
-    """Canonical machine of a synchronizing T's long-run behaviour: take the
-    core, push forced output prefixes upstream and merge equivalent states
-    (merged_rows), then relabel by the breadth-first numbering from the
-    start state whose renamed table is least (core machines have no
-    distinguished root).  The numberings from all starts run in step and
-    stop at the first row where one start is least, so a core whose starts
-    differ in their first rows is numbered in O(|Q|·n).  The core of a
-    machine marked minimal, as minimize_rooted and minimize_initial mark
-    theirs, is minimal already: its states have complete response and no
-    two are equivalent, so it is not reduced again."""
-    C = core(T)
-    rows = C._rows
-    if T._memo is None or "minimal" not in T._memo:
-        rows = merged_rows(rows, common_prefixes(C))[1]
-    names = least_numbering(rows)
-    return Transducer._from_rows(C.n, renamed_rows(rows, {q: names[q] for q in rows}))
+from .invert import inverse_core
+from .signature import record_valid, signature_report, validation_failure
 
 
 class GroupElement:
@@ -116,22 +88,13 @@ def group_product(g, h):
     return GroupElement(record_valid(canonical_core(minimize_rooted(P, root)[0])))
 
 
-def invert_element(g, root=None):
-    """The inverse element, via the inverse closure rooted at any state.  An
-    element whose machine has not been validated yet is validated here, and
-    validation's closure, rooted at the first state, serves whatever the
-    root: every rooted closure of a synchronizing core contains the whole
-    core of the inverse, so the canonical core does not depend on the
-    root.  The inverse of a valid element carries a passing verdict."""
-    M = g.machine
-    if root is not None:
-        M.row(root)  # an unknown state is an error, valid element or not
-    fail, closure = validate_core(M)
-    if fail is not None:
-        raise InvalidInput(f"not a valid core element: {fail}")
-    if closure is None:
-        closure = inverse_closure(M, root)
-    return GroupElement(record_valid(canonical_core(closure)))
+def invert_element(g):
+    """The inverse element: the canonical core of the inverse closure, kept
+    in the memo of g's machine (inverse_core).  An element whose machine has
+    not been validated yet is validated here, and validation leaves the
+    inverse in the memo.  The inverse of a valid element carries a passing
+    verdict."""
+    return GroupElement(record_valid(inverse_core(_valid(g.machine))))
 
 
 def is_identity(g):
@@ -215,20 +178,17 @@ def orbit_lengths(g, c, steps):
 
 
 def evaluate_group_word(generators, word):
-    """Left-to-right product of (name, +-1) factors; each generator that the
-    word inverts is inverted once."""
+    """Left-to-right product of (name, +-1) factors; a generator's inverse
+    is kept in its machine's memo, so each is inverted once."""
     if not word:
         raise InvalidInput("empty group word; use the identity element")
     acc = None
-    inverses = {}
     for name, exp in word:
         if name not in generators:
             raise InvalidInput(f"unknown generator {name!r}")
         g = generators[name]
         if exp == -1:
-            if name not in inverses:
-                inverses[name] = invert_element(g)
-            g = inverses[name]
+            g = invert_element(g)
         elif exp != 1:
             raise InvalidInput("exponents must be +1 or -1")
         acc = g if acc is None else group_product(acc, g)

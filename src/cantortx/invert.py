@@ -1,5 +1,6 @@
 """Inversion: the preimage-prefix map L, inverses of initial machines, the
-rooted inverse closure for core machines, and bi-synchronization.
+rooted inverse closure and the inverse core of core machines, and
+bi-synchronization.
 
 The inverse of a machine is built from states (w, q): "the forward machine
 sits at q and owes the output cone w".  Reading a letter i, the inverse emits
@@ -19,11 +20,11 @@ The preimage prefix (v)L_q is a search memoized on (state, rest of the cone):
 each pair is solved once, so one search costs at most |Q| x (|v|+1) pairs
 and needs no node budget.  Plain and initial machines share the search and
 the forward closure of inverse states; one closure keeps one memo over all
-its preimage searches and drops it on return.  The minimized inverse of an
-initial machine is kept in the memo of the minimal machine it inverts, so
-the bi-synchronization check of a realization and a later inversion share
-one closure; a plain inverse closure is never kept: only inversion reads
-one."""
+its preimage searches and drops it on return.  An inverse is kept in the
+memo of the machine it inverts, under "inverse": an initial machine keeps
+its minimized inverse, and a plain machine keeps its inverse's canonical
+core, never the closure, which can be many times larger.  So a validity
+check and a later inversion share one closure."""
 
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .words import EMPTY, InvalidInput, gcp, subtract_prefix
 from .transducer import DegenerateTransducer, Transducer, memoized
 from .initial import InitialTransducer, dot, minimize_initial, run
 from .images import images, is_homeomorphism_initial, non_injective_states
-from .synchronize import is_synchronizing
+from .synchronize import NotSynchronizing, canonical_core, is_synchronizing
 
 
 class EmptyPreimage(ValueError):
@@ -171,22 +172,35 @@ def inverse_closure(T, root=None):
     All preimage searches of one call share one memo.  Raises InvalidInput
     when a state is not injective, and NotClopenImage when an image is not
     clopen: the closure is finite otherwise (see the module docstring)."""
+    root = T.states[0] if root is None else root
+    T.row(root)  # an unknown root is an error, not a missing image
     bad = non_injective_states(T)
     if bad:
         raise InvalidInput(f"state {bad[0]!r} is not injective")
-    if root is None:
-        root = T.states[0]
     step = _inverse_step(T)
     queue = list(dict.fromkeys(step((EMPTY, root), a)[1] for a in images(T)[root].cones))
     return Transducer._from_rows(T.n, _close(T.n, step, queue, set(queue)))
 
 
-def is_bisynchronizing_core(T, root=None):
+def inverse_core(T):
+    """The canonical core of T's inverse closure, kept in T's memo under
+    "inverse".  Every rooted closure of a synchronizing core contains the
+    whole core of the inverse, so the canonical core does not depend on the
+    root.  Raises NotSynchronizing when the closure does not synchronize,
+    and whatever inverse_closure raises; a failure is not kept."""
+    return memoized(T, "inverse", lambda: canonical_core(inverse_closure(T)))
+
+
+def is_bisynchronizing_core(T):
     """A core machine together with its inverse closure must both collapse;
     False for a machine with a non-injective state, which has no inverse."""
     if not is_synchronizing(T) or non_injective_states(T):
         return False
-    return is_synchronizing(inverse_closure(T, root))
+    try:
+        inverse_core(T)
+    except NotSynchronizing:
+        return False
+    return True
 
 
 # --- inverses over the r-rooted space ---------------------------------------

@@ -24,7 +24,6 @@ from .synchronize import (
     NotSynchronizing,
     _destination_rows,
     core_states,
-    is_synchronizing,
     sync_counts,
 )
 from .images import (
@@ -34,7 +33,7 @@ from .images import (
     non_injective_states,
     orientation,
 )
-from .invert import inverse_closure
+from .invert import inverse_core
 
 
 def residue(value, n):
@@ -134,33 +133,13 @@ def reduced_signature(T):
 def validation_failure(T):
     """None when T is a valid core element (core, bi-synchronizing, every
     state injective with clopen image); otherwise the reason.  The verdict
-    is memoized on T."""
-    return validate_core(T)[0]
-
-
-def validate_core(T):
-    """(reason, closure): the reason is validation_failure(T); closure is
-    the inverse closure, rooted at the first state, when this call built it
-    to decide the verdict, else None (the verdict was memoized already, or
-    failed before the closure).  Every check is exact: the images are
-    decided clopen or not, and the closure of injective states with clopen
-    images is finite, so no bound can turn a valid element away."""
+    is memoized on T, and so is the inverse that decided it (inverse_core).
+    Every check is exact: the images are decided clopen or not, and the
+    closure of injective states with clopen images is finite, so no bound
+    can turn a valid element away."""
     if not isinstance(T, Transducer):
-        return "not a plain transducer", None
-    closure = None
-
-    def check():
-        nonlocal closure
-        try:
-            forced = core_states(T)
-        except NotSynchronizing:
-            return "not synchronizing"
-        if len(forced) != len(T.states):
-            return "not core: some states are not forced by long words"
-        reason, closure = _core_failure(T)
-        return reason
-
-    return memoized(T, "validation", check), closure
+        return "not a plain transducer"
+    return memoized(T, "validation", lambda: _core_failure(T))
 
 
 def record_valid(T):
@@ -172,18 +151,25 @@ def record_valid(T):
 
 
 def _core_failure(T):
-    """(reason, closure) of the checks past synchronization and the core."""
+    """validation_failure(T) of a plain machine, computed."""
+    try:
+        forced = core_states(T)
+    except NotSynchronizing:
+        return "not synchronizing"
+    if len(forced) != len(T.states):
+        return "not core: some states are not forced by long words"
     try:
         images(T)
     except NotClopenImage:
-        return "some state image is not clopen", None
+        return "some state image is not clopen"
     bad = non_injective_states(T)
     if bad:
-        return f"state {bad[0]!r} is not injective", None
-    closure = inverse_closure(T)
-    if not is_synchronizing(closure):
-        return "the inverse is not synchronizing", closure
-    return None, closure
+        return f"state {bad[0]!r} is not injective"
+    try:
+        inverse_core(T)
+    except NotSynchronizing:
+        return "the inverse is not synchronizing"
+    return None
 
 
 CONGRUENCE_FAILS = "membership congruence fails"

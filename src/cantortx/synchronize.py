@@ -1,5 +1,5 @@
 """Synchronization: the counted collapse, minimal synchronizing level, word
-counts per forced state, and core extraction.
+counts per forced state, core extraction, and the canonical core.
 
 A machine is synchronizing when some length k exists with the property that
 the end state after reading any length-k word is independent of the start
@@ -38,7 +38,15 @@ The level and the counts are memoized on the machine.
 
 from __future__ import annotations
 
-from .transducer import memoized, restrict
+from .transducer import (
+    Transducer,
+    common_prefixes,
+    least_numbering,
+    memoized,
+    merged_rows,
+    renamed_rows,
+    restrict,
+)
 from .initial import InitialTransducer, underlying_interior
 
 
@@ -179,3 +187,22 @@ def core(T):
     if isinstance(T, InitialTransducer):
         T = underlying_interior(T)
     return restrict(T, states)
+
+
+def canonical_core(T):
+    """Canonical machine of a synchronizing T's long-run behaviour: take the
+    core, push forced output prefixes upstream and merge equivalent states
+    (merged_rows), then relabel by the breadth-first numbering from the
+    start state whose renamed table is least (core machines have no
+    distinguished root).  The numberings from all starts run in step and
+    stop at the first row where one start is least, so a core whose starts
+    differ in their first rows is numbered in O(|Q|·n).  The core of a
+    machine marked minimal, as minimize_rooted and minimize_initial mark
+    theirs, is minimal already: its states have complete response and no
+    two are equivalent, so it is not reduced again."""
+    C = core(T)
+    rows = C._rows
+    if T._memo is None or "minimal" not in T._memo:
+        rows = merged_rows(rows, common_prefixes(C))[1]
+    names = least_numbering(rows)
+    return Transducer._from_rows(C.n, renamed_rows(rows, {q: names[q] for q in rows}))

@@ -191,6 +191,27 @@ class TestErrors:
         assert f"error: argument {argv[-2]}: must not be negative" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (("sig", "{missing}"), 1, "error: {missing}: No such file or directory"),
+        (("edges", "{tmp}"), 1, "error: {tmp}: Is a directory"),
+        (("partition", "--n", "7", "--sigs", "x"), 2, "argument --sigs: invalid"),
+        (("partition", "--n", "7", "--sigs", "1,,5"), 2, "argument --sigs: invalid"),
+        (("partition", "--n", "1", "--sigs", "1"), 2, "argument --n: must be at least 2"),
+        (("partition", "--n", "0", "--sigs", "1"), 2, "argument --n: must be at least 2"),
+        (("mul", "-", "-"), 2, "stdin can be read only once"),
+        (("product", "-", "-"), 2, "stdin can be read only once"),
+    ])
+    def test_bad_paths_and_arguments_name_one_error(self, tmp_path, capsys, argv, code, message):
+        names = {"missing": str(tmp_path / "missing.tx"), "tmp": str(tmp_path)}
+        try:
+            got = main([arg.format(**names) for arg in argv])
+        except SystemExit as exc:
+            got = exc.code
+        out, err = capsys.readouterr()
+        assert got == code and out == ""
+        assert message.format(**names) in err
+        assert err.count("error:") == 1 and "Traceback" not in err
+
     def test_zero_numeric_option_is_accepted(self, tmp_path, capsys):
         path = write_example(tmp_path, capsys, "T:3")
         code, out, _ = run(capsys, "orbit", "--class", "1,2", "--steps", "0", path)

@@ -23,6 +23,7 @@ from cantortx.transducer import (
 from cantortx.initial import minimize_initial
 from cantortx.textio import parse, serialize
 from cantortx.images import Orientation, orientation
+from cantortx.invert import inverse_closure
 from cantortx.signature import signature_report, validation_failure
 from cantortx.group import (
     CoreInvariantError,
@@ -433,18 +434,12 @@ class TestCarriedImages:
         t3 = GroupElement.from_machine(machine_T(3))
         M = group_product(t3, t3).machine
         want = invert_element(GroupElement.from_machine(M))
+        assert {canonical_core(inverse_closure(M, q)) for q in M.states} == {want.machine}
+        raw = parse(serialize(M))
         calls = record_calls(("inverse_closure",))
-        for q in M.states:
-            calls.clear()
-            assert invert_element(GroupElement(M), root=q) == want
-            # validation's closure alone: the inverse is not validated
-            assert len(calls["inverse_closure"]) == 1
-
-    def test_unknown_root_is_a_domain_error(self):
-        g = GroupElement.from_machine(machine_T(3))
-        for h in (g, GroupElement(g.machine)):
-            with pytest.raises(InvalidInput, match="no transitions for state 'z'"):
-                invert_element(h, root="z")
+        assert invert_element(GroupElement(raw)) == want
+        # validation's closure alone: the inverse is not validated
+        assert len(calls["inverse_closure"]) == 1
 
     def test_homomorphism_check_reuses_the_pool_products(self, record_calls):
         from cantortx.verify import check_rsig_homomorphism

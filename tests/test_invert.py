@@ -165,8 +165,15 @@ class TestInvertCore:
     def test_root_independence(self):
         for M in (machine_g4(), machine_T(3), machine_U(3)):
             g = GroupElement.from_machine(M)
-            results = {invert_element(g, root=q).machine for q in g.machine.states}
-            assert len(results) == 1
+            results = {canonical_core(inverse_closure(g.machine, q)) for q in g.machine.states}
+            assert results == {invert_element(g).machine}
+
+    def test_unknown_root_is_a_domain_error(self):
+        from cantortx.words import InvalidInput
+
+        for M in (machine_T(3), GroupElement.from_machine(machine_T(3)).machine):
+            with pytest.raises(InvalidInput, match="no transitions for state 'z'"):
+                inverse_closure(M, "z")
 
     def test_inverse_signature_cross_check(self):
         for M in (machine_g4(), machine_T(3), machine_U(4), letter_complement(6)):

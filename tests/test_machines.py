@@ -423,8 +423,9 @@ class TestRealizeWork:
         # group_product reads both verdicts from the memo and the partner
         # T . (letter complement), a product of valid elements, is not
         # validated.  Only the final machine is minimized and verified.
+        # T's validation keeps the canonical core of T's inverse.
         calls = record_calls((
-            "validate_core", "_core_failure", "_fixpoint", "inverse_closure",
+            "validation_failure", "_core_failure", "_fixpoint", "inverse_closure",
             "canonical_core", "_minimize", "_verify_realization",
         ))
         A = realize(letter_complement(4), 2)
@@ -433,8 +434,8 @@ class TestRealizeWork:
         assert self.by_kind(calls) == {"plain": 2, "initial": 1}
         del calls["_fixpoint"]
         assert {name: len(c) for name, c in calls.items()} == {
-            "validate_core": 3, "_core_failure": 1, "inverse_closure": 1,
-            "canonical_core": 4, "_minimize": 2, "_verify_realization": 1,
+            "validation_failure": 3, "_core_failure": 1, "inverse_closure": 1,
+            "canonical_core": 5, "_minimize": 2, "_verify_realization": 1,
         }
 
     def test_inverting_a_realized_machine_minimizes_once(self, record_calls):

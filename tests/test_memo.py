@@ -18,7 +18,7 @@ from cantortx.signature import (
     validation_failure,
 )
 from cantortx.initial import InitialTransducer, dot, minimize_initial
-from cantortx.invert import invert_initial
+from cantortx.invert import inverse_core, invert_initial
 from cantortx.machines import machine_T, machine_U, realize
 from cantortx.group import GroupElement, group_product, invert_element
 from cantortx.verify import _close_pool, _generator_pool
@@ -56,6 +56,7 @@ def answers(M):
         "validation_failure": validation_failure(M),
         "member_ordered": [member_over_roots_ordered(M, r) for r in range(1, M.n)],
         "inverse_reduced_signature": inverse_reduced_signature(M),
+        "inverse_core": inverse_core(M),
     }
 
 
@@ -150,6 +151,17 @@ class TestKeptInverse:
         assert minimize_initial(F) is F._memo["minimized"]
         assert "minimized" not in minimize_initial(F)._memo
         assert all(x is not F for v in F._memo.values() for x in referents(v))
+
+    def test_plain_element_is_inverted_once(self, record_calls):
+        # validation keeps the canonical core of the inverse, which every
+        # inversion then reads: one closure for from_machine and two
+        # inversions, and the inverse keeps nothing that refers back
+        calls = record_calls(("_close",))
+        g = GroupElement.from_machine(machine_U(4))
+        first = invert_element(g)
+        assert invert_element(g).machine is first.machine is g.machine._memo["inverse"]
+        assert len(calls["_close"]) == 1
+        assert all(x is not g.machine for x in referents(first.machine._memo))
 
     def test_equal_to_the_inverse_of_a_fresh_copy(self):
         seen = 0

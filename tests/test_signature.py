@@ -10,6 +10,7 @@ from cantortx.images import images
 from cantortx.invert import inverse_closure, is_bisynchronizing_core
 from cantortx.synchronize import (
     NotSynchronizing,
+    canonical_core,
     forced_state,
     is_synchronizing,
     minimal_sync_level,
@@ -29,7 +30,6 @@ from cantortx.signature import (
     subgroup_generated,
     units,
     units_fixing_subgroup,
-    validate_core,
     validation_failure,
     verify_lcm_claim,
 )
@@ -255,10 +255,12 @@ class TestMembership:
     def test_membership_synchronizes_once(self, record_calls):
         # validation reads the core from the sync level, and only the
         # signature counts the words
-        calls = record_calls(("_counts", "validate_core"))
-        assert member_over_roots(machine_T(3), 1)
+        calls = record_calls(("_counts", "_core_failure"))
+        T = machine_T(3)
+        assert member_over_roots(T, 1)
         assert len(calls["_counts"]) == 1
-        assert len(calls["validate_core"]) == 1
+        assert len(calls["_core_failure"]) == 1
+        assert "inverse" in T._memo
 
     def test_answers_equal_the_composed_definition_on_the_verify_pool(self):
         from cantortx.images import Orientation, orientation
@@ -453,12 +455,16 @@ def overlap_machine():
 
 
 class TestSharedValidation:
-    def check(self, T, reason, built_closure):
-        got_reason, closure = validate_core(T)
-        assert got_reason == reason == validation_failure(T)
-        assert closure == (inverse_closure(T) if built_closure else None)
-        # the verdict is memoized, so a second call builds no closure
-        assert validate_core(T) == (reason, None)
+    def check(self, T, reason, keeps_inverse):
+        assert validation_failure(T) == reason
+        # the verdict is memoized, and so is the inverse that decided it
+        memo = T._memo or {}
+        if isinstance(T, Transducer):
+            assert memo["validation"] == reason
+        assert ("inverse" in memo) == keeps_inverse
+        if keeps_inverse:
+            assert memo["inverse"] == canonical_core(inverse_closure(T))
+        assert validation_failure(T) == reason
 
     def test_reason_and_analyses_per_failure_kind(self):
         self.check(state_wrapper(machine_T(3), "a", 1), "not a plain transducer", False)
@@ -469,7 +475,7 @@ class TestSharedValidation:
             False,
         )
         self.check(overlap_machine(), "state 'a' is not injective", False)
-        self.check(xor_machine(), "the inverse is not synchronizing", True)
+        self.check(xor_machine(), "the inverse is not synchronizing", False)
         self.check(machine_g4(), None, True)
         self.check(machine_U(4), None, True)
 
@@ -488,11 +494,12 @@ class TestSharedValidation:
         assert not is_bisynchronizing_core(T)
 
     def test_invert_element_at_every_root(self):
+        # the kept inverse is the canonical core of the closure at any root
         for make, n, k in ((machine_T, 3, 3), (machine_U, 4, 2)):
             g = list(powers(GroupElement.from_machine(make(n)), k))[-1]
-            want = invert_element(g)
+            want = invert_element(g).machine
             for q in g.machine.states:
-                assert invert_element(g, root=q) == want
+                assert canonical_core(inverse_closure(g.machine, q)) == want
 
     def test_inverse_rsig_on_the_verify_pool(self):
         from cantortx.verify import _close_pool, _generator_pool

@@ -212,10 +212,13 @@ def table_run(table):
 
 class TestWordEvaluation:
     def test_f_relations_invert_each_generator_once_per_word(self, record_calls):
-        # two words, each inverting T and U, at n = 3, 4 and 5
-        calls = record_calls(("invert_element",))
+        # two words, each inverting T and U, at n = 3, 4 and 5: a
+        # generator's validation keeps its inverse, so the words build no
+        # closure; the 12 are the validations of T and U for membership
+        # and of their canonical cores for the generators
+        calls = record_calls(("inverse_closure",))
         assert check_f_relations() == (True, "both relations at n=3,4,5")
-        assert len(calls["invert_element"]) == 12
+        assert len(calls["inverse_closure"]) == 12
 
 
 class TestPaperSuite:
