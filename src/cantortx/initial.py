@@ -269,9 +269,12 @@ def minimize_initial(A):
 
     The non-initial states are a plain machine's rows, reduced by
     minimal_rows with the initial state's row as the fresh entry row, so
-    the initial state keeps its behaviour.  The result is marked minimal in
-    its memo, so minimizing it again returns it unchanged, and it is kept
-    in A's memo under "minimized", so minimizing A again returns it too."""
+    the initial state keeps its behaviour; on a machine marked
+    complete_response, as the raw inverse of invert_initial is, every
+    non-initial state has an empty forced output, so none is computed.
+    The result is marked minimal in its memo, so minimizing it again
+    returns it unchanged, and it is kept in A's memo under "minimized", so
+    minimizing A again returns it too."""
     if A._memo is not None and "minimal" in A._memo:
         return A
     return memoized(A, "minimized", lambda: _minimize(A))
@@ -280,8 +283,8 @@ def minimize_initial(A):
 def _minimize(A):
     """minimize_initial(A), computed."""
     interior = A.states[1:]
-    rows = minimal_rows({q: A._rows[q] for q in interior},
-                        common_prefixes(A, states=interior), None, A._rows[A.root])
+    c = None if "complete_response" in A._memo else common_prefixes(A, states=interior)
+    rows = minimal_rows({q: A._rows[q] for q in interior}, c, None, A._rows[A.root])
     table = {q: dict(enumerate(row)) for q, row in rows.items()}
     M = InitialTransducer(A.n, A.r, table.pop("0"), table, root="0")
     M._memo = {"minimal": True}

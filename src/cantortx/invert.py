@@ -9,6 +9,19 @@ cone w.i, and moves to (w.i minus the forward output on v, forward state on
 v).  Every state used here satisfies U_w inside im(q) and (w)L_q empty, which
 keeps the subtraction well defined and the machine total.
 
+So every such state has complete response: its forced output is the gcp of
+its outputs over all inputs, which is the gcp of the preimages of U_w under
+h_q, (w)L_q, empty.  The construction makes (w)L_q empty at every state it
+reaches.  From (w, q) on t it emits v = (w.t)L_q and moves to (w', p) with
+w.t = (forward output on v).w' and p the forward state on v; an input u
+from p has its output in U_w' exactly when v.u from q has its output in
+U_w.t, so v.(w')L_p = (w.t)L_q = v, and (w')L_p is empty.  The seeds of a
+closure are such moves from the root.  So inverse_closure marks its
+closure "complete_response" in the closure's memo, and invert_initial marks
+its raw inverse so (every state but the initial one), as minimize_rooted
+marks its result "minimal": canonical_core and minimize_initial then merge
+those states as they are, with no forced-output pass.
+
 The closure of a machine whose states are injective with clopen images is
 finite, so it needs no cap.  U_w lies in im(q) and (w)L_q is empty, so U_w
 meets the images w_i.im(p_i) of two branches of q, which are disjoint.  A
@@ -28,7 +41,7 @@ check and a later inversion share one closure."""
 
 from __future__ import annotations
 
-from .words import EMPTY, InvalidInput, gcp, subtract_prefix
+from .words import EMPTY, InvalidInput, subtract_prefix
 from .transducer import DegenerateTransducer, Transducer, memoized
 from .initial import InitialTransducer, dot, minimize_initial, run
 from .images import images, is_homeomorphism_initial, non_injective_states
@@ -52,10 +65,13 @@ def _preimage_search(moves, memo, q, v):
     A symbol whose output covers the rest of the cone contributes its
     one-symbol cone; a symbol whose output is a proper prefix of it
     contributes itself followed by the answer at (destination, what is
-    left).  The gcp of the contributions is the answer, so a subproblem
-    stops at the first symbol that makes it empty.  The search keeps its own
-    stack, so long cones need no recursion; a subproblem met again while it
-    is still open lies on an empty-output cycle."""
+    left).  The gcp of the contributions is the answer.  The contributions
+    of one subproblem start with its symbols, which are distinct, so the
+    gcp of two of them is empty: one contribution is the answer, and a
+    second makes it EMPTY at once and stops the subproblem, with no prefix
+    to compare.  The search keeps its own stack, so long cones need no
+    recursion; a subproblem met again while it is still open lies on an
+    empty-output cycle."""
     top = (q, v)
     stack = []  # frames [(state, rest of the cone), next move, answer so far]
     if top not in memo:
@@ -66,7 +82,8 @@ def _preimage_search(moves, memo, q, v):
         (p, t), j, best = frame
         lt = len(t)
         opts = moves[p]
-        while j < len(opts) and best != EMPTY:
+        stop = len(opts)
+        while j < stop and best is not EMPTY:
             sym, w, lw, p2 = opts[j]
             j += 1
             if lw >= lt:
@@ -88,8 +105,7 @@ def _preimage_search(moves, memo, q, v):
                         f"cycle through state {p2!r} outputs the empty word"
                     )
             if got is not None:
-                cone = (sym,) + got
-                best = cone if best is None else gcp((best, cone))
+                best = (sym,) + got if best is None else EMPTY
         else:
             memo[frame[0]] = best
             stack.pop()
@@ -169,9 +185,11 @@ def inverse_closure(T, root=None):
     the state (a - forward output on (a)L_root, forward state on (a)L_root);
     then closed forward under the inverse transition rule.  The closure
     contains the full core of the inverse whenever T is synchronizing.
-    All preimage searches of one call share one memo.  Raises InvalidInput
-    when a state is not injective, and NotClopenImage when an image is not
-    clopen: the closure is finite otherwise (see the module docstring)."""
+    Its states have complete response (see the module docstring), and its
+    memo says so.  All preimage searches of one call share one memo.
+    Raises InvalidInput when a state is not injective, and NotClopenImage
+    when an image is not clopen: the closure is finite otherwise (see the
+    module docstring)."""
     root = T.states[0] if root is None else root
     T.row(root)  # an unknown root is an error, not a missing image
     bad = non_injective_states(T)
@@ -179,7 +197,9 @@ def inverse_closure(T, root=None):
         raise InvalidInput(f"state {bad[0]!r} is not injective")
     step = _inverse_step(T)
     queue = list(dict.fromkeys(step((EMPTY, root), a)[1] for a in images(T)[root].cones))
-    return Transducer._from_rows(T.n, _close(T.n, step, queue, set(queue)))
+    C = Transducer._from_rows(T.n, _close(T.n, step, queue, set(queue)))
+    C._memo = {"complete_response": True}
+    return C
 
 
 def inverse_core(T):
@@ -228,6 +248,7 @@ def _invert_minimal(A):
     rows = _close(A.n, step, queue, {inv_root, *queue})
     table = {state: dict(enumerate(row)) for state, row in rows.items()}
     raw = InitialTransducer(A.n, A.r, dict(enumerate(entry)), table, root=inv_root)
+    raw._memo = {"complete_response": True}
     return minimize_initial(raw)
 
 

@@ -145,8 +145,13 @@ def validation_failure(T):
 def record_valid(T):
     """T, with the passing verdict of validation recorded unchecked: for a
     product's or an inverse's canonical core, which the group law of BCMNO
-    makes valid when its factors are."""
+    makes valid when its factors are.  A valid element's states are
+    injective by definition, so the verdict implies injectivity, and the
+    empty list of non-injective states is recorded with it: the signature,
+    the orientation and the inverse closure then read it instead of
+    checking every state's branch images."""
     memoized(T, "validation", lambda: None)
+    memoized(T, "non_injective_states", list)
     return T
 
 

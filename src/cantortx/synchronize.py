@@ -199,10 +199,15 @@ def canonical_core(T):
     differ in their first rows is numbered in O(|Q|·n).  The core of a
     machine marked minimal, as minimize_rooted and minimize_initial mark
     theirs, is minimal already: its states have complete response and no
-    two are equivalent, so it is not reduced again."""
+    two are equivalent, so it is not reduced again.  The states of a
+    machine marked complete_response, as inverse_closure marks its closure,
+    have empty forced outputs, so its core is merged with no forced-output
+    pass."""
     C = core(T)
     rows = C._rows
-    if T._memo is None or "minimal" not in T._memo:
-        rows = merged_rows(rows, common_prefixes(C))[1]
+    memo = T._memo or {}
+    if "minimal" not in memo:
+        c = None if "complete_response" in memo else common_prefixes(C)
+        rows = merged_rows(rows, c)[1]
     names = least_numbering(rows)
     return Transducer._from_rows(C.n, renamed_rows(rows, {q: names[q] for q in rows}))

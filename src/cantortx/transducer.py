@@ -273,13 +273,20 @@ def product(A, B):
     from one root."""
     if A.n != B.n:
         raise InvalidInput("product of transducers over different alphabets")
+    brows = B._rows
     rows = {}
     for a, arow in A._rows.items():
         for b in B.states:
             row = []
             for w, a2 in arow:
-                v, b2 = evaluate(B, b, w)
-                row.append((v, (a2, b2)))
+                # evaluate(B, b, w) without its checks: A's outputs are
+                # letters, and b is a state of B
+                out = []
+                b2 = b
+                for i in w:
+                    piece, b2 = brows[b2][i]
+                    out.extend(piece)
+                row.append((tuple(out), (a2, b2)))
             rows[(a, b)] = tuple(row)
     return Transducer._from_rows(A.n, rows)
 
@@ -448,8 +455,12 @@ def merged_rows(rows, c):
     with forced outputs c {state: word}: every forced output is pushed
     upstream (strip_rows), and equivalent states are merged
     (partition_rows, quotient_rows).  Returns (part, blocks): part maps each
-    state to its block, blocks maps each block to its row."""
-    rows = strip_rows(rows, c)
+    state to its block, blocks maps each block to its row.  c None says
+    that every forced output is empty, as at the states of a machine marked
+    complete_response: there is nothing to push, so the rows are merged as
+    they are."""
+    if c is not None:
+        rows = strip_rows(rows, c)
     part = partition_rows(rows)
     return part, quotient_rows(rows, part)
 
@@ -462,11 +473,12 @@ def minimal_rows(rows, c, start, entry=None):
     stay whole, w . c[p].  It stays out of the partition, as it merges with
     no stripped state: either it reads other symbols (the entry row of an
     initial machine), or its forced output is nonempty (a rooted behaviour
-    with a forced output), where every stripped state's is empty."""
+    with a forced output), where every stripped state's is empty.  c None
+    says that every forced output is empty (merged_rows)."""
     part, blocks = merged_rows(rows, c)
     if entry is not None:
         start = None  # no block index
-        blocks[None] = tuple((w + c[p], part[p]) for w, p in entry)
+        blocks[None] = tuple((w if c is None else w + c[p], part[p]) for w, p in entry)
     else:
         start = part[start]
     return renamed_rows(blocks, bfs_numbering(blocks, [start]))

@@ -1,12 +1,15 @@
 """Products and inverses of valid elements are valid (BCMNO's group law), so
 group_product and invert_element give them a passing verdict unchecked.
 Here every such verdict is checked: each product and inverse is validated on
-a fresh copy of its machine, read back from its text, whose memo is empty."""
+a fresh copy of its machine, read back from its text, whose memo is empty.
+A valid element's states are injective, so the verdict carries the empty
+list of non-injective states too, and that is checked the same way."""
 
 import random
 
 from cantortx.textio import parse, serialize
-from cantortx.signature import validation_failure
+from cantortx.images import non_injective_states
+from cantortx.signature import signature_report, validation_failure
 from cantortx.machines import (
     letter_complement,
     machine_T,
@@ -23,20 +26,24 @@ from cantortx.group import (
 from cantortx.verify import _close_pool, _generator_pool
 
 
-def fresh_verdict(g):
+def fresh_copy(g):
     F = parse(serialize(g.machine))
     assert F._memo is None
-    return validation_failure(F)
+    return F
 
 
 def assert_built_valid(elements):
-    """Each element and its inverse validates from scratch; returns the
+    """Each element and its inverse validates from scratch, and the
+    non-injective states it keeps are a fresh copy's, none; returns the
     number of elements checked."""
     count = 0
     for g in elements:
-        assert validation_failure(g.machine) is None  # the carried verdict
-        assert fresh_verdict(g) is None, serialize(g.machine)
-        assert fresh_verdict(invert_element(g)) is None, serialize(g.machine)
+        for h in (g, invert_element(g)):
+            assert validation_failure(h.machine) is None  # the carried verdict
+            F = fresh_copy(h)
+            assert validation_failure(F) is None, serialize(g.machine)
+            kept = h.machine._memo["non_injective_states"]
+            assert kept == non_injective_states(F) == [], serialize(g.machine)
         count += 1
     return count
 
@@ -103,3 +110,22 @@ class TestCarriedVerdict:
                     acc = group_product(acc, g)
                     powers.append(acc)
                 assert assert_built_valid(powers) == 16
+
+
+class TestCarriedInjectivity:
+    def test_product_and_inverse_check_no_injectivity(self, record_calls):
+        # the inverse closure, the signature and the orientation of a
+        # product and of its inverse read the injectivity that the carried
+        # verdict implies; a fresh copy checks it once
+        gens = law_generators(4)
+        p = group_product(group_product(gens["T"], gens["B"]), gens["U"])
+        calls = record_calls(("_non_injective",))
+        inverse = invert_element(p)
+        for h in (p, inverse):
+            h.signature, h.orientation
+        assert calls["_non_injective"] == []
+        for h in (p, inverse):
+            F = fresh_copy(h)
+            assert signature_report(F).sig == h.signature.sig
+            assert [c["M"] for c in calls["_non_injective"]][-1] is F
+        assert len(calls["_non_injective"]) == 2

@@ -4,9 +4,16 @@ from itertools import product as cartesian
 import pytest
 
 from cantortx.words import EMPTY, gcp, subtract_prefix
-from cantortx.transducer import DepthExceeded, Transducer, evaluate
+from cantortx.transducer import (
+    DegenerateTransducer,
+    DepthExceeded,
+    Transducer,
+    common_prefixes,
+    evaluate,
+)
 from cantortx.images import images
 from cantortx.initial import (
+    InitialTransducer,
     evaluate_initial,
     initial_equal,
     minimize_initial,
@@ -22,6 +29,8 @@ from cantortx.invert import (
     bisynchronizing_failure_initial,
     preimage_gcp,
     _moves,
+    _NEW,
+    _OPEN,
     _preimage_search,
 )
 from cantortx.machines import (
@@ -44,8 +53,9 @@ from cantortx.group import (
     invert_element,
     is_identity,
 )
-from cantortx.signature import inverse_reduced_signature
-from cantortx.verify import _close_pool, _generator_pool
+from cantortx.signature import inverse_reduced_signature, member_over_roots
+from cantortx.textio import parse, serialize
+from cantortx.verify import _close_pool, _close_pool_products, _generator_pool
 
 
 def brute_preimage_gcp(T, q, v, depth=6):
@@ -433,3 +443,177 @@ class TestMemoizedPreimage:
                             preimage_gcp(A, q, v)
                         continue
                     assert preimage_gcp(A, q, v) == want
+
+
+def pool_elements():
+    """Layers 1 to 3 of the verify pools at n = 3, 4 and 5."""
+    for n in (3, 4, 5):
+        layers, _ = _close_pool_products(_generator_pool(n), 3)
+        yield from layers[1] + layers[2] + layers[3]
+
+
+# --- complete-response closures ----------------------------------------------
+
+
+class TestCompleteResponseClosures:
+    """Every inverse state (w, q) has (w)L_q empty, so its forced output is
+    empty (the invert docstring).  inverse_closure and invert_initial mark
+    what they build complete_response, and canonical_core and
+    minimize_initial merge those states with no forced-output pass; here
+    the theorem is checked, and the merge against the full reduction."""
+
+    def test_pool_closures(self, record_calls):
+        calls = record_calls(("common_prefixes",))
+        checked = 0
+        for g in pool_elements():
+            C = inverse_closure(parse(serialize(g.machine)))
+            assert "complete_response" in C._memo
+            assert set(common_prefixes(C).values()) == {EMPTY}
+            # the same rows unmarked take the full reduction,
+            # merged_rows(rows, common_prefixes(core))
+            full = Transducer._from_rows(C.n, C._rows)
+            calls.clear()
+            got = canonical_core(C)
+            assert calls["common_prefixes"] == []
+            want = canonical_core(full)
+            assert len(calls["common_prefixes"]) == 1
+            assert serialize(got) == serialize(want)
+            checked += len(C.states)
+        assert checked > 1500, checked
+
+    def test_raw_initial_inverses(self, record_calls):
+        # realize checks bi-synchronization by inverting the realized
+        # machine, and the raw inverse reaches minimize_initial
+        calls = record_calls(("minimize_initial", "common_prefixes"))
+        checked = 0
+        for make, n, top in ((machine_T, 3, 4), (machine_U, 5, 2)):
+            for M in power_machines(make, n, top):
+                for r in range(1, n):
+                    if not member_over_roots(M, r):
+                        continue
+                    calls.clear()
+                    realize(M, r)
+                    raws = [c["A"] for c in calls["minimize_initial"]
+                            if "complete_response" in (c["A"]._memo or {})]
+                    assert len(raws) == 1
+                    raw = raws[0]
+                    interior = raw.states[1:]
+                    assert all(common_prefixes(raw, states=interior)[q] == EMPTY
+                               for q in interior)
+                    assert not any(c["T"] is raw for c in calls["common_prefixes"])
+                    copy = InitialTransducer(
+                        raw.n, raw.r, dict(enumerate(raw.row(raw.root))),
+                        {q: dict(enumerate(raw.row(q))) for q in interior}, root=raw.root)
+                    assert copy._memo is None
+                    assert serialize(minimize_initial(raw)) == serialize(minimize_initial(copy))
+                    checked += 1
+        assert checked >= 12, checked
+
+
+# --- the one-contribution preimage search against the gcp search -------------
+
+
+def reference_preimage_search(moves, memo, q, v):
+    """The preimage search before it stopped at a second contribution, kept
+    as a reference: it folds every contribution of a subproblem into the
+    answer with gcp until the answer is empty."""
+    top = (q, v)
+    stack = []
+    if top not in memo:
+        memo[top] = _OPEN
+        stack.append([top, 0, None])
+    while stack:
+        frame = stack[-1]
+        (p, t), j, best = frame
+        lt = len(t)
+        opts = moves[p]
+        while j < len(opts) and best != EMPTY:
+            sym, w, lw, p2 = opts[j]
+            j += 1
+            if lw >= lt:
+                if w[:lt] != t:
+                    continue
+                got = EMPTY
+            elif t[:lw] != w:
+                continue
+            else:
+                sub = (p2, t[lw:])
+                got = memo.get(sub, _NEW)
+                if got is _NEW:
+                    memo[sub] = _OPEN
+                    frame[1], frame[2] = j - 1, best
+                    stack.append([sub, 0, None])
+                    break
+                if got is _OPEN:
+                    raise DegenerateTransducer(
+                        f"cycle through state {p2!r} outputs the empty word"
+                    )
+            if got is not None:
+                cone = (sym,) + got
+                best = cone if best is None else gcp((best, cone))
+        else:
+            memo[frame[0]] = best
+            stack.pop()
+    return memo[top]
+
+
+def search_outcome(search, moves, memo, q, v):
+    """The answer of one search, or the class and message it raised."""
+    try:
+        return search(moves, memo, q, v)
+    except DegenerateTransducer as e:
+        return ("raised", type(e), str(e))
+
+
+def random_machine(rng, n):
+    """1 to 4 states whose outputs are 0 to 2 letters long, two in five of
+    them empty, so empty-output edges and cycles are common."""
+    names = [f"s{k}" for k in range(rng.randint(1, 4))]
+
+    def cell():
+        out = tuple(rng.randrange(n) for _ in range(rng.choice((0, 0, 1, 1, 2))))
+        return out, rng.choice(names)
+
+    return Transducer(n, {q: {i: cell() for i in range(n)} for q in names})
+
+
+class TestOneContributionSearch:
+    def test_random_machines(self):
+        rng = random.Random(22)
+        kinds = {"answer": 0, "empty": 0, "none": 0, "raised": 0}
+        for _ in range(400):
+            n = rng.randint(2, 4)
+            M = random_machine(rng, n)
+            moves = _moves(M)
+            for q in M.states:
+                for k in range(4):
+                    v = tuple(rng.randrange(n) for _ in range(k))
+                    memo, ref_memo = {}, {}
+                    got = search_outcome(_preimage_search, moves, memo, q, v)
+                    want = search_outcome(reference_preimage_search, moves, ref_memo, q, v)
+                    assert got == want and memo == ref_memo, (serialize(M), q, v)
+                    if got is None:
+                        kinds["none"] += 1
+                    elif got == EMPTY:
+                        kinds["empty"] += 1
+                    else:
+                        kinds["raised" if got[0] == "raised" else "answer"] += 1
+        assert min(kinds.values()) >= 100, kinds
+
+    def test_pool_closure_steps(self, record_calls):
+        # every search of every pool closure, in the closure's order and
+        # with one memo per closure, as the closure asks them
+        calls = record_calls(("_preimage_search",))
+        asked = 0
+        for g in pool_elements():
+            calls.clear()
+            inverse_closure(parse(serialize(g.machine)))
+            searches = calls["_preimage_search"]
+            moves = searches[0]["moves"]
+            memo, ref_memo = {}, {}
+            for c in searches:
+                got = _preimage_search(moves, memo, c["q"], c["v"])
+                assert got == reference_preimage_search(moves, ref_memo, c["q"], c["v"])
+            assert memo == ref_memo == searches[0]["memo"]
+            asked += len(searches)
+        assert asked > 5000, asked
