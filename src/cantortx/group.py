@@ -9,7 +9,7 @@ from enum import Enum
 
 from .words import InvalidInput, rotation_class_of
 from .transducer import evaluate, minimize_rooted, product
-from .synchronize import canonical_core
+from .synchronize import canonical_core, mark_synchronizing
 from .images import Orientation, orientation
 from .invert import inverse_core
 from .signature import record_valid, signature_report, validation_failure
@@ -78,14 +78,26 @@ def group_product(g, h):
     """g then h: root the product machine at a pair of states, minimize the
     rooted behaviour, and take the core.  The result is independent of the
     chosen roots.  A factor is validated when it holds no verdict yet; the
-    product of valid elements is valid and carries a passing verdict."""
+    product of valid elements is valid and carries a passing verdict.
+
+    The minimized product is marked synchronizing in its memo, so its core
+    is found with no collapse (synchronize.core_states).  The product P of
+    synchronizing cores A and B synchronizes: any word of length level_A
+    brings A to one state, and from there, as A is productive, any |A| more
+    letters output at least one letter, so any |A| * level_B more letters
+    output at least level_B letters, which bring B to one state.  The
+    states reachable from the root are closed under the letters, a
+    quotient by equivalence maps one end state to one end state, and the
+    fresh entry state of minimize_rooted is entered by no edge, so the
+    minimized product synchronizes too."""
     _valid(g.machine)
     _valid(h.machine)
     if g.n != h.n:
         raise InvalidInput("product of elements over different alphabets")
     P = product(g.machine, h.machine)
     root = (g.machine.states[0], h.machine.states[0])
-    return GroupElement(record_valid(canonical_core(minimize_rooted(P, root)[0])))
+    M = mark_synchronizing(minimize_rooted(P, root)[0])
+    return GroupElement(record_valid(canonical_core(M)))
 
 
 def invert_element(g):

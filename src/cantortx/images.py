@@ -23,7 +23,7 @@ from .words import (
     ClopenSet,
     EvPeriodicWord,
     RootedClopen,
-    canonicalize_clopen,
+    _merge_cones,
     empty_clopen,
     lex_compare_evp,
     pairwise_disjoint,
@@ -57,7 +57,7 @@ def _fixpoint(M):
         img = {q: whole_space(n) for q in M.states}
 
         def value(q):
-            return canonicalize_clopen(n, [w + c for w, p in rows[q] for c in img[p].cones])
+            return _merge_cones(n, [w + c for w, p in rows[q] for c in img[p].cones])
     else:
         img = {q: whole_space(n) if M.region[q] is DONE else whole_rooted(n, M.r)
                for q in M.states}

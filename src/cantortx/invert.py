@@ -22,6 +22,22 @@ its raw inverse so (every state but the initial one), as minimize_rooted
 marks its result "minimal": canonical_core and minimize_initial then merge
 those states as they are, with no forced-output pass.
 
+The inverse closure C of a machine T that holds a passing verdict
+synchronizes, so inverse_core marks C "synchronizing" in its memo and its
+core is found with no collapse (synchronize.core_states).  The state (w, p)
+maps y to the preimage of w.y under h_p.  The verdict makes T
+bi-synchronizing, so its inverse synchronizes: some word length k brings
+every state of C to one omega-equivalence class.  Omega-equivalent states
+with complete response have equal rows up to equivalence, so from there on
+the two runs stay equivalent and emit the same inputs.  C has no cycle that
+emits nothing, as the preimages of shrinking cones shrink to one point, so
+after |C| * level_T more letters both runs have emitted level_T letters
+alike, which bring T to one forward state p.  Two omega-equivalent states
+(w, p) and (w', p) are equal: the preimages of w.y and w'.y under h_p agree
+for every y, h_p is injective, so w.y = w'.y for every y, and w = w'.  So
+every word of length k + |C| * level_T brings every state of C to one
+state.  A closure built to decide a verdict is not marked, and collapses.
+
 The closure of a machine whose states are injective with clopen images is
 finite, so it needs no cap.  U_w lies in im(q) and (w)L_q is empty, so U_w
 meets the images w_i.im(p_i) of two branches of q, which are disjoint.  A
@@ -43,9 +59,14 @@ from __future__ import annotations
 
 from .words import EMPTY, InvalidInput, subtract_prefix
 from .transducer import DegenerateTransducer, Transducer, memoized
-from .initial import InitialTransducer, dot, minimize_initial, run
+from .initial import InitialTransducer, dot, minimize_initial
 from .images import images, is_homeomorphism_initial, non_injective_states
-from .synchronize import NotSynchronizing, canonical_core, is_synchronizing
+from .synchronize import (
+    NotSynchronizing,
+    canonical_core,
+    is_synchronizing,
+    mark_synchronizing,
+)
 
 
 class EmptyPreimage(ValueError):
@@ -146,16 +167,23 @@ def _inverse_step(M):
     """The inverse transition rule of the plain or initial machine M, with
     one memo for all its preimage searches: from the inverse state (w, q) on
     the symbols t, emit v = (w.t)L_q and move to (w.t minus the forward
-    output on v, forward state on v)."""
+    output on v, forward state on v).  The search has checked every symbol
+    of v, so the output and the forward state on v are read from M's rows
+    directly: cell a of the entry row for the root symbol .a, cell i of a
+    row for the letter i."""
     moves = _moves(M)
+    rows = M._rows
     memo = {}
 
     def step(state, t):
         w, q = state
         target = w + t
         v = _preimage_gcp(moves, memo, q, target)
-        out, p = run(M, q, v)
-        return v, (subtract_prefix(out, target), p)
+        out = EMPTY
+        for sym in v:
+            piece, q = rows[q][sym if type(sym) is int else sym[1]]
+            out += piece
+        return v, (subtract_prefix(out, target), q)
 
     return step
 
@@ -206,9 +234,20 @@ def inverse_core(T):
     """The canonical core of T's inverse closure, kept in T's memo under
     "inverse".  Every rooted closure of a synchronizing core contains the
     whole core of the inverse, so the canonical core does not depend on the
-    root.  Raises NotSynchronizing when the closure does not synchronize,
-    and whatever inverse_closure raises; a failure is not kept."""
-    return memoized(T, "inverse", lambda: canonical_core(inverse_closure(T)))
+    root.  The closure of a T that holds a passing verdict is marked
+    synchronizing (see the module docstring).  Raises NotSynchronizing when
+    an unmarked closure does not synchronize, and whatever inverse_closure
+    raises; a failure is not kept."""
+    return memoized(T, "inverse", lambda: _inverse_core(T))
+
+
+def _inverse_core(T):
+    """inverse_core(T), computed."""
+    C = inverse_closure(T)
+    memo = T._memo or {}
+    if "validation" in memo and memo["validation"] is None:  # a passing verdict
+        mark_synchronizing(C)
+    return canonical_core(C)
 
 
 def is_bisynchronizing_core(T):

@@ -25,6 +25,18 @@ repeats on the quotient, counting its rounds.  Two facts make it exact:
   force a state q is the number of paths of that length from any one fixed
   start state to q; the signatures push these counts one letter at a time
   in O(level * |Q| * n).
+- Every state q on a cycle of a synchronizing machine is forced: when the
+  cycle reads u from q back to q, q = q.u^k is the state that u^k forces
+  once |u^k| >= level, and so the state that the last `level` letters of
+  u^k force.  So on a machine known to synchronize, the forced states are
+  the states reachable from the first repeated state of the letter-0 walk
+  from any state, found in O(|Q| * n) with no collapse.  A machine is
+  known to synchronize when its builder marks it so (mark_synchronizing):
+  group_product marks its minimized product, and inverse_core the inverse
+  closure of a machine that holds a passing verdict; the docstrings of
+  group_product and of the invert module prove that these synchronize.
+  An unmarked machine is collapsed, which also decides whether it
+  synchronizes.
 
 A round of the collapse rehashes only the quotient states with a successor
 merged away in the round before; the others keep their rows, which stay
@@ -33,7 +45,9 @@ predecessors in the quotient are rehashed, so the work follows the edges
 into merged states instead of rehashing all |Q| rows in each of the
 `level` rounds.
 
-The level and the counts are memoized on the machine.
+The destination rows, the level and the counts are memoized on the
+machine, so the collapse, the counts, the core and the signature of one
+machine read one table of rows.
 """
 
 from __future__ import annotations
@@ -55,9 +69,15 @@ class NotSynchronizing(ValueError):
 
 
 def _destination_rows(T):
+    """{state: its destination per letter} of T, of its interior for an
+    initial machine; memoized on T."""
+    return memoized(T, "destination_rows", lambda: _destinations(T))
+
+
+def _destinations(T):
     if isinstance(T, InitialTransducer):
         T = underlying_interior(T)
-    return {q: tuple(p for _, p in T.row(q)) for q in T.states}
+    return {q: tuple(p for _, p in row) for q, row in T._rows.items()}
 
 
 def _collapse_rounds(rows):
@@ -161,14 +181,24 @@ def forced_state(T, word):
 
 def core_states(T):
     """States forced by words of the minimal synchronizing length: the
-    states reachable from the end state of one such word."""
-    level = _sync_level(T)
-    if level is None:
-        raise NotSynchronizing("machine is not synchronizing")
+    states reachable from the end state of one such word.  On a machine
+    marked synchronizing in its memo, the states reachable from the first
+    repeated state of the letter-0 walk from the first state, with no
+    collapse (see the module docstring)."""
     rows = _destination_rows(T)
-    q = next(iter(rows))
-    for _ in range(level):
-        q = rows[q][0]
+    if T._memo is not None and "synchronizing" in T._memo:
+        q = next(iter(rows))
+        walked = set()
+        while q not in walked:
+            walked.add(q)
+            q = rows[q][0]
+    else:
+        level = _sync_level(T)
+        if level is None:
+            raise NotSynchronizing("machine is not synchronizing")
+        q = next(iter(rows))
+        for _ in range(level):
+            q = rows[q][0]
     seen = {q}
     stack = [q]
     while stack:
@@ -177,6 +207,13 @@ def core_states(T):
                 seen.add(p)
                 stack.append(p)
     return seen
+
+
+def mark_synchronizing(M):
+    """M, marked synchronizing in its memo, for a builder that proves that M
+    synchronizes: core_states then reads its core with no collapse."""
+    memoized(M, "synchronizing", lambda: True)
+    return M
 
 
 def core(T):
@@ -202,7 +239,9 @@ def canonical_core(T):
     two are equivalent, so it is not reduced again.  The states of a
     machine marked complete_response, as inverse_closure marks its closure,
     have empty forced outputs, so its core is merged with no forced-output
-    pass."""
+    pass.  The core of a machine marked synchronizing is found with no
+    collapse (core_states); an unmarked machine that does not synchronize
+    raises NotSynchronizing."""
     C = core(T)
     rows = C._rows
     memo = T._memo or {}

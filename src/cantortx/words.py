@@ -292,7 +292,7 @@ class ClopenSet:
 
     def union(self, other):
         self._check_same(other)
-        return canonicalize_clopen(self.n, self.cones + other.cones)
+        return _merge_cones(self.n, list(self.cones + other.cones))
 
     def intersection(self, other):
         """The cones of each set that the other covers.  They form an
@@ -359,11 +359,11 @@ def _complement(n, cones):
 
 
 def canonicalize_clopen(n, cones):
-    """Canonical antichain with the same union of cones, in one sorted pass.
-    A cone that extends the top of the stack, or equals it, is skipped.  A
-    cone whose n-1 elder siblings sit on top of the stack replaces them by
-    their parent, which may complete a family in turn; the n siblings of a
-    family are adjacent in sorted order, so no other merge is missed."""
+    """Canonical antichain with the same union of the cones, words over
+    {0..n-1}.  The letters are checked here, and then merged by
+    _merge_cones, which the union of ClopenSets and the image fixpoint call
+    directly: their words are made of cones and machine outputs whose
+    letters were checked when they were built."""
     if n < 2:
         raise InvalidInput("alphabet must have at least 2 letters")
     cones = [tuple(c) for c in cones]
@@ -371,6 +371,17 @@ def canonicalize_clopen(n, cones):
     if letters and not (0 <= min(letters) and max(letters) < n):
         for c in cones:
             check_letters(n, c)  # names the first letter out of range
+    return _merge_cones(n, cones)
+
+
+def _merge_cones(n, cones):
+    """The ClopenSet of the list of words `cones`, whose letters lie in
+    {0..n-1} unchecked: the canonical antichain with the same union, in one
+    sorted pass.  A cone that extends the top of the stack, or equals it,
+    is skipped.  A cone whose n-1 elder siblings sit on top of the stack
+    replaces them by their parent, which may complete a family in turn; the
+    n siblings of a family are adjacent in sorted order, so no other merge
+    is missed.  The list is sorted in place."""
     cones.sort()
     last = n - 1
     stack = []

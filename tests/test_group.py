@@ -351,11 +351,11 @@ class TestMinimalCores:
 
 
 class TestProductWork:
-    """One group product of valid elements synchronizes one machine once:
-    the minimized product in canonical_core runs the collapse, and its core
-    is read from the sync level without counting words.  The product of
-    valid elements is valid, so neither its canonical core nor an inverse
-    closure is synchronized."""
+    """A group product of valid elements runs no collapse: its minimized
+    product is marked synchronizing, so canonical_core reads the core from
+    the letter-0 walk, and the product of valid elements is valid, so
+    neither its canonical core nor an inverse closure is synchronized.  The
+    result's signature then collapses the canonical core once."""
 
     def test_sync_calls(self, record_calls):
         t3 = GroupElement.from_machine(machine_T(3))
@@ -367,6 +367,9 @@ class TestProductWork:
         assert len(result.machine.states) == 11
         assert len(calls["sync_counts"]) == 0
         assert len(calls["is_synchronizing"]) == 0
+        assert len(calls["_collapse_rounds"]) == 0
+        result.signature
+        assert len(calls["sync_counts"]) == 1
         assert len(calls["_collapse_rounds"]) == 1
 
     def test_valid_factors_build_no_inverse_closure(self, record_calls):

@@ -157,15 +157,22 @@ GENERATORS = {n: generators(n) for n in (3, 4, 5)}
 
 
 @st.composite
-def words(draw, pieces=1):
+def words(draw, pieces=1, ns=tuple(GENERATORS), sizes=(8, 10)):
     """(n, the word split into `pieces` non-empty subwords), the word a list
-    of 8 to 10 generator indices at n = 3, 4 or 5."""
-    n = draw(st.sampled_from(sorted(GENERATORS)))
+    of sizes[0] to sizes[1] generator indices at one of the ns, by default
+    8 to 10 at n = 3, 4 or 5."""
+    n = draw(st.sampled_from(ns))
     letters = st.integers(0, len(GENERATORS[n]) - 1)
-    word = draw(st.lists(letters, min_size=8, max_size=10))
+    word = draw(st.lists(letters, min_size=sizes[0], max_size=sizes[1]))
     cuts = sorted(draw(st.lists(st.integers(1, len(word) - 1), min_size=pieces - 1,
                                 max_size=pieces - 1, unique=True)))
     return n, [word[i:j] for i, j in zip([0, *cuts], [*cuts, len(word)])]
+
+
+def long_words(pieces):
+    """Words of 12 to 16 generator indices at n = 5, for the laws that build
+    no inverse closure."""
+    return words(pieces, ns=(5,), sizes=(12, 16))
 
 
 def evaluate_word(n, word):
@@ -178,11 +185,15 @@ def valid_from_scratch(g):
     return validation_failure(parse(serialize(g.machine))) is None
 
 
-# At 50 examples the four laws take about 2.2 s together, 0.4 to 0.7 s
-# each, against 0.8 s at 12 (Python 3.11 on 2 cores).  The draws follow
-# each test's source text.  Past about 50 the inverse law draws n = 4 words
-# whose inverse closures are many times their inverse core: at 200 it takes
-# nearly a minute.
+# At 50 examples the four laws take 5 to 6.5 s together (Python 3.11 on
+# 2 cores): associativity, inverse and identity 0.3 to 0.7 s each, and the
+# rsig law 4 to 5 s.  About half of the associativity and rsig examples
+# are n = 5 words of 12 to 16 factors, which take a few ms each; most of
+# the rsig law's time is the images behind the signatures of six n = 4
+# products of 126 to 336 states (1.4 s for the 288-state one).  The draws
+# follow each test's source text.  Past about 50 the inverse law draws
+# n = 4 words whose inverse closures are many times their inverse core: at
+# 200 it takes nearly a minute.
 laws = settings(max_examples=50, deadline=None, derandomize=True)
 
 
@@ -191,7 +202,7 @@ class TestGroupLaws:
     length 8 to 10 in T, U, pi_R and a block sum, at n = 3..5, and the
     validity of each word's product and inverse."""
 
-    @given(words(pieces=3))
+    @given(st.one_of(words(pieces=3), long_words(pieces=3)))
     @laws
     def test_associativity(self, case):
         n, (u, v, w) = case
@@ -216,7 +227,7 @@ class TestGroupLaws:
         g, e = evaluate_word(n, word), identity_element(n)
         assert group_product(g, e).machine == g.machine == group_product(e, g).machine
 
-    @given(words(pieces=2))
+    @given(st.one_of(words(pieces=2), long_words(pieces=2)))
     @laws
     def test_rsig_is_multiplicative(self, case):
         n, (u, v) = case

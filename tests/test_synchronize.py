@@ -403,3 +403,141 @@ class TestCore:
         got = canonical_core(core(P))
         want = canonical_core(core(product(core(A), core(W))))
         assert got == want
+
+
+# --- the core of a machine marked synchronizing, read with no collapse ------
+
+
+def unmarked(T):
+    """A copy of T whose memo keeps only the marks that canonical_core reads
+    besides "synchronizing", so its core comes from the collapse."""
+    C = Transducer._from_rows(T.n, T._rows)
+    C._memo = {k: v for k, v in T._memo.items() if k in ("minimal", "complete_response")}
+    return C
+
+
+def assert_walk_is_the_collapse(T):
+    U = unmarked(T)
+    assert sync.core_states(T) == sync.core_states(U)
+    assert canonical_core(T) == canonical_core(U)
+    assert "sync_level" not in T._memo and "sync_level" in U._memo
+
+
+def marked_arguments(calls):
+    return [c["T"] for c in calls["canonical_core"]
+            if c["T"]._memo and "synchronizing" in c["T"]._memo]
+
+
+def law_generators(n):
+    base = [machine_T(n), machine_U(n), letter_complement(n)]
+    if n == 4:
+        base.append(oplus(2, swap_transducer(), 4))
+    return [GroupElement.from_machine(M) for M in base]
+
+
+class TestCycleWalkCore:
+    """On a machine marked synchronizing, core_states reads the core from
+    the first repeated state of the letter-0 walk; the core and the
+    canonical core equal the ones the collapse gives."""
+
+    def test_random_synchronizing_tables(self):
+        seen = 0
+        for T in random_tables():
+            if sync.is_synchronizing(T):
+                M = Transducer._from_rows(T.n, T._rows)
+                M._memo = {"synchronizing": True}
+                assert sync.core_states(M) == sync.core_states(T)
+                seen += 1
+        assert seen > 10
+
+    def test_products_and_closures_of_the_verify_pools(self, record_calls):
+        from cantortx.verify import _close_pool, _generator_pool
+
+        calls = record_calls(("canonical_core",))
+        for n in (3, 4):
+            layers = _close_pool(_generator_pool(n), 3)
+            for g in layers[1] + layers[2] + layers[3]:
+                invert_element(g)
+        marked = marked_arguments(calls)
+        products = [T for T in marked if "minimal" in T._memo]
+        closures = [T for T in marked if "complete_response" in T._memo]
+        assert len(products) + len(closures) == len(marked)
+        assert len(products) > 100 and len(closures) > 50
+        for T in marked:
+            assert_walk_is_the_collapse(T)
+
+    def test_seeded_law_words(self, record_calls):
+        # words drawn as the group-law tests draw them: 8 to 10 factors of
+        # T, U, pi_R and, at n = 4, a block sum; each word's inverse too
+        rng = random.Random(23)
+        calls = record_calls(("canonical_core",))
+        for n in (3, 4, 5):
+            gens = law_generators(n)
+            for _ in range(6):
+                acc = gens[rng.randrange(len(gens))]
+                for _ in range(rng.randint(7, 9)):
+                    acc = group_product(acc, gens[rng.randrange(len(gens))])
+                invert_element(acc)
+        marked = marked_arguments(calls)
+        assert sum("complete_response" in T._memo for T in marked) == 18
+        for T in marked:
+            assert_walk_is_the_collapse(T)
+
+    def test_unmarked_machine_that_does_not_synchronize(self):
+        from cantortx.transducer import minimize_rooted
+
+        # identity and complement by turns: minimal, never synchronizing
+        turns = Transducer(2, {"s": {0: ((0,), "t"), 1: ((1,), "t")},
+                               "t": {0: ((1,), "s"), 1: ((0,), "s")}})
+        M = minimize_rooted(turns, "s")[0]
+        assert len(M.states) == 2 and "synchronizing" not in M._memo
+        for T in (turns, M):
+            with pytest.raises(NotSynchronizing):
+                sync.core_states(T)
+            with pytest.raises(NotSynchronizing):
+                canonical_core(T)
+            with pytest.raises(NotSynchronizing):
+                GroupElement.from_machine(T)
+
+    def test_only_products_and_inverses_of_valid_machines_are_marked(self, record_calls):
+        from cantortx.invert import inverse_closure, inverse_core
+        from cantortx.transducer import minimize_rooted, product
+
+        t3 = machine_T(3)
+        calls = record_calls(("canonical_core",))
+        g = GroupElement.from_machine(t3)  # the input's core, the validation's closure
+        assert len(calls["canonical_core"]) == 2 and marked_arguments(calls) == []
+        invert_element(g)  # the inverse that validation kept
+        assert len(calls["canonical_core"]) == 2
+        p = group_product(g, g)  # the minimized product
+        assert len(calls["canonical_core"]) == 3
+        assert marked_arguments(calls) == [calls["canonical_core"][2]["T"]]
+        invert_element(p)  # the closure of a machine with a passing verdict
+        assert len(calls["canonical_core"]) == 4
+        closure = calls["canonical_core"][3]["T"]
+        assert marked_arguments(calls)[1:] == [closure]
+        assert "complete_response" in closure._memo
+        # the steps on their own mark nothing
+        M = minimize_rooted(product(g.machine, g.machine), (g.machine.states[0],) * 2)[0]
+        assert M._memo == {"minimal": True}
+        assert "synchronizing" not in inverse_closure(p.machine)._memo
+        # nor does validation's closure of a machine that holds no verdict
+        fresh = Transducer._from_rows(p.n, p.machine._rows)
+        del calls["canonical_core"][:]
+        inverse_core(fresh)
+        assert marked_arguments(calls) == []
+
+
+class TestDestinationRows:
+    def test_built_once_per_machine(self, record_calls):
+        # from_machine collapses the input and validates its core and the
+        # core's closure; products, inverses and their signatures follow
+        calls = record_calls(("_destinations",))
+        g = GroupElement.from_machine(machine_T(3))
+        h = GroupElement.from_machine(machine_U(3))
+        for x in (g, h, group_product(g, h), invert_element(group_product(h, g))):
+            x.signature
+            sync.minimal_sync_level(x.machine)
+            sync.core(x.machine)
+        built = [c["T"] for c in calls["_destinations"]]
+        assert len(built) == len({id(T) for T in built}) >= 10

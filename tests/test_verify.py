@@ -3,6 +3,7 @@ generator inversions of word evaluation, and the paper suite's verdicts."""
 
 import gc
 import json
+import math
 from functools import lru_cache, partial
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from cantortx.words import EMPTY
 from cantortx.transducer import evaluate, minimize_rooted, product
+from cantortx import verify
 from cantortx.verify import (
     _oracle_pool,
     _padded_outputs_agree,
@@ -18,6 +20,7 @@ from cantortx.verify import (
     _run_then,
     check_f_relations,
     check_oracle_equivalence,
+    check_units_lattice,
     run_suite,
 )
 
@@ -219,6 +222,29 @@ class TestWordEvaluation:
         calls = record_calls(("inverse_closure",))
         assert check_f_relations() == (True, "both relations at n=3,4,5")
         assert len(calls["inverse_closure"]) == 12
+
+
+class TestUnitsLattice:
+    def test_one_lcm_claim_per_gcd_class(self, record_calls):
+        # one call per (m, gcd(i, m), gcd(j, m)) for m = 2..50, not one per
+        # (m, i, j), of which there are 42,924
+        calls = record_calls(("verify_lcm_claim",))
+        assert check_units_lattice() == (True, "lcm claim m<=50; divisor family")
+        assert len(calls["verify_lcm_claim"]) == 1086
+        assert len({(c["m"], c["i"], c["j"]) for c in calls["verify_lcm_claim"]}) == 1086
+
+    def test_failure_labels_follow_the_triples(self, monkeypatch):
+        # a claim made to fail on a few gcd classes is reported once per
+        # (m, i, j) of those classes, in the order of the triples: the
+        # first four are m=12 with (i, j) = (4, 2), (4, 6), (4, 10), (8, 2)
+        failing = {(12, 4, 2), (12, 4, 6), (50, 5, 10)}
+        monkeypatch.setattr(verify, "verify_lcm_claim",
+                            lambda m, i, j: (m, i, j) not in failing)
+        want = [f"lcm claim m={m},i={i},j={j}"
+                for m in range(2, 51) for i in range(1, m + 1) for j in range(1, m + 1)
+                if (m, math.gcd(i, m), math.gcd(j, m)) in failing]
+        assert check_units_lattice() == (False, "; ".join(want[:4]))
+        assert len(want) > 4
 
 
 class TestPaperSuite:
