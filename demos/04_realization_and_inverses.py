@@ -11,8 +11,8 @@ from cantortx.machines import (
     swap_transducer,
     viable_combinations,
 )
-from cantortx.initial import initial_equal, minimize_initial, product_initial
-from cantortx.invert import invert_initial, is_bisynchronizing_initial
+from cantortx.initial import minimize_initial, product_initial
+from cantortx.invert import bisynchronizing_failure_initial, invert_initial
 from cantortx.synchronize import core
 from cantortx.group import canonical_core
 from cantortx.signature import signature_report
@@ -26,7 +26,7 @@ for v in viable_combinations(g, max_prefix_depth=1, max_size=2):
 A = realize(g, 3)
 print("\nrealized over 3 roots:")
 print(textio.serialize(A))
-print("bi-synchronizing:", is_bisynchronizing_initial(A))
+print("bi-synchronizing:", bisynchronizing_failure_initial(A) is None)
 print("core recovers g:", canonical_core(core(A)) == canonical_core(g))
 
 Ainv = invert_initial(A)

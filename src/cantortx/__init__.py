@@ -29,7 +29,6 @@ from .transducer import (
 from .initial import (
     InitialTransducer,
     evaluate_initial,
-    initial_equal,
     minimize_initial,
     product_initial,
 )
@@ -54,7 +53,6 @@ from .invert import (
     invert_initial,
     inverse_closure,
     is_bisynchronizing_core,
-    is_bisynchronizing_initial,
     preimage_gcp,
 )
 from .signature import (

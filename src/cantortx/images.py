@@ -269,6 +269,9 @@ def is_injective_state(T, q):
 
 
 def is_homeomorphism_state(T, q):
+    """True iff h_q is a homeomorphism of the whole space; at the initial
+    state of an initial machine, of the r-rooted space, as every state is
+    reachable from there."""
     return images(T)[q].is_whole() and is_injective_state(T, q)
 
 
@@ -341,17 +344,3 @@ def analyze(T):
         for q in T.states
     }
     return reports, orientation(T)
-
-
-# --- images over the r-rooted space ---------------------------------------
-
-
-def is_injective_initial(A):
-    """True iff at every state the images of distinct branches are pairwise
-    disjoint."""
-    return not non_injective_states(A)
-
-
-def is_homeomorphism_initial(A):
-    """True iff the induced map of C_{n,r} is a homeomorphism."""
-    return is_injective_initial(A) and images(A)[A.root].is_whole()

@@ -12,8 +12,8 @@ row: every state q has `row(q)`, the tuple of (output, destination) pairs
 indexed by letter, except the initial state, whose entry row is indexed by
 root letter (the symbol .a reads cell a).  So the analyses of plain machines
 (forced outputs, productivity, partition refinement, preimage search, the
-image fixpoint) run on the non-initial states unchanged, and `run` is the one
-evaluation loop over symbols.
+image fixpoint, evaluation) run on initial machines unchanged: on the
+non-initial states, or from the initial state with a root symbol first.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from .words import (
 )
 from .transducer import (
     DegenerateTransducer,
-    Transducer,
     check_productive,
     common_prefixes,
+    evaluate,
     memoized,
     minimal_rows,
     pump_period,
@@ -139,9 +139,9 @@ class InitialTransducer:
         row = self._rows.get(q)
         if row is not None:
             if q == self.root:
-                if is_dot(sym) and sym[1] in range(self.r):
+                if is_dot(sym) and isinstance(sym[1], int) and 0 <= sym[1] < self.r:
                     return row[sym[1]]
-            elif sym in range(self.n):
+            elif isinstance(sym, int) and 0 <= sym < self.n:
                 return row[sym]
         raise InvalidInput(f"no transition for state {q!r} on {sym!r}")
 
@@ -210,30 +210,18 @@ class InitialTransducer:
         return f"<InitialTransducer n={self.n} r={self.r} states={len(self.states)}>"
 
 
-def run(M, q, w):
-    """Run the symbols of w from state q of a plain or initial machine M:
-    (accumulated output, end state).  At the initial state the first symbol
-    is a root marker, and a rooted word fed to an initial machine must reach
-    its marker while the machine still sits at its initial state."""
-    out = []
-    for sym in w:
-        piece, q = M.step(q, sym)
-        out.extend(piece)
-    return tuple(out), q
-
-
 def evaluate_initial(A, a, w):
     """Run the dotted input .a w from the initial state.
     Returns (output rooted word, end state)."""
     if not (0 <= a < A.r):
         raise InvalidInput(f"root letter {a} out of range")
-    return run(A, A.root, (dot(a),) + tuple(w))
+    return evaluate(A, A.root, (dot(a),) + tuple(w))
 
 
 def evaluate_periodic_initial(A, a, x):
     """Image of the point .a x, x eventually periodic: (output root, point)."""
     head, q = evaluate_initial(A, a, x.pre)
-    pre, per = pump_period(run, A, head, q, x.per)
+    pre, per = pump_period(A, head, q, x.per)
     root, tail = split_rooted(pre)
     if root is None or not per:
         raise DegenerateTransducer("initial machine produced a degenerate output")
@@ -252,7 +240,7 @@ def product_initial(A, B):
         qa, qb = state = queue.pop()
         row = []
         for w, qa2 in A.row(qa):
-            v, qb2 = run(B, qb, w)
+            v, qb2 = evaluate(B, qb, w)
             nxt = (qa2, qb2)
             row.append((v, nxt))
             if nxt not in seen:
@@ -289,21 +277,3 @@ def _minimize(A):
     M = InitialTransducer(A.n, A.r, table.pop("0"), table, root="0")
     M._memo = {"minimal": True}
     return M
-
-
-def initial_equal(A, B):
-    return minimize_initial(A) == minimize_initial(B)
-
-
-def underlying_interior(A):
-    """The non-initial part of the machine as a plain total transducer over
-    X_n (every non-initial state reads plain letters).  Outputs keep their
-    root markers only in the pending region; for synchronization the outputs
-    are irrelevant, and core states are always past the output root."""
-    return Transducer._from_rows(
-        A.n,
-        {
-            q: tuple((split_rooted(w)[1], p) for w, p in A.row(q))
-            for q in A.states[1:]
-        },
-    )

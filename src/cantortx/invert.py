@@ -60,7 +60,7 @@ from __future__ import annotations
 from .words import EMPTY, InvalidInput, subtract_prefix
 from .transducer import DegenerateTransducer, Transducer, memoized
 from .initial import InitialTransducer, dot, minimize_initial
-from .images import images, is_homeomorphism_initial, non_injective_states
+from .images import images, is_homeomorphism_state, non_injective_states
 from .synchronize import (
     NotSynchronizing,
     canonical_core,
@@ -278,7 +278,7 @@ def invert_initial(A):
 
 def _invert_minimal(A):
     """invert_initial(A) of a minimal A, computed."""
-    if not is_homeomorphism_initial(A):
+    if not is_homeomorphism_state(A, A.root):
         raise InvalidInput("machine is not a homeomorphism, cannot invert")
     inv_root = (EMPTY, A.root)
     step = _inverse_step(A)
@@ -295,7 +295,7 @@ def bisynchronizing_failure_initial(A):
     """None when A is bi-synchronizing; otherwise the reason, distinguishing
     non-invertible machines from invertible but non-synchronizing ones."""
     A = minimize_initial(A)
-    if not is_homeomorphism_initial(A):
+    if not is_homeomorphism_state(A, A.root):
         return "not invertible: the induced map is not a homeomorphism"
     if not is_synchronizing(A):
         return "the machine itself is not synchronizing"
@@ -303,6 +303,3 @@ def bisynchronizing_failure_initial(A):
         return "the inverse is not synchronizing"
     return None
 
-
-def is_bisynchronizing_initial(A):
-    return bisynchronizing_failure_initial(A) is None

@@ -30,7 +30,7 @@ from .initial import (
     rooted_word,
 )
 from .synchronize import is_synchronizing
-from .images import images, orientation, Orientation
+from .images import images, is_homeomorphism_state, orientation, Orientation
 
 
 def identity_transducer(n):
@@ -533,9 +533,8 @@ def _verify_realization(A, want):
     from . import group
     from .synchronize import core
     from .invert import bisynchronizing_failure_initial
-    from .images import is_homeomorphism_initial
 
-    if not is_homeomorphism_initial(A):
+    if not is_homeomorphism_state(A, A.root):
         raise RealizeError("constructed machine is not a homeomorphism")
     if group.canonical_core(core(A)) != want:
         raise RealizeError("constructed machine has the wrong core")

@@ -5,7 +5,11 @@ A machine is synchronizing when some length k exists with the property that
 the end state after reading any length-k word is independent of the start
 state; the least such k is the minimal synchronizing level.  Only the
 destinations matter, so every routine here reads the rows
-{state: destination per letter} (of the interior for an initial machine).
+{state: destination per letter} (of the interior, the non-initial states,
+for an initial machine).  The core of an initial machine is a plain
+machine on its own rows: every forced state lies on a cycle, and the
+pending region before the output root has none, so no core row outputs a
+root marker.
 
 The counted collapse merges states whose destination rows agree, then
 repeats on the quotient, counting its rounds.  Two facts make it exact:
@@ -61,7 +65,7 @@ from .transducer import (
     renamed_rows,
     restrict,
 )
-from .initial import InitialTransducer, underlying_interior
+from .initial import InitialTransducer
 
 
 class NotSynchronizing(ValueError):
@@ -75,9 +79,8 @@ def _destination_rows(T):
 
 
 def _destinations(T):
-    if isinstance(T, InitialTransducer):
-        T = underlying_interior(T)
-    return {q: tuple(p for _, p in row) for q, row in T._rows.items()}
+    states = T.states[1:] if isinstance(T, InitialTransducer) else T.states
+    return {q: tuple(p for _, p in T._rows[q]) for q in states}
 
 
 def _collapse_rounds(rows):
@@ -219,11 +222,9 @@ def mark_synchronizing(M):
 def core(T):
     """The sub-transducer on the forced states; strongly connected and equal
     to its own core.  For an initial machine the forced states are taken
-    among the states reachable from the initial state (the interior)."""
-    states = sorted(core_states(T), key=str)
-    if isinstance(T, InitialTransducer):
-        T = underlying_interior(T)
-    return restrict(T, states)
+    among its interior, and their rows are plain rows (see the module
+    docstring)."""
+    return restrict(T, sorted(core_states(T), key=str))
 
 
 def canonical_core(T):

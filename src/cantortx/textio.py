@@ -10,7 +10,7 @@ Parsing is strict: every (state, letter) pair must appear exactly once."""
 
 from __future__ import annotations
 
-from .words import EMPTY, InvalidInput, format_word, parse_word
+from .words import InvalidInput, format_word, parse_dotted, parse_word
 from .transducer import Transducer
 from .initial import InitialTransducer, dot, is_dot, rooted_word, split_rooted
 
@@ -62,15 +62,10 @@ def serialize(T):
     return "\n".join(lines) + "\n"
 
 
-def _parse_out(text, lineno):
+def _parse_out(text):
     text = text.strip()
     if text.startswith("."):
-        head, _, rest = text[1:].partition(",")
-        try:
-            root = int(head)
-        except ValueError:
-            raise ParseError(lineno, f"bad dotted output {text!r}") from None
-        return rooted_word(root, parse_word(rest) if rest else EMPTY)
+        return rooted_word(*parse_dotted(text))
     return parse_word(text)
 
 
@@ -153,9 +148,11 @@ def parse(text):
             if r > 0 and src == initial:
                 raise ParseError(lineno, "the initial state reads only dotted letters")
         try:
-            out = _parse_out(out_tok, lineno)
+            out = _parse_out(out_tok)
         except InvalidInput as exc:
             raise ParseError(lineno, str(exc)) from None
+        if r == 0 and out and is_dot(out[0]):
+            raise ParseError(lineno, "dotted output in a plain machine")
         if (src, sym) in entries:
             raise ParseError(lineno, f"duplicate transition {src} {letter_tok}")
         entries[(src, sym)] = (out, dst)

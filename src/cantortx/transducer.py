@@ -84,8 +84,9 @@ class Transducer:
 
     def step(self, q, i):
         """One letter: (output word, destination)."""
+        check_letters(self.n, (i,))
         row = self._rows.get(q)
-        if row is None or i not in range(self.n):
+        if row is None:
             raise InvalidInput(f"no transition for state {q!r} on letter {i}")
         return row[i]
 
@@ -143,14 +144,20 @@ def memoized(M, key, compute):
     return memo[key]
 
 
-def evaluate(T, q, w):
-    """Run the word w from state q: (accumulated output, end state)."""
-    check_letters(T.n, w)
-    rows = T._rows
-    if w and q not in rows:
-        T.step(q, w[0])  # raises the unknown-state error
-    out = []
-    for i in w:
+def evaluate(M, q, w):
+    """Run the word w from state q of a plain or initial machine M:
+    (accumulated output, end state).  No edge enters the initial state, so
+    only the first symbol can be a root symbol .a; step checks the state
+    and that symbol, check_letters the rest, and the rows are read
+    unchecked."""
+    if not w:
+        return (), q
+    piece, q = M.step(q, w[0])
+    rest = w[1:]
+    check_letters(M.n, rest)
+    rows = M._rows
+    out = list(piece)
+    for i in rest:
         piece, q = rows[q][i]
         out.extend(piece)
     return tuple(out), q
@@ -291,15 +298,14 @@ def product(A, B):
     return Transducer._from_rows(A.n, rows)
 
 
-def pump_period(walk, M, head, q, per):
-    """Pump the period word `per` from state q of M, where walk(M, q, w)
-    runs w as evaluate and run do, until the state repeats at a period
-    boundary: (head followed by the output before the cycle, the output
-    around the cycle)."""
+def pump_period(M, head, q, per):
+    """Pump the period word `per` from state q of the plain or initial
+    machine M until the state repeats at a period boundary: (head followed
+    by the output before the cycle, the output around the cycle)."""
     seen = {q: 0}
     chunks = []
     while True:
-        piece, q = walk(M, q, per)
+        piece, q = evaluate(M, q, per)
         chunks.append(piece)
         if q in seen:
             break
@@ -315,7 +321,7 @@ def evaluate_periodic(T, q, x):
     Runs the preperiod, then pumps the period until the machine state repeats
     at a period boundary."""
     head, s = evaluate(T, q, x.pre)
-    pre, per = pump_period(evaluate, T, head, s, x.per)
+    pre, per = pump_period(T, head, s, x.per)
     if not per:
         raise DegenerateTransducer(
             "state map produces a finite output on an infinite input"

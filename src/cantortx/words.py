@@ -31,9 +31,11 @@ class InvalidInput(ValueError):
 
 
 def check_letters(n, w):
+    """Raise InvalidInput naming the first symbol of w that is not a letter
+    0..n-1: one out of range, or one that is no int, as a root symbol."""
     for a in w:
-        if not (0 <= a < n):
-            raise InvalidInput(f"letter {a} out of range for alphabet of size {n}")
+        if not (isinstance(a, int) and 0 <= a < n):
+            raise InvalidInput(f"letter {a!r} out of range for alphabet of size {n}")
 
 
 def is_prefix(u, v):

@@ -200,9 +200,13 @@ class TestErrors:
         (("partition", "--n", "0", "--sigs", "1"), 2, "argument --n: must be at least 2"),
         (("mul", "-", "-"), 2, "stdin can be read only once"),
         (("product", "-", "-"), 2, "stdin can be read only once"),
+        (("parse", "{dotted}"), 1, "error: line 2: dotted output in a plain machine"),
+        (("sig", "{dotted}"), 1, "error: line 2: dotted output in a plain machine"),
     ])
     def test_bad_paths_and_arguments_name_one_error(self, tmp_path, capsys, argv, code, message):
-        names = {"missing": str(tmp_path / "missing.tx"), "tmp": str(tmp_path)}
+        dotted = tmp_path / "dotted.tx"
+        dotted.write_text("TRANSDUCER n=2 r=0 states=a initial=-\na 0 -> a : .0\na 1 -> a : 1\n")
+        names = {"missing": str(tmp_path / "missing.tx"), "tmp": str(tmp_path), "dotted": str(dotted)}
         try:
             got = main([arg.format(**names) for arg in argv])
         except SystemExit as exc:

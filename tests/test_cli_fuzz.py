@@ -44,13 +44,25 @@ def random_machine(rng):
     return serialize(Transducer(n, table))
 
 
+def dotted_output(rng, text):
+    """A plain machine's text with one output replaced by a dotted word,
+    which only an initial machine may output."""
+    lines = text.splitlines()
+    k = rng.randrange(1, len(lines))
+    lines[k] = lines[k].rpartition(":")[0] + ": " + rng.choice((".0", ".1,0", ".0,1,1"))
+    return "\n".join(lines) + "\n"
+
+
 def random_text(rng, realized):
-    """A random machine, a realized (initial) machine, or a malformed text."""
-    kind = rng.randrange(6)
+    """A random machine, a realized (initial) machine, a plain machine with
+    a dotted output, or a malformed text."""
+    kind = rng.randrange(7)
     if kind < 3:
         return random_machine(rng)
     if kind == 3:
         return realized
+    if kind == 4:
+        return dotted_output(rng, random_machine(rng))
     text = random_machine(rng)
     return rng.choice((text[: rng.randrange(len(text))], "", "garbage\n"))
 

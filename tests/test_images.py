@@ -28,7 +28,6 @@ from cantortx.images import (
     analyze,
     image,
     images,
-    is_homeomorphism_initial,
     is_homeomorphism_state,
     is_injective_state,
     m_of_state,
@@ -226,9 +225,10 @@ class TestInitialImages:
         assert images(B)[B.root].is_whole()
 
     def test_homeomorphism_initial(self):
-        assert is_homeomorphism_initial(state_wrapper(machine_T(3), "a", 1))
-        assert not is_homeomorphism_initial(state_wrapper(machine_g4(), "a", 1))
-        assert is_homeomorphism_initial(state_wrapper(identity_transducer(2), "0", 3))
+        for T, q, r, want in ((machine_T(3), "a", 1, True), (machine_g4(), "a", 1, False),
+                              (identity_transducer(2), "0", 3, True)):
+            A = state_wrapper(T, q, r)
+            assert is_homeomorphism_state(A, A.root) == want
 
 
 # --- the round-based image fixpoint -----------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from functools import lru_cache
 from itertools import product as cartesian
 from pathlib import Path
@@ -17,24 +18,37 @@ from cantortx.words import (
     whole_rooted,
     whole_space,
 )
-from cantortx.transducer import DegenerateTransducer, DepthExceeded, common_prefixes
+from cantortx.transducer import (
+    DegenerateTransducer,
+    DepthExceeded,
+    Transducer,
+    common_prefixes,
+    evaluate,
+    restrict,
+)
 from cantortx.initial import (
     DONE,
     InitialTransducer,
     dot,
     evaluate_initial,
     evaluate_periodic_initial,
-    initial_equal,
     minimize_initial,
     product_initial,
     rooted_word,
-    run,
     split_rooted,
 )
-from cantortx.images import NotClopenImage, images, is_homeomorphism_initial
+from cantortx.images import (
+    NotClopenImage,
+    images,
+    is_homeomorphism_state,
+    non_injective_states,
+)
+from cantortx.synchronize import NotSynchronizing, core, core_states
 from cantortx.invert import invert_initial, preimage_gcp
 from cantortx.machines import (
+    PrefixExchange,
     RealizeError,
+    from_prefix_exchange,
     identity_transducer,
     letter_complement,
     machine_T,
@@ -164,12 +178,12 @@ class TestProductMinimize:
                 "q": {0: ((0,), "p"), 1: ((1,), "q")},
             },
         )
-        assert initial_equal(A, B)
+        assert minimize_initial(A) == minimize_initial(B)
 
     def test_reversing_wrapper_involution(self):
         W = reversing_complement_wrapper(3, 2)
         P = minimize_initial(product_initial(W, W))
-        assert initial_equal(P, identity_wrapper(3, 2))
+        assert minimize_initial(P) == minimize_initial(identity_wrapper(3, 2))
 
     def test_minimize_strips_incomplete_response(self):
         # root output missing the forced prefix: interior always emits 1 first
@@ -198,7 +212,7 @@ class TestProductMinimize:
         out, _ = M.step(M.root, dot(0))
         assert split_rooted(out) == (1, EMPTY)
         assert len(M.states) == 2  # the pending state dissolves into the sink
-        assert initial_equal(A, M)
+        assert minimize_initial(A) == minimize_initial(M)
 
     def test_minimize_idempotent(self):
         from cantortx.machines import machine_g4, realize
@@ -373,7 +387,7 @@ def reference_inverse_closure_initial(A):
     """(minimized A, entry row, rows, entry state) of the inverse of A,
     closed forward with no cap."""
     A = reference_minimize_initial(A)
-    assert is_homeomorphism_initial(A)
+    assert is_homeomorphism_state(A, A.root)
     inv_root = (EMPTY, A.root)
     root_table = {}
     table = {}
@@ -384,7 +398,7 @@ def reference_inverse_closure_initial(A):
         w, q = state
         target = w + (sym,)
         v = preimage_gcp(A, q, target)
-        out, p = run(A, q, v)
+        out, p = evaluate(A, q, v)
         return v, (subtract_prefix(out, target), p)
 
     for b in range(A.r):
@@ -434,6 +448,75 @@ def raw_products():
         W = reversing_complement_wrapper(A.n, A.r)
         yield label + " *W", product_initial(A, W)
         yield label + " W*", product_initial(W, A)
+
+
+def random_antichain(rng, n, r, splits):
+    """A complete antichain over r roots: the roots, then `splits` random
+    leaves each replaced by their n children."""
+    leaves = [(a, EMPTY) for a in range(r)]
+    for _ in range(splits):
+        a, w = leaves.pop(rng.randrange(len(leaves)))
+        leaves.extend((a, w + (i,)) for i in range(n))
+    return leaves
+
+
+def prefix_exchanges():
+    """Seeded random prefix exchanges, n = 2..4 and r = 1..3."""
+    rng = random.Random(24)
+    for n in (2, 3, 4):
+        for r in (1, 2, 3):
+            for k in range(4):
+                splits = rng.randrange(5)
+                domain = random_antichain(rng, n, r, splits)
+                range_ = random_antichain(rng, n, r, splits)
+                bijection = list(range(len(domain)))
+                rng.shuffle(bijection)
+                pe = PrefixExchange(n, r, domain, range_, tuple(bijection))
+                yield f"exchange n={n} r={r} #{k}", from_prefix_exchange(pe)
+
+
+def random_initial_machines(count=100):
+    """Seeded random initial machines: 1 to 4 states past the output root,
+    and a pending state w that outputs a rooted word; each root letter
+    enters w with the empty output, or a state past the root with a rooted
+    word.  A state past the root permutes the letters, or outputs words 1
+    or 2 letters long."""
+    rng = random.Random(2024)
+    for k in range(count):
+        n, r = rng.randint(2, 4), rng.randint(1, 3)
+        names = [f"s{j}" for j in range(rng.randint(1, 4))]
+
+        def word(lo, hi):
+            return tuple(rng.randrange(n) for _ in range(rng.randint(lo, hi)))
+
+        def rooted():
+            return rooted_word(rng.randrange(r), word(0, 2)), rng.choice(names)
+
+        def row():
+            outs = rng.sample([(i,) for i in range(n)], n) if rng.random() < 0.7 else [
+                word(1, 2) for _ in range(n)]
+            return {i: (w, rng.choice(names)) for i, w in enumerate(outs)}
+
+        table = {q: row() for q in names}
+        table["w"] = {i: rooted() for i in range(n)}
+        entry = {a: (EMPTY, "w") if rng.random() < 0.5 else rooted() for a in range(r)}
+        yield f"random #{k}", InitialTransducer(n, r, entry, table)
+
+
+def kernel_cases():
+    """Realized machines, prefix exchanges and random initial machines."""
+    yield from realized_cases()[::3]
+    yield from prefix_exchanges()
+    yield from random_initial_machines()
+
+
+def stepwise(M, q, w):
+    """Run w from q one checked step per symbol."""
+    out = ()
+    for sym in w:
+        piece, q = M.step(q, sym)
+        out += piece
+    return out, q
 
 
 class TestRowKernel:
@@ -519,6 +602,57 @@ class TestRowKernel:
                 assert invert_initial(A) == reference_invert_initial(A), label
         assert checked > 600, checked
 
+    def test_evaluate_matches_stepwise_reference(self):
+        # from the initial state with a root symbol first, and from every
+        # other state on letters only
+        rng = random.Random(7)
+        for label, A in kernel_cases():
+            for _ in range(20):
+                w = tuple(rng.randrange(A.n) for _ in range(rng.randrange(7)))
+                for a in range(A.r):
+                    rooted = (dot(a),) + w
+                    got = evaluate(A, A.root, rooted)
+                    assert got == evaluate_initial(A, a, w) == stepwise(A, A.root, rooted), label
+                for q in A.states[1:]:
+                    assert evaluate(A, q, w) == stepwise(A, q, w), label
+
+    def test_homeomorphism_at_the_root_is_injectivity_everywhere(self):
+        # every state is reachable from the initial state, so the initial
+        # state is injective exactly when no state is non-injective
+        seen = set()
+        for label, A in kernel_cases():
+            try:
+                want = not non_injective_states(A) and images(A)[A.root].is_whole()
+            except NotClopenImage:
+                with pytest.raises(NotClopenImage):
+                    is_homeomorphism_state(A, A.root)
+                seen.add(None)
+                continue
+            assert is_homeomorphism_state(A, A.root) == want, label
+            seen.add(want)
+        assert seen == {True, False, None}
+
+    def test_core_is_the_restricted_interior(self):
+        # the non-initial rows with their root markers stripped, as a plain
+        # machine, restricted to its forced states
+        seen = set()
+        for label, A in kernel_cases():
+            interior = Transducer(A.n, {
+                q: {i: (split_rooted(w)[1], p) for i, (w, p) in enumerate(A.row(q))}
+                for q in A.states[1:]
+            })
+            try:
+                want = restrict(interior, sorted(core_states(interior), key=str))
+            except NotSynchronizing:
+                with pytest.raises(NotSynchronizing):
+                    core(A)
+                seen.add(False)
+                continue
+            got = core(A)
+            assert got == want and got.states == want.states, label
+            seen.add(True)
+        assert seen == {True, False}
+
     def test_forced_outputs_match_reference(self):
         # the non-initial states of the realized machines and of their raw
         # products with the complement wrapper
@@ -582,7 +716,8 @@ class TestRows:
         A = self.machine()
         q = A.states[1]
         for bad in [("zz", 0), ("zz", dot(0)), (q, dot(0)), (A.root, 0),
-                    (A.root, dot(2)), (A.root, dot(-1)), (q, 3), (q, -1)]:
+                    (A.root, dot(2)), (A.root, dot(-1)), (q, 3), (q, -1),
+                    (q, 1.0), (A.root, dot(1.0)), (A.root, dot("0"))]:
             with pytest.raises(InvalidInput):
                 A.step(*bad)
         with pytest.raises(InvalidInput):

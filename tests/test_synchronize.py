@@ -10,7 +10,7 @@ import pytest
 
 from cantortx import synchronize as sync
 from cantortx.transducer import Transducer, evaluate
-from cantortx.initial import InitialTransducer, underlying_interior
+from cantortx.initial import InitialTransducer
 from cantortx.synchronize import NotSynchronizing, core, forced_state
 from cantortx.machines import (
     identity_transducer,
@@ -50,9 +50,9 @@ class Automaton:
 
 
 def automaton_of(T):
-    if isinstance(T, InitialTransducer):
-        T = underlying_interior(T)
-    return Automaton(T.n, {q: tuple(p for _, p in T.row(q)) for q in T.states})
+    # the interior of an initial machine: every state but the initial one
+    states = T.states[1:] if isinstance(T, InitialTransducer) else T.states
+    return Automaton(T.n, {q: tuple(p for _, p in T.row(q)) for q in states})
 
 
 def collapse(A):

@@ -77,6 +77,17 @@ class TestStrictness:
         with pytest.raises(ParseError):
             parse("TRANSDUCER n=2 r=0 states=q initial=-\nq .0 -> q : 0\nq 1 -> q : 1\n")
 
+    def test_dotted_output_errors_name_their_line(self):
+        # a dotted output in a plain machine, and a malformed one
+        for header, out in (("n=2 r=0 states=q initial=-", ".0"),
+                            ("n=2 r=0 states=q initial=-", ".1,0"),
+                            ("n=2 r=1 states=s,q initial=s", ".x,0"),
+                            ("n=2 r=1 states=s,q initial=s", ".0,2,y")):
+            text = f"TRANSDUCER {header}\nq 0 -> q : {out}\nq 1 -> q : 1\n"
+            with pytest.raises(ParseError) as exc:
+                parse(text)
+            assert exc.value.lineno == 2 and str(exc.value).startswith("line 2: ")
+
     def test_initial_flag_consistency(self):
         with pytest.raises(ParseError):
             parse("TRANSDUCER n=2 r=1 states=q initial=-\n")

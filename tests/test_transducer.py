@@ -70,6 +70,21 @@ class TestEvaluate:
         with pytest.raises(Exception):
             evaluate(identity_transducer(2), "0", (2,))
 
+    def test_root_symbol_only_first_and_only_at_the_initial_state(self):
+        # one loop for both kinds: a root symbol after the first symbol is
+        # not a letter, on a plain machine and on an initial one
+        from cantortx.initial import dot
+        from cantortx.machines import state_wrapper
+        from cantortx.words import InvalidInput
+
+        g = machine_g4()
+        A = state_wrapper(g, "a", 2)
+        for M, q, w in ((g, "a", (0, dot(0))), (g, "a", (1, 2, dot(1), 0)), (g, "a", (dot(0),)),
+                        (A, A.root, (dot(0), dot(1))), (A, A.root, (dot(1), 0, dot(0))),
+                        (A, "a", (0, dot(0))), (A, "a", (dot(0),)), (A, A.root, (0,))):
+            with pytest.raises(InvalidInput):
+                evaluate(M, q, w)
+
     @given(st.integers(0, 10**9),
            st.lists(st.integers(0, 1), max_size=5),
            st.lists(st.integers(0, 1), max_size=5))
@@ -89,7 +104,7 @@ class TestRows:
 
         for T in (machine_g4(), machine_T(3), identity_transducer(2)):
             q = T.states[0]
-            for bad in (-1, T.n):
+            for bad in (-1, T.n, 1.0, "0", ("^", 0)):
                 with pytest.raises(InvalidInput):
                     T.step(q, bad)
             with pytest.raises(InvalidInput):
@@ -133,9 +148,9 @@ class TestRows:
         # machines the library builds without the constructor's checks are
         # valid tables, equal to what the checked constructor makes of them
         from cantortx.group import canonical_core
-        from cantortx.initial import underlying_interior
         from cantortx.invert import inverse_closure
         from cantortx.machines import realize
+        from cantortx.synchronize import core
         from cantortx.transducer import merged_rows, relabel, restrict
 
         def rebuilt(M):
@@ -152,7 +167,7 @@ class TestRows:
             minimize_rooted(P, P.states[0])[0],
             canonical_core(P),
             inverse_closure(machine_g4()),
-            underlying_interior(realize(T3, 2)),
+            core(realize(T3, 2)),
         ]
         for M in built:
             R = rebuilt(M)
@@ -161,9 +176,17 @@ class TestRows:
     def test_unknown_start_state_in_evaluate(self):
         from cantortx.words import InvalidInput
 
+        from cantortx.initial import dot
+        from cantortx.machines import state_wrapper
+
         with pytest.raises(InvalidInput):
             evaluate(machine_g4(), "zz", (0,))
         assert evaluate(machine_g4(), "zz", ()) == ((), "zz")
+        A = state_wrapper(machine_g4(), "a", 2)
+        for w in ((0,), (dot(0),)):
+            with pytest.raises(InvalidInput):
+                evaluate(A, "zz", w)
+        assert evaluate(A, "zz", ()) == ((), "zz")
 
 
 class TestEvaluatePeriodic:
