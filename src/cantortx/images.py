@@ -2,7 +2,7 @@
 injectivity, homeomorphism states, and lexicographic orientation.
 
 Images are computed as the stabilizing limit of the decreasing approximants
-A_0(q) = whole space, A_{m+1}(q) = union over letters of out(i,q).A_m(dest);
+A_0(q) = whole(M, q), A_{m+1}(q) = union over letters of out(i,q).A_m(dest);
 on stabilization the fixpoint equation holds exactly, and for a productive
 machine the fixpoint is exactly the image.  The approximants are computed in
 rounds, and a round recomputes only the states with a successor whose
@@ -10,7 +10,9 @@ approximant changed in the round before.  The rounds settle exactly when
 every image is clopen, so a machine whose rounds pass |Q| rounds is decided
 once by the residual test (_check_clopen), which raises NotClopenImage or
 lets the rounds run on to their certain end.  Plain and initial machines
-share the rounds and the test.  The images, the non-injective states and the
+share the rounds, the test and one clopen type: the image of an initial or
+pending state is a ClopenSet whose cones start with their root symbol .a,
+as a rooted output word does.  The images, the non-injective states and the
 orientation are memoized on the machine."""
 
 from __future__ import annotations
@@ -22,28 +24,40 @@ from itertools import count
 from .words import (
     ClopenSet,
     EvPeriodicWord,
-    RootedClopen,
     _merge_cones,
-    empty_clopen,
     lex_compare_evp,
     pairwise_disjoint,
-    whole_rooted,
     whole_space,
     GREATER,
 )
 from .transducer import Transducer, check_productive, evaluate_periodic, memoized
-from .initial import DONE, split_rooted
+from .initial import DONE, dot
 
 
 class NotClopenImage(RuntimeError):
     """The image of some state is not clopen."""
 
 
+def whole(M, q):
+    """The space that state q of the plain or initial machine M maps into:
+    the whole space, or at the initial and pending states of an initial
+    machine the r-rooted space, the r cones .a."""
+    if isinstance(M, Transducer) or M.region[q] is DONE:
+        return whole_space(M.n)
+    return ClopenSet(M.n, tuple((dot(a),) for a in range(M.r)))
+
+
 def _fixpoint(M):
     """The images of the plain or initial machine M: rounds of
-    img[q] = value(q) over its states, from the whole space (the whole
-    rooted space at the initial and pending states), until a round changes
-    nothing.
+    img[q] = value(q) over its states, from whole(M, q), until a round
+    changes nothing.
+
+    One value serves both kinds.  A pending edge outputs nothing (to a
+    pending state) or a word that starts with a root symbol (to a done
+    state), so every cone of a pending image starts with a root symbol and
+    no cone of a done image has one: the merge never compares a root symbol
+    with a letter, and it never merges the r root cones, as a root symbol
+    is not the letter n-1.
 
     Each round computes new approximants from the previous round's.  Round 1
     recomputes every state; a later round recomputes only the predecessors
@@ -52,22 +66,12 @@ def _fixpoint(M):
     rounds as with every state recomputed.  Rounds that have changed
     something |Q| times are checked once by _check_clopen."""
     n, rows = M.n, M._rows
-    if isinstance(M, Transducer):
+    if isinstance(M, Transducer):  # an initial machine checks on construction
         check_productive(M)
-        img = {q: whole_space(n) for q in M.states}
+    img = {q: whole(M, q) for q in M.states}
 
-        def value(q):
-            return _merge_cones(n, [w + c for w, p in rows[q] for c in img[p].cones])
-    else:
-        img = {q: whole_space(n) if M.region[q] is DONE else whole_rooted(n, M.r)
-               for q in M.states}
-
-        def value(q):
-            pieces = [_rooted_branch(M, img, w, p) for w, p in rows[q]]
-            acc = pieces[0]
-            for piece in pieces[1:]:
-                acc = acc.union(piece)
-            return acc
+    def value(q):
+        return _merge_cones(n, [w + c for w, p in rows[q] for c in img[p].cones])
 
     preds = {q: set() for q in M.states}
     for p in M.states:
@@ -193,9 +197,10 @@ def _residual_graph(M):
 
 
 def images(M):
-    """Exact clopen image of every state of a plain or initial machine M: a
-    ClopenSet for a state of a plain machine or past the output root, a
-    RootedClopen for the initial state and the pending states."""
+    """Exact clopen image of every state of a plain or initial machine M, as
+    a ClopenSet; at the initial state and the pending states its cones start
+    with their root symbol .a.  It is the space the state maps into exactly
+    when it equals whole(M, q)."""
     return memoized(M, "images", lambda: _fixpoint(M))
 
 
@@ -209,32 +214,15 @@ def m_of_state(T, q):
     return len(image(T, q).cones)
 
 
-def _rooted_branch(A, img, w, p):
-    """The image of the branch of the plain or initial machine A that
-    outputs w and moves to p, given the images img."""
-    root, tail = split_rooted(w)
-    target = img[p]
-    if root is None:
-        if isinstance(target, RootedClopen):
-            # pending output, pending successor: the structure rules make
-            # the tail empty here, so the branch image is the target's
-            return target
-        return target.shift(tail)
-    parts = [empty_clopen(A.n)] * A.r
-    parts[root] = target.shift(tail)
-    return RootedClopen(A.n, A.r, parts)
-
-
 def _branches_disjoint(M, img, p):
-    """Are the images of the branches at state p pairwise disjoint?  The
-    cones of all branches are sorted once, and once per root over the
-    rooted space, and only neighbours are compared (pairwise_disjoint)."""
-    if isinstance(M, Transducer):  # plain outputs carry no root marker
-        return pairwise_disjoint([img[d].shift(w) for w, d in M.row(p)])
-    pieces = [_rooted_branch(M, img, w, d) for w, d in M.row(p)]
-    if isinstance(pieces[0], ClopenSet):
-        return pairwise_disjoint(pieces)
-    return all(pairwise_disjoint(parts) for parts in zip(*(b.parts for b in pieces)))
+    """Are the images of the branches at state p of the plain or initial
+    machine M pairwise disjoint?  The cones of all branches are sorted once
+    and only neighbours are compared (pairwise_disjoint); at a pending state
+    they all start with a root symbol, and cones of two roots never nest."""
+    n = M.n
+    return pairwise_disjoint(
+        [ClopenSet(n, tuple(w + c for c in img[d].cones)) for w, d in M.row(p)]
+    )
 
 
 def non_injective_states(M):
@@ -272,7 +260,7 @@ def is_homeomorphism_state(T, q):
     """True iff h_q is a homeomorphism of the whole space; at the initial
     state of an initial machine, of the r-rooted space, as every state is
     reachable from there."""
-    return images(T)[q].is_whole() and is_injective_state(T, q)
+    return images(T)[q] == whole(T, q) and is_injective_state(T, q)
 
 
 class Orientation(Enum):
@@ -339,7 +327,7 @@ def analyze(T):
             image=img[q],
             m=len(img[q].cones),
             injective=q not in bad,
-            homeomorphism=q not in bad and img[q].is_whole(),
+            homeomorphism=q not in bad and img[q] == whole(T, q),
         )
         for q in T.states
     }

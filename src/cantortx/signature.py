@@ -186,6 +186,11 @@ def _check_root_count(n, r):
         raise InvalidInput(f"root count must be in 1..{n - 1}")
 
 
+def _congruence_holds(n, r, sig):
+    """The membership congruence r*(sig - 1) = 0 mod n-1."""
+    return r * (sig - 1) % (n - 1) == 0
+
+
 def membership_failure(T, r, ordered):
     """The reason T is not a member over r roots, ordered or not: None for a
     member, else validation_failure(T), CONGRUENCE_FAILS or (ordered only)
@@ -195,7 +200,7 @@ def membership_failure(T, r, ordered):
     fail = validation_failure(T)
     if fail is not None:
         return fail
-    if (r * (signature_report(T).sig - 1)) % (n - 1) != 0:
+    if not _congruence_holds(n, r, signature_report(T).sig):
         return CONGRUENCE_FAILS
     if ordered and orientation(T) is Orientation.NEITHER:
         return NOT_ORDERED
@@ -281,7 +286,7 @@ def signature_class_partition(n, sigs):
         canon.add(s)
 
     def profile(r):
-        return tuple((r * (j - 1)) % m == 0 for j in sorted(canon))
+        return tuple(_congruence_holds(n, r, j) for j in sorted(canon))
 
     groups = {}
     for r in range(1, n):
@@ -344,7 +349,7 @@ def membership_monotonicity_check(T, i, j):
     sig = signature_report(T).sig
 
     def member(r):
-        return (r * (sig - 1)) % m == 0
+        return _congruence_holds(n, r, sig)
 
     ok = True
     if member(i) and any((k * i) % m == j % m for k in range(m)):

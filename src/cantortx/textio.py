@@ -157,19 +157,6 @@ def parse(text):
             raise ParseError(lineno, f"duplicate transition {src} {letter_tok}")
         entries[(src, sym)] = (out, dst)
 
-    if r == 0:
-        table = {}
-        for q in states:
-            row = {}
-            for i in range(n):
-                if (q, i) not in entries:
-                    raise ParseError(0, f"missing transition {q} {i}")
-                row[i] = entries[(q, i)]
-            table[q] = row
-        if len(entries) != n * len(states):
-            raise ParseError(0, "stray transitions")
-        return Transducer(n, table)
-
     root_table = {}
     for a in range(r):
         if (initial, dot(a)) not in entries:
@@ -177,7 +164,7 @@ def parse(text):
         root_table[a] = entries[(initial, dot(a))]
     table = {}
     for q in states:
-        if q == initial:
+        if r and q == initial:  # a plain machine may name a state "-"
             continue
         row = {}
         for i in range(n):
@@ -185,6 +172,8 @@ def parse(text):
                 raise ParseError(0, f"missing transition {q} {i}")
             row[i] = entries[(q, i)]
         table[q] = row
-    if len(entries) != r + n * (len(states) - 1):
+    if len(entries) != r + n * len(table):
         raise ParseError(0, "stray transitions")
+    if r == 0:
+        return Transducer(n, table)
     return InitialTransducer(n, r, root_table, table, root=initial)

@@ -235,6 +235,14 @@ class ClopenSet:
     empty antichain is the empty set; the antichain {e} is the whole space.
     Instances are immutable; build them with canonicalize_clopen.
 
+    The image of an initial or pending state of an initial machine is kept
+    here too, as cones that each start with their root symbol .a: a root
+    symbol is never the letter n-1, so the r root cones never merge, and
+    the cones of one set all start with a root symbol or none does.  Only
+    the image routines build such sets; is_whole still means the whole
+    n-ary space, so it is False on them (images.whole gives the space a
+    state maps into).
+
     Sorted, a cone's prefixes and extensions among the cones are its
     neighbours (see the module docstring), so each query below bisects to
     the one cone that can answer it."""
@@ -267,6 +275,7 @@ class ClopenSet:
         return not self.cones
 
     def is_whole(self):
+        """The whole n-ary space; never a rooted image (see above)."""
         return self.cones == (EMPTY,)
 
     def contains_cone(self, w):
@@ -370,9 +379,11 @@ def canonicalize_clopen(n, cones):
         raise InvalidInput("alphabet must have at least 2 letters")
     cones = [tuple(c) for c in cones]
     letters = set().union(*cones)
-    if letters and not (0 <= min(letters) and max(letters) < n):
+    if any(type(a) is not int for a in letters) or (
+        letters and not (0 <= min(letters) and max(letters) < n)
+    ):
         for c in cones:
-            check_letters(n, c)  # names the first letter out of range
+            check_letters(n, c)  # names the first symbol that is no letter
     return _merge_cones(n, cones)
 
 
@@ -422,56 +433,3 @@ def union_all(n, sets):
     for s in sets:
         out.extend(s.cones)
     return canonicalize_clopen(n, out)
-
-
-class RootedClopen:
-    """A clopen subset of the disjoint union of r copies of Cantor space,
-    one ClopenSet per root."""
-
-    __slots__ = ("n", "r", "parts")
-
-    def __init__(self, n, r, parts):
-        if len(parts) != r:
-            raise InvalidInput("rooted clopen needs one part per root")
-        self.n = n
-        self.r = r
-        self.parts = tuple(parts)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RootedClopen)
-            and (self.n, self.r, self.parts) == (other.n, other.r, other.parts)
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.r, self.parts))
-
-    def __repr__(self):
-        return "RootedClopen(" + ", ".join(f".{a}:{p!r}" for a, p in enumerate(self.parts)) + ")"
-
-    @property
-    def cones(self):
-        """The canonical antichain: the (root, word) pairs of the parts'
-        cones, root by root, as ClopenSet.cones are the words of one."""
-        return tuple((a, w) for a, p in enumerate(self.parts) for w in p.cones)
-
-    def is_whole(self):
-        return all(p.is_whole() for p in self.parts)
-
-    def is_empty(self):
-        return all(p.is_empty() for p in self.parts)
-
-    def union(self, other):
-        return RootedClopen(self.n, self.r,
-                            [a.union(b) for a, b in zip(self.parts, other.parts)])
-
-    def intersection(self, other):
-        return RootedClopen(self.n, self.r,
-                            [a.intersection(b) for a, b in zip(self.parts, other.parts)])
-
-    def disjoint(self, other):
-        return all(a.disjoint(b) for a, b in zip(self.parts, other.parts))
-
-
-def whole_rooted(n, r):
-    return RootedClopen(n, r, [whole_space(n)] * r)

@@ -7,8 +7,8 @@ from cantortx.words import (
     EMPTY,
     ClopenSet,
     EvPeriodicWord,
-    RootedClopen,
     canonicalize_clopen,
+    empty_clopen,
     union_all,
     whole_space,
 )
@@ -18,13 +18,12 @@ from cantortx.transducer import (
     check_productive,
     evaluate,
 )
-from cantortx.initial import InitialTransducer, dot
+from cantortx.initial import PENDING, InitialTransducer, dot, split_rooted
 from cantortx.images import (
     NotClopenImage,
     Orientation,
     _branches_disjoint,
     _check_clopen,
-    _rooted_branch,
     analyze,
     image,
     images,
@@ -33,6 +32,7 @@ from cantortx.images import (
     m_of_state,
     non_injective_states,
     orientation,
+    whole,
 )
 from cantortx.signature import validation_failure
 from cantortx.synchronize import minimal_sync_level
@@ -220,9 +220,9 @@ class TestInitialImages:
         g = machine_g4()
         A = state_wrapper(g, "a", 2)
         img = images(A)
-        assert not img[A.root].is_whole()  # im(a) misses half of each root copy
+        assert img[A.root] != whole(A, A.root)  # im(a) misses half of each root copy
         B = state_wrapper(machine_T(3), "a", 2)
-        assert images(B)[B.root].is_whole()
+        assert images(B)[B.root] == whole(B, B.root)
 
     def test_homeomorphism_initial(self):
         for T, q, r, want in ((machine_T(3), "a", 1, True), (machine_g4(), "a", 1, False),
@@ -304,18 +304,36 @@ def fixpoint_cases():
 
 def reference_branches_disjoint(M, img, p):
     """The pairwise branch test that one sorted pass replaced: every two
-    branch images, compared cone by cone."""
+    branch images, compared cone by cone, and on an initial machine root by
+    root, each branch image split into one ClopenSet per root."""
     if isinstance(M, Transducer):
         pieces = [img[d].shift(w) for w, d in M.row(p)]
     else:
-        pieces = [_rooted_branch(M, img, w, d) for w, d in M.row(p)]
+        pieces = [_branch_parts(M, img, w, d) for w, d in M.row(p)]
     return all(_pairwise_disjoint(a, b) for a, b in combinations(pieces, 2))
+
+
+def _branch_parts(A, img, w, p):
+    """The image of the branch of the initial machine A that outputs w and
+    moves to p: a ClopenSet past the output root, else a tuple of one
+    ClopenSet per root, read off the root-symbol cones of img."""
+    root, tail = split_rooted(w)
+    if A.region[p] is PENDING:  # a pending output, so the tail is empty
+        return tuple(
+            ClopenSet(A.n, tuple(c[1:] for c in img[p].cones if c[0] == dot(a)))
+            for a in range(A.r)
+        )
+    if root is None:
+        return img[p].shift(tail)
+    parts = [empty_clopen(A.n)] * A.r
+    parts[root] = img[p].shift(tail)
+    return tuple(parts)
 
 
 def _pairwise_disjoint(a, b):
     """No cone of a and cone of b are nested."""
-    if isinstance(a, RootedClopen):
-        return all(_pairwise_disjoint(x, y) for x, y in zip(a.parts, b.parts))
+    if isinstance(a, tuple):
+        return all(_pairwise_disjoint(x, y) for x, y in zip(a, b))
     return not any(
         v[: len(u)] == u or u[: len(v)] == v for u in a.cones for v in b.cones
     )

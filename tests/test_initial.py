@@ -10,12 +10,11 @@ import pytest
 from cantortx.words import (
     EMPTY,
     EvPeriodicWord,
+    ClopenSet,
     InvalidInput,
-    RootedClopen,
     empty_clopen,
     gcp,
     subtract_prefix,
-    whole_rooted,
     whole_space,
 )
 from cantortx.transducer import (
@@ -42,6 +41,7 @@ from cantortx.images import (
     images,
     is_homeomorphism_state,
     non_injective_states,
+    whole,
 )
 from cantortx.synchronize import NotSynchronizing, core, core_states
 from cantortx.invert import invert_initial, preimage_gcp
@@ -225,8 +225,6 @@ class TestProductMinimize:
             assert minimize_initial(M) == M
 
     def test_images_of_delayed_machine(self):
-        from cantortx.words import RootedClopen
-
         A = InitialTransducer(
             2, 2,
             {0: (EMPTY, "w"), 1: ((dot(1),), "id")},
@@ -236,15 +234,13 @@ class TestProductMinimize:
             },
         )
         img = images(A)
-        assert isinstance(img["w"], RootedClopen)
+        assert isinstance(img["w"], ClopenSet)
         # branch 0 fills the 0-cone of root 0; branch 1 fills all of root 1
-        assert img["w"].parts[0].cones == ((0,),)
-        assert img["w"].parts[1].is_whole()
-        assert img["w"].cones == ((0, (0,)), (1, ()))
+        assert img["w"].cones == ((dot(0), 0), (dot(1),))
         assert img["id"].is_whole()
         root_img = img[A.root]
-        assert root_img.parts[1].is_whole()
-        assert not root_img.is_whole()  # the 1-cone of root 0 is never hit
+        assert (dot(1),) in root_img.cones
+        assert root_img != whole(A, A.root)  # the 1-cone of root 0 is never hit
 
 
 # --- the row kernel against the initial-machine routines it replaced --------
@@ -343,23 +339,44 @@ def reference_minimize_initial(A, bound=64):
     return InitialTransducer(M.n, M.r, new_root_table, new_table, root="0")
 
 
+class Parts:
+    """A clopen subset of the r-rooted space as one ClopenSet per root: the
+    form the images of initial and pending states had before they became
+    ClopenSets of root-symbol cones."""
+
+    def __init__(self, parts):
+        self.parts = tuple(parts)
+
+    def __eq__(self, other):
+        return isinstance(other, Parts) and self.parts == other.parts
+
+    def union(self, other):
+        return Parts(a.union(b) for a, b in zip(self.parts, other.parts))
+
+    def as_clopen(self):
+        """The ClopenSet of root-symbol cones .a w, root by root."""
+        return ClopenSet(self.parts[0].n, tuple(
+            (dot(a),) + w for a, p in enumerate(self.parts) for w in p.cones))
+
+
 def _reference_branch(A, img, q, sym):
     w, p = A.step(q, sym)
     root, tail = split_rooted(w)
     target = img[p]
     if root is None:
-        if isinstance(target, RootedClopen):
+        if isinstance(target, Parts):
             return target
         return target.shift(tail)
     parts = [empty_clopen(A.n)] * A.r
     parts[root] = target.shift(tail)
-    return RootedClopen(A.n, A.r, parts)
+    return Parts(parts)
 
 
 def reference_images_initial(A, max_iter=32):
-    """Every state recomputed in every round."""
+    """Every state recomputed in every round, one part per root, converted
+    to root-symbol cones at the end."""
     img = {
-        q: whole_space(A.n) if A.region[q] is DONE else whole_rooted(A.n, A.r)
+        q: whole_space(A.n) if A.region[q] is DONE else Parts([whole_space(A.n)] * A.r)
         for q in A.states
     }
     for _ in range(max_iter):
@@ -371,7 +388,7 @@ def reference_images_initial(A, max_iter=32):
                 acc = acc.union(piece)
             new[q] = acc
         if new == img:
-            return img
+            return {q: a.as_clopen() if isinstance(a, Parts) else a for q, a in img.items()}
         img = new
     raise NotClopenImage("reference images did not stabilize")
 
@@ -585,8 +602,6 @@ class TestRowKernel:
         # im(p_i) over the edges (a rooted image's root counts as a
         # letter), and invert_initial matches the closure's minimization
         def depth(img):
-            if isinstance(img, RootedClopen):
-                return 1 + max((len(c) for part in img.parts for c in part.cones), default=-1)
             return max(map(len, img.cones))
 
         checked = 0
@@ -622,7 +637,7 @@ class TestRowKernel:
         seen = set()
         for label, A in kernel_cases():
             try:
-                want = not non_injective_states(A) and images(A)[A.root].is_whole()
+                want = not non_injective_states(A) and images(A)[A.root] == whole(A, A.root)
             except NotClopenImage:
                 with pytest.raises(NotClopenImage):
                     is_homeomorphism_state(A, A.root)

@@ -46,6 +46,18 @@ class TestRoundTrip:
         assert isinstance(again, InitialTransducer)
         assert again == A
 
+    def test_plain_state_named_dash(self):
+        # initial=- marks a plain machine; a state may still be named "-"
+        text = (
+            "TRANSDUCER n=2 r=0 states=-,a initial=-\n"
+            "- 0 -> a : 0\n- 1 -> - : 1\na 0 -> a : 0\na 1 -> - : 1\n"
+        )
+        M = parse(text)
+        assert isinstance(M, Transducer) and M.states == ("-", "a")
+        assert serialize(M) == text
+        with pytest.raises(ParseError, match="missing transition - 1"):
+            parse(text.replace("- 1 -> - : 1\n", ""))
+
     def test_comments_and_blank_lines_ignored(self):
         text = serialize(machine_g4())
         noisy = "# a comment\n\n" + text.replace("\n", "\n# note\n", 1)
@@ -58,6 +70,15 @@ class TestStrictness:
         broken = "\n".join(text.splitlines()[:-1]) + "\n"
         with pytest.raises(ParseError):
             parse(broken)
+
+    def test_missing_transition_names_it(self):
+        # the entry row first, then the rows of the other states in order
+        head = "TRANSDUCER n=2 r=1 states=s,q initial=s\n"
+        rows = "q 0 -> q : 0\nq 1 -> q : 1\n"
+        with pytest.raises(ParseError, match=r"^line 0: missing transition s \.0$"):
+            parse(head + rows)
+        with pytest.raises(ParseError, match=r"^line 0: missing transition q 1$"):
+            parse(head + "s .0 -> q : .0\n" + rows.split("\n")[0] + "\n")
 
     def test_duplicate_transition(self):
         text = serialize(machine_g4())

@@ -26,6 +26,7 @@ from cantortx.words import (
     rotation_class_of,
     whole_space,
 )
+from cantortx.initial import dot
 
 
 def fine_wilf_word(p, q):
@@ -237,6 +238,11 @@ class TestCanonicalize:
     def test_mixed_alphabet_letter_rejected(self):
         with pytest.raises(InvalidInput):
             canonicalize_clopen(2, [(3,)])
+        # a root symbol or a float is no letter, and the error names it
+        with pytest.raises(InvalidInput, match=r"\('\^', 0\)"):
+            canonicalize_clopen(3, [(dot(0), 1)])
+        with pytest.raises(InvalidInput, match=r"1\.0"):
+            canonicalize_clopen(3, [(1.0,)])
 
     @given(cone_sets)
     @settings(max_examples=150)
