@@ -201,13 +201,12 @@ def cmd_analyze(args, started):
 def cmd_sig(args, started):
     M = _plain(_read_machine(args.file), "sig")
     rep = signature_report(M)
-    result = {
-        "sync_level": rep.sync_level,
-        "per_word_m": list(rep.per_word_m),
-        "sig": rep.sig,
-        "rsig": rep.rsig,
-    }
     if args.json:
+        # the terms of sig, one per forced state, not the n^level per-word values
+        forced = [{"state": str(q), "words": words, "m": m}
+                  for q, (words, m) in rep.forced.items()]
+        result = {"sync_level": rep.sync_level, "forced": forced,
+                  "sig": rep.sig, "rsig": rep.rsig}
         _emit(args, "sig", [args.file], result, {}, started)
     else:
         print(f"sync_level={rep.sync_level} sig={rep.sig} rsig={rep.rsig}")

@@ -7,9 +7,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .words import InvalidInput, rotation_class_of
+from .words import InvalidInput, check_letters, rotation_class_of
 from .transducer import evaluate, minimize_rooted, product
-from .synchronize import canonical_core, mark_synchronizing
+from .synchronize import (
+    _destination_rows,
+    canonical_core,
+    is_synchronizing,
+    mark_synchronizing,
+)
 from .images import Orientation, orientation
 from .invert import inverse_core
 from .signature import record_valid, signature_report, validation_failure
@@ -159,7 +164,32 @@ class CoreInvariantError(RuntimeError):
 
 def loop_state(T, w):
     """The unique state q with the w-cycle q -> q; uniqueness holds for valid
-    core elements, and failure signals an invalid input."""
+    core elements, and failure signals an invalid input.
+
+    On a machine known to synchronize (a passing verdict in its memo, or
+    is_synchronizing) and a nonempty w, one walk q -> q.w from the first
+    state finds it in O(level + |w|) letters: w^m forces one state c once
+    m|w| is past the level, so c.w = c.w^(m+1) = c, every walk ends at c,
+    and c is the only cycle of the map, so the first repeated state is c,
+    fixed by w.  Any other machine runs w from every state, in
+    O(|Q| * |w|), and a count other than one raises."""
+    memo = T._memo or {}
+    passed = "validation" in memo and memo["validation"] is None
+    if w and (passed or is_synchronizing(T)):
+        check_letters(T.n, w)
+        rows = _destination_rows(T)
+        q, seen = T.states[0], set()
+        while q not in seen:
+            seen.add(q)
+            last = q
+            for i in w:
+                q = rows[q][i]
+        if q != last:
+            raise CoreInvariantError(
+                f"expected exactly one loop state for {w}, "
+                "but its walk closes a cycle of more than one state"
+            )
+        return q
     hits = [q for q in T.states if evaluate(T, q, w)[1] == q]
     if len(hits) != 1:
         raise CoreInvariantError(

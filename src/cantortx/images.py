@@ -23,14 +23,13 @@ from itertools import count
 
 from .words import (
     ClopenSet,
-    EvPeriodicWord,
     _merge_cones,
     lex_compare_evp,
     pairwise_disjoint,
     whole_space,
     GREATER,
 )
-from .transducer import Transducer, check_productive, evaluate_periodic, memoized
+from .transducer import Transducer, _letter_outputs, check_productive, memoized
 from .initial import DONE, dot
 
 
@@ -283,18 +282,27 @@ def orientation(T):
 
 def _boundary_orientation(T):
     """orientation(T), computed: NEITHER unless every state is injective
-    with clopen image, else the boundary condition decides."""
+    with clopen image, else the boundary condition decides.
+
+    The output of (n-1)^omega and of 0^omega from every state is found once
+    (_letter_outputs), so the image of x.(n-1)^omega from q is w_x . H[p_x]
+    and the image of y.0^omega is w_y . L[p_y], for the letter edges
+    q -x-> p_x and q -y-> p_y with outputs w_x and w_y.  These are the same
+    points that pumping each periodic input from q gives, compared the same
+    way, in O(|Q| * n) walking instead of O(|Q|^2 * n)."""
     try:
         if non_injective_states(T):
             return Orientation.NEITHER
     except NotClopenImage:
         return Orientation.NEITHER
-    n = T.n
+    n, rows = T.n, T._rows
+    lo = _letter_outputs(rows, T.states, 0)
+    hi = _letter_outputs(rows, T.states, n - 1)
     preserving = True
     reversing = True
     for q in T.states:
-        vals_hi = [evaluate_periodic(T, q, EvPeriodicWord((x,), (n - 1,))) for x in range(n)]
-        vals_lo = [evaluate_periodic(T, q, EvPeriodicWord((x,), (0,))) for x in range(n)]
+        vals_hi = [hi[p].with_prefix(w) for w, p in rows[q]]
+        vals_lo = [lo[p].with_prefix(w) for w, p in rows[q]]
         for x in range(n):
             for y in range(x + 1, n):
                 if lex_compare_evp(vals_hi[x], vals_lo[y]) == GREATER:

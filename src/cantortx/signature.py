@@ -7,15 +7,17 @@ enumerating the n^k words: synchronize.sync_counts counts the words that
 force each state by pushing path counts k letters from one start state, and
 the signature is the sum over forced states of word count times m_q.
 The per-word values, in lexicographic word order, are a lazy sequence of
-length n^k.  The signature's residue mod n-1 (kept in 1..n-1) is a
-multiplicative invariant.  Membership of a core element over r roots is the
-congruence r*(sig - 1) = 0 mod n-1 on top of the structural validation."""
+length n^k, iterated block by block (PerWordM).  The signature's residue
+mod n-1 (kept in 1..n-1) is a multiplicative invariant.  Membership of a
+core element over r roots is the congruence r*(sig - 1) = 0 mod n-1 on top
+of the structural validation."""
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 from operator import index as as_index
 
 from .words import InvalidInput
@@ -41,17 +43,28 @@ def residue(value, n):
     return (value - 1) % (n - 1) + 1
 
 
+BLOCK_VALUES = 256  # the most values of one precomputed block of PerWordM
+
+
 class PerWordM(Sequence):
     """m of the state forced by each word of length `level`, in lexicographic
     word order.  Read-only and lazy: every word of that length forces the
     same end state from every start state, so a word's value is m of the
     state it reaches from one fixed start state.  Indexing walks one
-    destination row per letter from that state, and iteration walks the
-    rows depth first, storing nothing per word, so its length n^level may
-    be far beyond memory.  Compares equal to a tuple or list of the same
-    values."""
+    destination row per letter from that state.  Compares equal to a tuple
+    or list of the same values.
 
-    __slots__ = ("n", "level", "_rows", "_start", "_m")
+    Iteration splits the words into their first level - d letters and their
+    last d, with d the largest such that n^d <= BLOCK_VALUES and d <= level.
+    Each state s reached after the first part has one block, the values of
+    the n^d words read from s in order; the blocks are built once, from the
+    states at depth level back to depth level - d, in O(|Q| * n^d) values,
+    and kept.  Only the first part is walked in Python, depth first, and the
+    values come block by block, so iteration costs n^(level-d) steps plus
+    the n^level values themselves.  Nothing is stored per word, so the
+    length n^level may be far beyond memory."""
+
+    __slots__ = ("n", "level", "_rows", "_start", "_m", "_blocks")
 
     def __init__(self, n, level, rows, start, m):
         self.n = n
@@ -59,6 +72,7 @@ class PerWordM(Sequence):
         self._rows = rows  # state -> its n destinations
         self._start = start
         self._m = m  # forced state -> its m
+        self._blocks = None  # state at depth level - d -> its block
 
     def __len__(self):
         return self.n**self.level
@@ -76,14 +90,44 @@ class PerWordM(Sequence):
         return self._m[q]
 
     def __iter__(self):
-        rows, m, k = self._rows, self._m, self.level
+        if self._blocks is None:
+            self._blocks = self._build_blocks()
+        return chain.from_iterable(map(self._blocks.__getitem__, self._tops()))
+
+    def _depth(self):
+        """d: the length of the words that one block reads."""
+        d = 0
+        while d < self.level and self.n ** (d + 1) <= BLOCK_VALUES:
+            d += 1
+        return d
+
+    def _build_blocks(self):
+        """{state at depth level - d: its block}.  The states at each depth
+        are pushed forward from the start, then the blocks are built back
+        from depth level, where a state's block is its m."""
+        rows, d = self._rows, self._depth()
+        layers = [{self._start}]
+        for _ in range(self.level):
+            layers.append({p for q in layers[-1] for p in rows[q]})
+        blocks = {q: (self._m[q],) for q in layers[-1]}
+        for layer in reversed(layers[self.level - d:-1]):
+            blocks = {
+                q: tuple(chain.from_iterable(map(blocks.__getitem__, rows[q])))
+                for q in layer
+            }
+        return blocks
+
+    def _tops(self):
+        """The states reached by the words of length level - d, in
+        lexicographic word order, walked depth first."""
+        rows, top = self._rows, self.level - self._depth()
         stack = [iter((self._start,))]  # a state popped at height h is at depth h-1
         while stack:
             q = next(stack[-1], None)
             if q is None:
                 stack.pop()
-            elif len(stack) > k:
-                yield m[q]
+            elif len(stack) > top:
+                yield q
             else:
                 stack.append(iter(rows[q]))
 
@@ -99,10 +143,15 @@ class PerWordM(Sequence):
 
 @dataclass
 class SignatureReport:
+    """sig is the sum of words * m over `forced`, which maps each forced
+    state, in state order, to (the number of words of length sync_level
+    that force it, its m)."""
+
     sync_level: int
     per_word_m: PerWordM
     sig: int
     rsig: int
+    forced: dict
 
 
 def signature_report(T):
@@ -121,9 +170,10 @@ def _signature_report(T):
     if bad:
         raise InvalidInput(f"state {bad[0]!r} is not injective")
     m = {q: len(img[q].cones) for q in counts}
-    sig = sum(count * m[q] for q, count in counts.items())
+    forced = {q: (counts[q], m[q]) for q in T.states if q in counts}
+    sig = sum(words * mq for words, mq in forced.values())
     per = PerWordM(T.n, k, _destination_rows(T), T.states[0], m)
-    return SignatureReport(k, per, sig, residue(sig, T.n))
+    return SignatureReport(k, per, sig, residue(sig, T.n), forced)
 
 
 def reduced_signature(T):

@@ -172,8 +172,6 @@ def parse(text):
                 raise ParseError(0, f"missing transition {q} {i}")
             row[i] = entries[(q, i)]
         table[q] = row
-    if len(entries) != r + n * len(table):
-        raise ParseError(0, "stray transitions")
     if r == 0:
         return Transducer(n, table)
     return InitialTransducer(n, r, root_table, table, root=initial)

@@ -329,28 +329,33 @@ def evaluate_periodic(T, q, x):
     return EvPeriodicWord(pre, per)
 
 
-def _zero_outputs(rows, pool):
-    """{q: the output of 0^omega from q} over a productive pool closed
-    under letter 0: a new letter-0 cycle's output is read once and rotated
-    to each of its states, and a state off the cycles prefixes its letter-0
-    output to its successor's word."""
+def _letter_outputs(rows, pool, a):
+    """{q: the output of a^omega from q} for the letter a, over a productive
+    pool closed under letter a.  The letter-a edges send each state to one
+    successor, so every walk ends on a cycle, and each state is walked to
+    and valued once, O(|pool|) steps in all, where pumping a^omega from
+    every state would take O(|pool|^2): a new cycle's output is read once
+    and rotated to each of its states, and a state off the cycles prefixes
+    its letter-a output to its successor's word.  Each word is the exact
+    output of a^omega, in canonical form.  Forced outputs read letter 0
+    (common_prefixes), and the orientation letters 0 and n-1."""
     x = {}
     for q in pool:
         path = {}  # the states of this walk not yet valued, in order
         while q not in x and q not in path:
             path[q] = None
-            q = rows[q][0][1]
+            q = rows[q][a][1]
         path = list(path)
         if q not in x:  # the walk closed a new cycle, path[k:]
             k = path.index(q)
-            per = sum((rows[s][0][0] for s in path[k:]), ())
+            per = sum((rows[s][a][0] for s in path[k:]), ())
             for s in path[k:]:
                 x[s] = EvPeriodicWord((), per)
-                w = rows[s][0][0]
+                w = rows[s][a][0]
                 per = per[len(w):] + w
             del path[k:]
         for s in reversed(path):
-            w, p = rows[s][0]
+            w, p = rows[s][a]
             x[s] = x[p].with_prefix(w)
     return x
 
@@ -389,7 +394,7 @@ def common_prefixes(T, states=None):
     pool = T.states if states is None else tuple(states)
     check_productive(T, pool)
     rows = T._rows
-    x = _zero_outputs(rows, pool)
+    x = _letter_outputs(rows, pool, 0)
     index = {q: k for k, q in enumerate(pool)}
     preds = [[] for _ in pool]
     for q in pool:

@@ -222,11 +222,39 @@ class RotationClass:
 
 
 def rotation_class_of(w):
+    """The rotation class of w: its least rotation, found in O(|w|) by the
+    two-pointer scan of the doubled word ww, the bound of Booth's algorithm
+    (Booth 1980).  Every start below j but i is known not to be least.  The
+    rotations at i and j are compared letter by letter; when they first
+    differ at offset k, the start s with the larger letter is not least,
+    nor is any of s+1..s+k, as the rotation at s+t runs on from the same
+    letters as the one at the other start plus t, up to the same larger
+    letter.  So s moves past them (i and j swap if it passes j), k+1 letters
+    for the k+1 comparisons, and as the starts stay below 2|w| the scan
+    makes O(|w|) comparisons.  It ends with i least when j reaches |w|, or
+    when k does: then the two rotations are equal and w is a power.  The least rotation is unique, so
+    the class is the one that the min over all |w| rotations gives."""
     w = tuple(w)
-    if not w:
+    size = len(w)
+    if not size:
         raise InvalidInput("rotation class of the empty word is undefined")
-    rep = min(w[i:] + w[:i] for i in range(len(w)))
-    return RotationClass(rep)
+    ww = w + w
+    i, j, k = 0, 1, 0
+    while j < size and k < size:
+        a, b = ww[i + k], ww[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        if i > j:
+            i, j = j, i
+        k = 0
+    return RotationClass(ww[i:i + size])
 
 
 class ClopenSet:
@@ -264,7 +292,7 @@ class ClopenSet:
         return hash((self.n, self.cones))
 
     def __repr__(self):
-        inner = ", ".join(format_word(w) for w in self.cones)
+        inner = ", ".join(map(_format_cone, self.cones))
         return "{" + inner + "}"
 
     def _check_same(self, other):
@@ -345,6 +373,13 @@ class ClopenSet:
         if not self.cones:
             raise InvalidInput("maximum of the empty clopen set")
         return EvPeriodicWord(self.cones[-1], (self.n - 1,))
+
+
+def _format_cone(w):
+    """w as the text format writes it: a root symbol ("^", a) as .a."""
+    if w and isinstance(w[0], tuple):
+        return ",".join((f".{w[0][1]}", *map(str, w[1:])))
+    return format_word(w)
 
 
 def pairwise_disjoint(sets):

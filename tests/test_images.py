@@ -224,6 +224,14 @@ class TestInitialImages:
         B = state_wrapper(machine_T(3), "a", 2)
         assert images(B)[B.root] == whole(B, B.root)
 
+    def test_rooted_image_repr(self):
+        # root symbols print as .a, as the text format writes them
+        A = state_wrapper(machine_g4(), "a", 2)
+        assert repr(images(A)[A.root]) == "{.0,0, .0,1, .1,0, .1,1}"
+        assert repr(whole(A, A.root)) == "{.0, .1}"
+        assert repr(images(A)["a"]) == "{0, 1}"
+        assert repr(whole(machine_g4(), "a")) == "{e}"
+
     def test_homeomorphism_initial(self):
         for T, q, r, want in ((machine_T(3), "a", 1, True), (machine_g4(), "a", 1, False),
                               (identity_transducer(2), "0", 3, True)):
