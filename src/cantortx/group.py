@@ -202,8 +202,12 @@ def rotation_action(g, c):
     """The permutation induced on rotation classes: read the representative
     around its unique loop state and take the class of the output."""
     w = c.rep
-    q = loop_state(g.machine, w)
-    out, _ = evaluate(g.machine, q, w)
+    q = loop_state(g.machine, w)  # checks the letters of w
+    rows = g.machine._rows
+    out = []
+    for i in w:
+        piece, q = rows[q][i]
+        out += piece
     if not out:
         raise CoreInvariantError("loop output is empty; machine is degenerate")
     return rotation_class_of(out)

@@ -97,9 +97,6 @@ class InitialTransducer:
     def __init__(self, n, r, root_table, table, root="q0"):
         if n < 2 or r < 1:
             raise InvalidInput("need n >= 2 and r >= 1")
-        self.n = n
-        self.r = r
-        self.root = root
         if set(root_table) != set(range(r)):
             raise InvalidInput("initial state needs exactly one transition per root letter")
         if root in table:
@@ -109,6 +106,29 @@ class InitialTransducer:
             if set(row) != set(range(n)):
                 raise InvalidInput(f"state {q!r} must have one transition per letter")
             rows[q] = _checked_row(n, r, row)
+        A = InitialTransducer._from_rows(n, r, root, rows)
+        for name in self.__slots__:  # the checked machine, as _from_rows builds it
+            setattr(self, name, getattr(A, name))
+
+    @classmethod
+    def _from_rows(cls, n, r, root, rows):
+        """The machine with entry state `root` and rows {state: ((output,
+        destination), ...)}, the entry row among them: for tables the
+        library builds from checked machines, whose cells need none of the
+        constructor's checks.  The accessible part, the re-entry check and
+        the structure checks (_classify, _check_structure) still run.
+
+        The builders' cells are well formed because each is made of checked
+        words: product_initial runs A's outputs through B, so a cell is an
+        output of B; _minimize strips forced outputs off the rows of a
+        checked machine and numbers its blocks; the raw inverse of
+        invert_initial reads off its preimage walks the input symbols of a
+        checked machine, a root symbol only first from its initial state;
+        the tree machine of the machines module, which the state wrapper
+        builds too, adds empty outputs, rooted words .b w of checked words
+        w and the rows of a checked plain machine."""
+        A = cls.__new__(cls)
+        A.n, A.r, A.root = n, r, root
         # accessible part only, breadth-first
         order = [root]
         seen = {root}
@@ -116,17 +136,18 @@ class InitialTransducer:
             for _, p in rows[q]:
                 if p == root:
                     raise InvalidInput("the initial state cannot be re-entered")
-                if p not in table:
+                if p not in rows:
                     raise InvalidInput(f"transition targets unknown state {p!r}")
                 if p not in seen:
                     seen.add(p)
                     order.append(p)
-        self.states = tuple(order)
-        self._rows = {q: rows[q] for q in order}
-        self._hash = None
-        self._memo = None
-        self.region = self._classify()
-        self._check_structure()
+        A.states = tuple(order)
+        A._rows = {q: rows[q] for q in order}
+        A._hash = None
+        A._memo = None
+        A.region = A._classify()
+        A._check_structure()
+        return A
 
     def symbols_at(self, q):
         """The input symbols of state q, in row order: the dotted root
@@ -246,8 +267,8 @@ def product_initial(A, B):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-        rows[state] = dict(enumerate(row))
-    return InitialTransducer(A.n, A.r, rows.pop(root), rows, root=root)
+        rows[state] = tuple(row)
+    return InitialTransducer._from_rows(A.n, A.r, root, rows)
 
 
 def minimize_initial(A):
@@ -273,7 +294,6 @@ def _minimize(A):
     interior = A.states[1:]
     c = None if "complete_response" in A._memo else common_prefixes(A, states=interior)
     rows = minimal_rows({q: A._rows[q] for q in interior}, c, None, A._rows[A.root])
-    table = {q: dict(enumerate(row)) for q, row in rows.items()}
-    M = InitialTransducer(A.n, A.r, table.pop("0"), table, root="0")
+    M = InitialTransducer._from_rows(A.n, A.r, "0", rows)
     M._memo = {"minimal": True}
     return M

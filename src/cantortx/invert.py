@@ -45,11 +45,13 @@ branch image that meets U_w contains all of it once |w| >= |w_i| + the
 length of the longest cone of im(p_i).  So every closure state has |w| less
 than the greatest |w_i| + depth im(p_i) over the edges of the machine.
 
-The preimage prefix (v)L_q is a search memoized on (state, rest of the cone):
-each pair is solved once, so one search costs at most |Q| x (|v|+1) pairs
-and needs no node budget.  Plain and initial machines share the search and
-the forward closure of inverse states; one closure keeps one memo over all
-its preimage searches and drops it on return.  An inverse is kept in the
+The preimage prefix (v)L_q is read off the images in one walk from q
+along v (_preimage_gcp).  A branch of a state leads into the cone exactly
+when its image meets the rest of the cone, and two such branches part the
+inputs there, so the walk follows the one branch while there is one and
+stops at the first state with two: its work is linear in |v|, with no
+search and no memo.  Plain and initial machines share the walk and the
+forward closure of inverse states.  An inverse is kept in the
 memo of the machine it inverts, under "inverse": an initial machine keeps
 its minimized inverse, and a plain machine keeps its inverse's canonical
 core, never the closure, which can be many times larger.  So a validity
@@ -57,10 +59,10 @@ check and a later inversion share one closure."""
 
 from __future__ import annotations
 
-from .words import EMPTY, InvalidInput, subtract_prefix
-from .transducer import DegenerateTransducer, Transducer, memoized
+from .words import EMPTY, InvalidInput
+from .transducer import Transducer, memoized
 from .initial import InitialTransducer, dot, minimize_initial
-from .images import images, is_homeomorphism_state, non_injective_states
+from .images import images, is_homeomorphism_state, non_injective_states, whole
 from .synchronize import (
     NotSynchronizing,
     canonical_core,
@@ -73,117 +75,88 @@ class EmptyPreimage(ValueError):
     """The requested cone misses the state's image."""
 
 
-_OPEN = object()  # memo mark of a subproblem whose search is under way
-_NEW = object()  # memo lookup default of a subproblem not met yet
+def _preimage_gcp(M, img, depth, q, v):
+    """(u, p, k): the preimage prefix u = (v)L_q of the plain or initial
+    machine M with images img, the state p that u leads to from q, and the
+    length k of the output on u.  Every cone of img is at most `depth`
+    long.
 
-
-def _preimage_search(moves, memo, q, v):
-    """The gcp of the inputs from q whose output lies in the cone v, or None
-    when there is no such input.  `moves[p]` lists (symbol, output, output
-    length, destination) at state p; `memo` maps (state, rest of the cone)
-    to its answer and keeps every subproblem solved here.
-
-    A symbol whose output covers the rest of the cone contributes its
-    one-symbol cone; a symbol whose output is a proper prefix of it
-    contributes itself followed by the answer at (destination, what is
-    left).  The gcp of the contributions is the answer.  The contributions
-    of one subproblem start with its symbols, which are distinct, so the
-    gcp of two of them is empty: one contribution is the answer, and a
-    second makes it EMPTY at once and stops the subproblem, with no prefix
-    to compare.  The search keeps its own stack, so long cones need no
-    recursion; a subproblem met again while it is still open lies on an
-    empty-output cycle."""
-    top = (q, v)
-    stack = []  # frames [(state, rest of the cone), next move, answer so far]
-    if top not in memo:
-        memo[top] = _OPEN
-        stack.append([top, 0, None])
-    while stack:
-        frame = stack[-1]
-        (p, t), j, best = frame
-        lt = len(t)
-        opts = moves[p]
-        stop = len(opts)
-        while j < stop and best is not EMPTY:
-            sym, w, lw, p2 = opts[j]
-            j += 1
+    The walk runs from q at an offset k into v.  A branch of the state
+    meets the rest of the cone when its output w extends the rest (it
+    covers it), or when w is a proper prefix of the rest and the image of
+    its destination meets the rest past w.  An image meets a cone exactly
+    when it meets the cone's first `depth` letters, so each test reads a
+    bounded slice of v.  With one such branch the walk takes its symbol and
+    stops if it covers, else it moves on; with two, the inputs into the cone
+    part at this state, so the symbols walked so far are their gcp.  No
+    branch at the top means that the cone misses im(q); below the top the
+    walk entered a state whose image meets the rest.  M is productive, as
+    it has images, so the walk takes at most |Q| branches with empty output
+    in a row."""
+    rows = M._rows
+    walked = []
+    top, end, k = q, len(v), 0
+    while True:
+        lt = end - k
+        pick = None
+        for i, (w, p) in enumerate(rows[q]):
+            lw = len(w)
             if lw >= lt:
-                if w[:lt] != t:
+                if w[:lt] != v[k:]:
                     continue
-                got = EMPTY
-            elif t[:lw] != w:
+            elif v[k:k + lw] != w or not img[p].meets_cone(v[k + lw:k + lw + depth]):
                 continue
-            else:
-                sub = (p2, t[lw:])
-                got = memo.get(sub, _NEW)
-                if got is _NEW:  # solve it first, then read this move again
-                    memo[sub] = _OPEN
-                    frame[1], frame[2] = j - 1, best
-                    stack.append([sub, 0, None])
-                    break
-                if got is _OPEN:
-                    raise DegenerateTransducer(
-                        f"cycle through state {p2!r} outputs the empty word"
-                    )
-            if got is not None:
-                best = (sym,) + got if best is None else EMPTY
-        else:
-            memo[frame[0]] = best
-            stack.pop()
-    return memo[top]
-
-
-def _moves(M):
-    """(symbol, output, output length, destination) for every symbol of every
-    state of a plain or initial machine."""
-    return {
-        q: tuple((s, w, len(w), p) for s, (w, p) in zip(M.symbols_at(q), M.row(q)))
-        for q in M.states
-    }
-
-
-def _preimage_gcp(moves, memo, q, v):
-    best = _preimage_search(moves, memo, q, v)
-    if best is None:
-        raise EmptyPreimage(f"cone {v} misses the image of state {q!r}")
-    return best
+            if pick is not None:
+                return tuple(walked), q, k
+            pick = i, lw, p
+        if pick is None:
+            raise EmptyPreimage(f"cone {v} misses the image of state {top!r}")
+        i, lw, p = pick
+        walked.append(M.symbols_at(q)[i])
+        if lw >= lt:
+            return tuple(walked), p, k + lw
+        q, k = p, k + lw
 
 
 def preimage_gcp(T, q, v):
     """The greatest common prefix of all inputs whose image under the state
     map of q lies in the cone v (the map written (v)L_q).  On an initial
-    machine v is a rooted cone at the initial state, a plain cone elsewhere;
-    likewise for the returned input word.
+    machine v is a rooted cone at the initial and pending states, a plain
+    cone elsewhere; likewise for the returned input word.
 
-    A search memoized on (state, rest of the cone) for this call: a branch
-    whose output already covers the rest of the cone contributes its whole
-    input cone, one whose output leaves the cone contributes nothing.  Its
-    work is at most |Q| x (|v|+1) subproblems of one row each."""
-    T.step(q, T.symbols_at(q)[0])  # an unknown state is an error, not an empty preimage
-    return _preimage_gcp(_moves(T), {}, q, tuple(v))
+    Its domain is the machines whose images are clopen, where the paper
+    uses (v)L_q: elsewhere it raises what images raises, NotClopenImage or
+    DegenerateTransducer.  One walk along v (_preimage_gcp), whose work is
+    linear in |v|.  A cone outside the space that q maps into
+    (images.whole), as a plain cone at a pending state, misses the image."""
+    T.row(q)  # an unknown state is an error, not an empty preimage
+    img = images(T)
+    v = tuple(v)
+    space = whole(T, q).cones  # (EMPTY,), or the root cones .a
+    head = 1 if v and space != (EMPTY,) else 0  # a root symbol first
+    if v[:head] not in space + (EMPTY,) or not all(
+        isinstance(s, int) and 0 <= s < T.n for s in v[head:]
+    ):
+        raise EmptyPreimage(f"cone {v} misses the image of state {q!r}")
+    depth = max(len(c) for image in img.values() for c in image.cones)
+    return _preimage_gcp(T, img, depth, q, v)[0]
 
 
 def _inverse_step(M):
-    """The inverse transition rule of the plain or initial machine M, with
-    one memo for all its preimage searches: from the inverse state (w, q) on
-    the symbols t, emit v = (w.t)L_q and move to (w.t minus the forward
-    output on v, forward state on v).  The search has checked every symbol
-    of v, so the output and the forward state on v are read from M's rows
-    directly: cell a of the entry row for the root symbol .a, cell i of a
-    row for the letter i."""
-    moves = _moves(M)
-    rows = M._rows
-    memo = {}
+    """The inverse transition rule of the plain or initial machine M, whose
+    images are clopen: from the inverse state (w, q) on the symbols t, emit
+    v = (w.t)L_q and move to (w.t minus the forward output on v, forward
+    state on v), both read off the walk.  The forward output on v is the
+    prefix of w.t of the walk's output length: U_w.t lies inside im(q) and
+    h_q is injective at every state used (see the module docstring)."""
+    img = images(M)
+    depth = max(len(c) for image in img.values() for c in image.cones)
 
     def step(state, t):
         w, q = state
         target = w + t
-        v = _preimage_gcp(moves, memo, q, target)
-        out = EMPTY
-        for sym in v:
-            piece, q = rows[q][sym if type(sym) is int else sym[1]]
-            out += piece
-        return v, (subtract_prefix(out, target), q)
+        v, p, k = _preimage_gcp(M, img, depth, q, target)
+        return v, (target[k:], p)
 
     return step
 
@@ -214,7 +187,7 @@ def inverse_closure(T, root=None):
     then closed forward under the inverse transition rule.  The closure
     contains the full core of the inverse whenever T is synchronizing.
     Its states have complete response (see the module docstring), and its
-    memo says so.  All preimage searches of one call share one memo.
+    memo says so.
     Raises InvalidInput when a state is not injective, and NotClopenImage
     when an image is not clopen: the closure is finite otherwise (see the
     module docstring)."""
@@ -282,11 +255,11 @@ def _invert_minimal(A):
         raise InvalidInput("machine is not a homeomorphism, cannot invert")
     inv_root = (EMPTY, A.root)
     step = _inverse_step(A)
-    entry = [step(inv_root, (dot(b),)) for b in range(A.r)]
+    entry = tuple(step(inv_root, (dot(b),)) for b in range(A.r))
     queue = list(dict.fromkeys(nxt for _, nxt in entry))
     rows = _close(A.n, step, queue, {inv_root, *queue})
-    table = {state: dict(enumerate(row)) for state, row in rows.items()}
-    raw = InitialTransducer(A.n, A.r, dict(enumerate(entry)), table, root=inv_root)
+    rows[inv_root] = entry
+    raw = InitialTransducer._from_rows(A.n, A.r, inv_root, rows)
     raw._memo = {"complete_response": True}
     return minimize_initial(raw)
 

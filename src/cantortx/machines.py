@@ -230,20 +230,22 @@ def from_prefix_exchange(pe):
     for leaf, k in zip(pe.domain, pe.bijection):
         b, v = pe.range_[k]
         targets[leaf] = (rooted_word(b, v), "id")
-    table = {"id": {i: ((i,), "id") for i in range(pe.n)}}
-    return minimize_initial(_tree_machine(pe.n, pe.r, targets, table))
+    rows = {"id": tuple(((i,), "id") for i in range(pe.n))}
+    return minimize_initial(_tree_machine(pe.n, pe.r, targets, rows))
 
 
-def _tree_machine(n, r, targets, table):
+def _tree_machine(n, r, targets, rows):
     """The initial machine that reads each root's complete antichain of
     leaves (root, word) down the states ("t", root, prefix), outputting
     nothing, and leaves the cone of each leaf by the edge targets[root,
-    word]; table holds the rows of the states that the leaves enter, and
+    word]; rows holds the rows of the states that the leaves enter, and
     the rows of the tree are added to it.  The cells are filled from a
     stack of (row, symbol, root, word)."""
+    if "q0" in rows:
+        raise InvalidInput("the initial state reads only root letters")
     deepest = max(len(w) for _, w in targets)
-    root_table = {}
-    stack = [(root_table, a, a, EMPTY) for a in range(r)]
+    tree = {"q0": [None] * r}
+    stack = [(tree["q0"], a, a, EMPTY) for a in range(r)]
     while stack:
         row, i, a, w = stack.pop()
         if (a, w) in targets:
@@ -252,9 +254,10 @@ def _tree_machine(n, r, targets, table):
             raise InvalidInput("antichain gap")  # unreachable after validation
         else:
             row[i] = (EMPTY, ("t", a, w))
-            table[("t", a, w)] = below = {}
+            tree[("t", a, w)] = below = [None] * n
             stack.extend((below, k, a, w + (k,)) for k in range(n))
-    return InitialTransducer(n, r, root_table, table)
+    rows.update((q, tuple(row)) for q, row in tree.items())
+    return InitialTransducer._from_rows(n, r, "q0", rows)
 
 
 # --- viable combinations ----------------------------------------------------
@@ -385,13 +388,11 @@ class RealizeError(RuntimeError):
 def state_wrapper(T, q, r, reversing=False):
     """Initial machine .a xi -> .a (xi)h_q (or .(r-1-a) (xi)h_q when
     reversing); needs q to be a homeomorphism state for the result to be a
-    homeomorphism."""
-    root_table = {}
-    for a in range(r):
-        b = r - 1 - a if reversing else a
-        root_table[a] = ((dot(b),), q)
-    table = {p: dict(enumerate(T.row(p))) for p in T.states}
-    return InitialTransducer(T.n, r, root_table, table)
+    homeomorphism.  It is the tree machine whose leaves are the roots."""
+    if r < 1:
+        raise InvalidInput("need n >= 2 and r >= 1")
+    targets = {(a, EMPTY): ((dot(r - 1 - a if reversing else a),), q) for a in range(r)}
+    return _tree_machine(T.n, r, targets, dict(T._rows))
 
 
 def reversing_complement_wrapper(n, r):
@@ -421,8 +422,7 @@ def _assemble_blocks(T, v, r):
     for k, leaf in enumerate(leaves):
         i, a = divmod(k, j)
         targets[leaf] = (rooted_word(i, v.prefixes[a]), v.states[a])
-    table = {q: dict(enumerate(T.row(q))) for q in T.states}
-    return _tree_machine(T.n, r, targets, table), leaves
+    return _tree_machine(T.n, r, targets, dict(T._rows)), leaves
 
 
 def _is_glue_pair(n, r, left, right):
@@ -528,15 +528,15 @@ def _construct(T, r, ordered, max_prefix_depth, max_size):
 
 def _verify_realization(A, want):
     """Check the machine A built for an element whose canonical core is
-    `want`: a homeomorphism with that core and bi-synchronizing.  The
-    bi-synchronization check keeps A's inverse in A's memo."""
+    `want`: a homeomorphism with that core and bi-synchronizing.  A is
+    marked minimal (minimize_initial), so canonical_core takes its core as
+    it is.  The bi-synchronization check keeps A's inverse in A's memo."""
     from . import group
-    from .synchronize import core
     from .invert import bisynchronizing_failure_initial
 
     if not is_homeomorphism_state(A, A.root):
         raise RealizeError("constructed machine is not a homeomorphism")
-    if group.canonical_core(core(A)) != want:
+    if group.canonical_core(A) != want:
         raise RealizeError("constructed machine has the wrong core")
     if bisynchronizing_failure_initial(A) is not None:
         raise RealizeError("constructed machine is not bi-synchronizing")

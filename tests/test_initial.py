@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from functools import lru_cache
 from itertools import product as cartesian
 from pathlib import Path
@@ -43,7 +44,7 @@ from cantortx.images import (
     non_injective_states,
     whole,
 )
-from cantortx.synchronize import NotSynchronizing, core, core_states
+from cantortx.synchronize import NotSynchronizing, canonical_core, core, core_states
 from cantortx.invert import invert_initial, preimage_gcp
 from cantortx.machines import (
     PrefixExchange,
@@ -754,3 +755,69 @@ class TestRows:
         assert len({hash(M) for _, M in realized_cases()}) == len(set(
             serialize(M) for _, M in realized_cases()
         ))
+
+
+def serialize_renamed(M):
+    """serialize(M) with the states of M named by their position, as the
+    builders name some states by tuples, which the text format cannot
+    hold."""
+    name = {q: f"s{k}" for k, q in enumerate(M.states)}
+
+    def row(q):
+        return {i: (w, name[p]) for i, (w, p) in enumerate(M.row(q))}
+
+    return serialize(InitialTransducer(
+        M.n, M.r, row(M.root), {name[q]: row(q) for q in M.states[1:]}, root=name[M.root]
+    ))
+
+
+class TestLibraryRows:
+    """The initial machines that the library builds from checked machines
+    skip the constructor's cell checks (InitialTransducer._from_rows): each
+    equals the checking constructor's machine on the same rows.  The
+    realization check reads the core of the minimal machine as it is."""
+
+    # state_wrapper builds the tree machine whose leaves are the roots
+    BUILDERS = {"product_initial", "_minimize", "_invert_minimal", "_tree_machine"}
+
+    def test_every_builder_equals_the_checking_constructor(self, monkeypatch):
+        built = []
+        original = InitialTransducer._from_rows.__func__
+
+        def recording(cls, n, r, root, rows):
+            M = original(cls, n, r, root, rows)
+            built.append((sys._getframe(1).f_code.co_name, n, r, root, dict(rows), M))
+            return M
+
+        monkeypatch.setattr(InitialTransducer, "_from_rows", classmethod(recording))
+        cases = realized_cases.__wrapped__()  # built afresh, not the cached ones
+        for _, A in cases:
+            W = reversing_complement_wrapper(A.n, A.r)
+            product_initial(A, W)
+            product_initial(W, A)
+        list(prefix_exchanges())
+        monkeypatch.undo()
+        seen = set()
+        for builder, n, r, root, rows, M in built:
+            if builder not in self.BUILDERS:
+                continue
+            seen.add(builder)
+            want = InitialTransducer(
+                n, r, dict(enumerate(rows[root])),
+                {q: dict(enumerate(row)) for q, row in rows.items() if q != root},
+                root=root,
+            )
+            assert M == want and hash(M) == hash(want), builder
+            assert (M.states, M.region) == (want.states, want.region), builder
+            assert serialize_renamed(M) == serialize_renamed(want), builder
+        assert seen == self.BUILDERS
+        assert len(built) > 500, len(built)
+
+    def test_minimal_core_read_as_it_is(self):
+        checked = 0
+        for _, A in TestGoldenRealizations().cases():
+            assert "minimal" in A._memo
+            got, want = canonical_core(A), canonical_core(core(A))
+            assert got == want and serialize(got) == serialize(want)
+            checked += 1
+        assert checked >= 100, checked

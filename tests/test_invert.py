@@ -11,7 +11,7 @@ from cantortx.transducer import (
     common_prefixes,
     evaluate,
 )
-from cantortx.images import images
+from cantortx.images import NotClopenImage, images
 from cantortx.initial import (
     InitialTransducer,
     evaluate_initial,
@@ -26,10 +26,7 @@ from cantortx.invert import (
     is_bisynchronizing_core,
     bisynchronizing_failure_initial,
     preimage_gcp,
-    _moves,
-    _NEW,
-    _OPEN,
-    _preimage_search,
+    _preimage_gcp,
 )
 from cantortx.machines import (
     cycle_transducer,
@@ -39,6 +36,7 @@ from cantortx.machines import (
     machine_U,
     machine_g4,
     oplus,
+    RealizeError,
     realize,
     state_wrapper,
     swap_transducer,
@@ -240,6 +238,115 @@ class TestClosureBound:
         assert checked > 3000, checked
 
 
+# --- the preimage walk against the searches it replaced ----------------------
+
+
+_OPEN = object()  # memo mark of a subproblem whose search is under way
+_NEW = object()  # memo lookup default of a subproblem not met yet
+
+
+def _preimage_search(moves, memo, q, v):
+    """The memoized preimage search that the walk replaced, kept as a
+    reference: the gcp of the inputs from q whose output lies in the cone
+    v, or None when there is no such input.  `moves[p]` lists (symbol,
+    output, output length, destination) at state p; `memo` maps (state,
+    rest of the cone) to its answer and keeps every subproblem solved here.
+
+    A symbol whose output covers the rest of the cone contributes its
+    one-symbol cone; a symbol whose output is a proper prefix of it
+    contributes itself followed by the answer at (destination, what is
+    left).  The gcp of the contributions is the answer.  The contributions
+    of one subproblem start with its symbols, which are distinct, so the
+    gcp of two of them is empty: one contribution is the answer, and a
+    second makes it EMPTY at once and stops the subproblem.  The search
+    keeps its own stack; a subproblem met again while it is still open lies
+    on an empty-output cycle."""
+    top = (q, v)
+    stack = []  # frames [(state, rest of the cone), next move, answer so far]
+    if top not in memo:
+        memo[top] = _OPEN
+        stack.append([top, 0, None])
+    while stack:
+        frame = stack[-1]
+        (p, t), j, best = frame
+        lt = len(t)
+        opts = moves[p]
+        stop = len(opts)
+        while j < stop and best is not EMPTY:
+            sym, w, lw, p2 = opts[j]
+            j += 1
+            if lw >= lt:
+                if w[:lt] != t:
+                    continue
+                got = EMPTY
+            elif t[:lw] != w:
+                continue
+            else:
+                sub = (p2, t[lw:])
+                got = memo.get(sub, _NEW)
+                if got is _NEW:  # solve it first, then read this move again
+                    memo[sub] = _OPEN
+                    frame[1], frame[2] = j - 1, best
+                    stack.append([sub, 0, None])
+                    break
+                if got is _OPEN:
+                    raise DegenerateTransducer(
+                        f"cycle through state {p2!r} outputs the empty word"
+                    )
+            if got is not None:
+                best = (sym,) + got if best is None else EMPTY
+        else:
+            memo[frame[0]] = best
+            stack.pop()
+    return memo[top]
+
+
+def _moves(M):
+    """(symbol, output, output length, destination) for every symbol of every
+    state of a plain or initial machine."""
+    return {
+        q: tuple((s, w, len(w), p) for s, (w, p) in zip(M.symbols_at(q), M.row(q)))
+        for q in M.states
+    }
+
+
+def gcp_outcome(M, q, v):
+    """What preimage_gcp(M, q, v) gives: its answer, None for an empty
+    preimage, or the class and message of what it raised."""
+    try:
+        return preimage_gcp(M, q, v)
+    except EmptyPreimage:
+        return None
+    except (DegenerateTransducer, NotClopenImage) as e:
+        return ("raised", type(e), str(e))
+
+
+def images_failure(M):
+    """The class and message of what images(M) raises, or None."""
+    try:
+        images(M)
+    except (DegenerateTransducer, NotClopenImage) as e:
+        return ("raised", type(e), str(e))
+    return None
+
+
+def replay_walks(walks):
+    """Replay recorded _preimage_gcp calls against the reference search,
+    one memo per machine as a closure kept one: the walk's prefix is the
+    search's answer, and it leads from q to the walk's end state with an
+    output of the walk's length.  Returns the number of walks."""
+    memos = {}
+    for c in walks:
+        M, q, v = c["M"], c["q"], c["v"]
+        moves, memo = memos.setdefault(id(M), (_moves(M), {}))
+        want = _preimage_search(moves, memo, q, v)
+        u, p, k = _preimage_gcp(M, c["img"], c["depth"], q, v)
+        assert u == want, (serialize(M), q, v)
+        out, end = evaluate(M, q, u)
+        assert (end, len(out)) == (p, k)
+    return len(walks)
+
+
 # --- the memoized preimage search against the depth-first search it replaced
 
 
@@ -366,8 +473,12 @@ class TestMemoizedPreimage:
             assert checked >= len(M.states)
 
     def test_shared_memo_equals_fresh_calls(self):
+        # the reference search with one memo over all asks, against a fresh
+        # walk per ask, where images succeeds; elsewhere the walk raises
+        # what images raises
         rng = random.Random(5)
         for M in oracle_cases():
+            failure = images_failure(M)
             moves = _moves(M)
             memo = {}
             asks = [
@@ -378,17 +489,19 @@ class TestMemoizedPreimage:
             ]
             rng.shuffle(asks)
             for q, v in asks:
-                got = _preimage_search(moves, memo, q, v)
-                try:
-                    fresh = preimage_gcp(M, q, v)
-                except EmptyPreimage:
-                    fresh = None
-                assert got == fresh
+                got = gcp_outcome(M, q, v)
+                if failure is not None:
+                    assert got == failure
+                    continue
+                assert got == _preimage_search(moves, memo, q, v)
 
     @pytest.mark.parametrize("k", [10, 30, 3000])
     def test_no_node_budget(self, k):
-        M = doubling_machine()
-        assert preimage_gcp(M, "a", (0,) * k) == EMPTY
+        assert preimage_gcp(identity_transducer(2), "0", (0,) * k) == (0,) * k
+        # every input of the doubling machine maps into 0^w: the image of
+        # "a" is one point, not clopen
+        with pytest.raises(NotClopenImage):
+            preimage_gcp(doubling_machine(), "a", (0,) * k)
 
     def test_budget_ran_out_in_the_depth_first_search(self):
         M = doubling_machine()
@@ -577,41 +690,136 @@ def random_machine(rng, n):
 
 class TestOneContributionSearch:
     def test_random_machines(self):
+        # the walk against the reference search wherever images succeeds,
+        # and the same exception as images elsewhere; the reference search
+        # against the gcp search before it.  Few random machines have
+        # clopen images, so seeded products of the verify generators at
+        # n = 3..5 follow them.
         rng = random.Random(22)
         kinds = {"answer": 0, "empty": 0, "none": 0, "raised": 0}
-        for _ in range(400):
-            n = rng.randint(2, 4)
-            M = random_machine(rng, n)
+
+        def check(M):
+            n = M.n
+            failure = images_failure(M)
             moves = _moves(M)
             for q in M.states:
                 for k in range(4):
                     v = tuple(rng.randrange(n) for _ in range(k))
                     memo, ref_memo = {}, {}
-                    got = search_outcome(_preimage_search, moves, memo, q, v)
-                    want = search_outcome(reference_preimage_search, moves, ref_memo, q, v)
-                    assert got == want and memo == ref_memo, (serialize(M), q, v)
+                    want = search_outcome(_preimage_search, moves, memo, q, v)
+                    ref = search_outcome(reference_preimage_search, moves, ref_memo, q, v)
+                    assert want == ref and memo == ref_memo, (serialize(M), q, v)
+                    got = gcp_outcome(M, q, v)
+                    if failure is not None:
+                        assert got == failure, (serialize(M), q, v)
+                        kinds["raised"] += 1
+                        continue
+                    assert got == want, (serialize(M), q, v)
                     if got is None:
                         kinds["none"] += 1
                     elif got == EMPTY:
                         kinds["empty"] += 1
                     else:
-                        kinds["raised" if got[0] == "raised" else "answer"] += 1
+                        kinds["answer"] += 1
+
+        for _ in range(400):
+            check(random_machine(rng, rng.randint(2, 4)))
+        pools = {n: _generator_pool(n) for n in (3, 4, 5)}
+        for _ in range(100):
+            factors = rng.choices(pools[rng.randint(3, 5)], k=rng.randint(1, 4))
+            g = factors[0]
+            for h in factors[1:]:
+                g = group_product(g, h)
+            check(g.machine)
         assert min(kinds.values()) >= 100, kinds
 
     def test_pool_closure_steps(self, record_calls):
-        # every search of every pool closure, in the closure's order and
-        # with one memo per closure, as the closure asks them
-        calls = record_calls(("_preimage_search",))
+        # every walk of every pool closure, in the closure's order, against
+        # the reference search with one memo per closure, as the closure
+        # kept one; the reference search against the gcp search before it
+        calls = record_calls(("_preimage_gcp",))
         asked = 0
         for g in pool_elements():
             calls.clear()
             inverse_closure(parse(serialize(g.machine)))
-            searches = calls["_preimage_search"]
-            moves = searches[0]["moves"]
+            walks = calls["_preimage_gcp"]
+            assert replay_walks(walks) == len(walks)
+            moves = _moves(walks[0]["M"])
             memo, ref_memo = {}, {}
-            for c in searches:
+            for c in walks:
                 got = _preimage_search(moves, memo, c["q"], c["v"])
                 assert got == reference_preimage_search(moves, ref_memo, c["q"], c["v"])
-            assert memo == ref_memo == searches[0]["memo"]
-            asked += len(searches)
+            assert memo == ref_memo
+            asked += len(walks)
         assert asked > 5000, asked
+
+
+def realized_machines():
+    """The machines that tests/test_initial.py realizes: realize(g, r) of
+    T:n^k and U:n^k, n = 3..5, k <= 3, at every r in 1..n-1, ordered and
+    unordered, wherever g is realizable, and the letter complement at
+    n = 4."""
+    for n in (3, 4, 5):
+        for make in (machine_T, machine_U):
+            for M in power_machines(make, n, 3):
+                for r in range(1, n):
+                    for ordered in (True, False):
+                        try:
+                            yield realize(M, r, ordered)
+                        except RealizeError:
+                            continue
+    for r in (1, 2, 3):
+        for ordered in (True, False):
+            yield realize(letter_complement(4), r, ordered)
+
+
+class TestPreimageWalk:
+    """The walk that reads (v)L_q off the images equals the memoized search
+    it replaced on every step of every closure and inversion below."""
+
+    def test_verify_pool_closures(self, record_calls):
+        calls = record_calls(("_preimage_gcp",))
+        walked = 0
+        for n in (3, 4):
+            layers = _close_pool(_generator_pool(n), 3)
+            for X in layers[1] + layers[2] + layers[3]:
+                for root in X.machine.states:
+                    calls.clear()
+                    inverse_closure(parse(serialize(X.machine)), root)
+                    walked += replay_walks(calls["_preimage_gcp"])
+        assert walked > 20000, walked
+
+    def test_t5_power_closures(self, record_calls):
+        calls = record_calls(("_preimage_gcp",))
+        walked = 0
+        for M in power_machines(machine_T, 5, 6):
+            for root in M.states:
+                calls.clear()
+                inverse_closure(parse(serialize(M)), root)
+                walked += replay_walks(calls["_preimage_gcp"])
+        assert walked > 1000, walked
+
+    def test_realized_inversions(self, record_calls):
+        # a copy read back from text is not marked minimal, so it is
+        # minimized and inverted afresh
+        calls = record_calls(("_preimage_gcp",))
+        walked = machines = 0
+        for A in realized_machines():
+            calls.clear()
+            invert_initial(parse(serialize(A)))
+            walked += replay_walks(calls["_preimage_gcp"])
+            machines += 1
+        assert machines >= 100 and walked > 2000, (machines, walked)
+
+    def test_long_cone_memory_is_linear(self):
+        import tracemalloc
+
+        I = identity_transducer(2)
+        images(I)
+        tracemalloc.start()
+        try:
+            assert preimage_gcp(I, "0", (0,) * 3000) == (0,) * 3000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak

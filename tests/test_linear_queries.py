@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from cantortx.words import EvPeriodicWord, GREATER, RotationClass, lex_compare_evp, rotation_class_of
+from cantortx.words import EvPeriodicWord, GREATER, InvalidInput, RotationClass, lex_compare_evp, rotation_class_of
 from cantortx.transducer import Transducer, _letter_outputs, evaluate, evaluate_periodic
 from cantortx.images import NotClopenImage, Orientation, non_injective_states, orientation
 from cantortx.signature import BLOCK_VALUES, PerWordM, signature_report
@@ -205,6 +205,25 @@ class TestOrbits:
 
     def test_powers(self, pools):
         self.check(pools["powers"][::3], 4)
+
+    def test_letters_are_checked_once_per_step(self, record_calls):
+        # loop_state checks the letters of w, and the loop output is read
+        # from the rows unchecked after it
+        calls = record_calls(("check_letters",))
+        g = GroupElement.from_machine(machine_T(3))
+        calls.clear()
+        assert orbit_lengths(g, rotation_class_of((1, 2)), 5) == [2, 3, 4, 5, 6, 7]
+        assert len(calls["check_letters"]) == 5
+
+    def test_letter_out_of_range(self):
+        # the walk on a valid element and the count over all states of a
+        # machine that does not synchronize name the same letter
+        swap = Transducer(3, {"a": {i: ((i,), "b") for i in range(3)},
+                              "b": {i: ((i,), "a") for i in range(3)}})
+        assert not is_synchronizing(swap)
+        for g in (GroupElement.from_machine(machine_T(3)), GroupElement(swap)):
+            with pytest.raises(InvalidInput, match=f"letter 7 out of range for alphabet of size {g.n}"):
+                rotation_action(g, RotationClass((7,)))
 
     def test_synchronizing_tables_without_a_verdict(self):
         # random synchronizing machines with no memo: is_synchronizing
