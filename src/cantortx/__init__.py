@@ -42,10 +42,8 @@ from .images import (
     Orientation,
     StateReport,
     analyze,
-    image,
     is_homeomorphism_state,
     is_injective_state,
-    m_of_state,
     orientation,
 )
 from .invert import (
@@ -62,7 +60,6 @@ from .signature import (
     member_over_roots,
     member_over_roots_ordered,
     membership_monotonicity_check,
-    reduced_signature,
     signature_class_partition,
     signature_report,
     units_fixing_subgroup,
@@ -72,7 +69,6 @@ from .signature import (
 from .machines import (
     PrefixExchange,
     ViableCombination,
-    expand_viable,
     from_prefix_exchange,
     identity_transducer,
     letter_complement,
@@ -86,17 +82,14 @@ from .machines import (
     reorder_lexicographic,
     swap_transducer,
     cycle_transducer,
-    validate_viable,
     viable_combinations,
 )
 from .group import (
     CoreInvariantError,
     GroupElement,
     OrderResult,
-    ZeroFixing,
     canonical_core,
     element_order,
-    equal,
     evaluate_group_word,
     group_product,
     identity_element,
@@ -105,5 +98,4 @@ from .group import (
     orbit_lengths,
     rotation_action,
     verify_relation,
-    zero_fixing_check,
 )

@@ -5,7 +5,6 @@ relation checking."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .words import InvalidInput, check_letters, rotation_class_of
 from .transducer import evaluate, minimize_rooted, product
@@ -15,7 +14,7 @@ from .synchronize import (
     is_synchronizing,
     mark_synchronizing,
 )
-from .images import Orientation, orientation
+from .images import orientation
 from .invert import inverse_core
 from .signature import record_valid, signature_report, validation_failure
 
@@ -121,14 +120,6 @@ def is_identity(g):
     )
 
 
-def equal(g, h):
-    """Canonical machines agree, with the product-with-inverse identity test
-    as the defining (slow) criterion."""
-    if g.machine == h.machine:
-        return True
-    return is_identity(group_product(g, invert_element(h)))
-
-
 @dataclass
 class OrderResult:
     finite: bool
@@ -216,6 +207,7 @@ def rotation_action(g, c):
 def orbit_lengths(g, c, steps):
     """Representative lengths along the orbit of c, including the start;
     strictly growing lengths certify infinite order."""
+    check_letters(g.n, c.rep)
     out = [len(c)]
     for _ in range(steps):
         c = rotation_action(g, c)
@@ -251,23 +243,3 @@ def inverse_word(word):
 
 def commutator_word(p, q):
     return inverse_word(p) + inverse_word(q) + list(p) + list(q)
-
-
-class ZeroFixing(Enum):
-    FIXES_BOTH = "fixes-both"
-    SWAPS = "swaps"
-
-
-def zero_fixing_check(g):
-    """Orientation-preserving elements fix the rotation classes of 0 and n-1;
-    reversing elements swap them."""
-    if g.orientation is Orientation.NEITHER:
-        raise InvalidInput("element neither preserves nor reverses the order")
-    n = g.n
-    lo, hi = rotation_class_of((0,)), rotation_class_of((n - 1,))
-    a, b = rotation_action(g, lo), rotation_action(g, hi)
-    if a == lo and b == hi:
-        return ZeroFixing.FIXES_BOTH
-    if a == hi and b == lo:
-        return ZeroFixing.SWAPS
-    raise CoreInvariantError("boundary classes moved to interior classes")

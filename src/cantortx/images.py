@@ -203,16 +203,6 @@ def images(M):
     return memoized(M, "images", lambda: _fixpoint(M))
 
 
-def image(T, q):
-    return images(T)[q]
-
-
-def m_of_state(T, q):
-    """Size of the smallest set of cones inside the image that covers it;
-    this is the size of the canonical antichain."""
-    return len(image(T, q).cones)
-
-
 def _branches_disjoint(M, img, p):
     """Are the images of the branches at state p of the plain or initial
     machine M pairwise disjoint?  The cones of all branches are sorted once

@@ -15,8 +15,6 @@ from .words import (
     canonicalize_clopen,
     first_difference,
     lex_compare_evp,
-    pairwise_disjoint,
-    union_all,
     whole_space,
     LESS,
 )
@@ -236,16 +234,14 @@ def from_prefix_exchange(pe):
 
 def _tree_machine(n, r, targets, rows):
     """The initial machine that reads each root's complete antichain of
-    leaves (root, word) down the states ("t", root, prefix), outputting
-    nothing, and leaves the cone of each leaf by the edge targets[root,
-    word]; rows holds the rows of the states that the leaves enter, and
-    the rows of the tree are added to it.  The cells are filled from a
-    stack of (row, symbol, root, word)."""
-    if "q0" in rows:
-        raise InvalidInput("the initial state reads only root letters")
+    leaves (root, word) down the states ("t", root, prefix) from the
+    initial state ("t",), outputting nothing, and leaves the cone of each
+    leaf by the edge targets[root, word]; rows holds the rows of the
+    states that the leaves enter, and the rows of the tree are added to
+    it.  The cells are filled from a stack of (row, symbol, root, word)."""
     deepest = max(len(w) for _, w in targets)
-    tree = {"q0": [None] * r}
-    stack = [(tree["q0"], a, a, EMPTY) for a in range(r)]
+    tree = {("t",): [None] * r}
+    stack = [(tree[("t",)], a, a, EMPTY) for a in range(r)]
     while stack:
         row, i, a, w = stack.pop()
         if (a, w) in targets:
@@ -257,7 +253,7 @@ def _tree_machine(n, r, targets, rows):
             tree[("t", a, w)] = below = [None] * n
             stack.extend((below, k, a, w + (k,)) for k in range(n))
     rows.update((q, tuple(row)) for q, row in tree.items())
-    return InitialTransducer._from_rows(n, r, "q0", rows)
+    return InitialTransducer._from_rows(n, r, ("t",), rows)
 
 
 # --- viable combinations ----------------------------------------------------
@@ -276,16 +272,6 @@ class ViableCombination:
 
     def entries(self):
         return list(zip(self.prefixes, self.states))
-
-
-def piece_of(T, img, prefix, state):
-    return img[state].shift(prefix)
-
-
-def validate_viable(T, v):
-    img = images(T)
-    pieces = [piece_of(T, img, p, q) for p, q in v.entries()]
-    return pairwise_disjoint(pieces) and union_all(T.n, pieces).is_whole()
 
 
 def viable_combinations(T, max_prefix_depth=3, max_size=None, limit=None):
@@ -312,7 +298,7 @@ def _viable_search(T, max_prefix_depth, max_size):
     seen = set()
     for w in sorted(set(prefixes), key=lambda w: (len(w), w)):
         for q in T.states:
-            piece = piece_of(T, img, w, q)
+            piece = img[q].shift(w)
             if not piece.is_empty() and (w, q) not in seen:
                 seen.add((w, q))
                 candidates.append((w, q, piece))
@@ -345,18 +331,6 @@ def _minus(a, b):
     return a.intersection(b.complement())
 
 
-def expand_viable(T, v, index):
-    """Replace entry `index` by its n children; the result is again viable and
-    longer by n-1 entries."""
-    if not (0 <= index < len(v)):
-        raise InvalidInput("expansion index out of range")
-    rho, p = v.prefixes[index], v.states[index]
-    kids = [(rho + T.output(p, l), T.dest(p, l)) for l in range(T.n)]
-    prefixes = v.prefixes[:index] + tuple(w for w, _ in kids) + v.prefixes[index + 1:]
-    states = v.states[:index] + tuple(q for _, q in kids) + v.states[index + 1:]
-    return ViableCombination(prefixes, states)
-
-
 class NotOrderable(RuntimeError):
     pass
 
@@ -368,8 +342,8 @@ def reorder_lexicographic(T, v):
     """Sort the entries so each piece lies entirely below the next in the
     lexicographic order; fails if the pieces do not separate."""
     img = images(T)
-    entries = sorted(v.entries(), key=lambda e: _lex_key(piece_of(T, img, *e).min_point()))
-    pieces = [piece_of(T, img, w, q) for w, q in entries]
+    entries = sorted(v.entries(), key=lambda e: _lex_key(img[e[1]].shift(e[0]).min_point()))
+    pieces = [img[q].shift(w) for w, q in entries]
     for a, b in zip(pieces, pieces[1:]):
         if lex_compare_evp(a.max_point(), b.min_point()) != LESS:
             raise NotOrderable("pieces do not separate lexicographically")

@@ -176,10 +176,6 @@ def _signature_report(T):
     return SignatureReport(k, per, sig, residue(sig, T.n), forced)
 
 
-def reduced_signature(T):
-    return signature_report(T).rsig
-
-
 def validation_failure(T):
     """None when T is a valid core element (core, bi-synchronizing, every
     state injective with clopen image); otherwise the reason.  The verdict

@@ -171,17 +171,6 @@ def minimal_sync_level(T):
     return level
 
 
-def forced_state(T, word):
-    """The state forced by `word`, which must be at least the sync level long."""
-    rows = _destination_rows(T)
-    S = set(rows)
-    for i in word:
-        S = {rows[q][i] for q in S}
-    if len(S) != 1:
-        raise NotSynchronizing("word does not force a unique state")
-    return next(iter(S))
-
-
 def core_states(T):
     """States forced by words of the minimal synchronizing length: the
     states reachable from the end state of one such word.  On a machine

@@ -55,21 +55,6 @@ def subtract_prefix(u, v):
     return v[len(u):]
 
 
-def gcp(words):
-    """Greatest common prefix of a nonempty collection of tuples."""
-    it = iter(words)
-    out = next(it)
-    for w in it:
-        k = 0
-        top = min(len(out), len(w))
-        while k < top and out[k] == w[k]:
-            k += 1
-        out = out[:k]
-        if not out:
-            break
-    return out
-
-
 # --- serialization: letters as comma-separated decimals, `e` for the empty word,
 # --- dotted roots as `.2`, eventually periodic words as `u|v`.
 
@@ -162,13 +147,6 @@ class EvPeriodicWord:
             return EvPeriodicWord(self.pre[k:], self.per)
         r = (k - len(self.pre)) % len(self.per)
         return EvPeriodicWord((), self.per[r:] + self.per[:r])
-
-
-def parse_evp(text):
-    pre, sep, per = text.partition("|")
-    if not sep:
-        raise InvalidInput(f"eventually periodic word needs 'u|v' form: {text!r}")
-    return EvPeriodicWord(parse_word(pre), parse_word(per))
 
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -451,20 +429,9 @@ def _elder_siblings(stack, c, last):
     return len(stack) >= last and all(w[:-1] == parent for w in stack[-last:])
 
 
-def empty_clopen(n):
-    return ClopenSet(n, ())
-
-
 def whole_space(n):
     return ClopenSet(n, (EMPTY,))
 
 
 def cone(n, w):
     return canonicalize_clopen(n, [tuple(w)])
-
-
-def union_all(n, sets):
-    out = []
-    for s in sets:
-        out.extend(s.cones)
-    return canonicalize_clopen(n, out)

@@ -218,9 +218,10 @@ class TestErrors:
 
     def test_orbit_letter_out_of_range(self, tmp_path, capsys):
         t3 = write_example(tmp_path, capsys, "T:3")
-        code, out, err = run(capsys, "orbit", "--class", "7", t3)
-        assert code == 1 and out == ""
-        assert err == "error: letter 7 out of range for alphabet of size 3\n"
+        for steps in ((), ("--steps", "1"), ("--steps", "0")):
+            code, out, err = run(capsys, "orbit", "--class", "7", *steps, t3)
+            assert code == 1 and out == ""
+            assert err == "error: letter 7 out of range for alphabet of size 3\n"
 
     def test_zero_numeric_option_is_accepted(self, tmp_path, capsys):
         path = write_example(tmp_path, capsys, "T:3")

@@ -28,11 +28,9 @@ from cantortx.signature import signature_report, validation_failure
 from cantortx.group import (
     CoreInvariantError,
     GroupElement,
-    ZeroFixing,
     canonical_core,
     commutator_word,
     element_order,
-    equal,
     evaluate_group_word,
     group_product,
     identity_element,
@@ -42,7 +40,6 @@ from cantortx.group import (
     orbit_lengths,
     rotation_action,
     verify_relation,
-    zero_fixing_check,
 )
 
 
@@ -81,13 +78,17 @@ class TestProductAndEquality:
             )
 
     def test_equal_is_consistent_with_product(self):
+        def same(a, b):  # the defining criterion: a b^-1 is the identity
+            return is_identity(group_product(a, invert_element(b)))
+
         g = GroupElement.from_machine(machine_g4())
-        assert equal(g, g)
-        assert not equal(g, identity_element(4))
-        assert equal(group_product(g, g), identity_element(4))
-        # slow path agrees with the canonical fast path
+        e = identity_element(4)
+        assert g == g and same(g, g)
+        assert g != e and not same(g, e)
+        assert group_product(g, g) == e and same(group_product(g, g), e)
+        # the defining criterion agrees with the canonical comparison
         T = GroupElement.from_machine(machine_T(3))
-        assert not equal(T, invert_element(T))
+        assert T != invert_element(T) and not same(T, invert_element(T))
 
     def test_hash_separates_machines_of_one_size(self):
         from cantortx.verify import _close_pool, _generator_pool
@@ -223,29 +224,42 @@ class TestWordsAndRelations:
             evaluate_group_word({}, [("X", 1)])
 
 
+def boundary_classes(g):
+    """The rotation classes of 0 and n-1, and their images under g."""
+    lo, hi = rotation_class_of((0,)), rotation_class_of((g.n - 1,))
+    return (lo, hi), (rotation_action(g, lo), rotation_action(g, hi))
+
+
 class TestZeroFixing:
+    """Orientation-preserving elements fix the rotation classes of 0 and
+    n-1; reversing elements swap them."""
+
     def test_examples(self):
         g = GroupElement.from_machine(machine_g4())
-        assert zero_fixing_check(g) is ZeroFixing.FIXES_BOTH
+        (lo, hi), moved = boundary_classes(g)
+        assert moved == (lo, hi)
         piR = GroupElement.from_machine(letter_complement(4))
-        assert zero_fixing_check(piR) is ZeroFixing.SWAPS
+        (lo, hi), moved = boundary_classes(piR)
+        assert moved == (hi, lo)
         for n in (3, 4):
             T = GroupElement.from_machine(machine_T(n))
-            assert zero_fixing_check(T) is ZeroFixing.FIXES_BOTH
+            (lo, hi), moved = boundary_classes(T)
+            assert moved == (lo, hi)
 
     def test_agrees_with_orientation(self):
-        from cantortx.images import Orientation
-
         for h in pool(4):
+            (lo, hi), moved = boundary_classes(h)
             if h.orientation is Orientation.PRESERVING:
-                assert zero_fixing_check(h) is ZeroFixing.FIXES_BOTH
+                assert moved == (lo, hi)
             elif h.orientation is Orientation.REVERSING:
-                assert zero_fixing_check(h) is ZeroFixing.SWAPS
+                assert moved == (hi, lo)
 
     def test_unordered_element_rejected(self):
+        # neither order: the boundary classes move to interior classes
         M = GroupElement.from_machine(oplus(2, swap_transducer(), 4))
-        with pytest.raises(InvalidInput):
-            zero_fixing_check(M)
+        assert M.orientation is Orientation.NEITHER
+        (lo, hi), moved = boundary_classes(M)
+        assert moved not in ((lo, hi), (hi, lo))
 
 
 class TestCoreInvariantError:

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 from itertools import combinations, product as cartesian
 
 import pytest
@@ -8,8 +9,6 @@ from cantortx.words import (
     ClopenSet,
     EvPeriodicWord,
     canonicalize_clopen,
-    empty_clopen,
-    union_all,
     whole_space,
 )
 from cantortx.transducer import (
@@ -25,11 +24,9 @@ from cantortx.images import (
     _branches_disjoint,
     _check_clopen,
     analyze,
-    image,
     images,
     is_homeomorphism_state,
     is_injective_state,
-    m_of_state,
     non_injective_states,
     orientation,
     whole,
@@ -79,24 +76,24 @@ def folding_machine():
 class TestImage:
     def test_g_images(self):
         g = machine_g4()
-        assert image(g, "a").cones == ((0,), (1,))
-        assert image(g, "b").cones == ((2,), (3,))
+        assert images(g)["a"].cones == ((0,), (1,))
+        assert images(g)["b"].cones == ((2,), (3,))
 
     def test_identity_whole(self):
-        assert image(identity_transducer(5), "0").is_whole()
+        assert images(identity_transducer(5))["0"].is_whole()
 
     def test_block_sum_images(self):
         M = oplus(2, swap_transducer(), 4)
-        assert image(M, ("0", 1)).cones == ((2,), (3,))
+        assert images(M)[("0", 1)].cones == ((2,), (3,))
         M6 = oplus(3, identity_transducer(3), 6)
-        assert image(M6, ("0", 0)).cones == ((0,), (1,), (2,))
+        assert images(M6)[("0", 0)].cones == ((0,), (1,), (2,))
 
     def test_fixpoint_equation_holds_exactly(self):
         for M in (machine_g4(), machine_T(3), machine_U(4), oplus(2, swap_transducer(), 4)):
             img = images(M)
             for q in M.states:
-                rhs = union_all(
-                    M.n,
+                rhs = reduce(
+                    ClopenSet.union,
                     [img[M.dest(q, i)].shift(M.output(q, i)) for i in range(M.n)],
                 )
                 assert img[q] == rhs
@@ -130,9 +127,9 @@ def reaches_overlap_machine():
 class TestStatePredicates:
     def test_m_values(self):
         g = machine_g4()
-        assert m_of_state(g, "a") == 2 and m_of_state(g, "b") == 2
-        assert m_of_state(identity_transducer(2), "0") == 1
-        assert m_of_state(oplus(3, identity_transducer(3), 6), ("0", 0)) == 3
+        assert len(images(g)["a"].cones) == 2 and len(images(g)["b"].cones) == 2
+        assert len(images(identity_transducer(2))["0"].cones) == 1
+        assert len(images(oplus(3, identity_transducer(3), 6))[("0", 0)].cones) == 3
 
     def test_injectivity(self):
         assert is_injective_state(machine_g4(), "a")
@@ -159,7 +156,7 @@ class TestStatePredicates:
         from cantortx.images import NotClopenImage
 
         with pytest.raises(NotClopenImage):
-            image(constant_machine(), "q")
+            images(constant_machine())["q"]
 
     def test_homeomorphism_states(self):
         T = machine_T(3)
@@ -333,7 +330,7 @@ def _branch_parts(A, img, w, p):
         )
     if root is None:
         return img[p].shift(tail)
-    parts = [empty_clopen(A.n)] * A.r
+    parts = [ClopenSet(A.n, ())] * A.r
     parts[root] = img[p].shift(tail)
     return tuple(parts)
 

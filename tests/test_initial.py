@@ -13,8 +13,6 @@ from cantortx.words import (
     EvPeriodicWord,
     ClopenSet,
     InvalidInput,
-    empty_clopen,
-    gcp,
     subtract_prefix,
     whole_space,
 )
@@ -251,6 +249,14 @@ class TestProductMinimize:
 # invert_initial loop, written on the public step/symbols_at interface, kept
 # as references.
 
+def gcp(words):
+    """Greatest common prefix of a nonempty list of words."""
+    first, k = words[0], 0
+    while k < len(first) and all(len(w) > k and w[k] == first[k] for w in words):
+        k += 1
+    return first[:k]
+
+
 def reference_common_prefixes_initial(A, bound=64):
     pool = [q for q in A.states if q != A.root]
     ref = {}
@@ -368,7 +374,7 @@ def _reference_branch(A, img, q, sym):
         if isinstance(target, Parts):
             return target
         return target.shift(tail)
-    parts = [empty_clopen(A.n)] * A.r
+    parts = [ClopenSet(A.n, ())] * A.r
     parts[root] = target.shift(tail)
     return Parts(parts)
 

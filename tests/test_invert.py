@@ -3,7 +3,7 @@ from itertools import product as cartesian
 
 import pytest
 
-from cantortx.words import EMPTY, gcp, subtract_prefix
+from cantortx.words import EMPTY, subtract_prefix
 from cantortx.transducer import (
     DegenerateTransducer,
     DepthExceeded,
@@ -52,6 +52,14 @@ from cantortx.group import (
 from cantortx.signature import inverse_reduced_signature, member_over_roots
 from cantortx.textio import parse, serialize
 from cantortx.verify import _close_pool, _close_pool_products, _generator_pool
+
+
+def gcp(words):
+    """Greatest common prefix of a nonempty list of words."""
+    first, k = words[0], 0
+    while k < len(first) and all(len(w) > k and w[k] == first[k] for w in words):
+        k += 1
+    return first[:k]
 
 
 def brute_preimage_gcp(T, q, v, depth=6):

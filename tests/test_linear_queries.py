@@ -207,13 +207,14 @@ class TestOrbits:
         self.check(pools["powers"][::3], 4)
 
     def test_letters_are_checked_once_per_step(self, record_calls):
-        # loop_state checks the letters of w, and the loop output is read
-        # from the rows unchecked after it
+        # orbit_lengths checks the start class once and loop_state checks the
+        # letters of w at each step; the loop output is read from the rows
+        # unchecked after it
         calls = record_calls(("check_letters",))
         g = GroupElement.from_machine(machine_T(3))
         calls.clear()
         assert orbit_lengths(g, rotation_class_of((1, 2)), 5) == [2, 3, 4, 5, 6, 7]
-        assert len(calls["check_letters"]) == 5
+        assert len(calls["check_letters"]) == 6
 
     def test_letter_out_of_range(self):
         # the walk on a valid element and the count over all states of a

@@ -1,11 +1,12 @@
 import gc
 import json
+from functools import reduce
 from itertools import product as cartesian
 from pathlib import Path
 
 import pytest
 
-from cantortx.words import EMPTY, InvalidInput, union_all, whole_space
+from cantortx.words import EMPTY, ClopenSet, InvalidInput, pairwise_disjoint, whole_space
 from cantortx.transducer import Transducer, evaluate
 from cantortx.initial import (
     InitialTransducer,
@@ -26,7 +27,6 @@ from cantortx.machines import (
     RealizeError,
     ViableCombination,
     cycle_transducer,
-    expand_viable,
     from_prefix_exchange,
     identity_transducer,
     letter_complement,
@@ -36,12 +36,10 @@ from cantortx.machines import (
     machine_U,
     machine_g4,
     oplus,
-    piece_of,
     realize,
     reorder_lexicographic,
     state_wrapper,
     swap_transducer,
-    validate_viable,
     viable_combinations,
 )
 from cantortx.group import GroupElement, canonical_core, group_product, identity_element
@@ -198,7 +196,7 @@ def reference_viable_combinations(T, max_prefix_depth=3, max_size=None, limit=No
     seen = set()
     for w in sorted(set(prefixes), key=lambda w: (len(w), w)):
         for q in T.states:
-            piece = piece_of(T, img, w, q)
+            piece = img[q].shift(w)
             if not piece.is_empty() and (w, q) not in seen:
                 seen.add((w, q))
                 candidates.append((w, q, piece))
@@ -223,6 +221,23 @@ def reference_viable_combinations(T, max_prefix_depth=3, max_size=None, limit=No
 
     search(whole_space(T.n), [])
     return found
+
+
+def validate_viable(T, v):
+    """The pieces of v are pairwise disjoint and cover the whole space."""
+    img = images(T)
+    pieces = [img[q].shift(w) for w, q in v.entries()]
+    return pairwise_disjoint(pieces) and reduce(ClopenSet.union, pieces).is_whole()
+
+
+def expand_viable(T, v, index):
+    """Replace entry `index` by its n children: again viable, and longer by
+    n-1 entries."""
+    rho, p = v.prefixes[index], v.states[index]
+    kids = [(rho + T.output(p, l), T.dest(p, l)) for l in range(T.n)]
+    prefixes = v.prefixes[:index] + tuple(w for w, _ in kids) + v.prefixes[index + 1:]
+    states = v.states[:index] + tuple(q for _, q in kids) + v.states[index + 1:]
+    return ViableCombination(prefixes, states)
 
 
 class TestViableCombinations:
@@ -353,6 +368,18 @@ class TestRealize:
             realize(Transducer(2, {"0": {0: ((0,), "0"), 1: ((1,), "0")},
                                    "1": {0: ((0,), "1"), 1: ((1,), "1")}}), 1)
 
+    def test_state_named_like_the_tree_root(self):
+        # the element's own state names never meet the tree's
+        def renamed(T, old):
+            name = {q: "q0" if q == old else q for q in T.states}
+            return Transducer(T.n, {name[q]: {i: (w, name[p]) for i, (w, p) in enumerate(T.row(q))}
+                                    for q in T.states})
+
+        for T, old in ((machine_T(3), "a"), (letter_complement(4), "0")):
+            for r in (1, 2):
+                got = realize(renamed(T, old), r)
+                assert serialize(got) == serialize(realize(T, r))
+
 
 class TestFirstFit:
     """realize assembles from the first viable combination that fits and
@@ -477,9 +504,9 @@ def reference_tree(n, a, prefix, words, leaf_cell, table):
 
 
 def reference_tree_machine(n, r, leaves, leaf_cell, table):
-    """The initial machine of the reference builders: a root whose
-    antichain is the empty word leaves at once, every other root enters its
-    tree."""
+    """The initial machine of the reference builders, with the initial
+    state ("t",): a root whose antichain is the empty word leaves at once,
+    every other root enters its tree."""
     root_table = {}
     for a in range(r):
         words = [w for b, w in leaves if b == a]
@@ -488,7 +515,7 @@ def reference_tree_machine(n, r, leaves, leaf_cell, table):
         else:
             root_table[a] = (EMPTY, ("t", a, EMPTY))
             reference_tree(n, a, EMPTY, words, lambda w, a=a: leaf_cell(a, w), table)
-    return InitialTransducer(n, r, root_table, table)
+    return InitialTransducer(n, r, root_table, table, root=("t",))
 
 
 def reference_from_prefix_exchange(pe):

@@ -11,7 +11,6 @@ from cantortx.invert import inverse_closure, is_bisynchronizing_core
 from cantortx.synchronize import (
     NotSynchronizing,
     canonical_core,
-    forced_state,
     is_synchronizing,
     minimal_sync_level,
 )
@@ -23,7 +22,6 @@ from cantortx.signature import (
     member_over_roots,
     member_over_roots_ordered,
     membership_monotonicity_check,
-    reduced_signature,
     residue,
     signature_class_partition,
     signature_report,
@@ -62,12 +60,12 @@ class TestSignature:
             assert rep.sync_level == 0 and rep.sig == 1 and rep.rsig == 1
 
     def test_letter_complement(self):
-        assert reduced_signature(letter_complement(4)) == 1
+        assert signature_report(letter_complement(4)).rsig == 1
 
     def test_block_sum(self):
-        assert reduced_signature(oplus(2, swap_transducer(), 4)) == 2
-        assert reduced_signature(oplus(2, swap_transducer(), 6)) == 2
-        assert reduced_signature(oplus(3, cycle_transducer(3), 6)) == 3
+        assert signature_report(oplus(2, swap_transducer(), 4)).rsig == 2
+        assert signature_report(oplus(2, swap_transducer(), 6)).rsig == 2
+        assert signature_report(oplus(3, cycle_transducer(3), 6)).rsig == 3
 
     def test_preconditions_named(self):
         from cantortx.transducer import Transducer
@@ -94,6 +92,12 @@ class TestSignature:
         assert residue(6, 4) == 3
         assert residue(7, 4) == 1
         assert residue(1, 2) == 1  # n=2 edge case: the single residue
+
+
+def forced_state(T, word):
+    """The state that `word` forces: where it ends from every state."""
+    (q,) = {evaluate(T, p, word)[1] for p in T.states}
+    return q
 
 
 def reference_signature(T):
@@ -285,7 +289,7 @@ class TestMembership:
         for M in (machine_g4(), machine_T(4), machine_U(4),
                   oplus(2, swap_transducer(), 4), letter_complement(4),
                   identity_transducer(4)):
-            assert member_over_roots(M, 1) == (reduced_signature(M) == 1)
+            assert member_over_roots(M, 1) == (signature_report(M).rsig == 1)
 
 
 class TestClassPartition:

@@ -11,7 +11,7 @@ import pytest
 from cantortx import synchronize as sync
 from cantortx.transducer import Transducer, evaluate
 from cantortx.initial import InitialTransducer
-from cantortx.synchronize import NotSynchronizing, core, forced_state
+from cantortx.synchronize import NotSynchronizing, core
 from cantortx.machines import (
     identity_transducer,
     letter_complement,
@@ -340,11 +340,13 @@ class TestSyncLevel:
             sync.minimal_sync_level(swap_automaton())
 
     def test_forced_state(self):
+        # the state a word forces is where it ends from every state
         g = machine_g4()
-        assert forced_state(g, (0,)) == "a"
-        assert forced_state(g, (1,)) == "b"
-        with pytest.raises(NotSynchronizing):
-            forced_state(machine_T(3), (0,))
+        assert {evaluate(g, q, (0,))[1] for q in g.states} == {"a"}
+        assert {evaluate(g, q, (1,))[1] for q in g.states} == {"b"}
+        # one letter is below T:3's level, so it forces no single state
+        T = machine_T(3)
+        assert len({evaluate(T, q, (0,))[1] for q in T.states}) > 1
 
 
 class TestCore:

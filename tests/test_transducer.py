@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantortx.words import EMPTY, EvPeriodicWord, gcp
+from cantortx.words import EMPTY, EvPeriodicWord
 from cantortx.transducer import (
     DegenerateTransducer,
     DepthExceeded,
@@ -43,6 +43,14 @@ def random_machine(seed, n_choices=(2, 3), max_states=4, max_out=2, productive=T
             row[i] = (out, rng.choice(states))
         table[q] = row
     return Transducer(n, table)
+
+
+def gcp(words):
+    """Greatest common prefix of a nonempty list of words."""
+    first, k = words[0], 0
+    while k < len(first) and all(len(w) > k and w[k] == first[k] for w in words):
+        k += 1
+    return first[:k]
 
 
 def brute_gcp_all_outputs(T, q, depth=8):

@@ -17,10 +17,8 @@ from cantortx.words import (
     cone,
     first_difference,
     format_word,
-    gcp,
     lex_compare_evp,
     parse_dotted,
-    parse_evp,
     pairwise_disjoint,
     parse_word,
     rotation_class_of,
@@ -399,6 +397,20 @@ class TestRotationClass:
         w = tuple(w)
         k %= len(w)
         assert rotation_class_of(w) == rotation_class_of(w[k:] + w[:k])
+
+
+def gcp(words):
+    """Greatest common prefix of a nonempty list of words."""
+    first, k = words[0], 0
+    while k < len(first) and all(len(w) > k and w[k] == first[k] for w in words):
+        k += 1
+    return first[:k]
+
+
+def parse_evp(text):
+    """The eventually periodic word u|v, as str writes it."""
+    pre, per = text.split("|")
+    return EvPeriodicWord(parse_word(pre), parse_word(per))
 
 
 class TestSerialization:
