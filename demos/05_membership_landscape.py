@@ -6,7 +6,6 @@ signature surjectivity."""
 from cantortx.signature import (
     divisors_generate_units,
     signature_class_partition,
-    subgroup_generated,
     units_fixing_subgroup,
     verify_lcm_claim,
 )

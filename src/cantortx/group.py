@@ -7,16 +7,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .words import InvalidInput, check_letters, rotation_class_of
-from .transducer import evaluate, minimize_rooted, product
+from .transducer import SYNCHRONIZING, VALID, evaluate, mark, minimize_rooted, product
 from .synchronize import (
     _destination_rows,
     canonical_core,
     is_synchronizing,
-    mark_synchronizing,
 )
 from .images import orientation
 from .invert import inverse_core
-from .signature import record_valid, signature_report, validation_failure
+from .signature import require_valid, signature_report
 
 
 class GroupElement:
@@ -36,7 +35,7 @@ class GroupElement:
     @classmethod
     def from_machine(cls, T):
         """The element of T's canonical core, validated."""
-        return cls(_valid(canonical_core(T)))
+        return cls(require_valid(canonical_core(T)))
 
     @property
     def n(self):
@@ -70,22 +69,13 @@ def identity_element(n):
     return GroupElement.from_machine(identity_transducer(n))
 
 
-def _valid(M):
-    """M, when it is a valid core element; else an InvalidInput naming why."""
-    fail = validation_failure(M)
-    if fail is not None:
-        raise InvalidInput(f"not a valid core element: {fail}")
-    return M
-
-
 def group_product(g, h):
     """g then h: root the product machine at a pair of states, minimize the
     rooted behaviour, and take the core.  The result is independent of the
     chosen roots.  A factor is validated when it holds no verdict yet; the
-    product of valid elements is valid and carries a passing verdict.
+    product of valid elements is valid and is marked VALID.
 
-    The minimized product is marked synchronizing in its memo, so its core
-    is found with no collapse (synchronize.core_states).  The product P of
+    The minimized product is marked SYNCHRONIZING.  The product P of
     synchronizing cores A and B synchronizes: any word of length level_A
     brings A to one state, and from there, as A is productive, any |A| more
     letters output at least one letter, so any |A| * level_B more letters
@@ -94,23 +84,22 @@ def group_product(g, h):
     quotient by equivalence maps one end state to one end state, and the
     fresh entry state of minimize_rooted is entered by no edge, so the
     minimized product synchronizes too."""
-    _valid(g.machine)
-    _valid(h.machine)
+    require_valid(g.machine)
+    require_valid(h.machine)
     if g.n != h.n:
         raise InvalidInput("product of elements over different alphabets")
     P = product(g.machine, h.machine)
     root = (g.machine.states[0], h.machine.states[0])
-    M = mark_synchronizing(minimize_rooted(P, root)[0])
-    return GroupElement(record_valid(canonical_core(M)))
+    M = mark(minimize_rooted(P, root)[0], SYNCHRONIZING)
+    return GroupElement(mark(canonical_core(M), VALID))
 
 
 def invert_element(g):
     """The inverse element: the canonical core of the inverse closure, kept
     in the memo of g's machine (inverse_core).  An element whose machine has
     not been validated yet is validated here, and validation leaves the
-    inverse in the memo.  The inverse of a valid element carries a passing
-    verdict."""
-    return GroupElement(record_valid(inverse_core(_valid(g.machine))))
+    inverse in the memo.  The inverse of a valid element is marked VALID."""
+    return GroupElement(mark(inverse_core(require_valid(g.machine)), VALID))
 
 
 def is_identity(g):
@@ -157,16 +146,13 @@ def loop_state(T, w):
     """The unique state q with the w-cycle q -> q; uniqueness holds for valid
     core elements, and failure signals an invalid input.
 
-    On a machine known to synchronize (a passing verdict in its memo, or
-    is_synchronizing) and a nonempty w, one walk q -> q.w from the first
-    state finds it in O(level + |w|) letters: w^m forces one state c once
-    m|w| is past the level, so c.w = c.w^(m+1) = c, every walk ends at c,
-    and c is the only cycle of the map, so the first repeated state is c,
-    fixed by w.  Any other machine runs w from every state, in
-    O(|Q| * |w|), and a count other than one raises."""
-    memo = T._memo or {}
-    passed = "validation" in memo and memo["validation"] is None
-    if w and (passed or is_synchronizing(T)):
+    On a machine that synchronizes (is_synchronizing) and a nonempty w, one
+    walk q -> q.w from the first state finds it in O(level + |w|) letters:
+    w^m forces one state c once m|w| is past the level, so c.w = c.w^(m+1)
+    = c, every walk ends at c, and c is the only cycle of the map, so the
+    first repeated state is c, fixed by w.  Any other machine runs w from
+    every state, in O(|Q| * |w|), and a count other than one raises."""
+    if w and is_synchronizing(T):
         check_letters(T.n, w)
         rows = _destination_rows(T)
         q, seen = T.states[0], set()

@@ -29,7 +29,13 @@ from .words import (
     whole_space,
     GREATER,
 )
-from .transducer import Transducer, _letter_outputs, check_productive, memoized
+from .transducer import (
+    DegenerateTransducer,
+    Transducer,
+    _letter_outputs,
+    check_productive,
+    memoized,
+)
 from .initial import DONE, dot
 
 
@@ -262,7 +268,7 @@ def orientation(T):
     """Lexicographic orientation decided by the boundary condition at every
     state: for letters x < y the image of x.(n-1)^w must not exceed the image
     of y.0^w (preserving), or the mirrored inequality must hold (reversing).
-    States must all be injective with clopen image, else NEITHER.
+    T must be productive with injective clopen-image states, else NEITHER.
 
     An order-preserving or order-reversing core element automatically
     respects the endpoint identifications of the circle quotient; that is a
@@ -271,8 +277,8 @@ def orientation(T):
 
 
 def _boundary_orientation(T):
-    """orientation(T), computed: NEITHER unless every state is injective
-    with clopen image, else the boundary condition decides.
+    """orientation(T), computed: NEITHER unless T is productive with
+    injective clopen-image states, else the boundary condition decides.
 
     The output of (n-1)^omega and of 0^omega from every state is found once
     (_letter_outputs), so the image of x.(n-1)^omega from q is w_x . H[p_x]
@@ -283,7 +289,7 @@ def _boundary_orientation(T):
     try:
         if non_injective_states(T):
             return Orientation.NEITHER
-    except NotClopenImage:
+    except (NotClopenImage, DegenerateTransducer):
         return Orientation.NEITHER
     n, rows = T.n, T._rows
     lo = _letter_outputs(rows, T.states, 0)

@@ -24,10 +24,14 @@ from .words import (
     check_letters,
 )
 from .transducer import (
+    COMPLETE_RESPONSE,
+    MINIMAL,
     DegenerateTransducer,
     check_productive,
     common_prefixes,
     evaluate,
+    mark,
+    marked,
     memoized,
     minimal_rows,
     pump_period,
@@ -278,13 +282,10 @@ def minimize_initial(A):
 
     The non-initial states are a plain machine's rows, reduced by
     minimal_rows with the initial state's row as the fresh entry row, so
-    the initial state keeps its behaviour; on a machine marked
-    complete_response, as the raw inverse of invert_initial is, every
-    non-initial state has an empty forced output, so none is computed.
-    The result is marked minimal in its memo, so minimizing it again
-    returns it unchanged, and it is kept in A's memo under "minimized", so
+    the initial state keeps its behaviour.  The result is marked MINIMAL
+    (transducer.mark), and it is kept in A's memo under "minimized", so
     minimizing A again returns it too."""
-    if A._memo is not None and "minimal" in A._memo:
+    if marked(A, MINIMAL):
         return A
     return memoized(A, "minimized", lambda: _minimize(A))
 
@@ -292,8 +293,7 @@ def minimize_initial(A):
 def _minimize(A):
     """minimize_initial(A), computed."""
     interior = A.states[1:]
-    c = None if "complete_response" in A._memo else common_prefixes(A, states=interior)
+    c = None if marked(A, COMPLETE_RESPONSE) else common_prefixes(A, states=interior)
     rows = minimal_rows({q: A._rows[q] for q in interior}, c, None, A._rows[A.root])
     M = InitialTransducer._from_rows(A.n, A.r, "0", rows)
-    M._memo = {"minimal": True}
-    return M
+    return mark(M, MINIMAL)

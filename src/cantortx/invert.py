@@ -17,14 +17,11 @@ w.t = (forward output on v).w' and p the forward state on v; an input u
 from p has its output in U_w' exactly when v.u from q has its output in
 U_w.t, so v.(w')L_p = (w.t)L_q = v, and (w')L_p is empty.  The seeds of a
 closure are such moves from the root.  So inverse_closure marks its
-closure "complete_response" in the closure's memo, and invert_initial marks
-its raw inverse so (every state but the initial one), as minimize_rooted
-marks its result "minimal": canonical_core and minimize_initial then merge
-those states as they are, with no forced-output pass.
+closure COMPLETE_RESPONSE, and invert_initial its raw inverse, whose
+states but the initial one are such states (transducer.mark).
 
 The inverse closure C of a machine T that holds a passing verdict
-synchronizes, so inverse_core marks C "synchronizing" in its memo and its
-core is found with no collapse (synchronize.core_states).  The state (w, p)
+synchronizes, so inverse_core marks C SYNCHRONIZING.  The state (w, p)
 maps y to the preimage of w.y under h_p.  The verdict makes T
 bi-synchronizing, so its inverse synchronizes: some word length k brings
 every state of C to one omega-equivalence class.  Omega-equivalent states
@@ -60,14 +57,21 @@ check and a later inversion share one closure."""
 from __future__ import annotations
 
 from .words import EMPTY, InvalidInput
-from .transducer import Transducer, memoized
+from .transducer import (
+    COMPLETE_RESPONSE,
+    SYNCHRONIZING,
+    VALID,
+    Transducer,
+    mark,
+    marked,
+    memoized,
+)
 from .initial import InitialTransducer, dot, minimize_initial
 from .images import images, is_homeomorphism_state, non_injective_states, whole
 from .synchronize import (
     NotSynchronizing,
     canonical_core,
     is_synchronizing,
-    mark_synchronizing,
 )
 
 
@@ -186,8 +190,6 @@ def inverse_closure(T, root=None):
     the state (a - forward output on (a)L_root, forward state on (a)L_root);
     then closed forward under the inverse transition rule.  The closure
     contains the full core of the inverse whenever T is synchronizing.
-    Its states have complete response (see the module docstring), and its
-    memo says so.
     Raises InvalidInput when a state is not injective, and NotClopenImage
     when an image is not clopen: the closure is finite otherwise (see the
     module docstring)."""
@@ -199,27 +201,23 @@ def inverse_closure(T, root=None):
     step = _inverse_step(T)
     queue = list(dict.fromkeys(step((EMPTY, root), a)[1] for a in images(T)[root].cones))
     C = Transducer._from_rows(T.n, _close(T.n, step, queue, set(queue)))
-    C._memo = {"complete_response": True}
-    return C
+    return mark(C, COMPLETE_RESPONSE)
 
 
 def inverse_core(T):
     """The canonical core of T's inverse closure, kept in T's memo under
     "inverse".  Every rooted closure of a synchronizing core contains the
     whole core of the inverse, so the canonical core does not depend on the
-    root.  The closure of a T that holds a passing verdict is marked
-    synchronizing (see the module docstring).  Raises NotSynchronizing when
-    an unmarked closure does not synchronize, and whatever inverse_closure
-    raises; a failure is not kept."""
+    root.  Raises NotSynchronizing when the closure does not synchronize,
+    and whatever inverse_closure raises; a failure is not kept."""
     return memoized(T, "inverse", lambda: _inverse_core(T))
 
 
 def _inverse_core(T):
     """inverse_core(T), computed."""
     C = inverse_closure(T)
-    memo = T._memo or {}
-    if "validation" in memo and memo["validation"] is None:  # a passing verdict
-        mark_synchronizing(C)
+    if marked(T, VALID):
+        mark(C, SYNCHRONIZING)
     return canonical_core(C)
 
 
@@ -260,7 +258,7 @@ def _invert_minimal(A):
     rows = _close(A.n, step, queue, {inv_root, *queue})
     rows[inv_root] = entry
     raw = InitialTransducer._from_rows(A.n, A.r, inv_root, rows)
-    raw._memo = {"complete_response": True}
+    mark(raw, COMPLETE_RESPONSE)
     return minimize_initial(raw)
 
 

@@ -18,7 +18,7 @@ from .words import (
     whole_space,
     LESS,
 )
-from .transducer import Transducer
+from .transducer import VALID, Transducer, mark
 from .initial import (
     InitialTransducer,
     dot,
@@ -443,7 +443,7 @@ def realize(T, r, ordered=True, max_prefix_depth=3, max_size=None):
     Uses the homeomorphism-state shortcut when available, otherwise assembles
     blocks from a lexicographic viable combination; orientation-reversing
     elements are realized through the letter-complement carrier."""
-    from .signature import CONGRUENCE_FAILS, membership_failure, record_valid
+    from .signature import CONGRUENCE_FAILS, membership_failure
     from . import group
 
     reason = membership_failure(T, r, ordered)
@@ -452,14 +452,14 @@ def realize(T, r, ordered=True, max_prefix_depth=3, max_size=None):
             reason += " at this root count"
         raise RealizeError(f"element is not realizable over {r} roots: {reason}")
 
-    want = record_valid(group.canonical_core(T))  # membership validated T
+    want = mark(group.canonical_core(T), VALID)  # membership validated T
     if ordered and orientation(T) is Orientation.REVERSING:
         # the partner T . (letter complement) preserves the order and, a
         # product of valid elements, is a valid member at r.  The product is
         # rooted at the first state of each factor: T enters canonical.  The
-        # letter complement is a known valid element, so it carries its
-        # verdict unchecked.
-        flip = group.GroupElement(record_valid(group.canonical_core(letter_complement(T.n))))
+        # letter complement is a known valid element, so it is marked VALID
+        # unchecked.
+        flip = group.GroupElement(mark(group.canonical_core(letter_complement(T.n)), VALID))
         partner = group.group_product(group.GroupElement(want), flip).machine
         raw = _construct(partner, r, True, max_prefix_depth, max_size)
         raw = product_initial(raw, reversing_complement_wrapper(T.n, r))

@@ -21,7 +21,7 @@ from itertools import chain
 from operator import index as as_index
 
 from .words import InvalidInput
-from .transducer import Transducer, memoized
+from .transducer import VALID, DegenerateTransducer, Transducer, memoized
 from .synchronize import (
     NotSynchronizing,
     _destination_rows,
@@ -185,19 +185,14 @@ def validation_failure(T):
     can turn a valid element away."""
     if not isinstance(T, Transducer):
         return "not a plain transducer"
-    return memoized(T, "validation", lambda: _core_failure(T))
+    return memoized(T, VALID, lambda: _core_failure(T))
 
 
-def record_valid(T):
-    """T, with the passing verdict of validation recorded unchecked: for a
-    product's or an inverse's canonical core, which the group law of BCMNO
-    makes valid when its factors are.  A valid element's states are
-    injective by definition, so the verdict implies injectivity, and the
-    empty list of non-injective states is recorded with it: the signature,
-    the orientation and the inverse closure then read it instead of
-    checking every state's branch images."""
-    memoized(T, "validation", lambda: None)
-    memoized(T, "non_injective_states", list)
+def require_valid(T):
+    """T, when it is a valid core element; else an InvalidInput naming why."""
+    fail = validation_failure(T)
+    if fail is not None:
+        raise InvalidInput(f"not a valid core element: {fail}")
     return T
 
 
@@ -213,6 +208,8 @@ def _core_failure(T):
         images(T)
     except NotClopenImage:
         return "some state image is not clopen"
+    except DegenerateTransducer as exc:
+        return str(exc)
     bad = non_injective_states(T)
     if bad:
         return f"state {bad[0]!r} is not injective"
@@ -270,9 +267,7 @@ def inverse_reduced_signature(T):
     """Reduced signature of the inverse, computed directly on T: pick a state
     q and an image cone v, take j with every length-j output from q at least
     |v| long, and count the length-j inputs whose output starts with v."""
-    fail = validation_failure(T)
-    if fail is not None:
-        raise InvalidInput(f"not a valid core element: {fail}")
+    require_valid(T)
     q = T.states[0]
     img = images(T)
     if img[q].is_empty():

@@ -22,25 +22,20 @@ repeats on the quotient, counting its rounds.  Two facts make it exact:
   leaves the relation fixed, so the machine does not synchronize; and since
   every other round removes a state, the level is at most |Q| - 1.
 - Every word of length `level` sends every start state to the same end
-  state.  So the forced states are the states reachable from f = s.u, for
-  any start s and any word u of length `level`: f.w = s.uw is forced by the
-  last `level` letters of uw, and a forced state p = s.v is f.v.  They are
-  found in O(level + |Q| * n).  The number of words of that length that
-  force a state q is the number of paths of that length from any one fixed
-  start state to q; the signatures push these counts one letter at a time
-  in O(level * |Q| * n).
+  state.  So the forced states are the states reachable from any forced
+  state f = s.u, u of length `level`: f.w = s.uw is forced by the last
+  `level` letters of uw, and a forced state p = s.v is f.v.  The number
+  of words of that length that force a state q is the number of paths of
+  that length from any one fixed start state to q; the signatures push
+  these counts one letter at a time in O(level * |Q| * n).
 - Every state q on a cycle of a synchronizing machine is forced: when the
   cycle reads u from q back to q, q = q.u^k is the state that u^k forces
   once |u^k| >= level, and so the state that the last `level` letters of
-  u^k force.  So on a machine known to synchronize, the forced states are
-  the states reachable from the first repeated state of the letter-0 walk
-  from any state, found in O(|Q| * n) with no collapse.  A machine is
-  known to synchronize when its builder marks it so (mark_synchronizing):
-  group_product marks its minimized product, and inverse_core the inverse
-  closure of a machine that holds a passing verdict; the docstrings of
-  group_product and of the invert module prove that these synchronize.
-  An unmarked machine is collapsed, which also decides whether it
-  synchronizes.
+  u^k force.  So the forced states are the states reachable from the
+  first repeated state of the letter-0 walk from any state, found in
+  O(|Q| * n) once the machine is known to synchronize: from the
+  SYNCHRONIZING mark of its builder (transducer.mark), with no collapse,
+  or else from the collapse.
 
 A round of the collapse rehashes only the quotient states with a successor
 merged away in the round before; the others keep their rows, which stay
@@ -57,9 +52,13 @@ machine read one table of rows.
 from __future__ import annotations
 
 from .transducer import (
+    COMPLETE_RESPONSE,
+    MINIMAL,
+    SYNCHRONIZING,
     Transducer,
     common_prefixes,
     least_numbering,
+    marked,
     memoized,
     merged_rows,
     renamed_rows,
@@ -160,7 +159,8 @@ def _counts(T):
 
 
 def is_synchronizing(T):
-    return _sync_level(T) is not None
+    """Read from a SYNCHRONIZING mark, else decided by the collapse."""
+    return marked(T, SYNCHRONIZING) or _sync_level(T) is not None
 
 
 def minimal_sync_level(T):
@@ -173,24 +173,16 @@ def minimal_sync_level(T):
 
 def core_states(T):
     """States forced by words of the minimal synchronizing length: the
-    states reachable from the end state of one such word.  On a machine
-    marked synchronizing in its memo, the states reachable from the first
-    repeated state of the letter-0 walk from the first state, with no
-    collapse (see the module docstring)."""
+    states reachable from the first repeated state of the letter-0 walk
+    from the first state (see the module docstring)."""
     rows = _destination_rows(T)
-    if T._memo is not None and "synchronizing" in T._memo:
-        q = next(iter(rows))
-        walked = set()
-        while q not in walked:
-            walked.add(q)
-            q = rows[q][0]
-    else:
-        level = _sync_level(T)
-        if level is None:
-            raise NotSynchronizing("machine is not synchronizing")
-        q = next(iter(rows))
-        for _ in range(level):
-            q = rows[q][0]
+    if not (marked(T, SYNCHRONIZING) or _sync_level(T) is not None):
+        raise NotSynchronizing("machine is not synchronizing")
+    q = next(iter(rows))
+    walked = set()
+    while q not in walked:
+        walked.add(q)
+        q = rows[q][0]
     seen = {q}
     stack = [q]
     while stack:
@@ -199,13 +191,6 @@ def core_states(T):
                 seen.add(p)
                 stack.append(p)
     return seen
-
-
-def mark_synchronizing(M):
-    """M, marked synchronizing in its memo, for a builder that proves that M
-    synchronizes: core_states then reads its core with no collapse."""
-    memoized(M, "synchronizing", lambda: True)
-    return M
 
 
 def core(T):
@@ -223,20 +208,14 @@ def canonical_core(T):
     start state whose renamed table is least (core machines have no
     distinguished root).  The numberings from all starts run in step and
     stop at the first row where one start is least, so a core whose starts
-    differ in their first rows is numbered in O(|Q|·n).  The core of a
-    machine marked minimal, as minimize_rooted and minimize_initial mark
-    theirs, is minimal already: its states have complete response and no
-    two are equivalent, so it is not reduced again.  The states of a
-    machine marked complete_response, as inverse_closure marks its closure,
-    have empty forced outputs, so its core is merged with no forced-output
-    pass.  The core of a machine marked synchronizing is found with no
-    collapse (core_states); an unmarked machine that does not synchronize
-    raises NotSynchronizing."""
+    differ in their first rows is numbered in O(|Q|·n).  A MINIMAL or
+    COMPLETE_RESPONSE mark skips the merge or its forced-output pass
+    (transducer.mark); a machine that does not synchronize raises
+    NotSynchronizing."""
     C = core(T)
     rows = C._rows
-    memo = T._memo or {}
-    if "minimal" not in memo:
-        c = None if "complete_response" in memo else common_prefixes(C)
+    if not marked(T, MINIMAL):
+        c = None if marked(T, COMPLETE_RESPONSE) else common_prefixes(C)
         rows = merged_rows(rows, c)[1]
     names = least_numbering(rows)
     return Transducer._from_rows(C.n, renamed_rows(rows, {q: names[q] for q in rows}))

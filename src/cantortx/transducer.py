@@ -144,6 +144,46 @@ def memoized(M, key, compute):
     return memo[key]
 
 
+# What a builder proves about the machine it makes, recorded by mark and
+# read by marked alone; the proofs are in the docstrings named.
+# - MINIMAL: minimize_rooted (its docstring) and minimize_initial; read by
+#   canonical_core and minimize_initial, which reduce it no further.
+# - COMPLETE_RESPONSE: inverse_closure and invert_initial (the invert
+#   module docstring); canonical_core and minimize_initial merge its rows
+#   with no forced-output pass.
+# - SYNCHRONIZING: group_product (its docstring), and inverse_core on the
+#   closure of a machine with a passing verdict (the invert module
+#   docstring); is_synchronizing and core_states then collapse nothing.
+# - VALID, the passing verdict of signature.validation_failure: group_product,
+#   invert_element and realize, on products and inverses of valid elements
+#   (BCMNO's group law).  It records SYNCHRONIZING and no non-injective
+#   state too, for loop_state, signatures, orientation and inverses.
+MINIMAL = "minimal"
+COMPLETE_RESPONSE = "complete_response"
+SYNCHRONIZING = "synchronizing"
+VALID = "validation"
+
+
+def mark(M, *facts):
+    """M, with the facts recorded in its memo unchecked, for the builder
+    that proves them of M.  It only adds: an entry the memo holds stays."""
+    for fact in facts:
+        if fact == VALID:
+            memoized(M, VALID, lambda: None)
+            memoized(M, SYNCHRONIZING, lambda: True)
+            memoized(M, "non_injective_states", list)
+        else:
+            memoized(M, fact, lambda: True)
+    return M
+
+
+def marked(M, fact):
+    """Does M's memo hold the fact?  For VALID, a passing verdict that
+    validation computed counts too."""
+    memo = M._memo or {}
+    return fact in memo and (fact != VALID or memo[VALID] is None)
+
+
 def evaluate(M, q, w):
     """Run the word w from state q of a plain or initial machine M:
     (accumulated output, end state).  No edge enters the initial state, so
@@ -515,13 +555,12 @@ def minimize_rooted(T, root):
     whose forced output is empty is numbered as its block; otherwise the
     root's row enters the machine as a fresh entry state that keeps the
     whole forced output, and the root's own state stays inside as one
-    stripped state among the others.  The machine is marked minimal in its
-    memo: no two of its states are omega-equivalent, and every state but a
-    fresh entry state has complete response."""
+    stripped state among the others.  The machine is marked MINIMAL: no two
+    of its states are omega-equivalent, and every state but a fresh entry
+    state has complete response."""
     pool = reachable(T, [root])
     c = common_prefixes(T, states=pool)
     rows = {q: T._rows[q] for q in pool}
     entry = T._rows[root] if c[root] else None
     M = Transducer._from_rows(T.n, minimal_rows(rows, c, root, entry))
-    M._memo = {"minimal": True}
-    return M, "0"
+    return mark(M, MINIMAL), "0"

@@ -175,16 +175,12 @@ def _generator_pool(n):
     return [GroupElement.from_machine(M) for M in base]
 
 
-def _close_pool(gens, max_len=3):
-    """Products of up to max_len generators, deduplicated by canonical
-    machine; returns {length: [elements]}."""
-    return _close_pool_products(gens, max_len)[0]
-
-
 def _close_pool_products(gens, max_len):
-    """(_close_pool(gens, max_len), products): products maps (e, g) to the
-    pool's element of the product e.g, for e in a layer below max_len and g
-    a generator, so it holds no element that the layers do not hold."""
+    """(layers, products): layers maps each length up to max_len to the
+    products of that many generators, deduplicated by canonical machine;
+    products maps (e, g) to the pool's element of the product e.g, for e in
+    a layer below max_len and g a generator, so it holds no element that
+    the layers do not hold."""
     layers = {1: []}
     seen = {}
     products = {}

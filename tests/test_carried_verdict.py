@@ -23,7 +23,7 @@ from cantortx.group import (
     group_product,
     invert_element,
 )
-from cantortx.verify import _close_pool, _generator_pool
+from cantortx.verify import _close_pool_products, _generator_pool
 
 
 def fresh_copy(g):
@@ -77,7 +77,7 @@ def law_generators(n):
 class TestCarriedVerdict:
     def test_verify_pools(self):
         for n in (3, 4):
-            layers = _close_pool(_generator_pool(n), 3)
+            layers = _close_pool_products(_generator_pool(n), 3)[0]
             built = layers[1] + layers[2] + layers[3]
             assert assert_built_valid(built) == len(built)
 

@@ -244,6 +244,15 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err.strip() == f"error: element is not realizable over 3 roots: {reason}"
 
+    def test_empty_output_cycle_is_not_a_member(self, tmp_path, capsys):
+        path = tmp_path / "empty_cycle.tx"
+        path.write_text(serialize(Transducer(2, {"a": {0: ((), "a"), 1: ((0,), "a")}})))
+        code, out, err = run(capsys, "member", "--r", "1", str(path))
+        assert code == 0 and err == ""
+        assert out.strip() == "false (cycle through state 'a' outputs the empty word)"
+        code, out, _ = run(capsys, "orient", str(path))
+        assert code == 0 and json.loads(out)["orientation"] == "neither"
+
     def test_congruence_reasons(self, tmp_path, capsys):
         path = write_example(tmp_path, capsys, "g4")
         code, out, _ = run(capsys, "member", "--r", "1", "--ordered", path)

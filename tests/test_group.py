@@ -14,9 +14,11 @@ from cantortx.machines import (
     swap_transducer,
 )
 from cantortx.transducer import (
+    MINIMAL,
     Transducer,
     bfs_numbering,
     least_numbering,
+    marked,
     minimize_rooted,
     product,
 )
@@ -91,9 +93,9 @@ class TestProductAndEquality:
         assert T != invert_element(T) and not same(T, invert_element(T))
 
     def test_hash_separates_machines_of_one_size(self):
-        from cantortx.verify import _close_pool, _generator_pool
+        from cantortx.verify import _close_pool_products, _generator_pool
 
-        layers = _close_pool(_generator_pool(3), 3)
+        layers = _close_pool_products(_generator_pool(3), 3)[0]
         by_size = {}
         for g in layers[1] + layers[2] + layers[3]:
             by_size.setdefault(len(g.machine.states), []).append(g)
@@ -307,11 +309,11 @@ def power_pool():
 def verify_pool():
     """The verify suite's pools at n = 3 and 4: products of up to three
     generators."""
-    from cantortx.verify import _close_pool, _generator_pool
+    from cantortx.verify import _close_pool_products, _generator_pool
 
     out = []
     for n in (3, 4):
-        layers = _close_pool(_generator_pool(n), 3)
+        layers = _close_pool_products(_generator_pool(n), 3)[0]
         out += layers[1] + layers[2] + layers[3]
     return out
 
@@ -352,7 +354,7 @@ class TestMinimalCores:
             root = (g.machine.states[0], h.machine.states[0])
             M, _ = minimize_rooted(product(g.machine, h.machine), root)
             unmarked = Transducer._from_rows(M.n, M._rows)
-            assert "minimal" in M._memo and unmarked._memo is None
+            assert marked(M, MINIMAL) and unmarked._memo is None
             assert serialize(canonical_core(M)) == serialize(canonical_core(unmarked))
 
     def test_minimal_initial_machines(self):
@@ -368,8 +370,10 @@ class TestProductWork:
     """A group product of valid elements runs no collapse: its minimized
     product is marked synchronizing, so canonical_core reads the core from
     the letter-0 walk, and the product of valid elements is valid, so
-    neither its canonical core nor an inverse closure is synchronized.  The
-    result's signature then collapses the canonical core once."""
+    neither its canonical core nor an inverse closure is synchronized.  Its
+    VALID mark says that it synchronizes, so an orbit step collapses
+    nothing, and the result's signature then collapses the canonical core
+    once."""
 
     def test_sync_calls(self, record_calls):
         t3 = GroupElement.from_machine(machine_T(3))
@@ -381,6 +385,8 @@ class TestProductWork:
         assert len(result.machine.states) == 11
         assert len(calls["sync_counts"]) == 0
         assert len(calls["is_synchronizing"]) == 0
+        assert len(calls["_collapse_rounds"]) == 0
+        rotation_action(result, rotation_class_of((1, 2)))
         assert len(calls["_collapse_rounds"]) == 0
         result.signature
         assert len(calls["sync_counts"]) == 1
@@ -411,10 +417,10 @@ class TestCarriedImages:
     read them."""
 
     def test_analyses_match_the_checked_path_on_the_verify_pools(self):
-        from cantortx.verify import _close_pool, _generator_pool
+        from cantortx.verify import _close_pool_products, _generator_pool
 
         for n in (3, 4):
-            layers = _close_pool(_generator_pool(n), 3)
+            layers = _close_pool_products(_generator_pool(n), 3)[0]
             built = layers[1] + layers[2] + layers[3]
             for g in built + [invert_element(g) for g in built]:
                 got, want = g.signature, signature_report(g.machine)

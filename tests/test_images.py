@@ -4,13 +4,7 @@ from itertools import combinations, product as cartesian
 
 import pytest
 
-from cantortx.words import (
-    EMPTY,
-    ClopenSet,
-    EvPeriodicWord,
-    canonicalize_clopen,
-    whole_space,
-)
+from cantortx.words import ClopenSet, whole_space
 from cantortx.transducer import (
     DegenerateTransducer,
     Transducer,
@@ -47,7 +41,7 @@ from cantortx.machines import (
     state_wrapper,
 )
 from cantortx.group import GroupElement, group_product, invert_element
-from cantortx.verify import _close_pool, _generator_pool
+from cantortx.verify import _close_pool_products, _generator_pool
 
 
 def constant_machine():
@@ -182,6 +176,8 @@ class TestOrientation:
         assert orientation(identity_transducer(3)) is Orientation.PRESERVING
         assert orientation(constant_machine()) is Orientation.NEITHER
         assert orientation(oplus(2, swap_transducer(), 4)) is Orientation.NEITHER
+        empty_cycle = Transducer(2, {"a": {0: ((), "a"), 1: ((0,), "a")}})
+        assert orientation(empty_cycle) is Orientation.NEITHER
 
     def test_brute_force_soundness(self):
         # preserving: for incomparable depth-6 cones d1 < d2 the output words
@@ -347,7 +343,7 @@ def _pairwise_disjoint(a, b):
 def verify_pool_machines():
     """The elements of both verify pools and their inverses."""
     for n in (3, 4):
-        layers = _close_pool(_generator_pool(n), 3)
+        layers = _close_pool_products(_generator_pool(n), 3)[0]
         built = layers[1] + layers[2] + layers[3]
         for g in built + [invert_element(g) for g in built]:
             yield g.machine

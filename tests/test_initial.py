@@ -17,11 +17,13 @@ from cantortx.words import (
     whole_space,
 )
 from cantortx.transducer import (
+    MINIMAL,
     DegenerateTransducer,
     DepthExceeded,
     Transducer,
     common_prefixes,
     evaluate,
+    marked,
     restrict,
 )
 from cantortx.initial import (
@@ -822,7 +824,7 @@ class TestLibraryRows:
     def test_minimal_core_read_as_it_is(self):
         checked = 0
         for _, A in TestGoldenRealizations().cases():
-            assert "minimal" in A._memo
+            assert marked(A, MINIMAL)
             got, want = canonical_core(A), canonical_core(core(A))
             assert got == want and serialize(got) == serialize(want)
             checked += 1

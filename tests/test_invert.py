@@ -5,11 +5,13 @@ import pytest
 
 from cantortx.words import EMPTY, subtract_prefix
 from cantortx.transducer import (
+    COMPLETE_RESPONSE,
     DegenerateTransducer,
     DepthExceeded,
     Transducer,
     common_prefixes,
     evaluate,
+    marked,
 )
 from cantortx.images import NotClopenImage, images
 from cantortx.initial import (
@@ -45,13 +47,12 @@ from cantortx.group import (
     GroupElement,
     canonical_core,
     group_product,
-    identity_element,
     invert_element,
     is_identity,
 )
 from cantortx.signature import inverse_reduced_signature, member_over_roots
 from cantortx.textio import parse, serialize
-from cantortx.verify import _close_pool, _close_pool_products, _generator_pool
+from cantortx.verify import _close_pool_products, _generator_pool
 
 
 def gcp(words):
@@ -231,7 +232,7 @@ class TestClosureBound:
     def test_owed_words_are_shorter_than_the_bound(self):
         machines = []
         for n in (3, 4):
-            layers = _close_pool(_generator_pool(n), 3)
+            layers = _close_pool_products(_generator_pool(n), 3)[0]
             built = layers[1] + layers[2] + layers[3]
             machines += [g.machine for g in built + [invert_element(g) for g in built]]
         for make, n, top in ((machine_T, 3, 16), (machine_U, 3, 16), (machine_T, 5, 8),
@@ -531,7 +532,7 @@ class TestMemoizedPreimage:
 
     def test_closure_equals_depth_first_closure_on_verify_pools(self):
         for n in (3, 4):
-            layers = _close_pool(_generator_pool(n), 3)
+            layers = _close_pool_products(_generator_pool(n), 3)[0]
             for X in layers[1] + layers[2] + layers[3]:
                 M = X.machine
                 got = inverse_closure(M)
@@ -586,7 +587,7 @@ class TestCompleteResponseClosures:
         checked = 0
         for g in pool_elements():
             C = inverse_closure(parse(serialize(g.machine)))
-            assert "complete_response" in C._memo
+            assert marked(C, COMPLETE_RESPONSE)
             assert set(common_prefixes(C).values()) == {EMPTY}
             # the same rows unmarked take the full reduction,
             # merged_rows(rows, common_prefixes(core))
@@ -613,7 +614,7 @@ class TestCompleteResponseClosures:
                     calls.clear()
                     realize(M, r)
                     raws = [c["A"] for c in calls["minimize_initial"]
-                            if "complete_response" in (c["A"]._memo or {})]
+                            if marked(c["A"], COMPLETE_RESPONSE)]
                     assert len(raws) == 1
                     raw = raws[0]
                     interior = raw.states[1:]
@@ -789,7 +790,7 @@ class TestPreimageWalk:
         calls = record_calls(("_preimage_gcp",))
         walked = 0
         for n in (3, 4):
-            layers = _close_pool(_generator_pool(n), 3)
+            layers = _close_pool_products(_generator_pool(n), 3)[0]
             for X in layers[1] + layers[2] + layers[3]:
                 for root in X.machine.states:
                     calls.clear()

@@ -31,7 +31,7 @@ from cantortx.group import (
     orbit_lengths,
     rotation_action,
 )
-from cantortx.verify import _close_pool, _generator_pool
+from cantortx.verify import _close_pool_products, _generator_pool
 
 
 # --- the references ---------------------------------------------------------
@@ -109,7 +109,7 @@ def verify_pool():
     generators."""
     out = []
     for n in (3, 4):
-        layers = _close_pool(_generator_pool(n), 3)
+        layers = _close_pool_products(_generator_pool(n), 3)[0]
         out += layers[1] + layers[2] + layers[3]
     return out
 

@@ -1,7 +1,6 @@
 import gc
 import json
 from functools import reduce
-from itertools import product as cartesian
 from pathlib import Path
 
 import pytest
@@ -22,7 +21,6 @@ from cantortx.synchronize import core
 from cantortx.textio import serialize
 from cantortx import machines
 from cantortx.machines import (
-    NotOrderable,
     PrefixExchange,
     RealizeError,
     ViableCombination,

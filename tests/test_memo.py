@@ -21,7 +21,7 @@ from cantortx.initial import InitialTransducer, dot, minimize_initial
 from cantortx.invert import inverse_core, invert_initial
 from cantortx.machines import machine_T, machine_U, realize
 from cantortx.group import GroupElement, group_product, invert_element
-from cantortx.verify import _close_pool, _generator_pool
+from cantortx.verify import _close_pool_products, _generator_pool
 
 
 def powers(g, top):
@@ -35,7 +35,7 @@ def cases():
     """The verify pools at n = 3, 4 with their inverses, T:3^1..8 and
     U:5^1..4, as machines that validation has left analyses on."""
     for n in (3, 4):
-        layers = _close_pool(_generator_pool(n), 3)
+        layers = _close_pool_products(_generator_pool(n), 3)[0]
         built = layers[1] + layers[2] + layers[3]
         yield from (g.machine for g in built)
         yield from (invert_element(g).machine for g in built)
@@ -200,7 +200,7 @@ class TestNoCyclicGarbage:
     def test_memo_values_do_not_refer_to_their_machine(self):
         seen = 0
         for n in (3, 4):
-            layers = _close_pool(_generator_pool(n), 3)
+            layers = _close_pool_products(_generator_pool(n), 3)[0]
             built = layers[2] + layers[3]
             for g in built + [invert_element(g) for g in layers[1] + built]:
                 g.signature, g.orientation, invert_element(g)

@@ -4,7 +4,6 @@ routes must agree."""
 import random
 from functools import reduce
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +19,6 @@ from cantortx.machines import (
     machine_g4,
     oplus,
     realize,
-    state_wrapper,
     swap_transducer,
 )
 from cantortx.group import (

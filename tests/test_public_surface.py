@@ -97,3 +97,56 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 
 def test_every_kept_name_is_defined():
     assert KEEP <= {node.name for _, node in definitions()}
+
+
+def python_files():
+    """Every Python file of the library, the tests and the demos."""
+    for folder in (SRC, ROOT / "tests", ROOT / "demos"):
+        yield from sorted(folder.rglob("*.py"))
+
+
+def test_every_imported_name_is_read():
+    """A file reads every name that it imports; the imports of __init__.py
+    are the package's surface, read by its users."""
+    unread = []
+    for path in python_files():
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [(a.asname or a.name).split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unread += [f"{path.relative_to(ROOT)}:{node.lineno}:{name}"
+                       for name in names if name not in read]
+    assert not unread, unread
+
+
+def test_only_transducer_touches_the_memo():
+    """A machine's _memo is read and written by transducer.py alone, through
+    memoized, mark and marked; elsewhere only the slot's name and a
+    constructor's `_memo = None` appear.  No other module spells out the
+    key of a fact that mark records."""
+    from cantortx import transducer
+
+    facts = {transducer.MINIMAL, transducer.COMPLETE_RESPONSE,
+             transducer.SYNCHRONIZING, transducer.VALID}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "transducer.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        cleared = {id(target) for node in ast.walk(tree)
+                   if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                   and node.value.value is None for target in node.targets}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_memo" and id(node) not in cleared:
+                found.append(f"{path.name}:{node.lineno}: ._memo")
+            elif isinstance(node, ast.Constant) and node.value in facts:
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert not found, found

@@ -5,7 +5,7 @@ from itertools import product as cartesian
 import pytest
 
 from cantortx.words import InvalidInput
-from cantortx.transducer import Transducer, evaluate
+from cantortx.transducer import VALID, Transducer, evaluate
 from cantortx.images import images
 from cantortx.invert import inverse_closure, is_bisynchronizing_core
 from cantortx.synchronize import (
@@ -241,6 +241,12 @@ class TestMembership:
         )
         assert validation_failure(not_core) is not None
         assert not member_over_roots(not_core, 1)
+        # a one-state machine whose letter-0 loop outputs nothing
+        empty_cycle = Transducer(2, {"a": {0: ((), "a"), 1: ((0,), "a")}})
+        reason = "cycle through state 'a' outputs the empty word"
+        assert validation_failure(empty_cycle) == reason
+        assert not member_over_roots(empty_cycle, 1)
+        assert not member_over_roots_ordered(empty_cycle, 1)
 
     def test_root_count_range_checked(self):
         with pytest.raises(InvalidInput):
@@ -268,10 +274,10 @@ class TestMembership:
 
     def test_answers_equal_the_composed_definition_on_the_verify_pool(self):
         from cantortx.images import Orientation, orientation
-        from cantortx.verify import _close_pool, _generator_pool
+        from cantortx.verify import _close_pool_products, _generator_pool
 
         for n in (3, 4):
-            layers = _close_pool(_generator_pool(n), 3)
+            layers = _close_pool_products(_generator_pool(n), 3)[0]
             for X in layers[1] + layers[2] + layers[3]:
                 M = X.machine
                 valid = validation_failure(M) is None
@@ -464,7 +470,7 @@ class TestSharedValidation:
         # the verdict is memoized, and so is the inverse that decided it
         memo = T._memo or {}
         if isinstance(T, Transducer):
-            assert memo["validation"] == reason
+            assert memo[VALID] == reason
         assert ("inverse" in memo) == keeps_inverse
         if keeps_inverse:
             assert memo["inverse"] == canonical_core(inverse_closure(T))
@@ -506,10 +512,10 @@ class TestSharedValidation:
                 assert canonical_core(inverse_closure(g.machine, q)) == want
 
     def test_inverse_rsig_on_the_verify_pool(self):
-        from cantortx.verify import _close_pool, _generator_pool
+        from cantortx.verify import _close_pool_products, _generator_pool
 
         for n in (3, 4):
-            layers = _close_pool(_generator_pool(n), 3)
+            layers = _close_pool_products(_generator_pool(n), 3)[0]
             for X in layers[1] + layers[2] + layers[3]:
                 assert inverse_reduced_signature(X.machine) == invert_element(X).rsig
 

@@ -9,7 +9,15 @@ from itertools import product as cartesian
 import pytest
 
 from cantortx import synchronize as sync
-from cantortx.transducer import Transducer, evaluate
+from cantortx.transducer import (
+    COMPLETE_RESPONSE,
+    MINIMAL,
+    SYNCHRONIZING,
+    Transducer,
+    evaluate,
+    mark,
+    marked,
+)
 from cantortx.initial import InitialTransducer
 from cantortx.synchronize import NotSynchronizing, core
 from cantortx.machines import (
@@ -411,11 +419,10 @@ class TestCore:
 
 
 def unmarked(T):
-    """A copy of T whose memo keeps only the marks that canonical_core reads
-    besides "synchronizing", so its core comes from the collapse."""
+    """A copy of T that keeps only the marks that canonical_core reads
+    besides SYNCHRONIZING, so its core comes from the collapse."""
     C = Transducer._from_rows(T.n, T._rows)
-    C._memo = {k: v for k, v in T._memo.items() if k in ("minimal", "complete_response")}
-    return C
+    return mark(C, *(fact for fact in (MINIMAL, COMPLETE_RESPONSE) if marked(T, fact)))
 
 
 def assert_walk_is_the_collapse(T):
@@ -426,8 +433,7 @@ def assert_walk_is_the_collapse(T):
 
 
 def marked_arguments(calls):
-    return [c["T"] for c in calls["canonical_core"]
-            if c["T"]._memo and "synchronizing" in c["T"]._memo]
+    return [c["T"] for c in calls["canonical_core"] if marked(c["T"], SYNCHRONIZING)]
 
 
 def law_generators(n):
@@ -446,26 +452,25 @@ class TestCycleWalkCore:
         seen = 0
         for T in random_tables():
             if sync.is_synchronizing(T):
-                M = Transducer._from_rows(T.n, T._rows)
-                M._memo = {"synchronizing": True}
+                M = mark(Transducer._from_rows(T.n, T._rows), SYNCHRONIZING)
                 assert sync.core_states(M) == sync.core_states(T)
                 seen += 1
         assert seen > 10
 
     def test_products_and_closures_of_the_verify_pools(self, record_calls):
-        from cantortx.verify import _close_pool, _generator_pool
+        from cantortx.verify import _close_pool_products, _generator_pool
 
         calls = record_calls(("canonical_core",))
         for n in (3, 4):
-            layers = _close_pool(_generator_pool(n), 3)
+            layers = _close_pool_products(_generator_pool(n), 3)[0]
             for g in layers[1] + layers[2] + layers[3]:
                 invert_element(g)
-        marked = marked_arguments(calls)
-        products = [T for T in marked if "minimal" in T._memo]
-        closures = [T for T in marked if "complete_response" in T._memo]
-        assert len(products) + len(closures) == len(marked)
+        walked = marked_arguments(calls)
+        products = [T for T in walked if marked(T, MINIMAL)]
+        closures = [T for T in walked if marked(T, COMPLETE_RESPONSE)]
+        assert len(products) + len(closures) == len(walked)
         assert len(products) > 100 and len(closures) > 50
-        for T in marked:
+        for T in walked:
             assert_walk_is_the_collapse(T)
 
     def test_seeded_law_words(self, record_calls):
@@ -480,9 +485,9 @@ class TestCycleWalkCore:
                 for _ in range(rng.randint(7, 9)):
                     acc = group_product(acc, gens[rng.randrange(len(gens))])
                 invert_element(acc)
-        marked = marked_arguments(calls)
-        assert sum("complete_response" in T._memo for T in marked) == 18
-        for T in marked:
+        walked = marked_arguments(calls)
+        assert sum(marked(T, COMPLETE_RESPONSE) for T in walked) == 18
+        for T in walked:
             assert_walk_is_the_collapse(T)
 
     def test_unmarked_machine_that_does_not_synchronize(self):
@@ -492,7 +497,7 @@ class TestCycleWalkCore:
         turns = Transducer(2, {"s": {0: ((0,), "t"), 1: ((1,), "t")},
                                "t": {0: ((1,), "s"), 1: ((0,), "s")}})
         M = minimize_rooted(turns, "s")[0]
-        assert len(M.states) == 2 and "synchronizing" not in M._memo
+        assert len(M.states) == 2 and not marked(M, SYNCHRONIZING)
         for T in (turns, M):
             with pytest.raises(NotSynchronizing):
                 sync.core_states(T)
@@ -518,11 +523,11 @@ class TestCycleWalkCore:
         assert len(calls["canonical_core"]) == 4
         closure = calls["canonical_core"][3]["T"]
         assert marked_arguments(calls)[1:] == [closure]
-        assert "complete_response" in closure._memo
+        assert marked(closure, COMPLETE_RESPONSE)
         # the steps on their own mark nothing
         M = minimize_rooted(product(g.machine, g.machine), (g.machine.states[0],) * 2)[0]
-        assert M._memo == {"minimal": True}
-        assert "synchronizing" not in inverse_closure(p.machine)._memo
+        assert M._memo == {MINIMAL: True}
+        assert not marked(inverse_closure(p.machine), SYNCHRONIZING)
         # nor does validation's closure of a machine that holds no verdict
         fresh = Transducer._from_rows(p.n, p.machine._rows)
         del calls["canonical_core"][:]

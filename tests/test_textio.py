@@ -13,7 +13,6 @@ from cantortx.machines import (
     realize,
     swap_transducer,
 )
-from cantortx.initial import minimize_initial
 
 
 POOL = [
