@@ -7,8 +7,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .words import InvalidInput, check_letters, rotation_class_of
-from .transducer import SYNCHRONIZING, VALID, evaluate, mark, minimize_rooted, product
+from .transducer import (
+    SYNCHRONIZING,
+    VALID,
+    DegenerateTransducer,
+    DepthExceeded,
+    evaluate,
+    mark,
+    minimize_rooted,
+    product,
+)
 from .synchronize import (
+    NotSynchronizing,
     _destination_rows,
     canonical_core,
     is_synchronizing,
@@ -34,8 +44,16 @@ class GroupElement:
 
     @classmethod
     def from_machine(cls, T):
-        """The element of T's canonical core, validated."""
-        return cls(require_valid(canonical_core(T)))
+        """The element of T's canonical core, validated.  A T with no
+        canonical core (it does not synchronize, or a forced output is
+        empty on a cycle or infinite) is not valid, and raises the
+        InvalidInput of T's own validation."""
+        try:
+            C = canonical_core(T)
+        except (NotSynchronizing, DegenerateTransducer, DepthExceeded):
+            require_valid(T)
+            raise
+        return cls(require_valid(C))
 
     @property
     def n(self):

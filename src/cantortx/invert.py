@@ -61,13 +61,20 @@ from .transducer import (
     COMPLETE_RESPONSE,
     SYNCHRONIZING,
     VALID,
+    DegenerateTransducer,
     Transducer,
     mark,
     marked,
     memoized,
 )
 from .initial import InitialTransducer, dot, minimize_initial
-from .images import images, is_homeomorphism_state, non_injective_states, whole
+from .images import (
+    NotClopenImage,
+    images,
+    is_homeomorphism_state,
+    non_injective_states,
+    whole,
+)
 from .synchronize import (
     NotSynchronizing,
     canonical_core,
@@ -223,12 +230,15 @@ def _inverse_core(T):
 
 def is_bisynchronizing_core(T):
     """A core machine together with its inverse closure must both collapse;
-    False for a machine with a non-injective state, which has no inverse."""
-    if not is_synchronizing(T) or non_injective_states(T):
+    False for a machine with no inverse: one with a non-injective state, a
+    non-clopen image or a cycle that outputs nothing."""
+    if not is_synchronizing(T):
         return False
     try:
+        if non_injective_states(T):
+            return False
         inverse_core(T)
-    except NotSynchronizing:
+    except (NotClopenImage, DegenerateTransducer, NotSynchronizing):
         return False
     return True
 

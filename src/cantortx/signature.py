@@ -347,18 +347,18 @@ def units_fixing_subgroup(m, i):
 
 
 def subgroup_generated(m, gens):
-    gens = {g % m for g in gens}
+    """The submonoid of Z_m generated by gens: the subgroup when they are
+    units.  It is closed one generator at a time.  The set S so far is
+    closed under products, so a generator g in S adds nothing, and any
+    other adds S.g, S.g^2, ... up to the first power that brings nothing
+    new; each round multiplies only the elements the last round added."""
     elems = {1 % m}
-    frontier = set(elems)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for g in gens:
-                b = (a * g) % m
-                if b not in elems:
-                    elems.add(b)
-                    new.add(b)
-        frontier = new
+    for g in gens:
+        g %= m
+        frontier = set() if g in elems else elems
+        while frontier:
+            frontier = {a * g % m for a in frontier} - elems
+            elems |= frontier
     return elems
 
 

@@ -201,25 +201,34 @@ def _close_pool_products(gens, max_len):
 
 
 def check_rsig_homomorphism():
+    """A product or inverse equal to a pooled element is read through the
+    pool, so its analyses, memoized per machine object, run once.  By
+    associativity each (1,2) product is a product of at most three
+    generators, so it is pooled."""
     failures = []
     for n in (3, 4):
         gens = _generator_pool(n)
         # the closure has formed every (1,1) and (2,1) product already
         layers, products = _close_pool_products(gens, 3)
+        everything = layers[1] + layers[2] + layers[3]
+        pool = {X.machine: X for X in everything}
         m = n - 1
         for i, j in ((1, 1), (1, 2), (2, 1)):
             for X in layers[i]:
                 for Y in layers[j]:
                     P = products.get((X, Y))
                     if P is None:
-                        P = group_product(X, Y)
+                        P = pool.get(group_product(X, Y).machine)
+                    if P is None:
+                        failures.append(f"({i}+{j} product) outside the pool n={n}")
+                        continue
                     want = (X.rsig * Y.rsig - 1) % m + 1
                     if P.rsig != want:
                         failures.append(f"rsig({i}+{j} product) n={n}")
-        everything = layers[1] + layers[2] + layers[3]
         for X in everything:
             img = images(X.machine)
-            if inverse_reduced_signature(X.machine) != invert_element(X).rsig:
+            inv = invert_element(X)
+            if inverse_reduced_signature(X.machine) != pool.get(inv.machine, inv).rsig:
                 failures.append(f"inverse signature mismatch n={n}")
             residues = {(len(img[q].cones) - 1) % m + 1 for q in X.machine.states}
             if residues != {X.rsig}:

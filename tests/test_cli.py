@@ -253,6 +253,23 @@ class TestErrors:
         code, out, _ = run(capsys, "orient", str(path))
         assert code == 0 and json.loads(out)["orientation"] == "neither"
 
+    @pytest.mark.parametrize("rows, reason", [
+        ({"a": {0: ((), "a"), 1: ((0,), "a")}},
+         "cycle through state 'a' outputs the empty word"),
+        # identity and complement by turns: never synchronizing
+        ({"s": {0: ((0,), "t"), 1: ((1,), "t")}, "t": {0: ((1,), "s"), 1: ((0,), "s")}},
+         "not synchronizing"),
+        # one point for every input: the forced output is infinite
+        ({"q": {0: ((0,), "q"), 1: ((0,), "q")}}, "some state image is not clopen"),
+    ])
+    def test_element_commands_name_the_validation_failure(self, tmp_path, capsys, rows, reason):
+        path = tmp_path / "invalid.tx"
+        path.write_text(serialize(Transducer(2, rows)))
+        want = f"error: not a valid core element: {reason}\n"
+        for argv in (("order", str(path)), ("mul", str(path), str(path)),
+                     ("orbit", "--class", "0,1", str(path)), ("invert", str(path))):
+            assert run(capsys, *argv) == (1, "", want), argv
+
     def test_congruence_reasons(self, tmp_path, capsys):
         path = write_example(tmp_path, capsys, "g4")
         code, out, _ = run(capsys, "member", "--r", "1", "--ordered", path)

@@ -215,6 +215,16 @@ class TestBisynchronizing:
         assert is_bisynchronizing_core(machine_T(4))
         assert is_bisynchronizing_core(oplus(3, identity_transducer(3), 6))
 
+    def test_empty_output_cycle_has_no_inverse(self):
+        # the images of D raise DegenerateTransducer
+        D = Transducer(2, {"a": {0: ((), "a"), 1: ((0,), "a")}})
+        assert is_bisynchronizing_core(D) is False
+
+    def test_non_clopen_image_has_no_inverse(self):
+        # the golden-mean shift: the images raise NotClopenImage
+        golden_mean = Transducer(2, {"a": {0: ((0,), "a"), 1: ((0, 1), "a")}})
+        assert is_bisynchronizing_core(golden_mean) is False
+
 
 def closure_bound(T):
     """The greatest |w_i| + depth im(p_i) over the edges of T, the depth

@@ -360,6 +360,36 @@ class TestUnitsLattice:
         assert subgroup_generated(9, {2}) == {1, 2, 4, 8, 7, 5}
         assert subgroup_generated(1, {0}) == {0}
 
+    def test_cosets_match_the_breadth_first_closure(self):
+        # generator lists with repeats, zero, non-units and letters past m;
+        # a non-unit yields the monoid, as the breadth-first closure does
+        rng = random.Random(30)
+        for m in range(1, 61):
+            lists = [[], [0], [1], [m], list(range(m)), [a for a in range(m) if math.gcd(a, m) > 1]]
+            lists += [[rng.randrange(-m, 3 * m) for _ in range(rng.randrange(1, 6))]
+                      for _ in range(20)]
+            lists += [[0] + gens for gens in lists[6:10]]
+            for gens in lists:
+                assert subgroup_generated(m, gens) == reference_subgroup_generated(m, gens), (m, gens)
+
+
+def reference_subgroup_generated(m, gens):
+    """The closure as it was: breadth first, every new element times every
+    generator."""
+    gens = {g % m for g in gens}
+    elems = {1 % m}
+    frontier = set(elems)
+    while frontier:
+        new = set()
+        for a in frontier:
+            for g in gens:
+                b = (a * g) % m
+                if b not in elems:
+                    elems.add(b)
+                    new.add(b)
+        frontier = new
+    return elems
+
 
 def reference_monotonicity(T, i, j):
     """The check as it was: one membership test per root count it reads."""

@@ -8,6 +8,7 @@ from itertools import product as cartesian
 
 import pytest
 
+from cantortx.words import InvalidInput
 from cantortx import synchronize as sync
 from cantortx.transducer import (
     COMPLETE_RESPONSE,
@@ -503,7 +504,7 @@ class TestCycleWalkCore:
                 sync.core_states(T)
             with pytest.raises(NotSynchronizing):
                 canonical_core(T)
-            with pytest.raises(NotSynchronizing):
+            with pytest.raises(InvalidInput, match="^not a valid core element: not synchronizing$"):
                 GroupElement.from_machine(T)
 
     def test_only_products_and_inverses_of_valid_machines_are_marked(self, record_calls):

@@ -224,6 +224,36 @@ class TestWordEvaluation:
         assert len(calls["inverse_closure"]) == 12
 
 
+class TestRsigHomomorphism:
+    def test_pooled_elements_are_analysed_once(self, record_calls):
+        # every product and closure inverse is still formed, but each one
+        # equal to a pooled element reads the pool's signature: the 158
+        # (1,2) products and 22 of the inverses run no image fixpoint or
+        # signature of their own (456 of each before)
+        calls = record_calls(("group_product", "_inverse_core", "_fixpoint", "_signature_report"))
+        assert verify.check_rsig_homomorphism() == (True, "homomorphism verified")
+        assert {name: len(c) for name, c in calls.items()} == {
+            "group_product": 368,
+            "_inverse_core": 149,
+            "_fixpoint": 276,
+            "_signature_report": 276,
+        }
+
+    def test_a_product_outside_the_pool_fails(self, monkeypatch):
+        # with no third layer, the (1,2) products of three generators are
+        # missing from the pool
+        close = verify._close_pool_products
+
+        def two_layers(gens, max_len):
+            layers, products = close(gens, 2)
+            layers[3] = []
+            return layers, products
+
+        monkeypatch.setattr(verify, "_close_pool_products", two_layers)
+        ok, detail = verify.check_rsig_homomorphism()
+        assert not ok and "(1+2 product) outside the pool n=3" in detail.split("; ")
+
+
 class TestUnitsLattice:
     def test_one_lcm_claim_per_gcd_class(self, record_calls):
         # one call per (m, gcd(i, m), gcd(j, m)) for m = 2..50, not one per
