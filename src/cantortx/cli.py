@@ -1,9 +1,11 @@
 """Command-line front end `tx`.
 
 Machines stream through the text format of cantortx.textio; `-` means stdin
-or stdout, so commands compose in pipelines.  Every subcommand takes --json
-for a machine-readable report {command, inputs, result, bounds, elapsed_ms}.
-Exit codes: 0 success, 1 domain error, 2 usage error."""
+or stdout, so commands compose in pipelines.  Each cmd_* returns (result,
+text): text is the plain rendering, or None to print a string result as it
+is and any other result as JSON.  Every subcommand takes --json, and then
+`main` prints the report {command, inputs, result, bounds, elapsed_ms}.
+Exit codes: 0 success, 1 domain error or a failing verify, 2 usage error."""
 
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from .transducer import (
 )
 from .initial import InitialTransducer, minimize_initial, product_initial
 from .synchronize import NotSynchronizing, core, minimal_sync_level
-from .images import NotClopenImage, analyze
+from .images import NotClopenImage, analyze, orientation
 from .invert import EmptyPreimage, invert_initial
 from .signature import (
     membership_failure,
@@ -89,194 +91,127 @@ def _plain(machine, what):
     return machine
 
 
-def _fresh_names(T):
-    names = {q: str(k) for k, q in enumerate(T.states)}
-    return relabel(T, names)
+def cmd_parse(args):
+    return textio.serialize(_read_machine(args.file)), None
 
 
-def _emit(args, command, inputs, result, bounds, started, machine_text=None):
-    elapsed_ms = round((time.perf_counter() - started) * 1000, 3)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "command": command,
-                    "inputs": inputs,
-                    "result": result,
-                    "bounds": bounds,
-                    "elapsed_ms": elapsed_ms,
-                },
-                sort_keys=True,
-            )
-        )
-    elif machine_text is not None:
-        sys.stdout.write(machine_text)
-    else:
-        if isinstance(result, str):
-            print(result)
-        else:
-            print(json.dumps(result, sort_keys=True))
-
-
-def cmd_parse(args, started):
-    M = _read_machine(args.file)
-    text = textio.serialize(M)
-    _emit(args, "parse", [args.file], text, {}, started, machine_text=text)
-
-
-def cmd_minimize(args, started):
+def cmd_minimize(args):
     M = _read_machine(args.file)
     if isinstance(M, InitialTransducer):
+        if args.root is not None:
+            raise InvalidInput("--root applies only to a plain machine (r=0)")
         out = minimize_initial(M)
     else:
         root = args.root if args.root is not None else M.states[0]
         if root not in M.states:
             raise InvalidInput(f"unknown root state {root!r}")
         out, _ = minimize_rooted(M, root)
-    text = textio.serialize(out)
-    _emit(args, "minimize", [args.file], text, {}, started, machine_text=text)
+    return textio.serialize(out), None
 
 
-def cmd_product(args, started):
+def cmd_product(args):
     A = _read_machine(args.a)
     B = _read_machine(args.b)
     if isinstance(A, InitialTransducer) and isinstance(B, InitialTransducer):
         out = minimize_initial(product_initial(A, B))
     elif isinstance(A, Transducer) and isinstance(B, Transducer):
-        out = _fresh_names(product(A, B))
+        P = product(A, B)
+        out = relabel(P, {q: str(k) for k, q in enumerate(P.states)})
     else:
         raise InvalidInput("product needs two machines of the same kind")
-    text = textio.serialize(out)
-    _emit(args, "product", [args.a, args.b], text, {}, started, machine_text=text)
+    return textio.serialize(out), None
 
 
-def cmd_invert(args, started):
+def cmd_invert(args):
     M = _read_machine(args.file)
     if isinstance(M, InitialTransducer):
         out = invert_initial(M)
     else:
         out = invert_element(GroupElement(M)).machine
-    text = textio.serialize(out)
-    _emit(args, "invert", [args.file], text, {}, started, machine_text=text)
+    return textio.serialize(out), None
 
 
-def cmd_sync_level(args, started):
-    M = _read_machine(args.file)
-    level = minimal_sync_level(M)
-    _emit(args, "sync-level", [args.file], {"level": level}, {}, started)
+def cmd_sync_level(args):
+    return {"level": minimal_sync_level(_read_machine(args.file))}, None
 
 
-def cmd_core(args, started):
-    M = _read_machine(args.file)
-    out = core(M)
-    text = textio.serialize(out)
-    _emit(args, "core", [args.file], text, {}, started, machine_text=text)
+def cmd_core(args):
+    return textio.serialize(core(_read_machine(args.file))), None
 
 
-def cmd_analyze(args, started):
+def cmd_analyze(args):
     M = _plain(_read_machine(args.file), "analyze")
     reports, orient = analyze(M)
-    rows = {}
+    rows, text = {}, ""
     for q in M.states:
         rep = reports[q]
-        rows[str(q)] = {
-            "image": [format_word(w) for w in rep.image.cones],
-            "m": rep.m,
-            "injective": rep.injective,
-            "homeomorphism": rep.homeomorphism,
-        }
+        image = [format_word(w) for w in rep.image.cones]
+        rows[str(q)] = {"image": image, "m": rep.m, "injective": rep.injective,
+                        "homeomorphism": rep.homeomorphism}
+        cones = " ".join(image) or "(empty)"
+        text += (f"{q}: m={rep.m} injective={rep.injective}"
+                 f" homeomorphism={rep.homeomorphism} image={{{cones}}}\n")
     result = {"states": rows, "orientation": orient.value}
-    if args.json:
-        _emit(args, "analyze", [args.file], result, {}, started)
-    else:
-        for q, row in rows.items():
-            cones = " ".join(row["image"]) or "(empty)"
-            print(
-                f"{q}: m={row['m']} injective={row['injective']}"
-                f" homeomorphism={row['homeomorphism']} image={{{cones}}}"
-            )
-        print(f"orientation: {orient.value}")
+    return result, text + f"orientation: {orient.value}\n"
 
 
-def cmd_sig(args, started):
-    M = _plain(_read_machine(args.file), "sig")
-    rep = signature_report(M)
-    if args.json:
-        # the terms of sig, one per forced state, not the n^level per-word values
-        forced = [{"state": str(q), "words": words, "m": m}
-                  for q, (words, m) in rep.forced.items()]
-        result = {"sync_level": rep.sync_level, "forced": forced,
-                  "sig": rep.sig, "rsig": rep.rsig}
-        _emit(args, "sig", [args.file], result, {}, started)
-    else:
-        print(f"sync_level={rep.sync_level} sig={rep.sig} rsig={rep.rsig}")
+def cmd_sig(args):
+    rep = signature_report(_plain(_read_machine(args.file), "sig"))
+    # the terms of sig, one per forced state, not the n^level per-word values
+    forced = [{"state": str(q), "words": words, "m": m}
+              for q, (words, m) in rep.forced.items()]
+    result = {"sync_level": rep.sync_level, "forced": forced,
+              "sig": rep.sig, "rsig": rep.rsig}
+    return result, f"sync_level={rep.sync_level} sig={rep.sig} rsig={rep.rsig}\n"
 
 
-def cmd_member(args, started):
+def cmd_member(args):
     M = _plain(_read_machine(args.file), "member")
     reason = membership_failure(M, args.r, args.ordered)
     ok = reason is None
     result = {"member": ok, "r": args.r, "ordered": args.ordered, "reason": reason}
-    if args.json:
-        _emit(args, "member", [args.file], result, {}, started)
-    else:
-        print("true" if ok else f"false ({reason})")
+    return result, "true\n" if ok else f"false ({reason})\n"
 
 
-def cmd_orient(args, started):
+def cmd_orient(args):
     M = _plain(_read_machine(args.file), "orient")
-    from .images import orientation
-
-    _emit(args, "orient", [args.file], {"orientation": orientation(M).value}, {}, started)
+    return {"orientation": orientation(M).value}, None
 
 
-def _example(name):
-    if name == "g4":
-        return machine_g4()
+EXAMPLES = {"T": machine_T, "U": machine_U, "A": machine_A, "B": machine_B,
+            "piR": letter_complement, "id": identity_transducer}
+
+
+def cmd_example(args):
+    name = args.name
     kind, _, arg = name.partition(":")
+    if name == "g4":
+        return textio.serialize(machine_g4()), None
     if not arg:
         raise InvalidInput(f"unknown example {name!r}")
     try:
         n = int(arg)
     except ValueError:
         raise InvalidInput(f"bad alphabet size in {name!r}") from None
-    table = {
-        "T": machine_T,
-        "U": machine_U,
-        "A": machine_A,
-        "B": machine_B,
-        "piR": letter_complement,
-        "id": identity_transducer,
-    }
-    if kind not in table:
+    if kind not in EXAMPLES:
         raise InvalidInput(f"unknown example {name!r}")
-    return table[kind](n)
+    return textio.serialize(EXAMPLES[kind](n)), None
 
 
-def cmd_example(args, started):
-    M = _example(args.name)
-    text = textio.serialize(M)
-    _emit(args, "example", [args.name], text, {}, started, machine_text=text)
-
-
-def cmd_realize(args, started):
+def cmd_realize(args):
     M = _plain(_read_machine(args.file), "realize")
     out = realize(M, args.r, ordered=not args.unordered,
                   max_prefix_depth=args.depth)
-    text = textio.serialize(out)
-    _emit(args, "realize", [args.file], text,
-          {"r": args.r, "depth": args.depth}, started, machine_text=text)
+    return textio.serialize(out), None
 
 
-def cmd_mul(args, started):
+def cmd_mul(args):
     A = GroupElement.from_machine(_plain(_read_machine(args.a), "mul"))
     B = GroupElement.from_machine(_plain(_read_machine(args.b), "mul"))
-    out = group_product(A, B).machine
-    text = textio.serialize(out)
-    _emit(args, "mul", [args.a, args.b], text, {}, started, machine_text=text)
+    return textio.serialize(group_product(A, B).machine), None
 
 
-def cmd_order(args, started):
+def cmd_order(args):
     g = GroupElement.from_machine(_plain(_read_machine(args.file), "order"))
     res = element_order(g, args.bound, state_cap=args.state_cap)
     result = {
@@ -284,53 +219,40 @@ def cmd_order(args, started):
         "order": res.value,
         "state_counts": list(res.growth),
     }
-    if args.json:
-        _emit(args, "order", [args.file], result,
-              {"bound": args.bound, "state_cap": args.state_cap}, started)
-    else:
-        print(f"Finite({res.value})" if res.finite else f"ExceedsBound{res.growth}")
+    return result, (f"Finite({res.value})\n" if res.finite
+                    else f"ExceedsBound{res.growth}\n")
 
 
-def cmd_orbit(args, started):
+def cmd_orbit(args):
     g = GroupElement.from_machine(_plain(_read_machine(args.file), "orbit"))
     cls = rotation_class_of(parse_word(args.cls))
-    lens = orbit_lengths(g, cls, args.steps)
-    _emit(args, "orbit", [args.file],
-          {"class": args.cls, "lengths": lens},
-          {"steps": args.steps}, started)
+    return {"class": args.cls, "lengths": orbit_lengths(g, cls, args.steps)}, None
 
 
-def cmd_partition(args, started):
+def cmd_partition(args):
     sigs = set(args.sigs)
     parts = signature_class_partition(args.n, sigs)
     canon = sorted(sorted(p) for p in parts)
-    _emit(args, "partition", [],
-          {"n": args.n, "sigs": sorted(sigs), "classes": canon}, {}, started)
+    return {"n": args.n, "sigs": sorted(sigs), "classes": canon}, None
 
 
-def cmd_verify(args, started):
+def cmd_verify(args):
     results = verify.run_suite(args.suite)
-    if args.json:
-        _emit(args, "verify", [args.suite],
-              [{"name": n, "ok": ok, "detail": d, "seconds": round(s, 3)}
-               for n, ok, d, s in results],
-              {}, started)
-    else:
-        for name, ok, detail, secs in results:
-            print(f"{'PASS' if ok else 'FAIL'}  {name:24s} {secs:8.2f}s  {detail}")
-    if not all(ok for _, ok, _, _ in results):
-        raise SystemExit(1)
+    result = [{"name": n, "ok": ok, "detail": d, "seconds": round(s, 3)}
+              for n, ok, d, s in results]
+    text = "".join(f"{'PASS' if ok else 'FAIL'}  {name:24s} {secs:8.2f}s  {detail}\n"
+                   for name, ok, detail, secs in results)
+    return result, text
 
 
-def cmd_edges(args, started):
+def cmd_edges(args):
     M = _read_machine(args.file)
     lines = [
-        f"{q} -{textio._fmt_letter(sym)}|{textio._fmt_out(w)}-> {p}"
+        f"{q} -{format_word((sym,))}|{format_word(w)}-> {p}"
         for q in M.states
         for sym, (w, p) in zip(M.symbols_at(q), M.row(q))
     ]
-    text = "\n".join(lines) + "\n"
-    _emit(args, "edges", [args.file], text, {}, started, machine_text=text)
+    return "\n".join(lines) + "\n", None
 
 
 def _count(text):
@@ -360,9 +282,10 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, inputs=("file",), bounds=(), **kw):
+        # inputs and bounds name the attributes that the --json report lists
         p = sub.add_parser(name, **kw)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, inputs=inputs, bounds=bounds)
         p.add_argument("--json", action="store_true", help="machine-readable report")
         return p
 
@@ -373,7 +296,7 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--root", default=None, help="root state for plain machines")
 
-    p = add("product", cmd_product, help="compose two machines (first then second)")
+    p = add("product", cmd_product, ("a", "b"), help="compose two machines (first then second)")
     p.add_argument("a")
     p.add_argument("b")
 
@@ -401,37 +324,39 @@ def build_parser():
     p = add("orient", cmd_orient, help="lexicographic orientation")
     p.add_argument("file")
 
-    p = add("example", cmd_example, help="write a built-in machine")
+    p = add("example", cmd_example, ("name",), help="write a built-in machine")
     p.add_argument("--name", required=True,
                    help="g4 | T:<n> | U:<n> | A:<n> | B:<n> | piR:<n> | id:<n>")
 
-    p = add("realize", cmd_realize, help="initial machine over r roots with this core")
+    p = add("realize", cmd_realize, bounds=("r", "depth"),
+            help="initial machine over r roots with this core")
     p.add_argument("file")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--unordered", action="store_true",
                    help="drop the circle-order requirement")
     p.add_argument("--depth", type=_count, default=3)
 
-    p = add("mul", cmd_mul, help="group product of two core elements")
+    p = add("mul", cmd_mul, ("a", "b"), help="group product of two core elements")
     p.add_argument("a")
     p.add_argument("b")
 
-    p = add("order", cmd_order, help="order of a core element, up to a bound")
+    p = add("order", cmd_order, bounds=("bound", "state_cap"),
+            help="order of a core element, up to a bound")
     p.add_argument("file")
     p.add_argument("--bound", type=_count, default=16)
     p.add_argument("--state-cap", type=_count, default=512)
 
-    p = add("orbit", cmd_orbit, help="rotation-class orbit lengths")
+    p = add("orbit", cmd_orbit, bounds=("steps",), help="rotation-class orbit lengths")
     p.add_argument("file")
     p.add_argument("--class", dest="cls", required=True, help="e.g. 1,2")
     p.add_argument("--steps", type=_count, default=8)
 
-    p = add("partition", cmd_partition, help="root-count classes from signatures")
+    p = add("partition", cmd_partition, (), help="root-count classes from signatures")
     p.add_argument("--n", type=_alphabet, required=True)
     p.add_argument("--sigs", type=parse_word, required=True,
                    help="comma-separated reduced signatures")
 
-    p = add("verify", cmd_verify, help="run the reproducibility suite")
+    p = add("verify", cmd_verify, ("suite",), help="run the reproducibility suite")
     p.add_argument("--suite", default="paper", choices=sorted(verify.SUITES))
 
     p = add("edges", cmd_edges, help="plain-text edge list dump")
@@ -447,14 +372,26 @@ def main(argv=None):
         ap.error("stdin can be read only once: give at most one input as -")
     started = time.perf_counter()
     try:
-        args.fn(args, started)
-    except SystemExit:
-        raise
+        result, text = args.fn(args)
+        if args.json:
+            text = json.dumps({
+                "command": args.command,
+                "inputs": [getattr(args, name) for name in args.inputs],
+                "result": result,
+                "bounds": {name: getattr(args, name) for name in args.bounds},
+                "elapsed_ms": round((time.perf_counter() - started) * 1000, 3),
+            }, sort_keys=True) + "\n"
+        elif text is None:
+            text = (result if isinstance(result, str)
+                    else json.dumps(result, sort_keys=True) + "\n")
+        sys.stdout.write(text)
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         return 0
+    if args.command == "verify" and not all(row["ok"] for row in result):
+        return 1
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .words import InvalidInput, format_word, parse_dotted, parse_word
 from .transducer import Transducer
-from .initial import InitialTransducer, dot, is_dot, rooted_word, split_rooted
+from .initial import InitialTransducer, dot, is_dot, rooted_word
 
 
 class ParseError(InvalidInput):
@@ -21,24 +21,12 @@ class ParseError(InvalidInput):
         self.lineno = lineno
 
 
-def _fmt_out(w):
-    root, tail = split_rooted(w)
-    if root is None:
-        return format_word(tail)
-    if tail:
-        return f".{root}," + format_word(tail)
-    return f".{root}"
-
-
-def _fmt_letter(sym):
-    if is_dot(sym):
-        return f".{sym[1]}"
-    return str(sym)
-
-
-def _safe_name(q):
+def _safe_name(q, initial=False):
+    """q as the text names it, if a line of the text reads it back: not a
+    comment, no arrow, and "-" only where it does not mean "no initial"."""
     s = str(q)
-    if not s or any(ch.isspace() for ch in s) or "," in s or ":" in s:
+    if (not s or any(ch.isspace() for ch in s) or "," in s or ":" in s
+            or s.startswith("#") or "->" in s or (initial and s == "-")):
         raise InvalidInput(f"state name {s!r} cannot be serialized; relabel first")
     return s
 
@@ -54,11 +42,11 @@ def serialize(T):
     names = {q: _safe_name(q) for q in T.states}
     if len(set(names.values())) != len(names):
         raise InvalidInput("state names collide as strings; relabel first")
-    initial = names[T.root] if r else "-"
+    initial = _safe_name(T.root, initial=True) if r else "-"
     lines = [f"TRANSDUCER n={T.n} r={r} states={','.join(names.values())} initial={initial}"]
     for q, name in names.items():
         for sym, (w, p) in zip(T.symbols_at(q), T.row(q)):
-            lines.append(f"{name} {_fmt_letter(sym)} -> {names[p]} : {_fmt_out(w)}")
+            lines.append(f"{name} {format_word((sym,))} -> {names[p]} : {format_word(w)}")
     return "\n".join(lines) + "\n"
 
 

@@ -59,9 +59,12 @@ def subtract_prefix(u, v):
 # --- dotted roots as `.2`, eventually periodic words as `u|v`.
 
 def format_word(w):
+    """w as the text format writes it; a root symbol ("^", a) as .a."""
     if not w:
         return "e"
-    return ",".join(str(a) for a in w)
+    if isinstance(w[0], tuple):
+        return ",".join((f".{w[0][1]}", *map(str, w[1:])))
+    return ",".join(map(str, w))
 
 
 def parse_word(text):
@@ -270,7 +273,7 @@ class ClopenSet:
         return hash((self.n, self.cones))
 
     def __repr__(self):
-        inner = ", ".join(map(_format_cone, self.cones))
+        inner = ", ".join(map(format_word, self.cones))
         return "{" + inner + "}"
 
     def _check_same(self, other):
@@ -351,13 +354,6 @@ class ClopenSet:
         if not self.cones:
             raise InvalidInput("maximum of the empty clopen set")
         return EvPeriodicWord(self.cones[-1], (self.n - 1,))
-
-
-def _format_cone(w):
-    """w as the text format writes it: a root symbol ("^", a) as .a."""
-    if w and isinstance(w[0], tuple):
-        return ",".join((f".{w[0][1]}", *map(str, w[1:])))
-    return format_word(w)
 
 
 def pairwise_disjoint(sets):

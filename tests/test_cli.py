@@ -17,12 +17,47 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_to_exit(capsys, *argv):
+    """Like run, but the exit code is the process's: main may also end the
+    command with SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
 def write_example(tmp_path, capsys, name):
     code, out, _ = run(capsys, "example", "--name", name)
     assert code == 0
     path = tmp_path / f"{name.replace(':', '_')}.tx"
     path.write_text(out)
     return str(path)
+
+
+# (plain command line on g4.tx, the report's inputs and bounds, whether the
+# plain stdout is a machine or edge list that the report's result repeats)
+REPORTS = [
+    (("parse", "g4.tx"), ["g4.tx"], {}, True),
+    (("minimize", "g4.tx"), ["g4.tx"], {}, True),
+    (("product", "g4.tx", "g4.tx"), ["g4.tx", "g4.tx"], {}, True),
+    (("invert", "g4.tx"), ["g4.tx"], {}, True),
+    (("sync-level", "g4.tx"), ["g4.tx"], {}, False),
+    (("core", "g4.tx"), ["g4.tx"], {}, True),
+    (("analyze", "g4.tx"), ["g4.tx"], {}, False),
+    (("sig", "g4.tx"), ["g4.tx"], {}, False),
+    (("member", "--r", "3", "g4.tx"), ["g4.tx"], {}, False),
+    (("orient", "g4.tx"), ["g4.tx"], {}, False),
+    (("example", "--name", "g4"), ["g4"], {}, True),
+    (("realize", "--r", "3", "g4.tx"), ["g4.tx"], {"r": 3, "depth": 3}, True),
+    (("mul", "g4.tx", "g4.tx"), ["g4.tx", "g4.tx"], {}, True),
+    (("order", "--bound", "4", "g4.tx"), ["g4.tx"], {"bound": 4, "state_cap": 512}, False),
+    (("orbit", "--class", "1,2", "g4.tx"), ["g4.tx"], {"steps": 8}, False),
+    (("partition", "--n", "7", "--sigs", "1,5"), [], {}, False),
+    (("verify", "--suite", "F-relations"), ["F-relations"], {}, False),
+    (("edges", "g4.tx"), ["g4.tx"], {}, True),
+]
 
 
 class TestCommands:
@@ -92,13 +127,48 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["classes"] == [[1, 2, 4, 5], [3, 6]]
 
-    def test_json_report_shape(self, tmp_path, capsys):
-        path = write_example(tmp_path, capsys, "g4")
-        code, out, _ = run(capsys, "sig", "--json", path)
-        assert code == 0
+    @pytest.mark.parametrize("argv,inputs,bounds,prints_machine", REPORTS,
+                             ids=[argv[0] for argv, *_ in REPORTS])
+    def test_json_report_shape(self, tmp_path, capsys, monkeypatch, argv, inputs, bounds,
+                               prints_machine):
+        monkeypatch.chdir(tmp_path)
+        write_example(tmp_path, capsys, "g4")
+        command, *rest = argv
+        code, out, err = run(capsys, command, "--json", *rest)
+        assert code == 0, err
         report = json.loads(out)
         assert set(report) == {"command", "inputs", "result", "bounds", "elapsed_ms"}
-        assert report["result"]["rsig"] == 2
+        assert report["command"] == command
+        assert report["inputs"] == inputs
+        assert report["bounds"] == bounds
+        if prints_machine:
+            code, plain, _ = run(capsys, *argv)
+            assert code == 0 and report["result"] == plain
+        if command == "sig":
+            assert report["result"]["rsig"] == 2
+
+    def test_failing_verify_prints_every_line_and_exits_one(self, capsys, monkeypatch):
+        from cantortx import verify
+
+        monkeypatch.setattr(verify, "CHECKS", [
+            ("passes", lambda: (True, "fine")),
+            ("fails", lambda: (False, "broken")),
+            ("passes-after", lambda: (True, "still run")),
+        ])
+        monkeypatch.setattr(verify, "SUITES", {"mixed": ["passes", "fails", "passes-after"]})
+        for flags in ((), ("--json",)):
+            code, out, err = run_to_exit(capsys, "verify", *flags, "--suite", "mixed")
+            assert code == 1 and err == ""
+            if flags:
+                result = json.loads(out)["result"]
+                assert [(row["name"], row["ok"], row["detail"]) for row in result] == [
+                    ("passes", True, "fine"), ("fails", False, "broken"),
+                    ("passes-after", True, "still run")]
+            else:
+                lines = out.splitlines()
+                assert [line.split()[:2] for line in lines] == [
+                    ["PASS", "passes"], ["FAIL", "fails"], ["PASS", "passes-after"]]
+                assert lines[1].endswith("broken")
 
     def test_json_stable_across_runs(self, tmp_path, capsys):
         path = write_example(tmp_path, capsys, "g4")
@@ -147,6 +217,17 @@ class TestErrors:
         path = write_example(tmp_path, capsys, "g4")
         code, out, err = run(capsys, "realize", "--r", "1", path)
         assert code == 1 and "error:" in err
+
+    def test_minimize_root_on_an_initial_machine(self, tmp_path, capsys):
+        # an initial machine has its root already; --root is refused, not ignored
+        path = write_example(tmp_path, capsys, "g4")
+        code, out, _ = run(capsys, "realize", "--r", "3", path)
+        realized = tmp_path / "realized.tx"
+        realized.write_text(out)
+        code, out, err = run(capsys, "minimize", "--root", "nosuch", str(realized))
+        assert code == 1 and out == "" and "--root applies only to a plain machine" in err
+        code, out, err = run(capsys, "minimize", "--root", "nosuch", path)
+        assert code == 1 and "unknown root state 'nosuch'" in err
 
     def test_parse_error_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.tx"

@@ -2,7 +2,9 @@ import pytest
 
 from cantortx.textio import ParseError, parse, serialize
 from cantortx.transducer import Transducer
-from cantortx.initial import InitialTransducer
+from cantortx.initial import InitialTransducer, dot
+from cantortx.transducer import relabel
+from cantortx.words import InvalidInput
 from cantortx.machines import (
     identity_transducer,
     letter_complement,
@@ -56,6 +58,24 @@ class TestRoundTrip:
         assert serialize(M) == text
         with pytest.raises(ParseError, match="missing transition - 1"):
             parse(text.replace("- 1 -> - : 1\n", ""))
+
+    @pytest.mark.parametrize("name", ["#a", "x->y", "-", ".0", "a=b", "e"])
+    def test_state_names_raise_or_round_trip(self, name):
+        # a name that a line of the text would misread is refused, never written
+        M = relabel(machine_g4(), {"a": name, "b": "b"})
+        try:
+            text = serialize(M)
+        except InvalidInput as exc:
+            assert "relabel first" in str(exc)
+        else:
+            assert parse(text) == M
+
+    def test_initial_state_named_dash_is_refused(self):
+        # initial=- marks a plain machine, so an initial state may not be "-"
+        A = InitialTransducer(2, 1, {0: ((dot(0),), "q")},
+                              {"q": {0: ((0,), "q"), 1: ((1,), "q")}}, root="-")
+        with pytest.raises(InvalidInput, match="relabel first"):
+            serialize(A)
 
     def test_comments_and_blank_lines_ignored(self):
         text = serialize(machine_g4())
