@@ -19,6 +19,7 @@ from .transducer import (
     DegenerateTransducer,
     DepthExceeded,
     Transducer,
+    _plain,
     minimize_rooted,
     product,
     relabel,
@@ -83,12 +84,6 @@ def _read_text(path):
 
 def _read_machine(path):
     return textio.parse(_read_text(path))
-
-
-def _plain(machine, what):
-    if not isinstance(machine, Transducer):
-        raise InvalidInput(f"{what} needs a plain machine (r=0)")
-    return machine
 
 
 def cmd_parse(args):

@@ -12,6 +12,7 @@ from .transducer import (
     VALID,
     DegenerateTransducer,
     DepthExceeded,
+    _plain,
     evaluate,
     mark,
     minimize_rooted,
@@ -170,6 +171,7 @@ def loop_state(T, w):
     = c, every walk ends at c, and c is the only cycle of the map, so the
     first repeated state is c, fixed by w.  Any other machine runs w from
     every state, in O(|Q| * |w|), and a count other than one raises."""
+    _plain(T, "loop_state")
     if w and is_synchronizing(T):
         check_letters(T.n, w)
         rows = _destination_rows(T)

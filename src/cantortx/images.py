@@ -33,6 +33,7 @@ from .transducer import (
     DegenerateTransducer,
     Transducer,
     _letter_outputs,
+    _plain,
     check_productive,
     memoized,
 )
@@ -273,7 +274,7 @@ def orientation(T):
     An order-preserving or order-reversing core element automatically
     respects the endpoint identifications of the circle quotient; that is a
     theorem about these machines, so no separate check exists for it."""
-    return memoized(T, "orientation", lambda: _boundary_orientation(T))
+    return memoized(T, "orientation", lambda: _boundary_orientation(_plain(T, "orientation")))
 
 
 def _boundary_orientation(T):

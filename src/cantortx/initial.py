@@ -18,6 +18,8 @@ non-initial states, or from the initial state with a root symbol first.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .words import (
     EvPeriodicWord,
     InvalidInput,
@@ -27,7 +29,9 @@ from .transducer import (
     COMPLETE_RESPONSE,
     MINIMAL,
     DegenerateTransducer,
+    Machine,
     check_productive,
+    checked_row,
     common_prefixes,
     evaluate,
     mark,
@@ -74,29 +78,18 @@ def check_oword(n, r, w):
 PENDING, DONE = "pending", "done"
 
 
-def _checked_row(n, r, row):
-    """A row {symbol index: (output, destination)} as a tuple of checked
-    cells; the caller has checked the indices."""
-    cells = [None] * len(row)
-    for i, (w, p) in row.items():
-        w = tuple(w)
-        check_oword(n, r, w)
-        cells[i] = (w, p)
-    return tuple(cells)
-
-
-class InitialTransducer:
+class InitialTransducer(Machine):
     """A machine inducing a continuous map of the r-rooted n-ary Cantor space.
 
     `root_table` maps root letter a -> (output rooted word, state);
     `table` maps state -> letter -> (output rooted word, state).
     Only states reachable from the initial state are kept, in breadth-first
-    order from it.  The transitions are stored as one row per state: the
+    order from it.  The rows are stored as on a plain Transducer: the
     initial state's entry row is indexed by root letter, every other row by
     letter, and `step(q, sym)` reads cell a of the entry row for sym = .a.
-    `_memo` keeps the analyses of the machine, as on a plain Transducer."""
+    It is not a Transducer: isinstance(M, Transducer) means a plain M."""
 
-    __slots__ = ("n", "r", "root", "states", "_rows", "region", "_hash", "_memo")
+    __slots__ = ("r", "root", "region")
 
     def __init__(self, n, r, root_table, table, root="q0"):
         if n < 2 or r < 1:
@@ -105,22 +98,18 @@ class InitialTransducer:
             raise InvalidInput("initial state needs exactly one transition per root letter")
         if root in table:
             raise InvalidInput("the initial state reads only root letters")
-        rows = {root: _checked_row(n, r, root_table)}
-        for q, row in table.items():
-            if set(row) != set(range(n)):
-                raise InvalidInput(f"state {q!r} must have one transition per letter")
-            rows[q] = _checked_row(n, r, row)
-        A = InitialTransducer._from_rows(n, r, root, rows)
-        for name in self.__slots__:  # the checked machine, as _from_rows builds it
-            setattr(self, name, getattr(A, name))
+        check = partial(check_oword, n, r)
+        rows = {root: checked_row(root, root_table, r, check)}
+        rows.update((q, checked_row(q, row, n, check)) for q, row in table.items())
+        self._set_initial(n, r, root, rows)
 
     @classmethod
     def _from_rows(cls, n, r, root, rows):
         """The machine with entry state `root` and rows {state: ((output,
         destination), ...)}, the entry row among them: for tables the
         library builds from checked machines, whose cells need none of the
-        constructor's checks.  The accessible part, the re-entry check and
-        the structure checks (_classify, _check_structure) still run.
+        constructor's checks.  The accessible part and the structure checks
+        (_set_initial) still run.
 
         The builders' cells are well formed because each is made of checked
         words: product_initial runs A's outputs through B, so a cell is an
@@ -132,26 +121,48 @@ class InitialTransducer:
         builds too, adds empty outputs, rooted words .b w of checked words
         w and the rows of a checked plain machine."""
         A = cls.__new__(cls)
-        A.n, A.r, A.root = n, r, root
-        # accessible part only, breadth-first
+        A._set_initial(n, r, root, rows)
+        return A
+
+    def _set_initial(self, n, r, root, rows):
+        """Keep the rows accessible from root, breadth-first, in one walk
+        that marks each state pending (before the output root) or done and
+        checks each edge; an unreachable state is dropped unchecked.  An
+        edge between pending states outputs the empty word, so a pending
+        cycle is an empty-output cycle."""
+        region = {root: PENDING}
         order = [root]
-        seen = {root}
         for q in order:  # grows while it is read
-            for _, p in rows[q]:
+            pending = region[q] is PENDING
+            for w, p in rows[q]:
                 if p == root:
                     raise InvalidInput("the initial state cannot be re-entered")
                 if p not in rows:
                     raise InvalidInput(f"transition targets unknown state {p!r}")
-                if p not in seen:
-                    seen.add(p)
+                emitted, tail = split_rooted(w)
+                if emitted is not None and not pending:
+                    raise InvalidInput(f"state {q!r} emits a second output root")
+                if pending and emitted is None and tail:
+                    raise InvalidInput(f"state {q!r} outputs letters before the output root")
+                side = PENDING if pending and emitted is None else DONE
+                if p not in region:
+                    region[p] = side
                     order.append(p)
-        A.states = tuple(order)
-        A._rows = {q: rows[q] for q in order}
-        A._hash = None
-        A._memo = None
-        A.region = A._classify()
-        A._check_structure()
-        return A
+                elif region[p] is not side:
+                    raise InvalidInput(
+                        f"state {p!r} is reached both before and after the output root"
+                    )
+        self._set_rows(n, {q: rows[q] for q in order})
+        self.r, self.root, self.region = r, root, region
+        interior = order[1:]
+        try:
+            check_productive(self, [q for q in interior if region[q] is PENDING])
+        except DegenerateTransducer:
+            raise InvalidInput("cycle that never emits the output root") from None
+        check_productive(self, interior)
+
+    def _key(self):
+        return self.n, self.r, self.root
 
     def symbols_at(self, q):
         """The input symbols of state q, in row order: the dotted root
@@ -169,67 +180,6 @@ class InitialTransducer:
             elif isinstance(sym, int) and 0 <= sym < self.n:
                 return row[sym]
         raise InvalidInput(f"no transition for state {q!r} on {sym!r}")
-
-    def row(self, q):
-        """All symbols of state q: the tuple of (output, destination) in the
-        order of symbols_at(q)."""
-        try:
-            return self._rows[q]
-        except KeyError:
-            raise InvalidInput(f"no transitions for state {q!r}") from None
-
-    def output(self, q, sym):
-        return self.step(q, sym)[0]
-
-    def dest(self, q, sym):
-        return self.step(q, sym)[1]
-
-    def _classify(self):
-        # breadth-first order reaches every state from a state already marked
-        region = {self.root: PENDING}
-        for q in self.states:
-            pending = region[q] is PENDING
-            for w, p in self._rows[q]:
-                root_emitted, tail = split_rooted(w)
-                if pending:
-                    if root_emitted is None and tail:
-                        raise InvalidInput(
-                            f"state {q!r} outputs letters before the output root"
-                        )
-                    mark = DONE if root_emitted is not None else PENDING
-                else:
-                    if root_emitted is not None:
-                        raise InvalidInput(f"state {q!r} emits a second output root")
-                    mark = DONE
-                if region.setdefault(p, mark) != mark:
-                    raise InvalidInput(
-                        f"state {p!r} is reached both before and after the output root"
-                    )
-        return region
-
-    def _check_structure(self):
-        # An edge between pending states outputs the empty word (_classify
-        # rejects letters before the output root, and the root leads to a
-        # done state), so a pending cycle is an empty-output cycle there.
-        interior = self.states[1:]
-        try:
-            check_productive(self, [q for q in interior if self.region[q] is PENDING])
-        except DegenerateTransducer:
-            raise InvalidInput("cycle that never emits the output root") from None
-        check_productive(self, interior)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, InitialTransducer)
-            and (self.n, self.r, self.root) == (other.n, other.r, other.root)
-            and self._rows == other._rows
-        )
-
-    def __hash__(self):
-        # the rows in any order, as __eq__ compares them; computed once
-        if self._hash is None:
-            self._hash = hash((self.n, self.r, self.root, frozenset(self._rows.items())))
-        return self._hash
 
     def __repr__(self):
         return f"<InitialTransducer n={self.n} r={self.r} states={len(self.states)}>"

@@ -63,6 +63,7 @@ from .transducer import (
     VALID,
     DegenerateTransducer,
     Transducer,
+    _plain,
     mark,
     marked,
     memoized,
@@ -84,6 +85,11 @@ from .synchronize import (
 
 class EmptyPreimage(ValueError):
     """The requested cone misses the state's image."""
+
+
+def _depth(img):
+    """The length of the longest cone of the images img."""
+    return max(len(c) for image in img.values() for c in image.cones)
 
 
 def _preimage_gcp(M, img, depth, q, v):
@@ -149,8 +155,7 @@ def preimage_gcp(T, q, v):
         isinstance(s, int) and 0 <= s < T.n for s in v[head:]
     ):
         raise EmptyPreimage(f"cone {v} misses the image of state {q!r}")
-    depth = max(len(c) for image in img.values() for c in image.cones)
-    return _preimage_gcp(T, img, depth, q, v)[0]
+    return _preimage_gcp(T, img, _depth(img), q, v)[0]
 
 
 def _inverse_step(M):
@@ -161,7 +166,7 @@ def _inverse_step(M):
     prefix of w.t of the walk's output length: U_w.t lies inside im(q) and
     h_q is injective at every state used (see the module docstring)."""
     img = images(M)
-    depth = max(len(c) for image in img.values() for c in image.cones)
+    depth = _depth(img)
 
     def step(state, t):
         w, q = state
@@ -190,18 +195,17 @@ def _close(n, step, queue, known):
     return rows
 
 
-def inverse_closure(T, root=None):
-    """The inverse behaviours of a core machine as a total transducer.
+def inverse_closure(T):
+    """The inverse behaviours of a plain core machine as a total transducer.
 
-    Seeded from the image antichain of `root`: for each maximal image cone a,
-    the state (a - forward output on (a)L_root, forward state on (a)L_root);
-    then closed forward under the inverse transition rule.  The closure
-    contains the full core of the inverse whenever T is synchronizing.
-    Raises InvalidInput when a state is not injective, and NotClopenImage
-    when an image is not clopen: the closure is finite otherwise (see the
-    module docstring)."""
-    root = T.states[0] if root is None else root
-    T.row(root)  # an unknown root is an error, not a missing image
+    Seeded from the image antichain of the first state, the root: for each
+    maximal image cone a, the state (a - forward output on (a)L_root,
+    forward state on (a)L_root); then closed forward under the inverse
+    transition rule.  The closure contains the full core of the inverse
+    whenever T is synchronizing.  Raises InvalidInput when a state is not
+    injective, and NotClopenImage when an image is not clopen: the closure
+    is finite otherwise (see the module docstring)."""
+    root = _plain(T, "inverse_closure").states[0]
     bad = non_injective_states(T)
     if bad:
         raise InvalidInput(f"state {bad[0]!r} is not injective")
@@ -214,9 +218,10 @@ def inverse_closure(T, root=None):
 def inverse_core(T):
     """The canonical core of T's inverse closure, kept in T's memo under
     "inverse".  Every rooted closure of a synchronizing core contains the
-    whole core of the inverse, so the canonical core does not depend on the
-    root.  Raises NotSynchronizing when the closure does not synchronize,
-    and whatever inverse_closure raises; a failure is not kept."""
+    whole core of the inverse, so the canonical core does not depend on
+    which state is first, the root.  Raises NotSynchronizing when the
+    closure does not synchronize, and whatever inverse_closure raises; a
+    failure is not kept."""
     return memoized(T, "inverse", lambda: _inverse_core(T))
 
 

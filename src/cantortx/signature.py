@@ -21,7 +21,7 @@ from itertools import chain
 from operator import index as as_index
 
 from .words import InvalidInput
-from .transducer import VALID, DegenerateTransducer, Transducer, memoized
+from .transducer import VALID, DegenerateTransducer, Transducer, _plain, memoized
 from .synchronize import (
     NotSynchronizing,
     _destination_rows,
@@ -157,7 +157,8 @@ class SignatureReport:
 def signature_report(T):
     """Signature data of a synchronizing machine with injective clopen-image
     states; preconditions are checked and named.  Memoized on T."""
-    return memoized(T, "signature_report", lambda: _signature_report(T))
+    return memoized(T, "signature_report",
+                    lambda: _signature_report(_plain(T, "signature_report")))
 
 
 def _signature_report(T):

@@ -144,9 +144,7 @@ def sync_counts(T):
 
 
 def _counts(T):
-    level = _sync_level(T)
-    if level is None:
-        raise NotSynchronizing("machine is not synchronizing")
+    level = minimal_sync_level(T)
     rows = _destination_rows(T)
     counts = {next(iter(rows)): 1}
     for _ in range(level):
@@ -175,9 +173,9 @@ def core_states(T):
     """States forced by words of the minimal synchronizing length: the
     states reachable from the first repeated state of the letter-0 walk
     from the first state (see the module docstring)."""
-    rows = _destination_rows(T)
-    if not (marked(T, SYNCHRONIZING) or _sync_level(T) is not None):
+    if not is_synchronizing(T):
         raise NotSynchronizing("machine is not synchronizing")
+    rows = _destination_rows(T)
     q = next(iter(rows))
     walked = set()
     while q not in walked:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from functools import partial
 
 from .words import (
     EvPeriodicWord,
@@ -32,42 +33,81 @@ class DepthExceeded(RuntimeError):
     input having the same output."""
 
 
-class Transducer:
-    """Immutable-by-convention machine.  `table` maps state -> letter ->
-    (output word, destination state).  State names are arbitrary hashables;
-    canonical machines use the strings "0", "1", ...
+def checked_row(q, row, size, check):
+    """State q's row {symbol index 0..size-1: (output, destination)} as the
+    tuple of its cells, each output made a tuple and checked by check."""
+    if set(row) != set(range(size)):
+        raise InvalidInput(f"state {q!r} must have one transition per letter")
+    cells = [None] * size
+    for i, (w, p) in row.items():
+        w = tuple(w)
+        check(w)
+        cells[i] = (w, p)
+    return tuple(cells)
 
-    The transitions are stored as one row per state: `row(q)` is the tuple
-    ((out_0, dest_0), ..., (out_{n-1}, dest_{n-1})) indexed by letter, so a
-    loop over a state's letters reads one row instead of looking up each
-    (state, letter) pair.
 
+def _plain(machine, what):
+    """machine, if it is plain: the analysis `what` reads only plain ones."""
+    if not isinstance(machine, Transducer):
+        raise InvalidInput(f"{what} needs a plain machine (r=0)")
+    return machine
+
+
+class Machine:
+    """The row store of plain (Transducer) and initial (InitialTransducer)
+    machines: `_rows` maps each state to its row, the tuple of (output word,
+    destination) indexed by input symbol, so a loop over a state's symbols
+    reads one row.  Each kind says which symbols a row reads (symbols_at,
+    step) and what besides the rows tells two machines apart (_key).
     `_memo` keeps the analyses of the machine that `memoized` computed."""
 
     __slots__ = ("n", "states", "_rows", "_hash", "_memo")
 
+    def _set_rows(self, n, rows):
+        self.n, self.states, self._rows = n, tuple(rows), rows
+        self._hash = self._memo = None
+
+    def row(self, q):
+        """The (output, destination) cells of state q, one per symbols_at(q)."""
+        try:
+            return self._rows[q]
+        except KeyError:
+            raise InvalidInput(f"no transitions for state {q!r}") from None
+
+    def output(self, q, sym):
+        return self.step(q, sym)[0]
+
+    def dest(self, q, sym):
+        return self.step(q, sym)[1]
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self._key() == other._key()
+                and self._rows == other._rows)
+
+    def __hash__(self):
+        # the rows in any order, as __eq__ compares them; computed once
+        if self._hash is None:
+            self._hash = hash((self._key(), frozenset(self._rows.items())))
+        return self._hash
+
+
+class Transducer(Machine):
+    """Immutable-by-convention plain machine: `table` maps state -> letter ->
+    (output word, destination state), and every row is indexed by letter.
+    State names are arbitrary hashables; canonical ones are "0", "1", ..."""
+
+    __slots__ = ()
+
     def __init__(self, n, table):
         if n < 2:
             raise InvalidInput("alphabet must have at least 2 letters")
-        self.n = n
-        self.states = tuple(table)
-        if len(set(self.states)) != len(self.states):
-            raise InvalidInput("duplicate state names")
-        rows = {}
-        for q, row in table.items():
-            if set(row) != set(range(n)):
-                raise InvalidInput(f"state {q!r} must have one transition per letter")
-            cells = [None] * n
-            for i, (w, p) in row.items():
-                w = tuple(w)
-                check_letters(n, w)
-                if p not in table:
+        check = partial(check_letters, n)
+        rows = {q: checked_row(q, row, n, check) for q, row in table.items()}
+        for q, row in rows.items():
+            for i, (_, p) in enumerate(row):
+                if p not in rows:
                     raise InvalidInput(f"transition {q!r},{i} targets unknown state {p!r}")
-                cells[i] = (w, p)
-            rows[q] = tuple(cells)
-        self._rows = rows
-        self._hash = None
-        self._memo = None
+        self._set_rows(n, rows)
 
     @classmethod
     def _from_rows(cls, n, rows):
@@ -75,12 +115,11 @@ class Transducer:
         they are: for tables the library builds from valid machines, which
         need none of the constructor's checks."""
         T = cls.__new__(cls)
-        T.n = n
-        T.states = tuple(rows)
-        T._rows = rows
-        T._hash = None
-        T._memo = None
+        T._set_rows(n, rows)
         return T
+
+    def _key(self):
+        return self.n
 
     def step(self, q, i):
         """One letter: (output word, destination)."""
@@ -90,36 +129,9 @@ class Transducer:
             raise InvalidInput(f"no transition for state {q!r} on letter {i}")
         return row[i]
 
-    def row(self, q):
-        """All letters of state q: the tuple of (output word, destination)
-        indexed by letter."""
-        try:
-            return self._rows[q]
-        except KeyError:
-            raise InvalidInput(f"no transitions for state {q!r}") from None
-
     def symbols_at(self, q):
         """The input symbols of state q, in row order: the letters."""
         return range(self.n)
-
-    def output(self, q, i):
-        return self.step(q, i)[0]
-
-    def dest(self, q, i):
-        return self.step(q, i)[1]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Transducer)
-            and self.n == other.n
-            and self._rows == other._rows
-        )
-
-    def __hash__(self):
-        # the rows in any order, as __eq__ compares them; computed once
-        if self._hash is None:
-            self._hash = hash((self.n, frozenset(self._rows.items())))
-        return self._hash
 
     def __repr__(self):
         return f"<Transducer n={self.n} states={len(self.states)}>"

@@ -6,6 +6,7 @@ from collections import defaultdict
 import pytest
 
 import cantortx
+from cantortx.transducer import Transducer
 
 
 @pytest.fixture
@@ -35,3 +36,14 @@ def record_calls(monkeypatch):
         return calls
 
     return start
+
+
+@pytest.fixture
+def root_first():
+    """root_first(M, q) is a fresh copy of the plain machine M, built by the
+    checking constructor, whose rows put q first: the state that
+    inverse_closure roots its closure at."""
+    def copy(M, q):
+        return Transducer(M.n, {p: dict(enumerate(M.row(p))) for p in (q, *M.states)})
+
+    return copy

@@ -380,11 +380,13 @@ class TestProductWork:
         acc = t3
         for _ in range(7):
             acc = group_product(acc, t3)
-        calls = record_calls(("sync_counts", "is_synchronizing", "_collapse_rounds"))
+        calls = record_calls(("sync_counts", "is_synchronizing", "_sync_level", "_collapse_rounds"))
         result = group_product(acc, t3)
         assert len(result.machine.states) == 11
         assert len(calls["sync_counts"]) == 0
-        assert len(calls["is_synchronizing"]) == 0
+        # core_states reads the minimized product's SYNCHRONIZING mark once
+        assert len(calls["is_synchronizing"]) == 1
+        assert len(calls["_sync_level"]) == 0
         assert len(calls["_collapse_rounds"]) == 0
         rotation_action(result, rotation_class_of((1, 2)))
         assert len(calls["_collapse_rounds"]) == 0
@@ -453,11 +455,12 @@ class TestCarriedImages:
         with pytest.raises(InvalidInput, match="not a valid core element: not synchronizing"):
             invert_element(GroupElement(swapping))
 
-    def test_raw_element_inverts_with_validations_closure(self, record_calls):
+    def test_raw_element_inverts_with_validations_closure(self, record_calls, root_first):
         t3 = GroupElement.from_machine(machine_T(3))
         M = group_product(t3, t3).machine
         want = invert_element(GroupElement.from_machine(M))
-        assert {canonical_core(inverse_closure(M, q)) for q in M.states} == {want.machine}
+        closures = {canonical_core(inverse_closure(root_first(M, q))) for q in M.states}
+        assert closures == {want.machine}
         raw = parse(serialize(M))
         calls = record_calls(("inverse_closure",))
         assert invert_element(GroupElement(raw)) == want

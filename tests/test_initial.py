@@ -13,6 +13,7 @@ from cantortx.words import (
     EvPeriodicWord,
     ClopenSet,
     InvalidInput,
+    rotation_class_of,
     subtract_prefix,
     whole_space,
 )
@@ -28,6 +29,7 @@ from cantortx.transducer import (
 )
 from cantortx.initial import (
     DONE,
+    PENDING,
     InitialTransducer,
     dot,
     evaluate_initial,
@@ -39,13 +41,15 @@ from cantortx.initial import (
 )
 from cantortx.images import (
     NotClopenImage,
+    analyze,
     images,
     is_homeomorphism_state,
     non_injective_states,
+    orientation,
     whole,
 )
 from cantortx.synchronize import NotSynchronizing, canonical_core, core, core_states
-from cantortx.invert import invert_initial, preimage_gcp
+from cantortx.invert import inverse_closure, invert_initial, preimage_gcp
 from cantortx.machines import (
     PrefixExchange,
     RealizeError,
@@ -59,7 +63,8 @@ from cantortx.machines import (
     state_wrapper,
     reversing_complement_wrapper,
 )
-from cantortx.group import GroupElement, group_product
+from cantortx.group import GroupElement, group_product, loop_state, orbit_lengths
+from cantortx.signature import signature_report
 from cantortx.textio import serialize
 
 
@@ -74,7 +79,7 @@ class TestConstruction:
         assert split_rooted(out) == (1, (0, 2, 1))
 
     def test_root_cannot_be_reentered(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="^the initial state cannot be re-entered$"):
             InitialTransducer(
                 2, 1,
                 {0: ((dot(0),), "s")},
@@ -82,7 +87,8 @@ class TestConstruction:
             )
 
     def test_letters_before_root_rejected(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput,
+                           match="^state 'q0' outputs letters before the output root$"):
             InitialTransducer(
                 2, 1,
                 {0: ((0,), "s")},  # plain letters before the output root
@@ -90,7 +96,7 @@ class TestConstruction:
             )
 
     def test_second_root_rejected(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="^state 's' emits a second output root$"):
             InitialTransducer(
                 2, 1,
                 {0: ((dot(0),), "s")},
@@ -98,12 +104,30 @@ class TestConstruction:
             )
 
     def test_rootless_cycle_rejected(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="^cycle that never emits the output root$"):
             InitialTransducer(
                 2, 1,
                 {0: (EMPTY, "s")},
                 {"s": {0: (EMPTY, "s"), 1: ((dot(0),), "t")},
                  "t": {0: ((0,), "t"), 1: ((1,), "t")}},
+            )
+
+    def test_state_in_both_regions_rejected(self):
+        with pytest.raises(InvalidInput, match="^state 's' is reached both before "
+                                               "and after the output root$"):
+            InitialTransducer(
+                2, 1,
+                {0: (EMPTY, "p")},
+                {"p": {0: (EMPTY, "s"), 1: ((dot(0),), "s")},
+                 "s": {0: ((0,), "s"), 1: ((1,), "s")}},
+            )
+
+    def test_reachable_unknown_target_rejected(self):
+        with pytest.raises(InvalidInput, match="^transition targets unknown state 't'$"):
+            InitialTransducer(
+                2, 1,
+                {0: ((dot(0),), "s")},
+                {"s": {0: ((0,), "t"), 1: ((1,), "s")}},
             )
 
     def test_empty_output_cycle_rejected(self):
@@ -777,6 +801,59 @@ def serialize_renamed(M):
     return serialize(InitialTransducer(
         M.n, M.r, row(M.root), {name[q]: row(q) for q in M.states[1:]}, root=name[M.root]
     ))
+
+
+class TestSharedRowStore:
+    """Both kinds of machine keep their rows in transducer.Machine: one
+    row, output, dest, equality and hash.  An initial machine is not a
+    Transducer, and its constructor checks only the states it keeps."""
+
+    def test_initial_machine_uses_the_plain_machines_functions(self):
+        for name in ("row", "output", "dest", "__eq__", "__hash__"):
+            assert getattr(InitialTransducer, name) is getattr(Transducer, name), name
+        assert not isinstance(identity_wrapper(2, 1), Transducer)
+
+    def test_plain_and_initial_with_equal_rows_are_unequal(self):
+        A = InitialTransducer(
+            2, 2, {0: ((dot(0),), "s"), 1: ((dot(1),), "s")},
+            {"s": {0: ((0,), "s"), 1: ((1,), "s")}},
+        )
+        P = Transducer._from_rows(A.n, dict(A._rows))
+        assert P._rows == A._rows and P.n == A.n
+        assert A != P and P != A
+        assert len({A, P}) == 2
+
+    def test_reprs(self):
+        assert repr(machine_T(3)) == "<Transducer n=3 states=3>"
+        assert repr(state_wrapper(machine_T(3), "a", 2)) == "<InitialTransducer n=3 r=2 states=4>"
+
+    def test_unreachable_state_with_unknown_target_is_dropped(self):
+        A = InitialTransducer(
+            2, 1, {0: ((dot(0),), "s")},
+            {"s": {0: ((0,), "s"), 1: ((1,), "s")},
+             "u": {0: ((0,), "nowhere"), 1: ((dot(0),), "u")}},
+        )
+        assert A.states == ("q0", "s")
+        assert A.region == {"q0": PENDING, "s": DONE}
+
+
+class TestPlainOnly:
+    """The analyses that read only plain machines refuse an initial one by
+    name, instead of failing inside."""
+
+    @pytest.mark.parametrize("what, call", [
+        ("orientation", orientation),
+        ("orientation", analyze),
+        ("signature_report", signature_report),
+        ("inverse_closure", inverse_closure),
+        ("loop_state", lambda A: loop_state(A, (1, 2))),
+        ("loop_state", lambda A: orbit_lengths(GroupElement(A), rotation_class_of((1, 2)), 2)),
+    ], ids=["orientation", "analyze", "signature_report", "inverse_closure",
+            "loop_state", "orbit_lengths"])
+    def test_initial_machine_is_refused(self, what, call):
+        A = state_wrapper(machine_T(3), "a", 2)
+        with pytest.raises(InvalidInput, match=rf"^{what} needs a plain machine \(r=0\)$"):
+            call(A)
 
 
 class TestLibraryRows:
